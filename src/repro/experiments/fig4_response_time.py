@@ -18,9 +18,11 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from ..core.resolver import DMapResolver
+from ..obs.manifest import RunManifest
+from ..obs.trace import Tracer
 from ..sim.metrics import LatencySummary, summarize
 from ..sim.simulation import DMapSimulation
-from ..workload.generator import WorkloadConfig, WorkloadGenerator
+from ..workload.generator import Workload, WorkloadConfig, WorkloadGenerator
 from .common import Environment, get_environment
 from .reporting import ascii_cdf, format_cdf_table, format_table, percentile_row
 
@@ -89,7 +91,10 @@ def run_fig4(
     and §IV-B.2a design knobs for ablation.  ``engine="fastpath"``
     batches the lookup pipeline through
     :class:`~repro.fastpath.engine.FastpathEngine` (bit-identical RTTs;
-    ``n_jobs`` shards source-AS groups across processes).
+    ``n_jobs`` shards source-AS groups across processes).  The fastpath
+    sweeps every K in one pass: it places GUIDs once at ``max(k_values)``
+    and evaluates each K inside each source-AS group, so each source's
+    routing row is computed once per run rather than once per K.
 
     ``trace_path`` writes a canonical JSONL per-query trace file there
     (plus a run manifest at ``<trace_path>.manifest.json``), from which
@@ -98,14 +103,13 @@ def run_fig4(
     cross process shards.
     """
     from ..obs.export import metrics_report, write_traces
-    from ..obs.manifest import RunManifest, manifest_path_for
+    from ..obs.manifest import manifest_path_for
     from ..obs.trace import NULL_TRACER, CollectingTracer
 
     env = environment or get_environment(scale, seed)
     workload_config = workload_override or WorkloadConfig(
         n_guids=env.scale.n_guids, n_lookups=env.scale.n_lookups, seed=seed
     )
-    workload = WorkloadGenerator(env.topology, workload_config).generate()
 
     tracing = trace_path is not None
     tracer = CollectingTracer() if tracing else NULL_TRACER
@@ -125,45 +129,57 @@ def run_fig4(
         },
     )
 
+    with manifest.phase("workload"):
+        workload = WorkloadGenerator(env.topology, workload_config).generate()
+
     rtts_by_k: Dict[int, np.ndarray] = {}
     local_hits: Dict[int, float] = {}
     failed_by_k: Dict[int, int] = {}
-    for k in k_values:
-        with manifest.phase(f"k={k}"):
-            if use_simulation:
-                sim = DMapSimulation(
-                    env.topology,
-                    env.table,
-                    k=k,
-                    router=env.router,
-                    local_replica=local_replica,
-                    selection_policy=selection_policy,
-                    seed=seed,
-                    tracer=tracer,
-                )
-                workload.apply_to_simulation(sim, env.table)
-                sim.run()
-                rtts_by_k[k] = sim.metrics.rtts()
-                local_hits[k] = sim.metrics.local_hit_fraction()
-                failed_by_k[k] = len(sim.metrics.failed)
-            else:
-                resolver = DMapResolver(
-                    env.table,
-                    env.router,
-                    k=k,
-                    local_replica=local_replica,
-                    selection_policy=selection_policy,
-                    tracer=tracer,
-                )
-                rtts = workload.run_through_resolver(
-                    resolver, env.table, engine=engine, n_jobs=n_jobs
-                )
-                rtts_by_k[k] = np.asarray(rtts, dtype=float)
-                local_hits[k] = float("nan")
-                # The instant resolver retries whole replica-set rounds
-                # until the lookup succeeds, so this path records no
-                # failures.
-                failed_by_k[k] = 0
+    if engine == "fastpath" and not use_simulation:
+        rtts_by_k = _fastpath_sweep(
+            env, workload, k_values, local_replica, selection_policy,
+            tracer, n_jobs, manifest,
+        )
+        # As on the instant resolver: no failures, local hits untracked.
+        local_hits = {k: float("nan") for k in rtts_by_k}
+        failed_by_k = {k: 0 for k in rtts_by_k}
+    else:
+        for k in k_values:
+            with manifest.phase(f"k={k}"):
+                if use_simulation:
+                    sim = DMapSimulation(
+                        env.topology,
+                        env.table,
+                        k=k,
+                        router=env.router,
+                        local_replica=local_replica,
+                        selection_policy=selection_policy,
+                        seed=seed,
+                        tracer=tracer,
+                    )
+                    workload.apply_to_simulation(sim, env.table)
+                    sim.run()
+                    rtts_by_k[k] = sim.metrics.rtts()
+                    local_hits[k] = sim.metrics.local_hit_fraction()
+                    failed_by_k[k] = len(sim.metrics.failed)
+                else:
+                    resolver = DMapResolver(
+                        env.table,
+                        env.router,
+                        k=k,
+                        local_replica=local_replica,
+                        selection_policy=selection_policy,
+                        tracer=tracer,
+                    )
+                    rtts = workload.run_through_resolver(
+                        resolver, env.table, engine=engine, n_jobs=n_jobs
+                    )
+                    rtts_by_k[k] = np.asarray(rtts, dtype=float)
+                    local_hits[k] = float("nan")
+                    # The instant resolver retries whole replica-set rounds
+                    # until the lookup succeeds, so this path records no
+                    # failures.
+                    failed_by_k[k] = 0
     if tracing:
         with manifest.phase("export"):
             count = write_traces(trace_path, tracer.traces)
@@ -172,6 +188,46 @@ def run_fig4(
             manifest.extra["metrics"] = metrics_report(tracer.traces)
         manifest.write(manifest_path_for(trace_path))
     return Fig4Result(env.scale.name, rtts_by_k, local_hits, failed_by_k)
+
+
+def _fastpath_sweep(
+    env: Environment,
+    workload: Workload,
+    k_values: Sequence[int],
+    local_replica: bool,
+    selection_policy: str,
+    tracer: Tracer,
+    n_jobs: int,
+    manifest: RunManifest,
+) -> Dict[int, np.ndarray]:
+    """Per-K RTTs (in event order) of the whole sweep from one engine.
+
+    Placement runs once at ``max(k_values)``; each smaller K reads the
+    placement's first K columns, which the default placer guarantees.
+    """
+    from ..fastpath import FastpathEngine
+
+    arrays = workload.lookup_arrays()
+    engine = FastpathEngine(
+        env.table,
+        env.router,
+        k=max(k_values),
+        selection_policy=selection_policy,
+        local_replica=local_replica,
+        tracer=tracer,
+    )
+    with manifest.phase("placement"):
+        batch = engine.index_guids(arrays.guids, arrays.local_asns)
+    with manifest.phase("lookups"):
+        results = engine.lookup_batch(
+            batch,
+            arrays.guid_idx,
+            arrays.sources,
+            n_jobs=n_jobs,
+            issued_at=arrays.issued_at,
+            k_values=k_values,
+        )
+    return {k: results[k].rtt_ms for k in k_values}
 
 
 def main(

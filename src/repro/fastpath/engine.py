@@ -6,9 +6,13 @@
 * GUIDs are placed **once** per unique identifier (the scalar resolver
   re-derives the K hosting ASs on every lookup);
 * lookups are grouped by source AS, so each group needs exactly one
-  cached Dijkstra row; replica selection is a fancy-indexed row-wise
-  ``argmin`` whose tie-breaking provably matches the stable sort in
+  cached Dijkstra row (computed a block of sources at a time); replica
+  selection is a fancy-indexed row-wise ``argmin`` whose tie-breaking
+  provably matches the stable sort in
   :class:`~repro.core.replication.ReplicaSelector`;
+* a K sweep (Fig. 4) runs in the same pass: each group evaluates every
+  K on the first K columns of the max-K placement, so a row is computed
+  once per sweep rather than once per K;
 * the §III-C local-replica race and the §III-D.3 failed-attempt
   accounting (one RTT per "GUID missing", an adaptive timeout per dead
   replica) become row-wise prefix sums over the walk-cost matrix.
@@ -58,7 +62,7 @@ from ..obs.trace import (
     hash_index_of,
 )
 from ..topology.routing import Router
-from .placement import batch_resolutions
+from .placement import batch_resolutions, prefix_stable
 
 #: Selection policies the batch engine reproduces exactly.
 SUPPORTED_POLICIES = ("latency", "hops")
@@ -144,6 +148,24 @@ class BatchLookupResult:
 
     def __len__(self) -> int:
         return len(self.rtt_ms)
+
+    @classmethod
+    def empty(cls, n: int) -> "BatchLookupResult":
+        """A result of ``n`` rows, to be filled group by group."""
+        return cls(
+            np.empty(n, dtype=np.float64),
+            np.full(n, -1, dtype=np.int64),
+            np.zeros(n, dtype=bool),
+            np.zeros(n, dtype=np.int64),
+            np.zeros(n, dtype=bool),
+        )
+
+    def scatter(self, rows: np.ndarray, columns: Sequence[np.ndarray]) -> None:
+        """Write one group's ``(rtt, served, used_local, attempts,
+        success)`` columns at ``rows``."""
+        planes = (self.rtt_ms, self.served_by, self.used_local, self.attempts, self.success)
+        for plane, values in zip(planes, columns):
+            plane[rows] = values
 
 
 class FastpathEngine:
@@ -246,7 +268,7 @@ class FastpathEngine:
         guid_idx = np.asarray(guid_idx, dtype=np.int64)
         sources = np.asarray(sources, dtype=np.int64)
         out = np.empty(len(guid_idx), dtype=np.float64)
-        for src, rows in _iter_source_groups(sources):
+        for src, rows in self._source_groups(sources, hop_rows=False):
             cand = batch.placements[guid_idx[rows]]
             rtts = self.router.rtt_to_many(int(src), cand.ravel())
             out[rows] = rtts.reshape(cand.shape).max(axis=1)
@@ -263,7 +285,8 @@ class FastpathEngine:
         availability=None,
         n_jobs: int = 1,
         issued_at: Optional[np.ndarray] = None,
-    ) -> BatchLookupResult:
+        k_values: Optional[Sequence[int]] = None,
+    ) -> Union[BatchLookupResult, Dict[int, BatchLookupResult]]:
         """Resolve many lookups; row ``i`` queries ``batch.guids[guid_idx[i]]``
         from AS ``sources[i]``.
 
@@ -275,11 +298,20 @@ class FastpathEngine:
         across worker processes (availability-free workloads only).
         ``issued_at`` stamps each lookup's issue time onto its emitted
         trace (tracing only; the arithmetic itself is time-free).
+
+        ``k_values`` sweeps several replication factors over the same
+        lookups and returns ``{K: result}``.  K evaluates the first K
+        replica columns of ``batch``, so each K is at most the batch's
+        width, and the placer must be :func:`prefix_stable`.  Each source
+        group is visited once for the whole sweep, so each routing row is
+        computed once.  Without ``k_values`` the lookups run at the
+        batch's K and one result is returned.
         """
         guid_idx = np.asarray(guid_idx, dtype=np.int64)
         sources = np.asarray(sources, dtype=np.int64)
         if guid_idx.shape != sources.shape or guid_idx.ndim != 1:
             raise ConfigurationError("guid_idx and sources must be 1-D and aligned")
+        sweep = self._sweep(batch, k_values)
         model = availability
         if model is not None and not hasattr(model, "lookup_outcome"):
             model = _ProbeAdapter(model)
@@ -295,8 +327,34 @@ class FastpathEngine:
                 )
             from .runner import run_sharded
 
-            return run_sharded(self, batch, guid_idx, sources, n_jobs)
-        return self._lookup_serial(batch, guid_idx, sources, model, issued_at)
+            results = run_sharded(self, batch, guid_idx, sources, n_jobs, sweep)
+        else:
+            results = self._lookup_serial(
+                batch, guid_idx, sources, model, issued_at, sweep
+            )
+        return results if k_values is not None else results[sweep[0]]
+
+    def _sweep(
+        self, batch: GuidBatch, k_values: Optional[Sequence[int]]
+    ) -> Tuple[int, ...]:
+        """The replication factors one lookup pass evaluates."""
+        width = batch.placements.shape[1]
+        if k_values is None:
+            return (width,)
+        sweep = tuple(int(k) for k in k_values)
+        if not sweep or len(set(sweep)) != len(sweep) or not all(
+            1 <= k <= width for k in sweep
+        ):
+            raise ConfigurationError(
+                f"k_values must be distinct and within [1, {width}], "
+                f"got {list(k_values)}"
+            )
+        if sweep != (width,) and not prefix_stable(self.placer):
+            raise FastpathUnsupportedError(
+                f"placer {type(self.placer).__name__} gives no K-prefix "
+                "guarantee; sweep K with one engine per K"
+            )
+        return sweep
 
     def _lookup_serial(
         self,
@@ -305,15 +363,15 @@ class FastpathEngine:
         sources: np.ndarray,
         model=None,
         issued_at: Optional[np.ndarray] = None,
-    ) -> BatchLookupResult:
+        k_values: Optional[Sequence[int]] = None,
+    ) -> Dict[int, BatchLookupResult]:
+        sweep = tuple(k_values or (batch.placements.shape[1],))
         n = len(guid_idx)
-        rtt = np.empty(n, dtype=np.float64)
-        served = np.full(n, -1, dtype=np.int64)
-        used_local = np.zeros(n, dtype=bool)
-        attempts = np.zeros(n, dtype=np.int64)
-        success = np.zeros(n, dtype=bool)
+        results = {k: BatchLookupResult.empty(n) for k in sweep}
         tracing = self.tracer.enabled
-        trace_slots: List[Optional[QueryTrace]] = [None] * n if tracing else []
+        trace_slots: Dict[int, List[Optional[QueryTrace]]] = (
+            {k: [None] * n for k in sweep} if tracing else {}
+        )
         times = None
         if tracing:
             times = (
@@ -326,31 +384,52 @@ class FastpathEngine:
                     "issued_at must align one-to-one with guid_idx"
                 )
         placement_cache: Dict[int, Tuple[PlacementRecord, ...]] = {}
-        for src, rows in _iter_source_groups(sources):
-            group = self._lookup_group(
-                int(src),
+        hop_rows = self.selection_policy == "hops"
+        for src, rows in self._source_groups(sources, hop_rows):
+            groups = self._lookup_group(
+                src,
                 batch,
                 guid_idx[rows],
+                sweep,
                 model,
                 issued_at=times[rows] if tracing else None,
                 placement_cache=placement_cache if tracing else None,
             )
-            rtt[rows], served[rows], used_local[rows], attempts[rows], success[rows] = group[:5]
-            if tracing:
-                for offset, row in enumerate(rows):
-                    trace_slots[int(row)] = group[5][offset]
-        if not np.all(np.isfinite(rtt)):
-            bad = int(np.flatnonzero(~np.isfinite(rtt))[0])
-            raise RoutingError(
-                f"lookup {bad} reached an unreachable replica "
-                f"(source AS {int(sources[bad])})"
-            )
-        # Emit in input-row order so raw emission order matches the
-        # workload's issue order (the canonical JSONL sort is on top).
-        for trace in trace_slots:
-            if trace is not None:
-                self.tracer.record(trace)
-        return BatchLookupResult(rtt, served, used_local, attempts, success)
+            for k, group in zip(sweep, groups):
+                results[k].scatter(rows, group[:5])
+                if tracing:
+                    slots = trace_slots[k]
+                    for offset, row in enumerate(rows):
+                        slots[int(row)] = group[5][offset]
+        for result in results.values():
+            if not np.all(np.isfinite(result.rtt_ms)):
+                bad = int(np.flatnonzero(~np.isfinite(result.rtt_ms))[0])
+                raise RoutingError(
+                    f"lookup {bad} reached an unreachable replica "
+                    f"(source AS {int(sources[bad])})"
+                )
+        # Emit K by K, each in input-row order, so raw emission order
+        # matches the workload's issue order (the canonical JSONL sort is
+        # on top).
+        for k in sweep:
+            for trace in trace_slots.get(k, ()):
+                if trace is not None:
+                    self.tracer.record(trace)
+        return results
+
+    def _source_groups(self, sources: np.ndarray, hop_rows: bool):
+        """:func:`_iter_source_groups`, computing the latency (and, with
+        ``hop_rows``, hop) rows of each next block of sources in one
+        Dijkstra call."""
+        groups = list(_iter_source_groups(sources))
+        block = self.router.row_block
+        for start in range(0, len(groups), block):
+            chunk = groups[start : start + block]
+            block_sources = [src for src, _rows in chunk]
+            self.router.prefetch_rows(block_sources)
+            if hop_rows:
+                self.router.prefetch_rows(block_sources, hops=True)
+            yield from chunk
 
     # -- one source-AS group -------------------------------------------
     def _selection_keys(self, src: int, cand_idx: np.ndarray) -> np.ndarray:
@@ -400,18 +479,62 @@ class FastpathEngine:
         src: int,
         batch: GuidBatch,
         gidx: np.ndarray,
+        k_values: Sequence[int],
         model=None,
         issued_at: Optional[np.ndarray] = None,
         placement_cache: Optional[Dict[int, Tuple[PlacementRecord, ...]]] = None,
-    ) -> Tuple[object, ...]:
+    ) -> List[Tuple[object, ...]]:
+        """One source-AS group at every K of the sweep, in ``k_values`` order.
+
+        Selection keys, RTTs and outcomes are computed once over all of
+        the batch's replica columns; K reads their first K columns.
+        """
         cand = batch.placements[gidx]
-        m, k = cand.shape
-        cand_idx = self.router.indices_of(cand)
-        key = self._selection_keys(src, cand_idx)
+        key = self._selection_keys(src, self.router.indices_of(cand))
         rtt_all = self.router.rtt_to_many(src, cand.ravel(), strict=False)
-        rtt_all = rtt_all.reshape(m, k)
+        rtt_all = rtt_all.reshape(cand.shape)
+        outcome = (
+            None
+            if model is None
+            else self._outcome_matrix(src, batch, gidx, cand, model)
+        )
+        local_of_rows = batch.local_asns[gidx]
+        return [
+            self._evaluate_group(
+                src,
+                batch,
+                gidx,
+                cand[:, :k],
+                key[:, :k],
+                rtt_all[:, :k],
+                None if outcome is None else outcome[:, :k],
+                local_of_rows,
+                model,
+                issued_at,
+                placement_cache,
+            )
+            for k in k_values
+        ]
+
+    def _evaluate_group(
+        self,
+        src: int,
+        batch: GuidBatch,
+        gidx: np.ndarray,
+        cand: np.ndarray,
+        key: np.ndarray,
+        rtt_all: np.ndarray,
+        outcome: Optional[np.ndarray],
+        local_of_rows: np.ndarray,
+        model,
+        issued_at: Optional[np.ndarray],
+        placement_cache: Optional[Dict[int, Tuple[PlacementRecord, ...]]],
+    ) -> Tuple[object, ...]:
+        """One group at one K: ``cand`` and the planes beside it hold
+        only the first K replica columns."""
+        m, k = cand.shape
         branch, local_entry, local_end = self._local_branch(
-            src, cand, batch.local_asns[gidx], model
+            src, cand, local_of_rows, model
         )
         rows = np.arange(m)
         tracing = placement_cache is not None
@@ -435,7 +558,6 @@ class FastpathEngine:
             )
             return result + (traces,)
 
-        outcome = self._outcome_matrix(src, batch, gidx, cand, model)
         order = np.argsort(key, axis=1, kind="stable")
         s_cand = np.take_along_axis(cand, order, axis=1)
         s_out = np.take_along_axis(outcome, order, axis=1)
@@ -494,12 +616,15 @@ class FastpathEngine:
         batch: GuidBatch,
         guid_index: int,
         cache: Dict[int, Tuple[PlacementRecord, ...]],
+        k: int,
     ) -> Tuple[PlacementRecord, ...]:
+        """The GUID's placement records at K=``k``: a prefix of the
+        batch's (cached) full-width records."""
         placement = cache.get(guid_index)
         if placement is None:
             placement = batch.placement_records(guid_index)
             cache[guid_index] = placement
-        return placement
+        return placement[:k]
 
     def _group_traces_converged(
         self,
@@ -525,9 +650,10 @@ class FastpathEngine:
         reply landed before the walk could even start (``local_end <= 0``).
         """
         traces: List[QueryTrace] = []
+        k = cand.shape[1]
         for r in range(len(gidx)):
             gi = int(gidx[r])
-            placement = self._placement_of(batch, gi, placement_cache)
+            placement = self._placement_of(batch, gi, placement_cache, k)
             launched = bool(branch[r])
             won_r = bool(won[r])
             if won_r and local_end <= 0.0:
@@ -604,7 +730,7 @@ class FastpathEngine:
         traces: List[QueryTrace] = []
         for r in range(m):
             gi = int(gidx[r])
-            placement = self._placement_of(batch, gi, placement_cache)
+            placement = self._placement_of(batch, gi, placement_cache, k)
             exec_mask = executed[r]
             if bool(won[r]):
                 exec_mask = exec_mask & (elapsed_before[r] < local_end)

@@ -27,7 +27,7 @@ import numpy as np
 from ..bgp.interval_index import HOLE, IntervalIndex
 from ..errors import ConfigurationError
 from ..hashing.asnum_placer import ASNumberPlacer, WeightedASPlacer
-from ..hashing.hashers import FastHasher, HashFamily
+from ..hashing.hashers import FastHasher, HashFamily, Sha256Hasher
 from ..hashing.rehash import GuidPlacer
 
 #: Loose GUID input: raw integer identifier values.
@@ -138,6 +138,19 @@ def _weighted_batch(placer: WeightedASPlacer, values: List[int]) -> np.ndarray:
         slots = np.minimum(slots, len(roster) - 1)
         out[:, i] = roster[slots]
     return out
+
+
+def prefix_stable(placer: object) -> bool:
+    """Whether ``placer``'s placement at ``K=k`` is the first ``k`` columns
+    of its placement at any larger K, on all three planes.
+
+    It is for the batchable placers over the two built-in hash families,
+    whose function ``i`` does not depend on K; an unrecognised placer or
+    hash family gives no such guarantee.
+    """
+    return isinstance(
+        placer, (GuidPlacer, ASNumberPlacer, WeightedASPlacer)
+    ) and isinstance(placer.hash_family, (Sha256Hasher, FastHasher))
 
 
 def batch_hosting_asns(

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -37,19 +37,16 @@ _SHARED: Optional[Tuple[FastpathEngine, GuidBatch]] = None
 
 
 def _run_shard(
-    shard: Tuple[np.ndarray, np.ndarray]
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    shard: Tuple[np.ndarray, np.ndarray, Tuple[int, ...]]
+) -> Dict[int, Tuple[np.ndarray, ...]]:
     """Worker body: run the serial engine over one shard's rows."""
-    guid_idx, sources = shard
+    guid_idx, sources, sweep = shard
     engine, batch = _SHARED
-    result = engine._lookup_serial(batch, guid_idx, sources, None)
-    return (
-        result.rtt_ms,
-        result.served_by,
-        result.used_local,
-        result.attempts,
-        result.success,
-    )
+    results = engine._lookup_serial(batch, guid_idx, sources, None, None, sweep)
+    return {
+        k: (r.rtt_ms, r.served_by, r.used_local, r.attempts, r.success)
+        for k, r in results.items()
+    }
 
 
 def default_jobs() -> int:
@@ -82,35 +79,34 @@ def run_sharded(
     guid_idx: np.ndarray,
     sources: np.ndarray,
     n_jobs: int,
-) -> BatchLookupResult:
+    k_values: Optional[Sequence[int]] = None,
+) -> Union[BatchLookupResult, Dict[int, BatchLookupResult]]:
     """Execute a lookup batch across ``n_jobs`` worker processes.
 
-    Falls back to the serial path when sharding cannot help (one group,
-    one job) or fork is unavailable.
+    ``k_values`` is the K sweep of :meth:`FastpathEngine.lookup_batch`,
+    with the same return convention.  Falls back to the serial path when
+    sharding cannot help (one group, one job) or fork is unavailable.
     """
-    shards = _shard_rows(sources, n_jobs)
-    if len(shards) <= 1:
-        return engine._lookup_serial(batch, guid_idx, sources, None)
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:
-        return engine._lookup_serial(batch, guid_idx, sources, None)
-
-    n = len(sources)
-    rtt = np.empty(n, dtype=np.float64)
-    served = np.empty(n, dtype=np.int64)
-    used_local = np.empty(n, dtype=bool)
-    attempts = np.empty(n, dtype=np.int64)
-    success = np.empty(n, dtype=bool)
-
     global _SHARED
-    _SHARED = (engine, batch)
-    try:
-        with ctx.Pool(processes=len(shards)) as pool:
-            payloads = [(guid_idx[rows], sources[rows]) for rows in shards]
-            for rows, parts in zip(shards, pool.map(_run_shard, payloads)):
-                rtt[rows], served[rows], used_local[rows] = parts[0], parts[1], parts[2]
-                attempts[rows], success[rows] = parts[3], parts[4]
-    finally:
-        _SHARED = None
-    return BatchLookupResult(rtt, served, used_local, attempts, success)
+    sweep = tuple(k_values or (batch.placements.shape[1],))
+    shards = _shard_rows(sources, n_jobs)
+    ctx = None
+    if len(shards) > 1:
+        try:
+            ctx = multiprocessing.get_context("fork")
+        except ValueError:
+            pass
+    if ctx is None:
+        results = engine._lookup_serial(batch, guid_idx, sources, None, None, sweep)
+    else:
+        results = {k: BatchLookupResult.empty(len(sources)) for k in sweep}
+        _SHARED = (engine, batch)
+        try:
+            with ctx.Pool(processes=len(shards)) as pool:
+                payloads = [(guid_idx[rows], sources[rows], sweep) for rows in shards]
+                for rows, parts in zip(shards, pool.map(_run_shard, payloads)):
+                    for k, columns in parts.items():
+                        results[k].scatter(rows, columns)
+        finally:
+            _SHARED = None
+    return results if k_values is not None else results[sweep[0]]

@@ -18,9 +18,10 @@ of Zipf traffic) are admitted first and every admitted GUID is fully
 replicated in-cluster.
 
 Time scaling: virtual milliseconds from the RTT matrix are mapped to
-wire seconds by ``time_scale`` (default 1/20th of real time), and
-measurements are mapped back, so a selftest over hundreds of queries
-finishes in seconds while preserving every latency *ratio*.
+wire seconds by ``time_scale`` (default 0.5: one virtual millisecond
+takes half a wall-clock millisecond), and measurements are mapped back,
+so a selftest over hundreds of queries finishes in seconds while
+preserving every latency *ratio*.
 """
 
 from __future__ import annotations

@@ -90,6 +90,9 @@ class ASTopology:
     def __init__(self) -> None:
         self._info: Dict[int, ASInfo] = {}
         self._adjacency: Dict[int, Dict[int, float]] = {}
+        # Undirected link count, kept in step with ``_adjacency`` so that
+        # ``n_links`` is O(1) (the generator polls it once per peering try).
+        self._n_links = 0
         self._dirty = True
         self._index: Dict[int, int] = {}
         self._asns: List[int] = []
@@ -114,6 +117,8 @@ class ASTopology:
         for asn in (a, b):
             if asn not in self._info:
                 raise TopologyError(f"AS {asn} not registered")
+        if b not in self._adjacency[a]:
+            self._n_links += 1
         self._adjacency[a][b] = link.latency_ms
         self._adjacency[b][a] = link.latency_ms
         self._dirty = True
@@ -123,6 +128,7 @@ class ASTopology:
         if self._adjacency.get(a, {}).pop(b, None) is None:
             raise TopologyError(f"no link {a}-{b}")
         self._adjacency[b].pop(a, None)
+        self._n_links -= 1
         self._dirty = True
 
     # ------------------------------------------------------------------
@@ -174,7 +180,7 @@ class ASTopology:
 
     def n_links(self) -> int:
         """Number of undirected links."""
-        return sum(len(nbrs) for nbrs in self._adjacency.values()) // 2
+        return self._n_links
 
     def endnode_counts(self) -> Dict[int, int]:
         """End-node population per AS (query/insert origin weights)."""

@@ -22,7 +22,7 @@ and the round-trip query time is twice that (the reply retraces the path,
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Tuple
+from typing import Dict, Iterable, Tuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -30,6 +30,10 @@ from scipy.sparse.csgraph import dijkstra
 
 from ..errors import RoutingError
 from .graph import ASTopology
+
+#: Sources per ``dijkstra(indices=...)`` call in :meth:`Router.prefetch_rows`
+#: (clamped to the cache size, so a block never evicts its own rows).
+ROW_BLOCK = 64
 
 
 class Router:
@@ -76,6 +80,7 @@ class Router:
         self._latency_rows: "OrderedDict[int, np.ndarray]" = OrderedDict()
         self._hop_rows: "OrderedDict[int, np.ndarray]" = OrderedDict()
         self.dijkstra_runs = 0
+        self.evictions = 0
 
     # ------------------------------------------------------------------
     # Cached distance rows
@@ -93,11 +98,60 @@ class Router:
         # float32 halves the cache footprint; at 26k ASs a row is ~100 KB,
         # so thousands of distinct sources stay resident.
         row = dijkstra(matrix, directed=False, indices=src_index).astype(np.float32)
+        self._store(cache, src_index, row)
+        return row
+
+    def _store(
+        self,
+        cache: "OrderedDict[int, np.ndarray]",
+        src_index: int,
+        row: np.ndarray,
+    ) -> None:
         self.dijkstra_runs += 1
         cache[src_index] = row
         if len(cache) > self.cache_size:
             cache.popitem(last=False)
-        return row
+            self.evictions += 1
+
+    @property
+    def row_block(self) -> int:
+        """Most sources one :meth:`prefetch_rows` call accepts."""
+        return min(ROW_BLOCK, self.cache_size)
+
+    def prefetch_rows(self, src_asns: Iterable[int], hops: bool = False) -> None:
+        """Put the latency (or ``hops``) rows of up to :attr:`row_block`
+        sources into the LRU, computing the missing ones in one Dijkstra
+        call.
+
+        Rows are bit-identical to :meth:`latency_row` / :meth:`hop_row`
+        computed one source at a time, and ``dijkstra_runs`` counts rows,
+        not calls.  Rows already cached are marked recently used, so no
+        row of the block is evicted before its caller reads it.
+        """
+        cache, matrix = (
+            (self._hop_rows, self._hop_matrix)
+            if hops
+            else (self._latency_rows, self._matrix)
+        )
+        wanted = list(dict.fromkeys(self.topology.index_of(a) for a in src_asns))
+        if len(wanted) > self.row_block:
+            raise RoutingError(
+                f"prefetch of {len(wanted)} sources exceeds the block of "
+                f"{self.row_block}"
+            )
+        missing = []
+        for idx in wanted:
+            if idx in cache:
+                cache.move_to_end(idx)
+            else:
+                missing.append(idx)
+        if not missing:
+            return
+        block = dijkstra(matrix, directed=False, indices=missing).astype(np.float32)
+        for idx, row in zip(missing, block):
+            # Copy each row out, so an evicted row frees its memory even
+            # while the rest of its block stays cached.
+            self._store(cache, idx, row.copy())
 
     def latency_row(self, src_asn: int) -> np.ndarray:
         """Inter-AS path latency (ms) from ``src_asn`` to every AS, in
@@ -233,9 +287,10 @@ class Router:
         raise RoutingError(f"unknown selection criterion {by!r}")
 
     def cache_stats(self) -> Dict[str, int]:
-        """Diagnostics: cached rows and total Dijkstra executions."""
+        """Diagnostics: cached rows, rows computed and rows evicted."""
         return {
             "latency_rows": len(self._latency_rows),
             "hop_rows": len(self._hop_rows),
             "dijkstra_runs": self.dijkstra_runs,
+            "evictions": self.evictions,
         }

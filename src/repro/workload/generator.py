@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -69,6 +69,20 @@ class WorkloadConfig:
             raise WorkloadError("n_lookups must be >= 0")
         if self.insert_window_ms < 0 or self.lookup_window_ms < 0 or self.gap_ms < 0:
             raise WorkloadError("windows must be non-negative")
+
+
+class LookupArrays(NamedTuple):
+    """An insert-then-lookup stream as batched-engine input."""
+
+    #: Written GUIDs, in first-write order.
+    guids: List[GUID]
+    #: Source AS of each GUID's latest write (where its local copy lives).
+    local_asns: np.ndarray
+    #: Per lookup, in event order: index into ``guids``, source AS and
+    #: issue time.
+    guid_idx: np.ndarray
+    sources: np.ndarray
+    issued_at: np.ndarray
 
 
 @dataclass
@@ -199,9 +213,28 @@ class Workload:
             raise FastpathUnsupportedError(
                 "availability probes need the scalar resolver walk"
             )
-        # The engine computes against the converged post-write state, so
-        # every write must precede every lookup (the generator's streams
-        # do; hand-built interleaved streams are rejected).
+        arrays = self.lookup_arrays()
+        engine = FastpathEngine.from_resolver(resolver)
+        batch = engine.index_guids(arrays.guids, arrays.local_asns)
+        result = engine.lookup_batch(
+            batch,
+            arrays.guid_idx,
+            arrays.sources,
+            n_jobs=n_jobs,
+            issued_at=arrays.issued_at,
+        )
+        return result.rtt_ms.tolist()
+
+    def lookup_arrays(self) -> LookupArrays:
+        """The stream as :class:`LookupArrays` for the batched engine.
+
+        The engine computes against the converged post-write state, so
+        every write must precede every lookup (the generator's streams
+        do); hand-built interleaved streams, and lookups of never-written
+        GUIDs, raise :class:`~repro.fastpath.FastpathUnsupportedError`.
+        """
+        from ..fastpath import FastpathUnsupportedError
+
         write_order: Dict[GUID, int] = {}
         local_asn: Dict[GUID, int] = {}
         lookup_guids: List[int] = []
@@ -224,18 +257,13 @@ class Workload:
                     )
                 write_order.setdefault(event.guid, len(write_order))
                 local_asn[event.guid] = event.source_asn
-        engine = FastpathEngine.from_resolver(resolver)
-        batch = engine.index_guids(
-            list(write_order), [local_asn[g] for g in write_order]
-        )
-        result = engine.lookup_batch(
-            batch,
+        return LookupArrays(
+            list(write_order),
+            np.asarray([local_asn[g] for g in write_order], dtype=np.int64),
             np.asarray(lookup_guids, dtype=np.int64),
             np.asarray(lookup_sources, dtype=np.int64),
-            n_jobs=n_jobs,
-            issued_at=np.asarray(lookup_times, dtype=np.float64),
+            np.asarray(lookup_times, dtype=np.float64),
         )
-        return result.rtt_ms.tolist()
 
 
 class WorkloadGenerator:

@@ -4,6 +4,9 @@ These run the full experiment code paths on a tiny substrate, checking
 the *shapes* the paper reports rather than absolute milliseconds.
 """
 
+import copy
+import json
+
 import numpy as np
 import pytest
 
@@ -17,7 +20,8 @@ from repro.experiments.rehash_probe import run_rehash_probe
 from repro.experiments.storage_overhead import run_storage_overhead
 from repro.experiments.table1_stats import run_table1
 from repro.errors import ConfigurationError
-from repro.workload.generator import WorkloadConfig
+from repro.topology.routing import Router
+from repro.workload.generator import WorkloadConfig, WorkloadGenerator
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +126,52 @@ class TestFig4Shape:
         )
         assert hops.rtts_by_k[5].mean() >= latency.rtts_by_k[5].mean() - 1e-9
         assert hops.rtts_by_k[5].mean() < 3 * latency.rtts_by_k[5].mean()
+
+
+class TestFig4FastpathSweep:
+    """The fastpath runs the whole K sweep in one pass over the source
+    groups; with a routing cache far smaller than the source count, each
+    row must still be computed exactly once."""
+
+    K_VALUES = (1, 3, 5)
+    WORKLOAD = WorkloadConfig(n_guids=80, n_lookups=400, seed=5)
+
+    def _run(self, env, engine, trace_path=None):
+        small = copy.copy(env)
+        small.router = Router(env.topology, cache_size=8)
+        result = run_fig4(
+            environment=small,
+            workload_override=self.WORKLOAD,
+            k_values=self.K_VALUES,
+            engine=engine,
+            trace_path=trace_path,
+        )
+        return result, small.router
+
+    def test_report_matches_scalar(self, env):
+        scalar, _ = self._run(env, "scalar")
+        fast, _ = self._run(env, "fastpath")
+        assert fast.render() == scalar.render()
+
+    def test_one_row_per_source(self, env):
+        _, router = self._run(env, "fastpath")
+        workload = WorkloadGenerator(env.topology, self.WORKLOAD).generate()
+        sources = set(workload.lookup_arrays().sources.tolist())
+        assert len(sources) > router.cache_size
+        assert router.dijkstra_runs == len(sources)
+        assert router.evictions == len(sources) - router.cache_size
+
+    def test_traces_byte_identical_to_scalar(self, env, tmp_path):
+        paths = {}
+        for engine in ("scalar", "fastpath"):
+            paths[engine] = tmp_path / f"{engine}.jsonl"
+            self._run(env, engine, trace_path=str(paths[engine]))
+        scalar = paths["scalar"].read_bytes()
+        assert scalar
+        assert paths["fastpath"].read_bytes() == scalar
+        manifest = tmp_path / "fastpath.jsonl.manifest.json"
+        phases = json.loads(manifest.read_text())["phases_s"]
+        assert set(phases) == {"workload", "placement", "lookups", "export"}
 
 
 class TestTable1:

@@ -27,10 +27,14 @@ from repro.fastpath import (
     batch_hosting_asns,
     resolve_batch,
 )
+from repro.fastpath.placement import batch_resolutions, prefix_stable
 from repro.fastpath.runner import _shard_rows, run_sharded
 from repro.hashing.asnum_placer import ASNumberPlacer, WeightedASPlacer
-from repro.hashing.hashers import FastHasher
+from repro.hashing.hashers import FastHasher, Sha256Hasher
 from repro.hashing.rehash import GuidPlacer, place_guids_bulk
+from repro.obs.export import dumps_traces
+from repro.obs.trace import CollectingTracer
+from repro.topology.routing import Router
 from repro.workload.generator import WorkloadConfig, WorkloadGenerator
 
 N_GUIDS = 40
@@ -322,6 +326,166 @@ class TestBatchPlacement:
         batch = batch_hosting_asns(placer, values)
         for row, v in zip(batch, values):
             assert row.tolist() == placer.hosting_asns(GUID(v))
+
+
+# ----------------------------------------------------------------------
+# K sweeps: one engine at max K evaluates every smaller K on its prefix
+# ----------------------------------------------------------------------
+def _placer(scheme, base_table, asns, k):
+    if scheme == "guid-sha256":
+        return GuidPlacer(Sha256Hasher(k, address_bits=base_table.bits), base_table)
+    if scheme == "guid-fast":
+        return GuidPlacer(FastHasher(k, address_bits=base_table.bits), base_table)
+    if scheme == "asnum":
+        return ASNumberPlacer(asns, k=k)
+    weights = {int(a): float(i % 7 + 1) for i, a in enumerate(asns)}
+    return WeightedASPlacer(weights, k=k)
+
+
+class _OpaquePlacer:
+    """A placer the batch kernels do not recognise (scalar fallback)."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.k = inner.k
+
+    def resolve_all(self, guid):
+        return self._inner.resolve_all(guid)
+
+
+SCHEMES = ["guid-sha256", "guid-fast", "asnum", "weighted"]
+
+
+class TestKPrefix:
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_smaller_k_is_column_prefix(self, base_table, asns, scheme):
+        rng = np.random.default_rng(43)
+        values = [int(v) for v in rng.integers(0, 2**64, size=300, dtype=np.uint64)]
+        index = base_table.build_interval_index()
+        full = batch_resolutions(_placer(scheme, base_table, asns, 5), values, index)
+        if scheme.startswith("guid"):
+            # The prefix must hold through IP-hole rehashes too.
+            assert (full[1] > 1).any()
+        for k in (1, 3):
+            placer = _placer(scheme, base_table, asns, k)
+            assert prefix_stable(placer)
+            for plane_k, plane_full in zip(
+                batch_resolutions(placer, values, index), full
+            ):
+                assert np.array_equal(plane_k, plane_full[:, :k])
+
+    def test_unrecognised_placer_not_prefix_stable(self, base_table):
+        inner = GuidPlacer(Sha256Hasher(5, address_bits=base_table.bits), base_table)
+        assert not prefix_stable(_OpaquePlacer(inner))
+
+    def test_multi_k_sweep_rejects_unrecognised_placer(
+        self, base_table, router, asns
+    ):
+        inner = GuidPlacer(Sha256Hasher(5, address_bits=base_table.bits), base_table)
+        _, engine, batch, gidx, srcs, _ = _deploy(
+            base_table, router, asns, placer=_OpaquePlacer(inner), seed=141
+        )
+        with pytest.raises(FastpathUnsupportedError):
+            engine.lookup_batch(batch, gidx, srcs, k_values=(1, 3, 5))
+        # Its own K alone needs no prefix guarantee.
+        only = engine.lookup_batch(batch, gidx, srcs, k_values=(5,))
+        single = engine.lookup_batch(batch, gidx, srcs)
+        assert np.array_equal(only[5].rtt_ms, single.rtt_ms)
+
+    @pytest.mark.parametrize("k_values", [(), (0,), (6,), (3, 3)])
+    def test_invalid_k_values_rejected(self, base_table, router, asns, k_values):
+        _, engine, batch, gidx, srcs, _ = _deploy(base_table, router, asns, seed=151)
+        with pytest.raises(ConfigurationError):
+            engine.lookup_batch(batch, gidx, srcs, k_values=k_values)
+
+
+class TestKSweep:
+    K_VALUES = (1, 3, 5)
+
+    @staticmethod
+    def _assert_same(a, b):
+        assert np.array_equal(a.rtt_ms, b.rtt_ms)
+        assert np.array_equal(a.served_by, b.served_by)
+        assert np.array_equal(a.used_local, b.used_local)
+        assert np.array_equal(a.attempts, b.attempts)
+        assert np.array_equal(a.success, b.success)
+
+    @pytest.mark.parametrize("policy", ["latency", "hops"])
+    @pytest.mark.parametrize("local", [True, False])
+    @pytest.mark.parametrize("available", [True, False])
+    def test_sweep_matches_per_k_engines_and_oracle(
+        self, base_table, router, asns, policy, local, available
+    ):
+        model = None if available else _Model(down_asns=asns[:10])
+        _, engine, batch, gidx, srcs, guids = _deploy(
+            base_table, router, asns, policy=policy, local=local, seed=161
+        )
+        sweep = engine.lookup_batch(
+            batch, gidx, srcs, availability=model, k_values=self.K_VALUES
+        )
+        assert list(sweep) == list(self.K_VALUES)
+        for k in self.K_VALUES:
+            resolver, engine_k, batch_k, _, _, _ = _deploy(
+                base_table, router, asns, k=k, policy=policy, local=local,
+                seed=161,
+            )
+            self._assert_same(
+                sweep[k], engine_k.lookup_batch(batch_k, gidx, srcs, availability=model)
+            )
+            _assert_lookup_parity(
+                resolver, sweep[k], guids, gidx, srcs,
+                probe=None if model is None else model.lookup_outcome,
+                is_down=None if model is None else model.is_down,
+            )
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_sweep_over_every_prefix_stable_placer(
+        self, base_table, router, asns, scheme
+    ):
+        _, engine, batch, gidx, srcs, _ = _deploy(
+            base_table, router, asns,
+            placer=_placer(scheme, base_table, asns, 5), seed=171,
+        )
+        sweep = engine.lookup_batch(batch, gidx, srcs, k_values=self.K_VALUES)
+        for k in self.K_VALUES:
+            _, engine_k, batch_k, _, _, _ = _deploy(
+                base_table, router, asns, k=k,
+                placer=_placer(scheme, base_table, asns, k), seed=171,
+            )
+            self._assert_same(sweep[k], engine_k.lookup_batch(batch_k, gidx, srcs))
+
+    def test_each_row_computed_once(self, topology, base_table, asns):
+        small = Router(topology, cache_size=4)
+        _, engine, batch, gidx, srcs, _ = _deploy(base_table, small, asns, seed=181)
+        start = small.dijkstra_runs
+        engine.lookup_batch(batch, gidx, srcs, k_values=self.K_VALUES)
+        assert small.dijkstra_runs - start == len(set(srcs.tolist()))
+
+    def test_sharded_sweep_matches_serial(self, base_table, router, asns):
+        _, engine, batch, gidx, srcs, _ = _deploy(base_table, router, asns, seed=191)
+        serial = engine.lookup_batch(batch, gidx, srcs, k_values=self.K_VALUES)
+        sharded = engine.lookup_batch(
+            batch, gidx, srcs, n_jobs=2, k_values=self.K_VALUES
+        )
+        for k in self.K_VALUES:
+            self._assert_same(serial[k], sharded[k])
+
+    def test_sweep_traces_match_per_k_engines(self, base_table, router, asns):
+        model = _Model(down_asns=asns[:10])
+        _, engine, batch, gidx, srcs, _ = _deploy(base_table, router, asns, seed=201)
+        engine.tracer = CollectingTracer()
+        engine.lookup_batch(
+            batch, gidx, srcs, availability=model, k_values=self.K_VALUES
+        )
+        per_k = []
+        for k in self.K_VALUES:
+            _, engine_k, batch_k, _, _, _ = _deploy(
+                base_table, router, asns, k=k, seed=201
+            )
+            engine_k.tracer = CollectingTracer()
+            engine_k.lookup_batch(batch_k, gidx, srcs, availability=model)
+            per_k.extend(engine_k.tracer.traces)
+        assert dumps_traces(engine.tracer.traces) == dumps_traces(per_k)
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Tests for the synthetic Internet topology generator."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -99,3 +101,16 @@ class TestGeneratedTopology:
         assert sorted((l.a, l.b) for l in a.links()) != sorted(
             (l.a, l.b) for l in b.links()
         )
+
+    def test_link_set_pinned(self):
+        # Digest of the seed-0, 400-AS topology's CSR ingredients: pins
+        # the RNG stream and the link set against changes to how the
+        # generator counts links while it adds peering edges.
+        topo = generate_internet_topology(small_scale_config(n_as=400), seed=0)
+        digest = hashlib.sha256()
+        for array in topo.edge_arrays():
+            digest.update(np.ascontiguousarray(array).tobytes())
+        assert digest.hexdigest() == (
+            "145c356b0e64ed1c7b6c8e9b7c0c64caca2915f7934446a5f2125df8c175b95f"
+        )
+        assert topo.n_links() == 1366

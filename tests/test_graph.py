@@ -67,6 +67,21 @@ class TestTopology:
         with pytest.raises(TopologyError):
             topo.remove_link(1, 2)
 
+    def test_link_counter_matches_adjacency(self):
+        rng = np.random.default_rng(3)
+        topo = ASTopology()
+        for asn in range(1, 21):
+            topo.add_as(ASInfo(asn, ASTier.STUB, intra_latency_ms=1.0, endnodes=1))
+        for _ in range(400):
+            a, b = (int(x) for x in rng.choice(np.arange(1, 21), size=2, replace=False))
+            if rng.random() < 0.3 and b in topo.neighbors(a):
+                topo.remove_link(a, b)
+            else:
+                # Re-adding an existing link only updates its latency.
+                topo.add_link(a, b, float(rng.uniform(1.0, 9.0)))
+            adjacency_sum = sum(topo.degree(asn) for asn in topo.asns()) // 2
+            assert topo.n_links() == adjacency_sum == len(list(topo.links()))
+
     def test_readd_as_replaces_attributes(self):
         topo = simple_topology()
         topo.add_as(ASInfo(3, ASTier.STUB, intra_latency_ms=9.0, endnodes=5))

@@ -85,9 +85,77 @@ class TestCaching:
         assert stats["hop_rows"] == 1
         assert stats["dijkstra_runs"] == 2
 
+    def test_evictions_counted(self):
+        router = Router(line_fixture(n=6), cache_size=2)
+        router.latency_row(1)
+        router.latency_row(2)
+        assert router.cache_stats()["evictions"] == 0
+        router.latency_row(1)  # hit: nothing computed, nothing evicted
+        router.latency_row(3)  # evicts AS 2's row (least recently used)
+        router.hop_row(4)  # the hop cache is separate and still has room
+        stats = router.cache_stats()
+        assert stats["evictions"] == 1
+        assert stats["dijkstra_runs"] == 4
+        router.latency_row(2)  # recomputed, evicting AS 1's row
+        assert router.cache_stats()["evictions"] == 2
+        assert router.cache_stats()["latency_rows"] == 2
+
     def test_cache_size_validation(self):
         with pytest.raises(RoutingError):
             Router(line_fixture(n=3), cache_size=0)
+
+
+class TestPrefetch:
+    @pytest.fixture(scope="class")
+    def topo(self, topology):
+        return topology
+
+    def test_block_rows_bit_identical(self, topo):
+        single = Router(topo)
+        blocked = Router(topo)
+        sources = topo.asns()[:20]
+        blocked.prefetch_rows(sources)
+        blocked.prefetch_rows(sources, hops=True)
+        assert blocked.dijkstra_runs == 2 * len(sources)
+        for asn in sources:
+            for fetch in ("latency_row", "hop_row"):
+                expected = getattr(single, fetch)(asn)
+                got = getattr(blocked, fetch)(asn)
+                assert got.dtype == expected.dtype == np.float32
+                assert np.array_equal(got, expected)
+        # Every row above was a cache hit.
+        assert blocked.dijkstra_runs == 2 * len(sources)
+
+    def test_cached_rows_not_recomputed(self, topo):
+        router = Router(topo)
+        a, b, c = topo.asns()[:3]
+        router.latency_row(a)
+        router.prefetch_rows([a, b, b, c])
+        assert router.dijkstra_runs == 3
+
+    def test_block_clamped_to_cache(self, topo):
+        router = Router(topo, cache_size=3)
+        assert router.row_block == 3
+        with pytest.raises(RoutingError):
+            router.prefetch_rows(topo.asns()[:4])
+        first = topo.asns()[0]
+        router.latency_row(first)
+        router.prefetch_rows(topo.asns()[:3])
+        # The block's cached row stays resident next to the new ones.
+        assert router.cache_stats()["evictions"] == 0
+        runs = router.dijkstra_runs
+        router.latency_row(first)
+        assert router.dijkstra_runs == runs == 3
+
+    def test_prefetch_refreshes_lru(self):
+        router = Router(line_fixture(n=6), cache_size=2)
+        router.latency_row(1)
+        router.latency_row(2)
+        router.prefetch_rows([1])  # AS 1 is now most recently used
+        router.latency_row(3)  # evicts AS 2, not AS 1
+        runs = router.dijkstra_runs
+        router.latency_row(1)
+        assert router.dijkstra_runs == runs
 
 
 class TestUnreachable:
