@@ -27,6 +27,10 @@ class GlobalPrefixTable:
     Internally a :class:`~repro.bgp.trie.PrefixTrie` plus per-AS indexes.
     A frozen :class:`~repro.bgp.interval_index.IntervalIndex` snapshot can
     be built for vectorized bulk experiments.
+
+    ``generation`` counts the mutations (:meth:`announce` and
+    :meth:`withdraw` are the only ones), so a caller holding something
+    derived from the table can tell whether it is still current.
     """
 
     def __init__(
@@ -37,6 +41,10 @@ class GlobalPrefixTable:
         self.bits = bits
         self._trie = PrefixTrie(bits)
         self._by_asn: Dict[int, Set[Prefix]] = {}
+        # Lowest prefix per AS, filled lazily by representative_address and
+        # dropped whenever that AS gains or loses a prefix.
+        self._lowest: Dict[int, Prefix] = {}
+        self.generation = 0
         for ann in announcements:
             self.announce(ann)
 
@@ -48,24 +56,28 @@ class GlobalPrefixTable:
         moves it (the old origin loses it), mirroring BGP origin changes."""
         previous = self._trie.insert(announcement)
         if previous is not None:
-            owned = self._by_asn.get(previous.asn)
-            if owned is not None:
-                owned.discard(previous.prefix)
-                if not owned:
-                    del self._by_asn[previous.asn]
+            self._disown(previous)
         self._by_asn.setdefault(announcement.asn, set()).add(announcement.prefix)
+        self._lowest.pop(announcement.asn, None)
+        self.generation += 1
 
     def withdraw(self, prefix: Prefix) -> Announcement:
         """Remove an origination; raises if the prefix is not announced."""
         removed = self._trie.withdraw(prefix)
         if removed is None:
             raise PrefixTableError(f"prefix {prefix} is not announced")
-        owned = self._by_asn.get(removed.asn)
-        if owned is not None:
-            owned.discard(prefix)
-            if not owned:
-                del self._by_asn[removed.asn]
+        self._disown(removed)
+        self.generation += 1
         return removed
+
+    def _disown(self, announcement: Announcement) -> None:
+        """Drop ``announcement`` from its origin's per-AS indexes."""
+        owned = self._by_asn.get(announcement.asn)
+        if owned is not None:
+            owned.discard(announcement.prefix)
+            if not owned:
+                del self._by_asn[announcement.asn]
+        self._lowest.pop(announcement.asn, None)
 
     # ------------------------------------------------------------------
     # Queries
@@ -121,11 +133,19 @@ class GlobalPrefixTable:
     def representative_address(self, asn: int) -> NetworkAddress:
         """A canonical address inside ``asn``'s announced space — the base
         of its lowest prefix.  Used to mint locators for hosts attached to
-        that AS in examples and simulations."""
-        prefixes = self.prefixes_of(asn)
-        if not prefixes:
-            raise PrefixTableError(f"AS {asn} announces no prefixes")
-        return NetworkAddress(prefixes[0].base, self.bits)
+        that AS in examples and simulations.
+
+        Equal to ``prefixes_of(asn)[0].base``; the lowest prefix is cached
+        per AS until that AS's prefix set changes, so minting a locator
+        does not sort the AS's prefixes on every call.
+        """
+        lowest = self._lowest.get(asn)
+        if lowest is None:
+            owned = self._by_asn.get(asn)
+            if not owned:
+                raise PrefixTableError(f"AS {asn} announces no prefixes")
+            lowest = self._lowest[asn] = min(owned)
+        return NetworkAddress(lowest.base, self.bits)
 
     def build_interval_index(self) -> IntervalIndex:
         """Frozen vectorized snapshot for bulk LPM (Fig. 6 experiment).

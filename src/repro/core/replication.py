@@ -44,11 +44,18 @@ class ReplicaSet:
         chains land in the same AS).
     local_asn:
         AS holding the additional local copy (§III-C), if enabled.
+    generation:
+        The placer's ``generation`` (its BGP table's state) at which
+        ``global_replicas`` were resolved; ``None`` when unknown, e.g.
+        for a set patched replica by replica after churn.  Only a stamped
+        set whose stamp is still current may stand in for a fresh
+        placement.
     """
 
     guid: GUID
     global_replicas: Tuple[HashResolution, ...]
     local_asn: Optional[int] = None
+    generation: Optional[int] = None
 
     @property
     def global_asns(self) -> Tuple[int, ...]:

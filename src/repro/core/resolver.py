@@ -31,7 +31,7 @@ import numpy as np
 from ..bgp.table import GlobalPrefixTable
 from ..errors import ConfigurationError, LookupFailedError, MappingNotFoundError
 from ..hashing.hashers import HashFamily, Sha256Hasher
-from ..hashing.rehash import DEFAULT_MAX_REHASHES, GuidPlacer
+from ..hashing.rehash import DEFAULT_MAX_REHASHES, GuidPlacer, HashResolution
 from ..obs.trace import (
     FAILURE_EXHAUSTED,
     NULL_TRACER,
@@ -139,7 +139,9 @@ class DMapResolver:
         Override the placement scheme: anything exposing ``k``,
         ``resolve_one``, ``resolve_all`` and ``hosting_asns`` (e.g. the
         §VII variants in :mod:`repro.hashing.asnum_placer`).  Defaults to
-        address-space hashing (Algorithm 1).
+        address-space hashing (Algorithm 1).  A placer that also exposes
+        ``generation`` lets writes and lookups reuse a GUID's stored
+        placement while that value is unchanged.
     tracer:
         Per-query trace sink (:mod:`repro.obs`).  Defaults to the shared
         no-op tracer, which the lookup path checks once per call.
@@ -173,7 +175,8 @@ class DMapResolver:
         self.stores: Dict[int, MappingStore] = {}
         # Instrumentation: current placement of every inserted GUID.  Real
         # DMap routers derive this statelessly; the registry exists so
-        # experiments and the churn protocol can enumerate affected GUIDs.
+        # experiments and the churn protocol can enumerate affected GUIDs,
+        # and so _placement can skip re-deriving a still-current placement.
         self.replica_sets: Dict[GUID, ReplicaSet] = {}
 
     # ------------------------------------------------------------------
@@ -237,8 +240,27 @@ class DMapResolver:
         entry = MappingEntry(guid, tuple(locators), version=version, timestamp=time)
         return self._write(entry, source_asn)
 
+    def _placement(self, guid: GUID) -> Sequence[HashResolution]:
+        """The K resolutions of ``guid`` under the current BGP view.
+
+        The placement stored by the last write is reused while its stamp
+        equals ``placer.generation`` (the table has not been announced
+        into or withdrawn from since); otherwise it is derived afresh.
+        Placers without a ``generation`` are always re-derived.
+        """
+        generation = getattr(self.placer, "generation", None)
+        replica_set = self.replica_sets.get(guid)
+        if (
+            generation is not None
+            and replica_set is not None
+            and replica_set.generation == generation
+        ):
+            return replica_set.global_replicas
+        return self.placer.resolve_all(guid)
+
     def _write(self, entry: MappingEntry, source_asn: int) -> WriteResult:
-        resolutions = self.placer.resolve_all(entry.guid)
+        generation = getattr(self.placer, "generation", None)
+        resolutions = self._placement(entry.guid)
         rtts: List[float] = []
         for res in resolutions:
             self.store_at(res.asn).insert(entry)
@@ -248,7 +270,9 @@ class DMapResolver:
             local_asn = source_asn
             self.store_at(source_asn).insert(entry)
             # Local write is intra-AS; it never dominates the parallel max.
-        replica_set = ReplicaSet(entry.guid, tuple(resolutions), local_asn)
+        replica_set = ReplicaSet(
+            entry.guid, tuple(resolutions), local_asn, generation=generation
+        )
         self.replica_sets[entry.guid] = replica_set
         return WriteResult(replica_set, max(rtts), tuple(rtts))
 
@@ -317,7 +341,7 @@ class DMapResolver:
             placement = placement_records(self.placer, guid)
             candidates: Sequence[int] = [record.asn for record in placement]
         else:
-            candidates = self.placer.hosting_asns(guid)
+            candidates = [res.asn for res in self._placement(guid)]
         ordered = self.selector.order_candidates(source_asn, candidates)
 
         # Parallel local branch: a same-AS copy answers in the intra-AS RTT.

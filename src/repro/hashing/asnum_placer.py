@@ -45,6 +45,10 @@ class ASNumberPlacer:
     table at all (at the cost of needing an agreed participant roster).
     """
 
+    #: Placement ignores the BGP table, so a resolved placement never
+    #: goes stale (see :attr:`GuidPlacer.generation`).
+    generation = 0
+
     def __init__(
         self,
         asns: Sequence[int],
@@ -88,6 +92,10 @@ class WeightedASPlacer:
     AS ``i`` receives a ``w_i / sum(w)`` share of replicas in expectation.
     Deterministic, locally computable from the agreed (asn, weight) list.
     """
+
+    #: Placement ignores the BGP table, so a resolved placement never
+    #: goes stale (see :attr:`GuidPlacer.generation`).
+    generation = 0
 
     def __init__(
         self,

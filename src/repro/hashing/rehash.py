@@ -75,6 +75,12 @@ class GuidPlacer:
         """Replication factor (number of hash functions)."""
         return self.hash_family.k
 
+    @property
+    def generation(self) -> int:
+        """State of the BGP view placement is derived from: a placement
+        resolved at an equal generation is still the current one."""
+        return self.table.generation
+
     def resolve_one(self, guid: Union[GUID, int], index: int) -> HashResolution:
         """Algorithm 1 for hash function ``index``."""
         value = self.hash_family.hash_one(guid, index)

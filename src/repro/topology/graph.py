@@ -247,8 +247,18 @@ class ASTopology:
         )
 
     def to_networkx(self):
-        """Export as a :class:`networkx.Graph` (nodes keyed by ASN)."""
-        import networkx as nx
+        """Export as a :class:`networkx.Graph` (nodes keyed by ASN).
+
+        networkx is not a runtime dependency; install it directly or with
+        the ``test`` extra (``pip install "repro[test]"``).
+        """
+        try:
+            import networkx as nx
+        except ImportError as exc:
+            raise ImportError(
+                "ASTopology.to_networkx needs networkx, which is not a "
+                'runtime dependency: pip install networkx (or "repro[test]")'
+            ) from exc
 
         graph = nx.Graph()
         for asn, info in self._info.items():

@@ -129,6 +129,7 @@ class Workload:
         group_by_source: bool = True,
         engine: str = "scalar",
         n_jobs: int = 1,
+        attempt_counts: Optional[List[int]] = None,
     ) -> List[float]:
         """Execute the stream on an instant-mode
         :class:`~repro.core.resolver.DMapResolver`; returns lookup RTTs.
@@ -159,8 +160,14 @@ class Workload:
         *not* populated (the engine models the converged post-write
         state).  Probes and write-after-lookup streams need the scalar
         oracle and are rejected.
+
+        ``attempt_counts``, when given (scalar engine only), receives the
+        number of replicas each lookup contacted across all its retry
+        rounds, in the order of the returned RTTs.
         """
         if engine == "fastpath":
+            if attempt_counts is not None:
+                raise WorkloadError("attempt_counts needs the scalar engine")
             return self._run_fastpath(resolver, probe, n_jobs)
         if engine != "scalar":
             raise WorkloadError(f"unknown engine {engine!r}")
@@ -178,6 +185,7 @@ class Workload:
         for event in events:
             if event.kind is EventKind.LOOKUP:
                 carried_ms = 0.0
+                contacted = 0
                 for _round in range(max_retry_rounds):
                     try:
                         result = resolver.lookup(
@@ -189,12 +197,15 @@ class Workload:
                         break
                     except LookupFailedError as exc:
                         carried_ms += exc.elapsed_ms
+                        contacted += exc.attempts
                 else:
                     raise WorkloadError(
                         f"lookup of {event.guid} kept failing for "
                         f"{max_retry_rounds} rounds"
                     )
                 rtts.append(result.rtt_ms + carried_ms)
+                if attempt_counts is not None:
+                    attempt_counts.append(contacted + len(result.attempts))
             else:
                 locator = self.locator_for(event.guid, table)
                 op = (

@@ -205,6 +205,12 @@ class TestFig5Shape:
     def test_render(self, result):
         assert "failure" in result.render()
 
+    def test_attempts_are_measured(self, result):
+        attempts = result.mean_attempts_by_rate
+        # Without failures every lookup is served by its first replica.
+        assert attempts[0.0] == 1.0
+        assert 1.0 < attempts[0.05] < attempts[0.10]
+
 
 class TestFig6Shape:
     @pytest.fixture(scope="class")

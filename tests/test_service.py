@@ -5,6 +5,7 @@ import pytest
 from repro import DMapNetwork
 from repro.core.guid import GUID
 from repro.errors import ConfigurationError, DMapError, LookupFailedError
+from repro.experiments.common import Environment, Scale
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +65,30 @@ class TestMobility:
             network.move_host("mover-3")
         record = network._record("mover-3")
         assert record.moves == 3
+
+    def test_default_move_independent_of_topology_cache(self, tmp_path):
+        # The first Environment generates the topology and writes the
+        # cache; the second loads it, with neighbour lists in another order.
+        scale = Scale("unit", 80, 100, 500, 4.0, 80_000)
+        fresh = Environment(scale, seed=4, cache_dir=str(tmp_path))
+        loaded = Environment(scale, seed=4, cache_dir=str(tmp_path))
+        asns = fresh.topology.asns()
+        assert any(
+            fresh.topology.neighbors(a) != loaded.topology.neighbors(a)
+            for a in asns
+        )
+
+        def moves(env):
+            net = DMapNetwork(env.topology, env.table, k=3, seed=9)
+            hosts = [net.register_host(f"walker-{i}", asn=asns[i]) for i in range(5)]
+            path = []
+            for _ in range(6):
+                for host in hosts:
+                    net.move_host(host)
+                    path.append(net.host_location(host))
+            return path
+
+        assert moves(fresh) == moves(loaded)
 
     def test_clock_stamps_writes(self, network):
         network.register_host("timed-host")

@@ -1,5 +1,6 @@
 """Unit tests for the global BGP prefix table."""
 
+import numpy as np
 import pytest
 
 from repro.bgp.prefix import Announcement, Prefix
@@ -102,3 +103,58 @@ class TestCopy:
         # Snapshot does not follow later withdrawals.
         small_table.withdraw(Prefix.from_cidr("44.0.0.0/8"))
         assert idx.lookup_one(Prefix.from_cidr("44.1.0.0/16").base) == 101
+
+
+class TestGeneration:
+    def test_counts_only_announce_and_withdraw(self, small_table):
+        start = small_table.generation
+        # Queries, snapshots and copies leave it alone.
+        small_table.resolve(Prefix.from_cidr("10.5.1.0/24").base)
+        small_table.nearest(0)
+        small_table.prefixes_of(1)
+        small_table.asns()
+        small_table.announcement_ratio()
+        small_table.representative_address(55)
+        small_table.build_interval_index()
+        small_table.copy()
+        list(small_table)
+        assert small_table.generation == start
+
+        small_table.announce(ann("9.0.0.0/8", 1))
+        assert small_table.generation == start + 1
+        small_table.withdraw(Prefix.from_cidr("9.0.0.0/8"))
+        assert small_table.generation == start + 2
+        small_table.announce(ann("44.0.0.0/8", 7))  # re-origin
+        assert small_table.generation == start + 3
+
+    def test_failed_withdraw_leaves_it(self, small_table):
+        start = small_table.generation
+        with pytest.raises(PrefixTableError):
+            small_table.withdraw(Prefix.from_cidr("99.0.0.0/8"))
+        assert small_table.generation == start
+
+
+class TestRepresentativeAddressCache:
+    def test_tracks_lowest_prefix_through_churn(self):
+        rng = np.random.default_rng(5)
+        asns = [1, 2, 3, 4]
+        # /16 blocks inside 10/8 and /24s inside them: covering and
+        # more-specific prefixes of the same and of different ASs.
+        pool = [Prefix((10 << 24) | (b << 16), 16) for b in range(12)]
+        pool += [Prefix((10 << 24) | (b << 16) | (c << 8), 24)
+                 for b in range(4) for c in range(3)]
+        table = GlobalPrefixTable()
+        for step in range(600):
+            prefix = pool[int(rng.integers(len(pool)))]
+            if prefix in table and rng.random() < 0.4:
+                table.withdraw(prefix)
+            else:  # announce, or re-originate from another AS
+                table.announce(Announcement(prefix, asns[int(rng.integers(4))]))
+            for asn in asns:
+                owned = table.prefixes_of(asn)
+                if owned:
+                    expected = NetworkAddress(owned[0].base, table.bits)
+                    assert table.representative_address(asn) == expected, step
+                else:
+                    with pytest.raises(PrefixTableError):
+                        table.representative_address(asn)

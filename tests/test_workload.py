@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.resolver import DMapResolver, OUTCOME_MISSING
 from repro.errors import WorkloadError
+from repro.sim.failures import ChurnFailureModel
 from repro.workload.generator import (
     EventKind,
     WorkloadConfig,
@@ -114,6 +115,34 @@ class TestExecution:
         calls["n"] = 0
         rtts_clean = tiny.run_through_resolver(resolver, base_table, probe=None)
         assert rtts_flaky[0] >= rtts_clean[0]
+
+    def test_attempt_counts_measure_replicas_contacted(
+        self, small_workload, base_table, router
+    ):
+        # Every replica contact consults the probe exactly once, including
+        # contacts in failed rounds that the retry loop repeats.
+        resolver = DMapResolver(base_table, router, k=3)
+        model = ChurnFailureModel(0.4, seed=3)
+        probed = []
+
+        def probe(asn, guid):
+            probed.append(asn)
+            return model.lookup_outcome(asn, guid)
+
+        counts = []
+        rtts = small_workload.run_through_resolver(
+            resolver, base_table, probe=probe, attempt_counts=counts
+        )
+        assert len(counts) == len(rtts)
+        assert sum(counts) == len(probed)
+        assert max(counts) > 3  # some lookup needed a second round
+
+    def test_attempt_counts_need_scalar_engine(self, small_workload, base_table, router):
+        resolver = DMapResolver(base_table, router, k=3)
+        with pytest.raises(WorkloadError, match="scalar"):
+            small_workload.run_through_resolver(
+                resolver, base_table, engine="fastpath", attempt_counts=[]
+            )
 
     def test_retry_gives_up_eventually(self, small_workload, base_table, router):
         resolver = DMapResolver(base_table, router, k=2, local_replica=False)
