@@ -61,6 +61,31 @@ AvailabilityProbe = Callable[[int, GUID], str]
 DEFAULT_TIMEOUT_MS = 1000.0
 
 
+def adaptive_timeout_ms(
+    floor_ms: float, rtt_ms: Union[float, np.ndarray]
+) -> Union[float, np.ndarray]:
+    """The §III-D.3 adaptive replica timeout: never below the floor, never
+    below twice the expected RTT.  A float for a scalar ``rtt_ms``; an
+    elementwise array for an array."""
+    if isinstance(rtt_ms, np.ndarray):
+        return np.maximum(floor_ms, 2.0 * rtt_ms)
+    return max(floor_ms, 2.0 * rtt_ms)
+
+
+def local_branch_end_ms(
+    router: Router, source_asn: int, querier_down: bool, floor_ms: float
+) -> float:
+    """When the §III-C local reply lands at ``source_asn``.
+
+    A down querier's own mapping service swallows the local request, so
+    the adaptive timer on ``rtt(source, source)`` expires instead;
+    otherwise the reply takes the intra-AS round trip.
+    """
+    if querier_down:
+        return adaptive_timeout_ms(floor_ms, router.rtt_ms(source_asn, source_asn))
+    return 2.0 * router.topology.intra_latency(source_asn)
+
+
 @dataclass(frozen=True)
 class Attempt:
     """One contact with a replica during a lookup."""
@@ -351,17 +376,14 @@ class DMapResolver:
         # Churn staleness does not affect the local branch: the querier and
         # the local store share one BGP view (same convention as the DES).
         if self.local_replica and source_asn not in ordered:
-            if is_down is not None and is_down(source_asn):
-                # The querier's own mapping service is down: the local
-                # request vanishes and its adaptive timer expires instead.
-                local_end = max(
-                    self.timeout_ms,
-                    2.0 * self.router.rtt_ms(source_asn, source_asn),
-                )
+            down = is_down is not None and is_down(source_asn)
+            local_end = local_branch_end_ms(
+                self.router, source_asn, down, self.timeout_ms
+            )
+            if down:
                 local_outcome = OUTCOME_TIMEOUT
             else:
                 local_entry = self.store_at(source_asn).get(guid)
-                local_end = 2.0 * self.router.topology.intra_latency(source_asn)
                 local_outcome = (
                     OUTCOME_HIT if local_entry is not None else OUTCOME_MISSING
                 )
@@ -415,9 +437,7 @@ class DMapResolver:
                 elapsed += rtt
                 attempts.append(Attempt(asn, OUTCOME_MISSING, rtt))
             elif outcome == OUTCOME_TIMEOUT:
-                # Adaptive timeout, mirroring the event simulation: never
-                # below the floor, never below twice the expected RTT.
-                timeout = max(self.timeout_ms, 2.0 * rtt)
+                timeout = adaptive_timeout_ms(self.timeout_ms, rtt)
                 elapsed += timeout
                 attempts.append(Attempt(asn, OUTCOME_TIMEOUT, timeout))
             else:

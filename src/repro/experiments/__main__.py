@@ -65,9 +65,9 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument(
         "--engine",
         default=None,
-        choices=["scalar", "fastpath", "bulk"],
+        choices=["scalar", "fastpath"],
         help="execution engine for fig4/fig6 (fig4: scalar|fastpath, "
-        "default scalar; fig6: scalar|bulk|fastpath, default bulk)",
+        "default scalar; fig6: scalar|fastpath, default fastpath)",
     )
     parser.add_argument(
         "--jobs",
@@ -110,7 +110,7 @@ def main(argv: Optional[list] = None) -> int:
             trace_path=args.trace,
         )
     elif name == "fig6":
-        fig6_load.main(args.scale, engine=args.engine or "bulk")
+        fig6_load.main(args.scale, engine=args.engine or "fastpath")
     else:
         if args.engine is not None:
             parser.error(f"--engine is not supported by {name!r}")

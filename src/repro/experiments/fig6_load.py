@@ -7,8 +7,8 @@ paper inserts 10^5, 10^6 and 10^7 GUIDs and finds (a) 93% of ASs inside
 grows, and (c) a median slightly above 1 (1.16) because IP-hole spillover
 assigns some extra GUIDs to deputy ASs (§IV-B.2c).
 
-This is the bulk-vectorized experiment: millions of GUID×K placements run
-through the numpy hash family and the interval LPM index.
+Millions of GUID×K placements run through the numpy hash family and the
+interval LPM index (:func:`repro.fastpath.placement.resolve_batch`).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from ..bgp.interval_index import HOLE
 from ..errors import ConfigurationError
 from ..fastpath.placement import resolve_batch
 from ..hashing.hashers import FastHasher
-from ..hashing.rehash import DEFAULT_MAX_REHASHES, GuidPlacer, place_guids_bulk
+from ..hashing.rehash import DEFAULT_MAX_REHASHES, GuidPlacer
 from ..sim.metrics import normalized_load_ratios
 from .common import Environment, get_environment
 from .reporting import format_cdf_table, format_table
@@ -72,8 +72,8 @@ def _place_guids_scalar(folded: np.ndarray, placer: GuidPlacer):
 
     ``FastHasher.hash_one`` and ``hash_batch`` agree element-wise, so the
     placements (and hence the rendered output) are byte-identical to
-    ``engine="bulk"`` — tested in ``tests/test_experiments.py``.  This is
-    the reference oracle; it is ~100x slower and meant for small runs.
+    ``engine="fastpath"`` — tested in ``tests/test_experiments.py``.  This
+    is the reference oracle; it is ~100x slower and meant for small runs.
     """
     n, k = len(folded), placer.k
     asns = np.empty((n, k), dtype=np.int64)
@@ -92,20 +92,19 @@ def run_fig6(
     seed: int = 0,
     max_rehashes: int = DEFAULT_MAX_REHASHES,
     environment: Optional[Environment] = None,
-    engine: str = "bulk",
+    engine: str = "fastpath",
 ) -> Fig6Result:
     """Run the Fig. 6 storage-balance experiment.
 
     At non-paper scales the population sizes shrink proportionally to the
     AS count so the statistical regime (GUIDs-per-AS) matches the paper's.
     ``engine="fastpath"`` routes placement through the shared
-    :func:`repro.fastpath.placement.resolve_batch` kernel (bit-identical
-    to the original ``place_guids_bulk``; folding a uint64 is a no-op);
-    ``engine="scalar"`` is the per-GUID :class:`GuidPlacer` oracle —
-    slow, but its output is byte-identical to both batch engines.
+    :func:`repro.fastpath.placement.resolve_batch` kernel (folding a
+    uint64 is a no-op); ``engine="scalar"`` is the per-GUID
+    :class:`GuidPlacer` oracle — slow, but its output is byte-identical.
     """
     env = environment or get_environment(scale, seed)
-    if engine not in ("scalar", "bulk", "fastpath"):
+    if engine not in ("scalar", "fastpath"):
         raise ConfigurationError(f"unknown engine {engine!r}")
     if n_guids_list is None:
         factor = env.scale.n_as / 26_424
@@ -118,18 +117,13 @@ def run_fig6(
 
     nlr_by_n: Dict[int, np.ndarray] = {}
     deputy_by_n: Dict[int, float] = {}
+    placer = GuidPlacer(hasher, env.table, max_rehashes=max_rehashes)
     for n in n_guids_list:
         folded = rng.integers(0, np.iinfo(np.uint64).max, size=n, dtype=np.uint64)
         if engine == "fastpath":
-            placer = GuidPlacer(hasher, env.table, max_rehashes=max_rehashes)
             asns, _attempts, via_deputy = resolve_batch(placer, folded, index)
-        elif engine == "scalar":
-            placer = GuidPlacer(hasher, env.table, max_rehashes=max_rehashes)
-            asns, via_deputy = _place_guids_scalar(folded, placer)
         else:
-            asns, _attempts, via_deputy = place_guids_bulk(
-                folded, hasher, index, env.table, max_rehashes=max_rehashes
-            )
+            asns, via_deputy = _place_guids_scalar(folded, placer)
         flat = asns.ravel()
         unique, counts = np.unique(flat, return_counts=True)
         guid_counts = {int(a): int(c) for a, c in zip(unique, counts) if a != HOLE}
@@ -138,7 +132,7 @@ def run_fig6(
     return Fig6Result(env.scale.name, k, nlr_by_n, deputy_by_n)
 
 
-def main(scale: Optional[str] = None, engine: str = "bulk") -> Fig6Result:
+def main(scale: Optional[str] = None, engine: str = "fastpath") -> Fig6Result:
     """CLI entry point: run and print."""
     result = run_fig6(scale, engine=engine)
     print(result.render())

@@ -14,8 +14,9 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
+from ..fastpath.placement import resolve_batch
 from ..hashing.hashers import FastHasher
-from ..hashing.rehash import hole_probability, place_guids_bulk
+from ..hashing.rehash import GuidPlacer, hole_probability
 from .common import Environment, get_environment
 from .reporting import format_table
 
@@ -70,8 +71,8 @@ def run_rehash_probe(
     analytic_by_m: Dict[int, float] = {}
     mean_attempts = 0.0
     for m in m_values:
-        _asns, attempts, via_deputy = place_guids_bulk(
-            folded, hasher, index, env.table, max_rehashes=m
+        _asns, attempts, via_deputy = resolve_batch(
+            GuidPlacer(hasher, env.table, m), folded, index
         )
         deputy_by_m[m] = float(via_deputy.mean())
         analytic_by_m[m] = hole_probability(ratio, m)

@@ -7,15 +7,18 @@
   re-derives the K hosting ASs on every lookup);
 * lookups are grouped by source AS, so each group needs exactly one
   cached Dijkstra row (computed a block of sources at a time); replica
-  selection is a fancy-indexed row-wise ``argmin`` whose tie-breaking
-  provably matches the stable sort in
+  order is a row-wise stable ``argsort`` whose tie-breaking provably
+  matches the stable sort in
   :class:`~repro.core.replication.ReplicaSelector`;
-* a K sweep (Fig. 4) runs in the same pass: each group evaluates every
+* every lookup goes through one walk, evaluated per block of source
+  groups in slices of at most :data:`WALK_ROWS` rows: the §III-C
+  local-replica race and the §III-D.3 failed-attempt accounting (one RTT
+  per "GUID missing", an adaptive timeout per dead replica) become
+  row-wise prefix sums over the walk-cost matrix.  A failure-free lookup
+  is the walk over an all-hit outcome matrix;
+* a K sweep (Fig. 4) runs in the same pass: each slice evaluates every
   K on the first K columns of the max-K placement, so a row is computed
-  once per sweep rather than once per K;
-* the §III-C local-replica race and the §III-D.3 failed-attempt
-  accounting (one RTT per "GUID missing", an adaptive timeout per dead
-  replica) become row-wise prefix sums over the walk-cost matrix.
+  once per sweep rather than once per K.
 
 Latency arithmetic reproduces the scalar path bit for bit: selection
 keys use the same float32-row + float64-intra expression as
@@ -48,6 +51,8 @@ from ..core.resolver import (
     OUTCOME_HIT,
     OUTCOME_MISSING,
     OUTCOME_TIMEOUT,
+    adaptive_timeout_ms,
+    local_branch_end_ms,
 )
 from ..errors import ConfigurationError, DMapError, RoutingError
 from ..hashing.hashers import HashFamily, Sha256Hasher
@@ -75,6 +80,11 @@ _OUTCOME_CODES = {
     OUTCOME_TIMEOUT: _TIMEOUT,
 }
 _CODE_OUTCOMES = {code: name for name, code in _OUTCOME_CODES.items()}
+
+#: Most lookup rows one walk evaluation holds.  A block of source groups
+#: is walked in slices of this many rows, which bounds the walk's
+#: (rows × K) temporaries however many lookups one source issues.
+WALK_ROWS = 4096
 
 
 class FastpathUnsupportedError(DMapError):
@@ -118,14 +128,12 @@ class GuidBatch:
     guids: List[GUID]
     placements: np.ndarray
     local_asns: np.ndarray
-    hash_attempts: Optional[np.ndarray] = None
-    via_deputy: Optional[np.ndarray] = None
+    hash_attempts: np.ndarray
+    via_deputy: np.ndarray
 
     def placement_records(self, guid_index: int) -> Tuple[PlacementRecord, ...]:
         """The trace-layer placement view of one indexed GUID."""
         asns = self.placements[guid_index]
-        if self.hash_attempts is None or self.via_deputy is None:
-            return tuple(PlacementRecord(int(asn), 1, False) for asn in asns)
         return tuple(
             PlacementRecord(
                 int(asn),
@@ -151,7 +159,7 @@ class BatchLookupResult:
 
     @classmethod
     def empty(cls, n: int) -> "BatchLookupResult":
-        """A result of ``n`` rows, to be filled group by group."""
+        """A result of ``n`` rows, to be filled slice by slice."""
         return cls(
             np.empty(n, dtype=np.float64),
             np.full(n, -1, dtype=np.int64),
@@ -161,7 +169,7 @@ class BatchLookupResult:
         )
 
     def scatter(self, rows: np.ndarray, columns: Sequence[np.ndarray]) -> None:
-        """Write one group's ``(rtt, served, used_local, attempts,
+        """Write one slice's ``(rtt, served, used_local, attempts,
         success)`` columns at ``rows``."""
         planes = (self.rtt_ms, self.served_by, self.used_local, self.attempts, self.success)
         for plane, values in zip(planes, columns):
@@ -268,10 +276,11 @@ class FastpathEngine:
         guid_idx = np.asarray(guid_idx, dtype=np.int64)
         sources = np.asarray(sources, dtype=np.int64)
         out = np.empty(len(guid_idx), dtype=np.float64)
-        for src, rows in self._source_groups(sources, hop_rows=False):
-            cand = batch.placements[guid_idx[rows]]
-            rtts = self.router.rtt_to_many(int(src), cand.ravel())
-            out[rows] = rtts.reshape(cand.shape).max(axis=1)
+        for block_rows, block_src in self._source_blocks(sources, hop_rows=False):
+            for src, run in _runs(block_src):
+                rows = block_rows[run]
+                cand = batch.placements[guid_idx[rows]]
+                out[rows] = self.router.rtt_to_many(src, cand).max(axis=1)
         return out
 
     # ------------------------------------------------------------------
@@ -385,22 +394,28 @@ class FastpathEngine:
                 )
         placement_cache: Dict[int, Tuple[PlacementRecord, ...]] = {}
         hop_rows = self.selection_policy == "hops"
-        for src, rows in self._source_groups(sources, hop_rows):
-            groups = self._lookup_group(
-                src,
-                batch,
-                guid_idx[rows],
-                sweep,
-                model,
-                issued_at=times[rows] if tracing else None,
-                placement_cache=placement_cache if tracing else None,
-            )
-            for k, group in zip(sweep, groups):
-                results[k].scatter(rows, group[:5])
-                if tracing:
-                    slots = trace_slots[k]
-                    for offset, row in enumerate(rows):
-                        slots[int(row)] = group[5][offset]
+        for block_rows, block_src in self._source_blocks(sources, hop_rows):
+            for start in range(0, len(block_rows), WALK_ROWS):
+                rows = block_rows[start : start + WALK_ROWS]
+                src = block_src[start : start + WALK_ROWS]
+                gidx = guid_idx[rows]
+                cand, key, rtt_all, outcome, has_local, local_end, down = (
+                    self._prepare(batch, gidx, src, model)
+                )
+                for k in sweep:
+                    columns, planes = self._walk(
+                        src, cand[:, :k], key[:, :k], rtt_all[:, :k],
+                        outcome[:, :k], has_local, local_end,
+                    )
+                    results[k].scatter(rows, columns)
+                    if tracing:
+                        traces = self._walk_traces(
+                            src, batch, gidx, columns, planes, local_end,
+                            down, times[rows], placement_cache,
+                        )
+                        slots = trace_slots[k]
+                        for row, trace in zip(rows.tolist(), traces):
+                            slots[row] = trace
         for result in results.values():
             if not np.all(np.isfinite(result.rtt_ms)):
                 bad = int(np.flatnonzero(~np.isfinite(result.rtt_ms))[0])
@@ -417,146 +432,107 @@ class FastpathEngine:
                     self.tracer.record(trace)
         return results
 
-    def _source_groups(self, sources: np.ndarray, hop_rows: bool):
-        """:func:`_iter_source_groups`, computing the latency (and, with
-        ``hop_rows``, hop) rows of each next block of sources in one
-        Dijkstra call."""
-        groups = list(_iter_source_groups(sources))
+    def _source_blocks(self, sources: np.ndarray, hop_rows: bool):
+        """Yield ``(rows, row_sources)`` per block of up to ``row_block``
+        source ASs, after computing the block's latency (and, with
+        ``hop_rows``, hop) rows in one Dijkstra call.
+
+        ``rows`` are the block's lookup indices grouped by ascending
+        source AS, input order kept within a source (stable sort), and
+        ``row_sources`` is each row's source AS.
+        """
+        if len(sources) == 0:
+            return
+        order, sorted_src, starts = group_by_source(sources)
+        starts = np.r_[starts, len(order)]
         block = self.router.row_block
-        for start in range(0, len(groups), block):
-            chunk = groups[start : start + block]
-            block_sources = [src for src, _rows in chunk]
+        for first in range(0, len(starts) - 1, block):
+            last = min(first + block, len(starts) - 1)
+            block_sources = sorted_src[starts[first:last]].tolist()
             self.router.prefetch_rows(block_sources)
             if hop_rows:
                 self.router.prefetch_rows(block_sources, hops=True)
-            yield from chunk
+            rows = slice(starts[first], starts[last])
+            yield order[rows], sorted_src[rows]
 
-    # -- one source-AS group -------------------------------------------
-    def _selection_keys(self, src: int, cand_idx: np.ndarray) -> np.ndarray:
+    # -- one slice of a block ------------------------------------------
+    def _selection_keys(self, src: int, cand: np.ndarray) -> np.ndarray:
         """Ordering keys, identical to ``ReplicaSelector.order_candidates``."""
-        router = self.router
-        src_idx = router.topology.index_of(src)
         if self.selection_policy == "latency":
-            # Same expression as Router.one_way_to_many (float32 row +
-            # float64 intra), so ranking ties break identically.
-            row = router.latency_row(src)
-            intra = router.intra_array
-            key = intra[src_idx] + row[cand_idx] + intra[cand_idx]
-            key[cand_idx == src_idx] = intra[src_idx]
-            return key
-        row = router.hop_row(src)
-        key = row[cand_idx].astype(np.float64)
-        key[cand_idx == src_idx] = 0.0
+            return self.router.one_way_to_many(src, cand)
+        key = self.router.hop_row(src)[self.router.indices_of(cand)]
+        key = key.astype(np.float64)
+        key[cand == src] = 0.0
         return key
 
-    def _local_branch(
+    def _prepare(
         self,
-        src: int,
-        cand: np.ndarray,
-        local_of_rows: np.ndarray,
-        model=None,
-    ) -> Tuple[np.ndarray, np.ndarray, float]:
-        """(branch_launched, local_entry, local_end) for one group.
-
-        ``branch_launched`` marks rows whose querier fired the parallel
-        local request (§III-C); ``local_entry`` the subset whose local
-        store actually holds the mapping; ``local_end`` when the local
-        reply (or its timeout) lands.
-        """
-        m = len(cand)
-        if not self.local_replica:
-            zeros = np.zeros(m, dtype=bool)
-            return zeros, zeros, 0.0
-        branch = ~(cand == src).any(axis=1)
-        if model is not None and model.is_down(src):
-            local_end = max(self.timeout_ms, 2.0 * self.router.rtt_ms(src, src))
-            return branch, np.zeros(m, dtype=bool), local_end
-        local_end = 2.0 * self.router.topology.intra_latency(src)
-        return branch, branch & (local_of_rows == src), local_end
-
-    def _lookup_group(
-        self,
-        src: int,
         batch: GuidBatch,
         gidx: np.ndarray,
-        k_values: Sequence[int],
+        src: np.ndarray,
         model=None,
-        issued_at: Optional[np.ndarray] = None,
-        placement_cache: Optional[Dict[int, Tuple[PlacementRecord, ...]]] = None,
-    ) -> List[Tuple[object, ...]]:
-        """One source-AS group at every K of the sweep, in ``k_values`` order.
+    ) -> Tuple[np.ndarray, ...]:
+        """The planes the walk reads for a slice of rows, at the batch's
+        full width.
 
-        Selection keys, RTTs and outcomes are computed once over all of
-        the batch's replica columns; K reads their first K columns.
+        Returns ``(cand, key, rtt_all, outcome, has_local, local_end,
+        down)``.  Keys and RTTs are computed one source AS at a time, from
+        that source's routing row.  ``outcome`` holds all hits when there
+        is no availability model.  ``has_local`` marks rows whose
+        querier's store holds the §III-C local copy.  ``local_end`` is
+        when that querier's local reply (or its timer) lands, and
+        ``down`` whether the querier's own service is down.
         """
         cand = batch.placements[gidx]
-        key = self._selection_keys(src, self.router.indices_of(cand))
-        rtt_all = self.router.rtt_to_many(src, cand.ravel(), strict=False)
-        rtt_all = rtt_all.reshape(cand.shape)
+        key = np.empty(cand.shape, dtype=np.float64)
+        rtt_all = np.empty(cand.shape, dtype=np.float64)
+        local_end = np.zeros(len(gidx), dtype=np.float64)
+        down = np.zeros(len(gidx), dtype=bool)
+        for s, run in _runs(src):
+            key[run] = self._selection_keys(s, cand[run])
+            rtt_all[run] = self.router.rtt_to_many(s, cand[run], strict=False)
+            if self.local_replica:
+                is_down = model is not None and bool(model.is_down(s))
+                down[run] = is_down
+                local_end[run] = local_branch_end_ms(
+                    self.router, s, is_down, self.timeout_ms
+                )
         outcome = (
-            None
+            np.full(cand.shape, _HIT, dtype=np.int8)
             if model is None
-            else self._outcome_matrix(src, batch, gidx, cand, model)
+            else self._outcome_matrix(batch, gidx, cand, model)
         )
-        local_of_rows = batch.local_asns[gidx]
-        return [
-            self._evaluate_group(
-                src,
-                batch,
-                gidx,
-                cand[:, :k],
-                key[:, :k],
-                rtt_all[:, :k],
-                None if outcome is None else outcome[:, :k],
-                local_of_rows,
-                model,
-                issued_at,
-                placement_cache,
-            )
-            for k in k_values
-        ]
+        has_local = ~down & (batch.local_asns[gidx] == src)
+        return cand, key, rtt_all, outcome, has_local, local_end, down
 
-    def _evaluate_group(
+    def _walk(
         self,
-        src: int,
-        batch: GuidBatch,
-        gidx: np.ndarray,
+        src: np.ndarray,
         cand: np.ndarray,
         key: np.ndarray,
         rtt_all: np.ndarray,
-        outcome: Optional[np.ndarray],
-        local_of_rows: np.ndarray,
-        model,
-        issued_at: Optional[np.ndarray],
-        placement_cache: Optional[Dict[int, Tuple[PlacementRecord, ...]]],
-    ) -> Tuple[object, ...]:
-        """One group at one K: ``cand`` and the planes beside it hold
-        only the first K replica columns."""
-        m, k = cand.shape
-        branch, local_entry, local_end = self._local_branch(
-            src, cand, local_of_rows, model
-        )
-        rows = np.arange(m)
-        tracing = placement_cache is not None
+        outcome: np.ndarray,
+        has_local: np.ndarray,
+        local_end: np.ndarray,
+    ) -> Tuple[Tuple[np.ndarray, ...], Tuple[np.ndarray, ...]]:
+        """The §III-D.3 walk and the §III-C local race for a slice of rows
+        at one K: ``cand`` and the planes beside it hold only the first K
+        replica columns, and ``src`` is each row's querier.
 
-        if model is None:
-            # Converged, failure-free: the best-ranked replica answers on
-            # the first attempt; only the local race remains.
-            choice = np.argmin(key, axis=1)
-            global_rtt = rtt_all[rows, choice]
-            won = local_entry & (local_end <= global_rtt)
-            rtt = np.where(won, local_end, global_rtt)
-            served = np.where(won, src, cand[rows, choice])
-            attempts = np.where(won & (local_end <= 0.0), 0, 1)
-            result = (rtt, served, won, attempts, np.ones(m, dtype=bool))
-            if not tracing:
-                return result
-            traces = self._group_traces_converged(
-                src, batch, gidx, cand, choice, global_rtt, branch,
-                local_entry, local_end, won, rtt, served,
-                issued_at, placement_cache,
-            )
-            return result + (traces,)
+        Returns the result columns ``(rtt, served, used_local, attempts,
+        success)`` and the planes a trace reads: ``(s_cand, s_out, cost,
+        issued, branch, local_entry)``, the first three in walk order.
+        """
+        m, k = cand.shape
+        rows = np.arange(m)
+        # The local request is launched only when the querier is not
+        # itself a global candidate (otherwise the walk covers it).
+        branch = (
+            ~(cand == src[:, None]).any(axis=1)
+            if self.local_replica
+            else np.zeros(m, dtype=bool)
+        )
+        local_entry = branch & has_local
 
         order = np.argsort(key, axis=1, kind="stable")
         s_cand = np.take_along_axis(cand, order, axis=1)
@@ -568,7 +544,7 @@ class FastpathEngine:
         for j in range(1, k):
             dup[:, j] = (s_cand[:, :j] == s_cand[:, j : j + 1]).any(axis=1)
         cost = np.where(
-            s_out == _TIMEOUT, np.maximum(self.timeout_ms, 2.0 * s_rtt), s_rtt
+            s_out == _TIMEOUT, adaptive_timeout_ms(self.timeout_ms, s_rtt), s_rtt
         )
         cost = np.where(dup, 0.0, cost)
         hit = (~dup) & (s_out == _HIT)
@@ -580,7 +556,6 @@ class FastpathEngine:
         elapsed = np.cumsum(walk_cost, axis=1)
         elapsed_before = elapsed - walk_cost
         executed = (~dup) & ~after
-        walk_len = executed.sum(axis=1)
 
         global_rtt = elapsed[rows, first_hit]
         fail_elapsed = elapsed[:, -1]
@@ -598,142 +573,47 @@ class FastpathEngine:
         served = np.where(
             won, src, np.where(has_hit, s_cand[rows, first_hit], -1)
         )
-        early = (executed & (elapsed_before < local_end)).sum(axis=1)
-        attempts = np.where(won, early, walk_len)
-        result = (rtt, served, won, attempts, success)
-        if not tracing:
-            return result
-        traces = self._group_traces_walk(
-            src, batch, gidx, s_cand, s_out, cost, executed, elapsed_before,
-            won, branch, local_entry, local_end, rtt, served, success, model,
-            issued_at, placement_cache,
+        # The attempts the walk issued: when the local race won, only
+        # those issued strictly before the local reply landed.
+        issued = executed & (
+            ~won[:, None] | (elapsed_before < local_end[:, None])
         )
-        return result + (traces,)
+        attempts = issued.sum(axis=1)
+        return (rtt, served, won, attempts, success), (
+            s_cand, s_out, cost, issued, branch, local_entry,
+        )
 
     # -- trace reconstruction (tracing runs only) ----------------------
-    def _placement_of(
+    def _walk_traces(
         self,
-        batch: GuidBatch,
-        guid_index: int,
-        cache: Dict[int, Tuple[PlacementRecord, ...]],
-        k: int,
-    ) -> Tuple[PlacementRecord, ...]:
-        """The GUID's placement records at K=``k``: a prefix of the
-        batch's (cached) full-width records."""
-        placement = cache.get(guid_index)
-        if placement is None:
-            placement = batch.placement_records(guid_index)
-            cache[guid_index] = placement
-        return placement[:k]
-
-    def _group_traces_converged(
-        self,
-        src: int,
+        src: np.ndarray,
         batch: GuidBatch,
         gidx: np.ndarray,
-        cand: np.ndarray,
-        choice: np.ndarray,
-        global_rtt: np.ndarray,
-        branch: np.ndarray,
-        local_entry: np.ndarray,
-        local_end: float,
-        won: np.ndarray,
-        rtt: np.ndarray,
-        served: np.ndarray,
+        columns: Tuple[np.ndarray, ...],
+        planes: Tuple[np.ndarray, ...],
+        local_end: np.ndarray,
+        down: np.ndarray,
         issued_at: np.ndarray,
         placement_cache: Dict[int, Tuple[PlacementRecord, ...]],
     ) -> List[QueryTrace]:
-        """Traces for the model-free fast path (one hit, plus the race).
+        """The per-row traces of one :meth:`_walk`.
 
-        Mirrors the scalar walk exactly: the best-ranked replica's hit is
-        the only attempt, and it is part of the trace unless the local
-        reply landed before the walk could even start (``local_end <= 0``).
+        A trace records exactly the attempts the walk ``issued``, which
+        are the attempts the scalar resolver makes, so the reconstructed
+        streams match the scalar resolver's record for record.  Placement
+        records are the batch's (cached) full-width records cut to K.
         """
-        traces: List[QueryTrace] = []
-        k = cand.shape[1]
-        for r in range(len(gidx)):
-            gi = int(gidx[r])
-            placement = self._placement_of(batch, gi, placement_cache, k)
-            launched = bool(branch[r])
-            won_r = bool(won[r])
-            if won_r and local_end <= 0.0:
-                attempt_records: Tuple[AttemptTrace, ...] = ()
-            else:
-                asn = int(cand[r, choice[r]])
-                attempt_records = (
-                    AttemptTrace(
-                        asn,
-                        hash_index_of(placement, asn),
-                        OUTCOME_HIT,
-                        float(global_rtt[r]),
-                    ),
-                )
-            local_outcome = None
-            if launched:
-                local_outcome = (
-                    OUTCOME_HIT if bool(local_entry[r]) else OUTCOME_MISSING
-                )
-            traces.append(
-                QueryTrace(
-                    guid_value=batch.guids[gi].value,
-                    source_asn=src,
-                    issued_at=float(issued_at[r]),
-                    k=len(placement),
-                    placement=placement,
-                    attempts=attempt_records,
-                    local_launched=launched,
-                    local_outcome=local_outcome,
-                    local_end_ms=float(local_end) if launched else None,
-                    used_local=won_r,
-                    served_by=int(served[r]),
-                    rtt_ms=float(rtt[r]),
-                    success=True,
-                    failure_cause=None,
-                )
-            )
-        return traces
-
-    def _group_traces_walk(
-        self,
-        src: int,
-        batch: GuidBatch,
-        gidx: np.ndarray,
-        s_cand: np.ndarray,
-        s_out: np.ndarray,
-        cost: np.ndarray,
-        executed: np.ndarray,
-        elapsed_before: np.ndarray,
-        won: np.ndarray,
-        branch: np.ndarray,
-        local_entry: np.ndarray,
-        local_end: float,
-        rtt: np.ndarray,
-        served: np.ndarray,
-        success: np.ndarray,
-        model,
-        issued_at: np.ndarray,
-        placement_cache: Dict[int, Tuple[PlacementRecord, ...]],
-    ) -> List[QueryTrace]:
-        """Traces for the availability-model walk.
-
-        An attempt made it into the scalar trace iff the walk issued it:
-        non-duplicate, at or before the first hit, and — when the local
-        race won — issued strictly before the local reply landed.  That
-        is exactly ``executed`` (and the ``elapsed_before < local_end``
-        refinement for won rows), so the reconstructed streams match the
-        scalar resolver's record for record.
-        """
+        rtt, served, won, _attempts, success = columns
+        s_cand, s_out, cost, issued, branch, local_entry = planes
         m, k = s_cand.shape
-        src_down = (
-            self.local_replica and model is not None and model.is_down(src)
-        )
         traces: List[QueryTrace] = []
         for r in range(m):
             gi = int(gidx[r])
-            placement = self._placement_of(batch, gi, placement_cache, k)
-            exec_mask = executed[r]
-            if bool(won[r]):
-                exec_mask = exec_mask & (elapsed_before[r] < local_end)
+            placement = placement_cache.get(gi)
+            if placement is None:
+                placement = batch.placement_records(gi)
+                placement_cache[gi] = placement
+            placement = placement[:k]
             attempt_records = tuple(
                 AttemptTrace(
                     int(s_cand[r, j]),
@@ -742,12 +622,12 @@ class FastpathEngine:
                     float(cost[r, j]),
                 )
                 for j in range(k)
-                if exec_mask[j]
+                if issued[r, j]
             )
             launched = bool(branch[r])
             local_outcome = None
             if launched:
-                if src_down:
+                if bool(down[r]):
                     local_outcome = OUTCOME_TIMEOUT
                 elif bool(local_entry[r]):
                     local_outcome = OUTCOME_HIT
@@ -757,14 +637,14 @@ class FastpathEngine:
             traces.append(
                 QueryTrace(
                     guid_value=batch.guids[gi].value,
-                    source_asn=src,
+                    source_asn=int(src[r]),
                     issued_at=float(issued_at[r]),
                     k=len(placement),
                     placement=placement,
                     attempts=attempt_records,
                     local_launched=launched,
                     local_outcome=local_outcome,
-                    local_end_ms=float(local_end) if launched else None,
+                    local_end_ms=float(local_end[r]) if launched else None,
                     used_local=bool(won[r]),
                     served_by=int(served[r]) if ok else None,
                     rtt_ms=float(rtt[r]),
@@ -776,7 +656,6 @@ class FastpathEngine:
 
     def _outcome_matrix(
         self,
-        src: int,
         batch: GuidBatch,
         gidx: np.ndarray,
         cand: np.ndarray,
@@ -804,20 +683,22 @@ class FastpathEngine:
         return out
 
 
-def _iter_source_groups(sources: np.ndarray):
-    """Yield ``(source_asn, row_indices)`` per distinct source AS.
-
-    Grouping is by sorted source value; within a group the original row
-    order is preserved (stable sort), so per-row outcomes land back on
-    the right queries.
-    """
+def group_by_source(
+    sources: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(order, sorted_sources, starts)`` for a non-empty source array:
+    row indices stably sorted by source AS (input order kept within a
+    source), the sources in that order, and where each source's group
+    starts in it."""
     order = np.argsort(sources, kind="stable")
     sorted_src = sources[order]
-    if len(sorted_src) == 0:
-        return
-    boundaries = np.flatnonzero(
-        np.r_[True, sorted_src[1:] != sorted_src[:-1]]
-    )
-    ends = np.r_[boundaries[1:], len(sorted_src)]
-    for start, end in zip(boundaries, ends):
-        yield int(sorted_src[start]), order[start:end]
+    starts = np.flatnonzero(np.r_[True, sorted_src[1:] != sorted_src[:-1]])
+    return order, sorted_src, starts
+
+
+def _runs(values: np.ndarray) -> List[Tuple[int, slice]]:
+    """``(value, slice)`` per run of equal adjacent entries of a non-empty
+    array."""
+    starts = np.flatnonzero(np.r_[True, values[1:] != values[:-1]])
+    ends = np.r_[starts[1:], len(values)]
+    return [(int(values[a]), slice(a, b)) for a, b in zip(starts, ends)]

@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .engine import BatchLookupResult, FastpathEngine, GuidBatch
+from .engine import BatchLookupResult, FastpathEngine, GuidBatch, group_by_source
 
 #: (engine, batch) inherited by forked workers; set only around a Pool run.
 _SHARED: Optional[Tuple[FastpathEngine, GuidBatch]] = None
@@ -58,9 +58,7 @@ def _shard_rows(sources: np.ndarray, n_shards: int) -> List[np.ndarray]:
     """Split row indices into ≤ ``n_shards`` row-balanced shards, cutting
     only at source-AS group boundaries (each group needs its Dijkstra row
     in exactly one worker)."""
-    order = np.argsort(sources, kind="stable")
-    sorted_src = sources[order]
-    boundaries = np.flatnonzero(np.r_[True, sorted_src[1:] != sorted_src[:-1]])
+    order, _sorted_src, boundaries = group_by_source(sources)
     n_groups = len(boundaries)
     n_shards = max(1, min(n_shards, n_groups))
     # Cut the group-start offsets at evenly spaced row targets: groups are

@@ -8,7 +8,6 @@ from .rehash import (
     GuidPlacer,
     HashResolution,
     hole_probability,
-    place_guids_bulk,
 )
 
 __all__ = [
@@ -23,5 +22,4 @@ __all__ = [
     "GuidPlacer",
     "HashResolution",
     "hole_probability",
-    "place_guids_bulk",
 ]

@@ -13,15 +13,12 @@ what keeps the median NLR slightly above 1 (Fig. 6).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple, Union
+from typing import List, Union
 
-import numpy as np
-
-from ..bgp.interval_index import HOLE, IntervalIndex
 from ..bgp.table import GlobalPrefixTable
 from ..core.guid import GUID
 from ..errors import ConfigurationError
-from .hashers import FastHasher, HashFamily
+from .hashers import HashFamily
 
 #: Default maximum number of hash attempts (M in Algorithm 1).
 DEFAULT_MAX_REHASHES = 10
@@ -107,70 +104,6 @@ class GuidPlacer:
     def hosting_asns(self, guid: Union[GUID, int]) -> List[int]:
         """Just the K hosting AS numbers, in replica order."""
         return [res.asn for res in self.resolve_all(guid)]
-
-
-def place_guids_bulk(
-    folded_guids: np.ndarray,
-    hasher: FastHasher,
-    index: IntervalIndex,
-    table: GlobalPrefixTable,
-    max_rehashes: int = DEFAULT_MAX_REHASHES,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorized Algorithm 1 over millions of GUIDs (Fig. 6 scale).
-
-    Parameters
-    ----------
-    folded_guids:
-        ``uint64`` array of folded GUID values (see
-        :meth:`FastHasher.fold_guids`).
-    hasher:
-        The K-function vectorized hash family.
-    index:
-        Frozen interval snapshot of ``table`` for batch LPM.
-    table:
-        The live table, consulted only for the rare deputy-AS fallback.
-    max_rehashes:
-        M in Algorithm 1.
-
-    Returns
-    -------
-    (asns, attempts, via_deputy):
-        ``asns`` has shape ``(len(folded_guids), K)`` — hosting AS per
-        replica; ``attempts`` the matching number of hash applications;
-        ``via_deputy`` marks replicas that exhausted all M rehashes and
-        fell back to the nearest-prefix deputy AS.
-    """
-    n = len(folded_guids)
-    k = hasher.k
-    asns = np.full((n, k), HOLE, dtype=np.int64)
-    attempts = np.zeros((n, k), dtype=np.int64)
-    via_deputy = np.zeros((n, k), dtype=bool)
-
-    for i in range(k):
-        addresses = hasher.hash_batch(folded_guids, i)
-        unresolved = np.arange(n)
-        for attempt in range(1, max_rehashes + 1):
-            owners = index.lookup_batch(addresses[unresolved])
-            hit = owners != HOLE
-            hit_rows = unresolved[hit]
-            asns[hit_rows, i] = owners[hit]
-            attempts[hit_rows, i] = attempt
-            unresolved = unresolved[~hit]
-            if len(unresolved) == 0:
-                break
-            if attempt < max_rehashes:
-                addresses[unresolved] = hasher.rehash_batch(
-                    addresses[unresolved], i
-                )
-        # Deputy fallback for the stragglers (≈0.03% of GUIDs at M=10):
-        # scalar nearest-prefix search on the trie is fine at this volume.
-        for row in unresolved.tolist():
-            announcement, _dist = table.nearest(int(addresses[row]))
-            asns[row, i] = announcement.asn
-            attempts[row, i] = max_rehashes
-            via_deputy[row, i] = True
-
-    return asns, attempts, via_deputy
 
 
 def hole_probability(announcement_ratio: float, max_rehashes: int) -> float:

@@ -28,13 +28,11 @@ is attached, using the same schema as the offline engines.
 from __future__ import annotations
 
 import asyncio
-import hashlib
-import struct
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.guid import GUID, NetworkAddress, guid_like
-from ..core.resolver import DEFAULT_TIMEOUT_MS
+from ..core.resolver import DEFAULT_TIMEOUT_MS, adaptive_timeout_ms
 from ..errors import ClusterError, LookupFailedError, WriteFailedError
 from ..obs.counters import MetricsRegistry
 from ..obs.trace import (
@@ -62,6 +60,7 @@ from .protocol import (
     WriteFrame,
     decode,
     encode,
+    seeded_unit,
 )
 from ..errors import WireProtocolError
 
@@ -93,20 +92,6 @@ class AttemptPlan:
     backoff_ms: float
 
 
-def _jitter_unit(seed: int, trace_id: int, k_index: int, attempt: int) -> float:
-    """Deterministic uniform draw in [0, 1) for backoff jitter."""
-    digest = hashlib.sha256(
-        struct.pack(
-            ">qQBB",
-            seed,
-            trace_id & 0xFFFFFFFFFFFFFFFF,
-            k_index & 0xFF,
-            attempt & 0xFF,
-        )
-    ).digest()
-    return int.from_bytes(digest[:8], "big") / float(1 << 64)
-
-
 def attempt_schedule(
     config: ClientConfig, rtt_ms: float, trace_id: int = 0, k_index: int = 0
 ) -> Tuple[AttemptPlan, ...]:
@@ -121,7 +106,7 @@ def attempt_schedule(
     input.
     """
     plans: List[AttemptPlan] = []
-    timeout = max(config.timeout_floor_ms, 2.0 * rtt_ms)
+    timeout = adaptive_timeout_ms(config.timeout_floor_ms, rtt_ms)
     for attempt in range(config.max_attempts):
         if attempt + 1 >= config.max_attempts:
             backoff = 0.0
@@ -130,8 +115,12 @@ def attempt_schedule(
                 config.backoff_cap_ms,
                 config.backoff_base_ms * config.backoff_factor ** attempt,
             )
-            backoff *= 1.0 + config.jitter_fraction * _jitter_unit(
-                config.seed, trace_id, k_index, attempt
+            backoff *= 1.0 + config.jitter_fraction * seeded_unit(
+                ">qQBB",
+                config.seed,
+                trace_id & 0xFFFFFFFFFFFFFFFF,
+                k_index & 0xFF,
+                attempt & 0xFF,
             )
         plans.append(AttemptPlan(timeout, backoff))
     return tuple(plans)

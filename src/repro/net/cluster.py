@@ -27,8 +27,6 @@ preserving every latency *ratio*.
 from __future__ import annotations
 
 import asyncio
-import hashlib
-import struct
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -40,6 +38,7 @@ from ..obs.trace import Tracer
 from ..topology.routing import Router
 from ..workload.generator import EventKind, Workload, WorkloadConfig, WorkloadGenerator
 from .node import Addr, DMapNode
+from .protocol import seeded_unit
 
 #: Default wire-seconds per virtual-millisecond compression factor:
 #: a 200 ms analytic RTT takes 100 ms of wall clock.  Event-loop
@@ -116,18 +115,15 @@ class LatencyShaper:
         """Whether this exchange's response is lost (seeded, replayable)."""
         if self.loss_rate <= 0.0:
             return False
-        digest = hashlib.sha256(
-            struct.pack(
-                ">qIIQBB",
-                self.seed,
-                src_asn & 0xFFFFFFFF,
-                dst_asn & 0xFFFFFFFF,
-                trace_id & 0xFFFFFFFFFFFFFFFF,
-                k_index & 0xFF,
-                attempt & 0xFF,
-            )
-        ).digest()
-        fraction = int.from_bytes(digest[:8], "big") / float(1 << 64)
+        fraction = seeded_unit(
+            ">qIIQBB",
+            self.seed,
+            src_asn & 0xFFFFFFFF,
+            dst_asn & 0xFFFFFFFF,
+            trace_id & 0xFFFFFFFFFFFFFFFF,
+            k_index & 0xFF,
+            attempt & 0xFF,
+        )
         return fraction < self.loss_rate
 
 

@@ -40,6 +40,7 @@ than propagating a :mod:`struct` error.
 
 from __future__ import annotations
 
+import hashlib
 import struct
 from dataclasses import dataclass
 from typing import Tuple, Union
@@ -90,6 +91,14 @@ GUID_WIRE_BYTES = GUID_BITS // 8
 _U8 = (1 << 8) - 1
 _U32 = (1 << 32) - 1
 _U64 = (1 << 64) - 1
+
+
+def seeded_unit(fmt: str, *fields: int) -> float:
+    """A replayable uniform draw in [0, 1): the first 8 bytes of the
+    SHA-256 of ``struct.pack(fmt, *fields)``, read as a big-endian
+    fraction.  Callers mask each field to its packed width."""
+    digest = hashlib.sha256(struct.pack(fmt, *fields)).digest()
+    return int.from_bytes(digest[:8], "big") / float(1 << 64)
 
 
 @dataclass(frozen=True)

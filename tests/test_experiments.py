@@ -238,21 +238,21 @@ class TestFig6Shape:
 
 
 class TestFig6Engines:
-    """All three fig6 engines are interchangeable, byte for byte."""
+    """Both fig6 engines are interchangeable, byte for byte."""
 
     def test_engines_render_identically(self, env):
         renders = {
             engine: run_fig6(
                 environment=env, n_guids_list=(1_500,), engine=engine
             ).render()
-            for engine in ("scalar", "bulk", "fastpath")
+            for engine in ("scalar", "fastpath")
         }
-        assert renders["scalar"] == renders["bulk"] == renders["fastpath"]
+        assert renders["scalar"] == renders["fastpath"]
 
     def test_engine_arrays_identical(self, env):
         results = [
             run_fig6(environment=env, n_guids_list=(1_500,), engine=engine)
-            for engine in ("scalar", "bulk")
+            for engine in ("scalar", "fastpath")
         ]
         for a, b in zip(results, results[1:]):
             np.testing.assert_array_equal(a.nlr_by_n[1_500], b.nlr_by_n[1_500])

@@ -25,13 +25,13 @@ from repro.fastpath import (
     FastpathEngine,
     FastpathUnsupportedError,
     batch_hosting_asns,
-    resolve_batch,
 )
+from repro.fastpath.engine import WALK_ROWS
 from repro.fastpath.placement import batch_resolutions, prefix_stable
 from repro.fastpath.runner import _shard_rows, run_sharded
 from repro.hashing.asnum_placer import ASNumberPlacer, WeightedASPlacer
 from repro.hashing.hashers import FastHasher, Sha256Hasher
-from repro.hashing.rehash import GuidPlacer, place_guids_bulk
+from repro.hashing.rehash import GuidPlacer
 from repro.obs.export import dumps_traces
 from repro.obs.trace import CollectingTracer
 from repro.topology.routing import Router
@@ -299,19 +299,6 @@ class TestRejections:
 # Placement kernels (fig6 path)
 # ----------------------------------------------------------------------
 class TestBatchPlacement:
-    def test_resolve_batch_matches_place_guids_bulk(self, base_table):
-        rng = np.random.default_rng(41)
-        folded = rng.integers(
-            0, np.iinfo(np.uint64).max, size=2000, dtype=np.uint64
-        )
-        hasher = FastHasher(5, address_bits=base_table.bits, seed=0)
-        index = base_table.build_interval_index()
-        placer = GuidPlacer(hasher, base_table)
-        fast = resolve_batch(placer, folded, index)
-        bulk = place_guids_bulk(folded, hasher, index, base_table)
-        for a, b in zip(fast, bulk):
-            assert np.array_equal(a, b)
-
     @pytest.mark.parametrize("scheme", ["guid", "asnum", "weighted"])
     def test_batch_hosting_matches_scalar(self, base_table, asns, scheme):
         rng = np.random.default_rng(42)
@@ -486,6 +473,43 @@ class TestKSweep:
             engine_k.lookup_batch(batch_k, gidx, srcs, availability=model)
             per_k.extend(engine_k.tracer.traces)
         assert dumps_traces(engine.tracer.traces) == dumps_traces(per_k)
+
+
+class TestWalkSlices:
+    def test_group_larger_than_a_slice_matches_oracle(
+        self, base_table, router, asns
+    ):
+        """One source issues more lookups than a walk slice holds, so its
+        group is cut across slices, each slice also holding other
+        sources' rows."""
+        k_values = (1, 3, 5)
+        model = _Model(down_asns=asns[:10])
+        _, engine, batch, _, _, guids = _deploy(base_table, router, asns, seed=211)
+        down = set(int(a) for a in asns[:10])
+        # The attachment AS of some GUIDs, so the big group races local copies.
+        big = next(int(a) for a in batch.local_asns if int(a) not in down)
+        rng = np.random.default_rng(211)
+        srcs = np.r_[np.full(WALK_ROWS + 300, big), rng.choice(asns, size=300)]
+        rng.shuffle(srcs)
+        gidx = rng.integers(0, N_GUIDS, size=len(srcs))
+        engine.tracer = CollectingTracer()
+        sweep = engine.lookup_batch(
+            batch, gidx, srcs, availability=model, k_values=k_values
+        )
+        scalar_traces = []
+        for k in k_values:
+            resolver, _, _, _, _, _ = _deploy(
+                base_table, router, asns, k=k, seed=211
+            )
+            resolver.tracer = CollectingTracer()
+            _assert_lookup_parity(
+                resolver, sweep[k], guids, gidx, srcs,
+                probe=model.lookup_outcome, is_down=model.is_down,
+            )
+            scalar_traces.extend(resolver.tracer.traces)
+        assert sweep[5].used_local.any()
+        assert not sweep[5].success.all()
+        assert dumps_traces(engine.tracer.traces) == dumps_traces(scalar_traces)
 
 
 # ----------------------------------------------------------------------

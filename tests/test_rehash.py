@@ -7,12 +7,9 @@ from repro.bgp.prefix import Announcement, Prefix
 from repro.bgp.table import GlobalPrefixTable
 from repro.core.guid import GUID
 from repro.errors import ConfigurationError
+from repro.fastpath.placement import resolve_batch
 from repro.hashing.hashers import FastHasher, Sha256Hasher
-from repro.hashing.rehash import (
-    GuidPlacer,
-    hole_probability,
-    place_guids_bulk,
-)
+from repro.hashing.rehash import GuidPlacer, hole_probability
 
 
 def ann(cidr: str, asn: int) -> Announcement:
@@ -94,9 +91,7 @@ class TestBulkPlacement:
         values = [GUID.from_name(f"b{i}").value for i in range(80)]
         folded = hasher.fold_guids(values)
         index = base_table.build_interval_index()
-        asns, attempts, via_deputy = place_guids_bulk(
-            folded, hasher, index, base_table, max_rehashes=6
-        )
+        asns, attempts, via_deputy = resolve_batch(placer, folded, index)
         for row, value in enumerate(values):
             for i in range(k):
                 res = placer.resolve_one(value, i)
@@ -109,7 +104,8 @@ class TestBulkPlacement:
         rng = np.random.default_rng(0)
         folded = rng.integers(0, 2**63, size=2000, dtype=np.uint64)
         index = base_table.build_interval_index()
-        asns, _attempts, _dep = place_guids_bulk(folded, hasher, index, base_table)
+        placer = GuidPlacer(hasher, base_table)
+        asns, _attempts, _dep = resolve_batch(placer, folded, index)
         assert (asns >= 0).all()
 
     def test_attempt_distribution_geometric(self, base_table):
@@ -118,7 +114,8 @@ class TestBulkPlacement:
         rng = np.random.default_rng(1)
         folded = rng.integers(0, 2**63, size=30_000, dtype=np.uint64)
         index = base_table.build_interval_index()
-        _asns, attempts, _dep = place_guids_bulk(folded, hasher, index, base_table)
+        placer = GuidPlacer(hasher, base_table)
+        _asns, attempts, _dep = resolve_batch(placer, folded, index)
         ratio = index.announced_fraction()
         frac_two_plus = float((attempts > 1).mean())
         assert frac_two_plus == pytest.approx(1.0 - ratio, abs=0.02)

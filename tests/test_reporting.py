@@ -1,5 +1,8 @@
 """Tests for the text reporting helpers."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -39,6 +42,29 @@ class TestCdfTable:
         text = format_cdf_table({"x": [5.0]}, thresholds=[5.0])
         assert "1.000" in text
         assert "P(x <= t)" in text
+
+
+#: The CDF header cell, e.g. ``P(x <= t)  t [ms]``.
+_CDF_HEADER = re.compile(r"^P\(x .*?\]")
+_RESULTS = Path(__file__).resolve().parents[1] / "results"
+
+
+class TestCommittedResults:
+    def test_cdf_headers_match_renderer(self):
+        """Every CDF table committed under results/ carries the header the
+        current renderer emits, so none predates a renderer change."""
+        headers = [
+            (path.name, line)
+            for path in sorted(_RESULTS.glob("*.txt"))
+            for line in path.read_text().splitlines()
+            if line.startswith("P(")
+        ]
+        assert headers
+        for name, line in headers:
+            unit = re.search(r"\[(.+?)\]", line).group(1)
+            rendered = format_cdf_table({"x": [0.0]}, [0.0], unit=unit)
+            expected = _CDF_HEADER.match(rendered.splitlines()[0]).group(0)
+            assert _CDF_HEADER.match(line).group(0) == expected, name
 
 
 class TestAsciiCdf:

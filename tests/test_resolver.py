@@ -9,6 +9,7 @@ from repro.core.resolver import (
     OUTCOME_HIT,
     OUTCOME_MISSING,
     OUTCOME_TIMEOUT,
+    adaptive_timeout_ms,
 )
 from repro.errors import ConfigurationError, LookupFailedError
 
@@ -249,3 +250,25 @@ class TestIntrospection:
     def test_timeout_validation(self, base_table, router):
         with pytest.raises(ConfigurationError):
             DMapResolver(base_table, router, timeout_ms=0)
+
+
+class TestAdaptiveTimeout:
+    """§III-D.3: ``max(floor, 2·RTT)``, for scalar and array callers."""
+
+    def test_scalar_at_the_boundary(self):
+        assert adaptive_timeout_ms(1000.0, 499.5) == 1000.0
+        assert adaptive_timeout_ms(1000.0, 500.0) == 1000.0
+        assert adaptive_timeout_ms(1000.0, 500.25) == 1000.5
+        assert type(adaptive_timeout_ms(1000.0, 750.0)) is float
+
+    def test_array_matches_scalar_elementwise(self):
+        rtt = np.array([[0.0, 499.5, 500.0], [500.25, 750.0, np.inf]])
+        out = adaptive_timeout_ms(1000.0, rtt)
+        assert isinstance(out, np.ndarray) and out.shape == rtt.shape
+        assert out.tolist() == [
+            [1000.0, 1000.0, 1000.0],
+            [1000.5, 1500.0, float("inf")],
+        ]
+        assert out.tolist() == [
+            [adaptive_timeout_ms(1000.0, float(v)) for v in row] for row in rtt
+        ]
