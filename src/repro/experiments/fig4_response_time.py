@@ -93,8 +93,8 @@ def run_fig4(
     :class:`~repro.fastpath.engine.FastpathEngine` (bit-identical RTTs;
     ``n_jobs`` shards source-AS groups across processes).  The fastpath
     sweeps every K in one pass: it places GUIDs once at ``max(k_values)``
-    and evaluates each K inside each source-AS group, so each source's
-    routing row is computed once per run rather than once per K.
+    and evaluates each K on the same (source, host) path cells, so the
+    router computes them once per run rather than once per K.
 
     ``trace_path`` writes a canonical JSONL per-query trace file there
     (plus a run manifest at ``<trace_path>.manifest.json``), from which
@@ -180,6 +180,10 @@ def run_fig4(
                     # until the lookup succeeds, so this path records no
                     # failures.
                     failed_by_k[k] = 0
+    # Dijkstra rows computed, and the sources whose pairs were derived
+    # from neighbour rows (fallback_rows of them needed a row after all);
+    # cumulative over the router's life.  Sharded runs count in workers.
+    manifest.extra["routing"] = env.router.cache_stats()
     if tracing:
         with manifest.phase("export"):
             count = write_traces(trace_path, tracer.traces)

@@ -9,10 +9,11 @@ arrays:
 * :mod:`repro.fastpath.placement` — batch Algorithm 1 (GUID hashing,
   interval-index LPM, vectorized IP-hole rehash, deputy fallback) plus the
   §VII AS-number / weighted placement variants;
-* :mod:`repro.fastpath.engine` — :class:`FastpathEngine`: lookups grouped
-  by source AS, replica selection as a fancy-indexed min-of-K over one
-  cached Dijkstra row, with the §III-C local-replica race and §III-D.3
-  failed-attempt accounting expressed as row-wise prefix sums;
+* :mod:`repro.fastpath.engine` — :class:`FastpathEngine`: replica
+  selection as a row-wise stable sort over (source, candidate) path
+  cells from one ``Router.pair_paths`` call, with the §III-C
+  local-replica race and §III-D.3 failed-attempt accounting expressed as
+  row-wise prefix sums;
 * :mod:`repro.fastpath.runner` — an optional ``multiprocessing`` shard
   runner that splits source-AS groups across workers for paper scale.
 

@@ -5,26 +5,27 @@
 
 * GUIDs are placed **once** per unique identifier (the scalar resolver
   re-derives the K hosting ASs on every lookup);
-* lookups are grouped by source AS, so each group needs exactly one
-  cached Dijkstra row (computed a block of sources at a time); replica
-  order is a row-wise stable ``argsort`` whose tie-breaking provably
-  matches the stable sort in
-  :class:`~repro.core.replication.ReplicaSelector`;
-* every lookup goes through one walk, evaluated per block of source
-  groups in slices of at most :data:`WALK_ROWS` rows: the §III-C
-  local-replica race and the §III-D.3 failed-attempt accounting (one RTT
-  per "GUID missing", an adaptive timeout per dead replica) become
-  row-wise prefix sums over the walk-cost matrix.  A failure-free lookup
-  is the walk over an all-hit outcome matrix;
+* the path term of every (lookup, candidate) cell comes from one
+  :meth:`~repro.topology.routing.Router.pair_paths` call for the whole
+  batch, which computes each needed Dijkstra row once, derives the rest
+  from neighbour rows, and keeps none; replica order is a row-wise
+  stable ``argsort`` whose tie-breaking provably matches the stable sort
+  in :class:`~repro.core.replication.ReplicaSelector`;
+* every lookup goes through one walk, evaluated in slices of at most
+  :data:`WALK_ROWS` rows: the §III-C local-replica race and the
+  §III-D.3 failed-attempt accounting (one RTT per "GUID missing", an
+  adaptive timeout per dead replica) become row-wise prefix sums over
+  the walk-cost matrix.  A failure-free lookup is the walk over an
+  all-hit outcome matrix;
 * a K sweep (Fig. 4) runs in the same pass: each slice evaluates every
-  K on the first K columns of the max-K placement, so a row is computed
-  once per sweep rather than once per K.
+  K on the first K columns of the max-K placement, so the path cells
+  are computed once per sweep rather than once per K.
 
-Latency arithmetic reproduces the scalar path bit for bit: selection
-keys use the same float32-row + float64-intra expression as
-``Router.one_way_to_many``, and final RTTs widen the row to float64
-before the identical left-to-right sum (see ``Router.rtt_to_many``), so
-equivalence tests can assert exact equality, not just closeness.
+Latency arithmetic reproduces the scalar path bit for bit: the float32
+path cells equal the router's rows, and keys and RTTs widen them to
+float64 before the same left-to-right ``intra + path + intra`` sum as
+``Router.one_way_to_many`` / ``Router.rtt_to_many``, so equivalence
+tests can assert exact equality, not just closeness.
 
 Deliberate limits (the scalar resolver stays the oracle):
 
@@ -275,13 +276,15 @@ class FastpathEngine:
         """Insert/update RTTs: the max of the K parallel replica writes."""
         guid_idx = np.asarray(guid_idx, dtype=np.int64)
         sources = np.asarray(sources, dtype=np.int64)
-        out = np.empty(len(guid_idx), dtype=np.float64)
-        for block_rows, block_src in self._source_blocks(sources, hop_rows=False):
-            for src, run in _runs(block_src):
-                rows = block_rows[run]
-                cand = batch.placements[guid_idx[rows]]
-                out[rows] = self.router.rtt_to_many(src, cand).max(axis=1)
-        return out
+        cand = batch.placements[guid_idx]
+        path = self._path_cells(batch, guid_idx, sources)
+        _key, rtt = self._prepare(sources, cand, path)
+        if not np.all(np.isfinite(rtt)):
+            row, col = np.argwhere(~np.isfinite(rtt))[0]
+            raise RoutingError(
+                f"AS {int(cand[row, col])} unreachable from AS {int(sources[row])}"
+            )
+        return rtt.max(axis=1)
 
     # ------------------------------------------------------------------
     # Read path
@@ -311,9 +314,8 @@ class FastpathEngine:
         ``k_values`` sweeps several replication factors over the same
         lookups and returns ``{K: result}``.  K evaluates the first K
         replica columns of ``batch``, so each K is at most the batch's
-        width, and the placer must be :func:`prefix_stable`.  Each source
-        group is visited once for the whole sweep, so each routing row is
-        computed once.  Without ``k_values`` the lookups run at the
+        width, and the placer must be :func:`prefix_stable`.  The path
+        cells are computed once for the whole sweep.  Without ``k_values`` the lookups run at the
         batch's K and one result is returned.
         """
         guid_idx = np.asarray(guid_idx, dtype=np.int64)
@@ -376,11 +378,8 @@ class FastpathEngine:
     ) -> Dict[int, BatchLookupResult]:
         sweep = tuple(k_values or (batch.placements.shape[1],))
         n = len(guid_idx)
-        results = {k: BatchLookupResult.empty(n) for k in sweep}
         tracing = self.tracer.enabled
-        trace_slots: Dict[int, List[Optional[QueryTrace]]] = (
-            {k: [None] * n for k in sweep} if tracing else {}
-        )
+        traces_by_k: Dict[int, List[QueryTrace]] = {k: [] for k in sweep}
         times = None
         if tracing:
             times = (
@@ -393,29 +392,39 @@ class FastpathEngine:
                     "issued_at must align one-to-one with guid_idx"
                 )
         placement_cache: Dict[int, Tuple[PlacementRecord, ...]] = {}
-        hop_rows = self.selection_policy == "hops"
-        for block_rows, block_src in self._source_blocks(sources, hop_rows):
-            for start in range(0, len(block_rows), WALK_ROWS):
-                rows = block_rows[start : start + WALK_ROWS]
-                src = block_src[start : start + WALK_ROWS]
-                gidx = guid_idx[rows]
-                cand, key, rtt_all, outcome, has_local, local_end, down = (
-                    self._prepare(batch, gidx, src, model)
+        path = self._path_cells(batch, guid_idx, sources)
+        hop_path = (
+            self._path_cells(batch, guid_idx, sources, hops=True)
+            if self.selection_policy == "hops"
+            else None
+        )
+        local_end, down = self._local_branches(sources, model)
+        results = {k: BatchLookupResult.empty(n) for k in sweep}
+        for start in range(0, n, WALK_ROWS):
+            rows = slice(start, min(start + WALK_ROWS, n))
+            src, gidx = sources[rows], guid_idx[rows]
+            s_cand = batch.placements[gidx]
+            key, rtt_all = self._prepare(
+                src, s_cand, path[rows],
+                None if hop_path is None else hop_path[rows],
+            )
+            outcome = (
+                np.full(s_cand.shape, _HIT, dtype=np.int8)
+                if model is None
+                else self._outcome_matrix(batch, gidx, s_cand, model)
+            )
+            has_local = ~down[rows] & (batch.local_asns[gidx] == src)
+            for k in sweep:
+                columns, planes = self._walk(
+                    src, s_cand[:, :k], key[:, :k], rtt_all[:, :k],
+                    outcome[:, :k], has_local, local_end[rows],
                 )
-                for k in sweep:
-                    columns, planes = self._walk(
-                        src, cand[:, :k], key[:, :k], rtt_all[:, :k],
-                        outcome[:, :k], has_local, local_end,
-                    )
-                    results[k].scatter(rows, columns)
-                    if tracing:
-                        traces = self._walk_traces(
-                            src, batch, gidx, columns, planes, local_end,
-                            down, times[rows], placement_cache,
-                        )
-                        slots = trace_slots[k]
-                        for row, trace in zip(rows.tolist(), traces):
-                            slots[row] = trace
+                results[k].scatter(rows, columns)
+                if tracing:
+                    traces_by_k[k].extend(self._walk_traces(
+                        src, batch, gidx, columns, planes, local_end[rows],
+                        down[rows], times[rows], placement_cache,
+                    ))
         for result in results.values():
             if not np.all(np.isfinite(result.rtt_ms)):
                 bad = int(np.flatnonzero(~np.isfinite(result.rtt_ms))[0])
@@ -423,87 +432,82 @@ class FastpathEngine:
                     f"lookup {bad} reached an unreachable replica "
                     f"(source AS {int(sources[bad])})"
                 )
-        # Emit K by K, each in input-row order, so raw emission order
-        # matches the workload's issue order (the canonical JSONL sort is
-        # on top).
+        # Emit K by K, each in input-row order (slices run in input
+        # order), so raw emission order matches the workload's issue order
+        # (the canonical JSONL sort is on top).
         for k in sweep:
-            for trace in trace_slots.get(k, ()):
-                if trace is not None:
-                    self.tracer.record(trace)
+            for trace in traces_by_k[k]:
+                self.tracer.record(trace)
         return results
 
-    def _source_blocks(self, sources: np.ndarray, hop_rows: bool):
-        """Yield ``(rows, row_sources)`` per block of up to ``row_block``
-        source ASs, after computing the block's latency (and, with
-        ``hop_rows``, hop) rows in one Dijkstra call.
-
-        ``rows`` are the block's lookup indices grouped by ascending
-        source AS, input order kept within a source (stable sort), and
-        ``row_sources`` is each row's source AS.
-        """
-        if len(sources) == 0:
-            return
-        order, sorted_src, starts = group_by_source(sources)
-        starts = np.r_[starts, len(order)]
-        block = self.router.row_block
-        for first in range(0, len(starts) - 1, block):
-            last = min(first + block, len(starts) - 1)
-            block_sources = sorted_src[starts[first:last]].tolist()
-            self.router.prefetch_rows(block_sources)
-            if hop_rows:
-                self.router.prefetch_rows(block_sources, hops=True)
-            rows = slice(starts[first], starts[last])
-            yield order[rows], sorted_src[rows]
-
-    # -- one slice of a block ------------------------------------------
-    def _selection_keys(self, src: int, cand: np.ndarray) -> np.ndarray:
-        """Ordering keys, identical to ``ReplicaSelector.order_candidates``."""
-        if self.selection_policy == "latency":
-            return self.router.one_way_to_many(src, cand)
-        key = self.router.hop_row(src)[self.router.indices_of(cand)]
-        key = key.astype(np.float64)
-        key[cand == src] = 0.0
-        return key
-
-    def _prepare(
+    def _path_cells(
         self,
         batch: GuidBatch,
-        gidx: np.ndarray,
-        src: np.ndarray,
-        model=None,
-    ) -> Tuple[np.ndarray, ...]:
-        """The planes the walk reads for a slice of rows, at the batch's
-        full width.
+        guid_idx: np.ndarray,
+        sources: np.ndarray,
+        hops: bool = False,
+    ) -> np.ndarray:
+        """The float32 inter-AS path latency (or ``hops``) from each row's
+        source to each of its GUID's replicas, from one
+        :meth:`Router.pair_paths` call."""
+        router = self.router
+        cand_idx = router.indices_of(batch.placements)[guid_idx]
+        return router.pair_paths(router.indices_of(sources), cand_idx, hops=hops)
 
-        Returns ``(cand, key, rtt_all, outcome, has_local, local_end,
-        down)``.  Keys and RTTs are computed one source AS at a time, from
-        that source's routing row.  ``outcome`` holds all hits when there
-        is no availability model.  ``has_local`` marks rows whose
-        querier's store holds the §III-C local copy.  ``local_end`` is
-        when that querier's local reply (or its timer) lands, and
-        ``down`` whether the querier's own service is down.
-        """
-        cand = batch.placements[gidx]
-        key = np.empty(cand.shape, dtype=np.float64)
-        rtt_all = np.empty(cand.shape, dtype=np.float64)
-        local_end = np.zeros(len(gidx), dtype=np.float64)
-        down = np.zeros(len(gidx), dtype=bool)
-        for s, run in _runs(src):
-            key[run] = self._selection_keys(s, cand[run])
-            rtt_all[run] = self.router.rtt_to_many(s, cand[run], strict=False)
-            if self.local_replica:
-                is_down = model is not None and bool(model.is_down(s))
-                down[run] = is_down
-                local_end[run] = local_branch_end_ms(
-                    self.router, s, is_down, self.timeout_ms
-                )
-        outcome = (
-            np.full(cand.shape, _HIT, dtype=np.int8)
-            if model is None
-            else self._outcome_matrix(batch, gidx, cand, model)
+    def _local_branches(
+        self, sources: np.ndarray, model=None
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(local_end, down)`` per row: when the querier's §III-C local
+        reply (or its timer) lands, and whether the querier's own service
+        is down.  Evaluated once per distinct source AS."""
+        local_end = np.zeros(len(sources), dtype=np.float64)
+        down = np.zeros(len(sources), dtype=bool)
+        if not self.local_replica or len(sources) == 0:
+            return local_end, down
+        asns, inverse = np.unique(sources, return_inverse=True)
+        is_down = np.array(
+            [model is not None and bool(model.is_down(s)) for s in asns.tolist()],
+            dtype=bool,
         )
-        has_local = ~down & (batch.local_asns[gidx] == src)
-        return cand, key, rtt_all, outcome, has_local, local_end, down
+        ends = np.array(
+            [
+                local_branch_end_ms(self.router, s, d, self.timeout_ms)
+                for s, d in zip(asns.tolist(), is_down.tolist())
+            ],
+            dtype=np.float64,
+        )
+        return ends[inverse], is_down[inverse]
+
+    # -- one slice -------------------------------------------------------
+    def _prepare(
+        self,
+        src: np.ndarray,
+        cand: np.ndarray,
+        path: np.ndarray,
+        hop_path: Optional[np.ndarray] = None,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Selection keys and RTTs of a slice of rows from its path cells.
+
+        ``one_way = intra(src) + path + intra(cand)`` with the path widened
+        to float64 (``intra(src)`` alone where the candidate is the
+        querier's own AS), exactly the per-element sum of
+        ``Router.one_way_to_many``; the RTT is ``2.0 * one_way``.  Keys are
+        the one-way latencies, or under the hop policy the hop cells (0
+        for the querier's own AS), as in
+        ``ReplicaSelector.order_candidates``.
+        """
+        intra = self.router.intra_array
+        src_idx = self.router.indices_of(src)
+        cand_idx = self.router.indices_of(cand)
+        same = cand_idx == src_idx[:, None]
+        src_intra = intra[src_idx][:, None]
+        one_way = src_intra + path.astype(np.float64) + intra[cand_idx]
+        one_way = np.where(same, src_intra, one_way)
+        if hop_path is None:
+            key = one_way
+        else:
+            key = np.where(same, 0.0, hop_path.astype(np.float64))
+        return key, 2.0 * one_way
 
     def _walk(
         self,
@@ -682,23 +686,3 @@ class FastpathEngine:
                 out[r, c] = cached
         return out
 
-
-def group_by_source(
-    sources: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(order, sorted_sources, starts)`` for a non-empty source array:
-    row indices stably sorted by source AS (input order kept within a
-    source), the sources in that order, and where each source's group
-    starts in it."""
-    order = np.argsort(sources, kind="stable")
-    sorted_src = sources[order]
-    starts = np.flatnonzero(np.r_[True, sorted_src[1:] != sorted_src[:-1]])
-    return order, sorted_src, starts
-
-
-def _runs(values: np.ndarray) -> List[Tuple[int, slice]]:
-    """``(value, slice)`` per run of equal adjacent entries of a non-empty
-    array."""
-    starts = np.flatnonzero(np.r_[True, values[1:] != values[:-1]])
-    ends = np.r_[starts[1:], len(values)]
-    return [(int(values[a]), slice(a, b)) for a, b in zip(starts, ends)]

@@ -1,8 +1,8 @@
 """Optional multiprocessing shard runner for paper-scale batches.
 
-Lookups grouped by source AS are embarrassingly parallel: each group
-touches one Dijkstra row and never mutates shared state (the engine keeps
-no stores).  The runner splits the source-AS groups of a batch into
+Lookups grouped by source AS are embarrassingly parallel: a group's
+distances depend only on the router, and no group mutates shared state
+(the engine keeps no stores).  The runner splits the source-AS groups of a batch into
 ``n_jobs`` row-balanced shards and fans them out over a fork-based
 ``multiprocessing.Pool``:
 
@@ -10,7 +10,8 @@ no stores).  The runner splits the source-AS groups of a batch into
   through a module global *before* forking, so workers inherit them
   copy-on-write and nothing heavyweight (trie, topology, CSR matrices)
   is ever pickled;
-* each worker runs the same serial group loop the in-process path uses,
+* each worker runs the same serial path the in-process run uses (one
+  ``Router.pair_paths`` call for its shard, then the walk),
   and its per-row results are scattered back by explicit row indices —
   output is therefore bit-identical to ``n_jobs=1`` regardless of worker
   scheduling;
@@ -30,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .engine import BatchLookupResult, FastpathEngine, GuidBatch, group_by_source
+from .engine import BatchLookupResult, FastpathEngine, GuidBatch
 
 #: (engine, batch) inherited by forked workers; set only around a Pool run.
 _SHARED: Optional[Tuple[FastpathEngine, GuidBatch]] = None
@@ -56,9 +57,11 @@ def default_jobs() -> int:
 
 def _shard_rows(sources: np.ndarray, n_shards: int) -> List[np.ndarray]:
     """Split row indices into ≤ ``n_shards`` row-balanced shards, cutting
-    only at source-AS group boundaries (each group needs its Dijkstra row
-    in exactly one worker)."""
-    order, _sorted_src, boundaries = group_by_source(sources)
+    only at source-AS group boundaries (so each source's distances are
+    computed in exactly one worker)."""
+    order = np.argsort(sources, kind="stable")
+    sorted_src = sources[order]
+    boundaries = np.flatnonzero(np.r_[True, sorted_src[1:] != sorted_src[:-1]])
     n_groups = len(boundaries)
     n_shards = max(1, min(n_shards, n_groups))
     # Cut the group-start offsets at evenly spaced row targets: groups are

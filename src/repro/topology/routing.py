@@ -3,10 +3,22 @@
 DMap reaches a hosting AS in a single *overlay* hop, but that hop rides on
 the underlying inter-domain routes; the simulation therefore needs
 source→destination network latencies and hop counts for ~26k ASs.  This
-module wraps :func:`scipy.sparse.csgraph.dijkstra` with per-source caching:
-a workload touches the same source ASs repeatedly (origins are weighted by
-end-node population), so one Dijkstra run per distinct source amortizes to
-near-zero.
+module wraps :func:`scipy.sparse.csgraph.dijkstra` two ways:
+
+* per-source rows behind an LRU (:meth:`Router.latency_row`), for the
+  scalar queries of the resolver and the simulators: a workload touches
+  the same source ASs repeatedly (origins are weighted by end-node
+  population), so one Dijkstra run per distinct source amortizes to
+  near-zero;
+* one batch call for many (source, destination) pairs
+  (:meth:`Router.pair_paths`), for the fastpath engine.  It keeps no
+  rows: it runs Dijkstra only for a planned set of sources, derives the
+  pairs of an independent set of the others from their neighbours' rows
+  (``d(s, x) = min_n w(s, n) + d(n, x)``), and accepts a derived value
+  only when its float32 rounding is certified equal to Dijkstra's.
+
+Every consumer reads paths as float32, and both ways return the same
+float32 bits for the same pair.
 
 End-to-end one-way latency follows the paper's DIMES-derived model
 (§IV-B.1): half the intra-AS latency contribution at each end plus the
@@ -22,7 +34,7 @@ and the round-trip query time is twice that (the reply retraces the path,
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -31,9 +43,39 @@ from scipy.sparse.csgraph import dijkstra
 from ..errors import RoutingError
 from .graph import ASTopology
 
-#: Sources per ``dijkstra(indices=...)`` call in :meth:`Router.prefetch_rows`
-#: (clamped to the cache size, so a block never evicts its own rows).
+#: Sources per ``dijkstra(indices=...)`` call of :meth:`Router.pair_paths`.
 ROW_BLOCK = 64
+
+#: Request rows per key lookup when :meth:`Router.pair_paths` scatters
+#: pair values back to its cells (bounds the index temporaries).
+_ROW_CHUNK = 1 << 14
+
+#: Unit roundoff of float64.
+_UNIT_ROUNDOFF = 2.0 ** -53
+
+
+def certified(values: np.ndarray, w_min: float, n: int) -> np.ndarray:
+    """Whether each neighbour-derived path length rounds to the float32
+    that Dijkstra's own value for the pair rounds to.
+
+    A derived value ``E = min_n w(s, n) + d(n, x)`` and Dijkstra's value
+    ``V`` are float64 sums of ``L`` link weights in different orders, so
+    each is within a relative ``γ_L ≈ L·2⁻⁵³`` of the true length.  Any
+    path of length about ``E`` has at most ``E / w_min`` links, so
+    ``L ≤ min(E / w_min + 2, n)``.  With ``ε = 2(L + 2)·2⁻⁵³`` (both
+    errors, the products' own rounding and slack), ``V`` lies in
+    ``[E(1 − ε), E(1 + ε)]``; float32 rounding is monotone, so when both
+    ends round to the same float32, so does ``V``.  ``inf`` (unreachable)
+    is certified; it is exact.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    links = np.full(values.shape, float(n))
+    if w_min > 0:
+        links = np.minimum(np.floor(values / w_min) + 2, links)
+    eps = 2 * (links + 2) * _UNIT_ROUNDOFF
+    low = (values * (1 - eps)).astype(np.float32)
+    high = (values * (1 + eps)).astype(np.float32)
+    return low == high
 
 
 class Router:
@@ -81,6 +123,8 @@ class Router:
         self._hop_rows: "OrderedDict[int, np.ndarray]" = OrderedDict()
         self.dijkstra_runs = 0
         self.evictions = 0
+        self.derived_rows = 0
+        self.fallback_rows = 0
 
     # ------------------------------------------------------------------
     # Cached distance rows
@@ -96,8 +140,10 @@ class Router:
             cache.move_to_end(src_index)
             return row
         # float32 halves the cache footprint; at 26k ASs a row is ~100 KB,
-        # so thousands of distinct sources stay resident.
-        row = dijkstra(matrix, directed=False, indices=src_index).astype(np.float32)
+        # so thousands of distinct sources stay resident.  The CSR holds
+        # both directions of every link, so a directed run gives the
+        # undirected distances, bit for bit, and skips the transpose.
+        row = dijkstra(matrix, directed=True, indices=src_index).astype(np.float32)
         self._store(cache, src_index, row)
         return row
 
@@ -113,45 +159,126 @@ class Router:
             cache.popitem(last=False)
             self.evictions += 1
 
-    @property
-    def row_block(self) -> int:
-        """Most sources one :meth:`prefetch_rows` call accepts."""
-        return min(ROW_BLOCK, self.cache_size)
+    # ------------------------------------------------------------------
+    # Pair distances (no rows kept)
+    # ------------------------------------------------------------------
+    def plan_rows(self, sources: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(exact, derived)`` dense indices for the distinct ``sources``.
 
-    def prefetch_rows(self, src_asns: Iterable[int], hops: bool = False) -> None:
-        """Put the latency (or ``hops``) rows of up to :attr:`row_block`
-        sources into the LRU, computing the missing ones in one Dijkstra
-        call.
-
-        Rows are bit-identical to :meth:`latency_row` / :meth:`hop_row`
-        computed one source at a time, and ``dijkstra_runs`` counts rows,
-        not calls.  Rows already cached are marked recently used, so no
-        row of the block is evicted before its caller reads it.
+        ``derived`` is an independent set of the sources, picked greedily
+        lowest degree first; :meth:`pair_paths` reads their pairs off their
+        neighbours' rows.  ``exact`` are the rows Dijkstra computes: the
+        other sources and every neighbour of a derived one.  A source is
+        derived only when at most one of its neighbours would be a new
+        exact row, so ``len(exact) <= len(set(sources))`` always holds.
         """
-        cache, matrix = (
-            (self._hop_rows, self._hop_matrix)
-            if hops
-            else (self._latency_rows, self._matrix)
-        )
-        wanted = list(dict.fromkeys(self.topology.index_of(a) for a in src_asns))
-        if len(wanted) > self.row_block:
-            raise RoutingError(
-                f"prefetch of {len(wanted)} sources exceeds the block of "
-                f"{self.row_block}"
+        wanted = np.unique(np.asarray(sources, dtype=np.int64))
+        indptr, indices = self._matrix.indptr, self._matrix.indices
+        degree = np.diff(indptr)
+        is_source = np.zeros(self.n, dtype=bool)
+        is_source[wanted] = True
+        derived = np.zeros(self.n, dtype=bool)
+        exact_nbr = np.zeros(self.n, dtype=bool)
+        for s in wanted[np.argsort(degree[wanted], kind="stable")].tolist():
+            nbrs = indices[indptr[s] : indptr[s + 1]]
+            if exact_nbr[s] or not len(nbrs):
+                continue
+            if np.count_nonzero(~is_source[nbrs] & ~exact_nbr[nbrs]) > 1:
+                continue
+            derived[s] = True
+            exact_nbr[nbrs] = True
+        exact = np.union1d(wanted[~derived[wanted]], np.flatnonzero(exact_nbr))
+        return exact, np.flatnonzero(derived)
+
+    def pair_paths(
+        self, src_idx: np.ndarray, dst_idx: np.ndarray, hops: bool = False
+    ) -> np.ndarray:
+        """Inter-AS path latencies (or ``hops``) as float32, one per cell
+        of ``dst_idx``; row ``i`` of ``dst_idx`` holds destinations of
+        source ``src_idx[i]`` (dense indices).
+
+        Every cell is bit-identical to ``latency_row(s)[x]`` /
+        ``hop_row(s)[x]`` (``0`` when ``x == s``, ``inf`` when
+        unreachable), but no row is kept and the LRU is untouched.
+        Dijkstra runs for :meth:`plan_rows`' exact set, :data:`ROW_BLOCK`
+        sources per call.  Each block row of ``n`` fills its own source's
+        pairs and lowers, by running minimum, every pair ``(s, x)`` of
+        each derived neighbour ``s`` to ``w(s, n) + row_n[x]``.  A derived
+        value is kept when :func:`certified`; a derived source with any
+        uncertain pair gets one exact row instead (a fallback row).
+        """
+        src = np.asarray(src_idx, dtype=np.int64)
+        dst = np.asarray(dst_idx, dtype=np.int64)
+        if src.ndim != 1 or dst.shape[:1] != src.shape:
+            raise RoutingError("pair_paths needs one source per row of dst_idx")
+        if not len(src):
+            return np.zeros(dst.shape, dtype=np.float32)
+        # One key ``s * n + x`` per cell; the distinct keys are the pairs,
+        # sorted by source, so source s owns pairs[bounds[s]:bounds[s + 1]].
+        grid = dst.reshape(len(src), -1)
+        pairs = np.unique(src[:, None] * self.n + grid)
+        ps, px = np.divmod(pairs, self.n)
+        bounds = np.searchsorted(ps, np.arange(self.n + 1))
+        matrix = self._hop_matrix if hops else self._matrix
+        itself = ps == px
+        exact, derived = self.plan_rows(ps[~itself])
+        is_derived = np.zeros(self.n, dtype=bool)
+        is_derived[derived] = True
+        dist = np.full(len(pairs), np.inf)
+        self._stream(matrix, exact, bounds, px, dist, feed=is_derived)
+        via = np.flatnonzero(is_derived[ps] & ~itself)
+        w_min = float(matrix.data.min()) if matrix.nnz else 0.0
+        unsure = via[~certified(dist[via], w_min, self.n)]
+        fallback = np.unique(ps[unsure])
+        self._stream(matrix, fallback, bounds, px, dist)
+        dist[itself] = 0.0
+        self.derived_rows += len(derived)
+        self.fallback_rows += len(fallback)
+        paths = dist.astype(np.float32)
+        out = np.empty(grid.shape, dtype=np.float32)
+        for first in range(0, len(src), _ROW_CHUNK):
+            rows = slice(first, first + _ROW_CHUNK)
+            keys = src[rows, None] * self.n + grid[rows]
+            out[rows] = paths[np.searchsorted(pairs, keys)]
+        return out.reshape(dst.shape)
+
+    def _stream(
+        self,
+        matrix: csr_matrix,
+        nodes: np.ndarray,
+        bounds: np.ndarray,
+        px: np.ndarray,
+        dist: np.ndarray,
+        feed: Optional[np.ndarray] = None,
+    ) -> None:
+        """Compute the Dijkstra rows of ``nodes``, :data:`ROW_BLOCK` per
+        call, and drop each block once read.
+
+        Each row writes its own source's pairs of ``dist`` (source ``s``
+        owns ``bounds[s]:bounds[s + 1]``, with hosts ``px``).  With a
+        ``feed`` mask, the row of ``n`` also lowers every pair ``(s, x)``
+        of each neighbour ``s`` in ``feed`` to ``w(s, n) + row_n[x]``
+        when that is smaller.
+        """
+        indptr, indices = matrix.indptr, matrix.indices
+        for first in range(0, len(nodes), ROW_BLOCK):
+            block = nodes[first : first + ROW_BLOCK]
+            rows = dijkstra(matrix, directed=True, indices=block)
+            self.dijkstra_runs += len(block)
+            at, cells = _ranges(bounds[block], bounds[block + 1])
+            dist[cells] = rows[at, px[cells]]
+            if feed is None:
+                continue
+            # The block's links into fed sources, then each such link
+            # expanded to every pair of the source at its far end.
+            at, links = _ranges(indptr[block], indptr[block + 1])
+            fed = feed[indices[links]]
+            at, links = at[fed], links[fed]
+            nbr = indices[links]
+            link, cells = _ranges(bounds[nbr], bounds[nbr + 1])
+            np.minimum.at(
+                dist, cells, matrix.data[links[link]] + rows[at[link], px[cells]]
             )
-        missing = []
-        for idx in wanted:
-            if idx in cache:
-                cache.move_to_end(idx)
-            else:
-                missing.append(idx)
-        if not missing:
-            return
-        block = dijkstra(matrix, directed=False, indices=missing).astype(np.float32)
-        for idx, row in zip(missing, block):
-            # Copy each row out, so an evicted row frees its memory even
-            # while the rest of its block stays cached.
-            self._store(cache, idx, row.copy())
 
     def latency_row(self, src_asn: int) -> np.ndarray:
         """Inter-AS path latency (ms) from ``src_asn`` to every AS, in
@@ -287,10 +414,24 @@ class Router:
         raise RoutingError(f"unknown selection criterion {by!r}")
 
     def cache_stats(self) -> Dict[str, int]:
-        """Diagnostics: cached rows, rows computed and rows evicted."""
+        """Diagnostics: cached rows, Dijkstra rows computed, rows evicted,
+        and the sources :meth:`pair_paths` planned as derived, of which
+        ``fallback_rows`` needed an exact row after all."""
         return {
             "latency_rows": len(self._latency_rows),
             "hop_rows": len(self._hop_rows),
             "dijkstra_runs": self.dijkstra_runs,
             "evictions": self.evictions,
+            "derived_rows": self.derived_rows,
+            "fallback_rows": self.fallback_rows,
         }
+
+
+def _ranges(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(owner, index)``: every index of the ranges ``lo[i]:hi[i]``,
+    concatenated, and the ``i`` each came from."""
+    counts = hi - lo
+    owner = np.repeat(np.arange(len(lo)), counts)
+    starts = np.cumsum(counts) - counts
+    index = np.arange(counts.sum()) + np.repeat(lo - starts, counts)
+    return owner, index

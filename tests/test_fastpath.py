@@ -444,9 +444,17 @@ class TestKSweep:
     def test_each_row_computed_once(self, topology, base_table, asns):
         small = Router(topology, cache_size=4)
         _, engine, batch, gidx, srcs, _ = _deploy(base_table, small, asns, seed=181)
-        start = small.dijkstra_runs
+        start = small.cache_stats()
         engine.lookup_batch(batch, gidx, srcs, k_values=self.K_VALUES)
-        assert small.dijkstra_runs - start == len(set(srcs.tolist()))
+        stats = small.cache_stats()
+        exact, derived = small.plan_rows(small.indices_of(srcs))
+        runs = stats["dijkstra_runs"] - start["dijkstra_runs"]
+        fallbacks = stats["fallback_rows"] - start["fallback_rows"]
+        assert stats["derived_rows"] - start["derived_rows"] == len(derived)
+        assert runs == len(exact) + fallbacks
+        assert runs < len(set(srcs.tolist()))
+        # The pair call leaves the LRU alone: nothing is evicted.
+        assert stats["evictions"] == start["evictions"]
 
     def test_sharded_sweep_matches_serial(self, base_table, router, asns):
         _, engine, batch, gidx, srcs, _ = _deploy(base_table, router, asns, seed=191)

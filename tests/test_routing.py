@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import dijkstra
 
 from repro.errors import RoutingError
 from repro.topology.datasets import line_fixture, star_fixture
 from repro.topology.graph import ASInfo, ASTopology
-from repro.topology.routing import Router
+from repro.topology.routing import Router, certified
 
 
 class TestLineFixture:
@@ -105,57 +106,102 @@ class TestCaching:
             Router(line_fixture(n=3), cache_size=0)
 
 
-class TestPrefetch:
-    @pytest.fixture(scope="class")
-    def topo(self, topology):
-        return topology
+class TestPairPaths:
+    """``pair_paths`` derives an independent set of sources from their
+    neighbours' rows and must still return Dijkstra's float32 bits."""
 
-    def test_block_rows_bit_identical(self, topo):
-        single = Router(topo)
-        blocked = Router(topo)
-        sources = topo.asns()[:20]
-        blocked.prefetch_rows(sources)
-        blocked.prefetch_rows(sources, hops=True)
-        assert blocked.dijkstra_runs == 2 * len(sources)
-        for asn in sources:
-            for fetch in ("latency_row", "hop_row"):
-                expected = getattr(single, fetch)(asn)
-                got = getattr(blocked, fetch)(asn)
-                assert got.dtype == expected.dtype == np.float32
-                assert np.array_equal(got, expected)
-        # Every row above was a cache hit.
-        assert blocked.dijkstra_runs == 2 * len(sources)
+    @pytest.mark.parametrize("hops", [False, True], ids=["latency", "hops"])
+    def test_every_pair_bit_identical(self, topology, hops):
+        router = Router(topology)
+        n = router.n
+        # Every source, every host (the diagonal included).
+        got = router.pair_paths(
+            np.arange(n), np.tile(np.arange(n), (n, 1)), hops=hops
+        )
+        stats = router.cache_stats()
+        assert stats["derived_rows"] > 0
+        exact, derived = router.plan_rows(np.arange(n))
+        assert stats["derived_rows"] == len(derived)
+        assert stats["dijkstra_runs"] == len(exact) + stats["fallback_rows"] < n
+        assert stats["latency_rows"] == stats["hop_rows"] == 0
+        reference = Router(topology)
+        fetch = reference.hop_row if hops else reference.latency_row
+        for s, asn in enumerate(topology.asns()):
+            expected = fetch(asn)
+            assert got.dtype == expected.dtype == np.float32
+            assert np.array_equal(got[s], expected), f"source AS {asn}"
+            assert got[s, s] == 0
+        # The router runs Dijkstra directed over the two-way CSR; the
+        # undirected run gives the same bits.
+        matrix = reference._hop_matrix if hops else reference._matrix
+        undirected = dijkstra(matrix, directed=False).astype(np.float32)
+        assert np.array_equal(got, undirected)
 
-    def test_cached_rows_not_recomputed(self, topo):
+    def test_cells_follow_the_request_shape(self, topology):
+        router = Router(topology)
+        rng = np.random.default_rng(3)
+        src = rng.integers(0, router.n, size=40)
+        dst = rng.integers(0, router.n, size=(40, 3))
+        dst[0, 1] = src[0]
+        got = router.pair_paths(src, dst)
+        assert got.shape == dst.shape
+        reference = Router(topology)
+        for i in range(len(src)):
+            row = reference.latency_row(topology.asn_at(int(src[i])))
+            assert np.array_equal(got[i], row[dst[i]])
+
+    def test_plan_is_independent_and_never_exceeds_sources(self, topology):
+        router = Router(topology)
+        indptr, indices = router._matrix.indptr, router._matrix.indices
+        rng = np.random.default_rng(11)
+        for size in (5, 40, 150, router.n):
+            sources = rng.choice(router.n, size=size, replace=False)
+            exact, derived = router.plan_rows(sources)
+            assert len(exact) <= size
+            assert set(derived.tolist()) <= set(sources.tolist())
+            is_derived = np.zeros(router.n, dtype=bool)
+            is_derived[derived] = True
+            for s in derived.tolist():
+                nbrs = indices[indptr[s] : indptr[s + 1]]
+                assert not is_derived[nbrs].any()
+                assert set(nbrs.tolist()) <= set(exact.tolist())
+            rest = set(sources.tolist()) - set(derived.tolist())
+            assert rest <= set(exact.tolist())
+
+    def test_certified_rejects_a_float32_midpoint(self):
+        midpoint = 1.0 + 2.0**-24  # halfway between two float32 values
+        got = certified(
+            np.array([midpoint, 1.0 + 2.0**-22, np.inf, 30.25]), w_min=0.5, n=4
+        )
+        assert got.tolist() == [False, True, True, True]
+        # Far enough from the midpoint for the error bound, it certifies.
+        assert certified(np.array([midpoint + 2.0**-40]), w_min=0.5, n=4)[0]
+
+    def test_fallback_row_on_rounding_boundary(self):
+        # Line 1 - 2 - 3 - 4.  Dijkstra from AS 1 sums w1 + w2 + w3 left
+        # to right; the derivation for AS 1 via AS 2 adds w1 to
+        # (w2 + w3).  The two float64 results sit on either side of a
+        # float32 midpoint, so only the fallback row gives Dijkstra's bits.
+        topo = ASTopology()
+        for asn in (1, 2, 3, 4):
+            topo.add_as(ASInfo(asn, intra_latency_ms=1.0, endnodes=1))
+        topo.add_link(1, 2, 1.0 + 2.0**-24)
+        topo.add_link(2, 3, 2.0**-53)
+        topo.add_link(3, 4, 2.0**-53)
         router = Router(topo)
-        a, b, c = topo.asns()[:3]
-        router.latency_row(a)
-        router.prefetch_rows([a, b, b, c])
-        assert router.dijkstra_runs == 3
-
-    def test_block_clamped_to_cache(self, topo):
-        router = Router(topo, cache_size=3)
-        assert router.row_block == 3
-        with pytest.raises(RoutingError):
-            router.prefetch_rows(topo.asns()[:4])
-        first = topo.asns()[0]
-        router.latency_row(first)
-        router.prefetch_rows(topo.asns()[:3])
-        # The block's cached row stays resident next to the new ones.
-        assert router.cache_stats()["evictions"] == 0
-        runs = router.dijkstra_runs
-        router.latency_row(first)
-        assert router.dijkstra_runs == runs == 3
-
-    def test_prefetch_refreshes_lru(self):
-        router = Router(line_fixture(n=6), cache_size=2)
-        router.latency_row(1)
-        router.latency_row(2)
-        router.prefetch_rows([1])  # AS 1 is now most recently used
-        router.latency_row(3)  # evicts AS 2, not AS 1
-        runs = router.dijkstra_runs
-        router.latency_row(1)
-        assert router.dijkstra_runs == runs
+        got = router.pair_paths(np.arange(4), np.tile(np.arange(4), (4, 1)))
+        exact, derived = router.plan_rows(np.arange(4))
+        assert derived.tolist() == [0, 3] and exact.tolist() == [1, 2]
+        reference = Router(topo)
+        for s in range(4):
+            assert np.array_equal(got[s], reference.latency_row(s + 1))
+        stats = router.cache_stats()
+        assert stats["fallback_rows"] == 2
+        assert stats["dijkstra_runs"] == len(exact) + 2
+        # The boundary is real: the uncertified estimate for (1, 4) rounds
+        # to a different float32 than Dijkstra's value.
+        estimate = (1.0 + 2.0**-24) + (2.0**-53 + 2.0**-53)
+        assert np.float32(estimate) != got[0, 3]
 
 
 class TestUnreachable:
@@ -167,6 +213,18 @@ class TestUnreachable:
         topo.add_link(1, 2, 5.0)
         topo.add_link(3, 4, 5.0)
         return Router(topo)
+
+    def test_pair_paths_unreachable_is_inf(self, split_router):
+        n = split_router.n
+        got = split_router.pair_paths(np.arange(n), np.tile(np.arange(n), (n, 1)))
+        assert split_router.cache_stats()["derived_rows"] > 0
+        assert np.isinf(got[0, 2]) and np.isinf(got[3, 1])
+        assert got[0, 1] == got[1, 0] == got[2, 3] == np.float32(5.0)
+        assert np.diag(got).tolist() == [0.0] * n
+        hops = split_router.pair_paths(
+            np.arange(n), np.tile(np.arange(n), (n, 1)), hops=True
+        )
+        assert np.isinf(hops[1, 3]) and hops[1, 0] == 1
 
     def test_unreachable_raises(self, split_router):
         with pytest.raises(RoutingError, match="unreachable"):
