@@ -18,7 +18,6 @@ from .churn import (
 from .interval_index import HOLE, IntervalIndex
 from .prefix import Announcement, Prefix
 from .table import GlobalPrefixTable
-from .trie import PrefixTrie
 
 __all__ = [
     "AllocationConfig",
@@ -37,5 +36,4 @@ __all__ = [
     "Announcement",
     "Prefix",
     "GlobalPrefixTable",
-    "PrefixTrie",
 ]

@@ -7,21 +7,22 @@ sorted array of *disjoint ownership intervals* — each interval labelled
 with the AS whose announcement is most specific there — and answers batch
 lookups with one :func:`numpy.searchsorted` call.
 
-The decomposition is exact under arbitrary prefix overlap (a covering /16
-with more-specific /24s inside it) and is property-tested against the
-reference :class:`repro.bgp.trie.PrefixTrie`.
+The decomposition (:func:`decompose`) is exact under arbitrary prefix
+overlap (a covering /16 with more-specific /24s inside it).  It is shared
+with :class:`repro.bgp.table.GlobalPrefixTable`, so both are
+property-tested against the independent reference
+:class:`repro.bgp.trie.PrefixTrie`.
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
 from ..core.guid import ADDRESS_BITS
 from ..errors import EmptyPrefixTableError
-from .prefix import Announcement
+from .prefix import Announcement, Prefix
 
 #: Owner label for address ranges covered by no announcement (IP holes).
 HOLE = -1
@@ -50,9 +51,35 @@ class IntervalIndex:
     def __init__(
         self, announcements: Iterable[Announcement], bits: int = ADDRESS_BITS
     ) -> None:
+        # One announcement per prefix; the first one listed wins.
+        unique: Dict[Prefix, Announcement] = {}
+        for ann in announcements:
+            unique.setdefault(ann.prefix, ann)
+        if not unique:
+            raise EmptyPrefixTableError(
+                "cannot build an interval index from no announcements"
+            )
+        _, bases, lengths, asns = sort_announcements(list(unique.values()))
+        starts, labels = decompose(bases, lengths, bits)
+        self._init(*owner_intervals(starts, labels, asns), bits)
+
+    @classmethod
+    def from_intervals(
+        cls, starts: np.ndarray, owners: np.ndarray, bits: int = ADDRESS_BITS
+    ) -> "IntervalIndex":
+        """Wrap an already decomposed table (see :func:`owner_intervals`)."""
+        index = cls.__new__(cls)
+        index._init(starts, owners, bits)
+        return index
+
+    def _init(self, starts: np.ndarray, owners: np.ndarray, bits: int) -> None:
         self.bits = bits
-        anns = list(announcements)
-        self.starts, self.owners = _decompose(anns, bits)
+        self.starts = starts
+        self.owners = owners
+        # Frozen: one index may be shared by every caller of a table
+        # snapshot.
+        self.starts.flags.writeable = False
+        self.owners.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.starts)
@@ -103,77 +130,76 @@ class IntervalIndex:
         return spans
 
 
-def _decompose(
-    announcements: List[Announcement], bits: int
+def sort_announcements(
+    anns: List[Announcement],
+) -> Tuple[List[Announcement], np.ndarray, np.ndarray, np.ndarray]:
+    """``anns`` sorted by ``(base, length)``, and their bases (``uint64``),
+    lengths and origin ASs (``int64``) as arrays in that order."""
+    n = len(anns)
+    bases = np.fromiter((a.prefix.base for a in anns), np.uint64, n)
+    lengths = np.fromiter((a.prefix.length for a in anns), np.int64, n)
+    order = np.lexsort((lengths, bases))
+    ordered = [anns[i] for i in order.tolist()]
+    asns = np.fromiter((a.asn for a in ordered), np.int64, n)
+    return ordered, bases[order], lengths[order], asns
+
+
+def decompose(
+    bases: np.ndarray, lengths: np.ndarray, bits: int
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Sweep-line decomposition of overlapping prefixes into disjoint
-    ownership intervals.
+    """Disjoint LPM intervals of distinct prefixes sorted by ``(base, length)``.
 
-    Classic interval-stabbing sweep: prefix *start* and *end* events are
-    processed in address order while a lazy max-heap keyed by prefix length
-    tracks the currently most-specific active announcement.
+    Returns ``(starts, labels)``: ``labels[i]`` is the position, in the
+    input, of the most specific prefix covering
+    ``[starts[i], starts[i + 1])``, or :data:`HOLE`.  ``starts[0] == 0``,
+    no interval is empty, and no two neighbours share a label.
+
+    CIDR blocks are laminar: two blocks are nested or disjoint.  So one
+    pass in ``(base, length)`` order with a stack of the open blocks
+    finds every boundary: a block opens at its base, inside whatever is
+    on the stack, and closes (handing back to its parent) before the
+    first block that starts at or after its end.
     """
-    if not announcements:
-        raise EmptyPrefixTableError("cannot build an interval index from no announcements")
-
     space_end = 1 << bits
-    events: List[Tuple[int, int, int, Announcement]] = []
-    for order, ann in enumerate(announcements):
-        # End events (kind 0) sort before start events (kind 1) at the same
-        # address so a block ending exactly where another begins hands over
-        # cleanly.
-        events.append((ann.prefix.first, 1, order, ann))
-        events.append((ann.prefix.last + 1, 0, order, ann))
-    events.sort(key=lambda e: (e[0], e[1]))
+    ends = bases + np.left_shift(np.uint64(1), (bits - lengths).astype(np.uint64))
+    pos, lab = _boundaries(bases.tolist(), ends.tolist())
+    # Positions never decrease; the last label emitted at a position
+    # holds from there, and the boundary at the end of the space goes.
+    keep = pos < space_end
+    keep[:-1] &= pos[1:] != pos[:-1]
+    return _merge_runs(pos[keep], lab[keep])
 
-    # Lazy-deletion max-heap of active prefixes, most specific first; ties
-    # broken deterministically by insertion order.
-    heap: List[Tuple[int, int, Announcement]] = []
-    dead: Dict[int, int] = {}  # order -> pending removals
 
-    starts: List[int] = []
-    owners: List[int] = []
+def _boundaries(
+    firsts: List[int], ends: List[int]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Every block boundary, with the label that holds from there on."""
+    positions: List[int] = [0]
+    labels: List[int] = [HOLE]
+    stack: List[int] = []
+    for i, first in enumerate(firsts):
+        while stack and ends[stack[-1]] <= first:
+            positions.append(ends[stack.pop()])
+            labels.append(stack[-1] if stack else HOLE)
+        positions.append(first)
+        labels.append(i)
+        stack.append(i)
+    while stack:
+        positions.append(ends[stack.pop()])
+        labels.append(stack[-1] if stack else HOLE)
+    return np.asarray(positions, dtype=np.uint64), np.asarray(labels, dtype=np.int64)
 
-    def current_owner() -> int:
-        while heap:
-            neg_len, order, ann = heap[0]
-            if dead.get(order, 0) > 0:
-                dead[order] -= 1
-                if dead[order] == 0:
-                    del dead[order]
-                heapq.heappop(heap)
-                continue
-            return ann.asn
-        return HOLE
 
-    def emit(position: int, owner: int) -> None:
-        if owners and owners[-1] == owner:
-            return  # merge equal-owner runs
-        if starts and starts[-1] == position:
-            owners[-1] = owner  # zero-width run: overwrite
-            if len(owners) >= 2 and owners[-2] == owner:
-                starts.pop()
-                owners.pop()
-            return
-        starts.append(position)
-        owners.append(owner)
+def owner_intervals(
+    starts: np.ndarray, labels: np.ndarray, asns: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`decompose`'s intervals relabelled with the owning AS
+    (``asns[label]``, or :data:`HOLE`), neighbours of one AS merged."""
+    owners = np.where(labels == HOLE, HOLE, asns[np.maximum(labels, 0)])
+    return _merge_runs(starts, owners)
 
-    emit(0, HOLE)
-    i = 0
-    n = len(events)
-    while i < n:
-        position = events[i][0]
-        while i < n and events[i][0] == position:
-            _, kind, order, ann = events[i]
-            if kind == 1:
-                heapq.heappush(heap, (-ann.prefix.length, order, ann))
-            else:
-                dead[order] = dead.get(order, 0) + 1
-            i += 1
-        if position < space_end:
-            emit(position, current_owner())
 
-    return (
-        np.asarray(starts, dtype=np.uint64),
-        np.asarray(owners, dtype=np.int64),
-    )
+def _merge_runs(starts: np.ndarray, labels: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    first = np.ones(len(labels), dtype=bool)
+    first[1:] = labels[1:] != labels[:-1]
+    return starts[first], labels[first]

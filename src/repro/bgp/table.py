@@ -12,21 +12,61 @@ The table supports dynamic announce/withdraw so BGP-churn experiments
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
+import numpy as np
+
 from ..core.guid import ADDRESS_BITS, NetworkAddress
-from ..errors import PrefixTableError
-from .interval_index import IntervalIndex
+from ..errors import AddressError, EmptyPrefixTableError, PrefixTableError
+from .interval_index import (
+    HOLE,
+    IntervalIndex,
+    decompose,
+    owner_intervals,
+    sort_announcements,
+)
 from .prefix import Announcement, Prefix
-from .trie import PrefixTrie
+
+
+class _Snapshot:
+    """The announcements sorted by ``(base, length)`` and their interval
+    decomposition: what every query of one table state reads."""
+
+    __slots__ = ("anns", "bases", "lengths", "asns", "starts", "labels",
+                 "bounds", "owners", "span", "index", "keys")
+
+    def __init__(self, anns: List[Announcement], bits: int) -> None:
+        self.anns, self.bases, self.lengths, self.asns = sort_announcements(anns)
+        for array in (self.bases, self.lengths, self.asns):
+            array.flags.writeable = False
+        self.starts, self.labels = decompose(self.bases, self.lengths, bits)
+        # Python lists: the scalar LPM bisects them once per call.
+        self.bounds = self.starts.tolist()
+        self.owners: List[Optional[Announcement]] = [
+            None if label == HOLE else self.anns[label]
+            for label in self.labels.tolist()
+        ]
+        widths = np.diff(np.append(self.starts, np.uint64(1 << bits)))
+        self.span = int(widths[self.labels != HOLE].sum())
+        self.index: Optional[IntervalIndex] = None
+        # ``base << 8 | length`` per announcement (in order; a length
+        # fits in 8 bits), for the nearest-prefix descent; built on its
+        # first call.
+        self.keys: Optional[List[int]] = None
 
 
 class GlobalPrefixTable:
     """Set of BGP announcements with LPM and nearest-prefix queries.
 
-    Internally a :class:`~repro.bgp.trie.PrefixTrie` plus per-AS indexes.
-    A frozen :class:`~repro.bgp.interval_index.IntervalIndex` snapshot can
-    be built for vectorized bulk experiments.
+    The announcements live in a dict keyed by prefix, plus per-AS
+    indexes.  Every query reads one snapshot of them, sorted by
+    ``(base, length)`` and decomposed into disjoint ownership intervals
+    (:func:`~repro.bgp.interval_index.decompose`): the scalar LPM bisects
+    it, :meth:`build_interval_index` wraps it for vectorized bulk
+    experiments.  A mutation drops the snapshot and the next query
+    rebuilds it, so a run of announcements costs one rebuild, not one
+    per announcement.
 
     ``generation`` counts the mutations (:meth:`announce` and
     :meth:`withdraw` are the only ones), so a caller holding something
@@ -39,14 +79,42 @@ class GlobalPrefixTable:
         bits: int = ADDRESS_BITS,
     ) -> None:
         self.bits = bits
-        self._trie = PrefixTrie(bits)
+        self._anns: Dict[Prefix, Announcement] = {}
         self._by_asn: Dict[int, Set[Prefix]] = {}
         # Lowest prefix per AS, filled lazily by representative_address and
         # dropped whenever that AS gains or loses a prefix.
         self._lowest: Dict[int, Prefix] = {}
+        self._snap: Optional[_Snapshot] = None
         self.generation = 0
         for ann in announcements:
             self.announce(ann)
+
+    @classmethod
+    def from_arrays(
+        cls,
+        bases: np.ndarray,
+        lengths: np.ndarray,
+        asns: np.ndarray,
+        bits: int = ADDRESS_BITS,
+    ) -> "GlobalPrefixTable":
+        """The table announcing ``bases[i]/lengths[i]`` from ``asns[i]`` —
+        the inverse of :meth:`prefix_arrays`.
+
+        Equal to announcing them one by one (``generation`` included), in
+        one pass; the prefixes must be distinct.
+        """
+        table = cls(bits=bits)
+        anns = [
+            Announcement(Prefix(base, length, bits), asn)
+            for base, length, asn in zip(bases.tolist(), lengths.tolist(), asns.tolist())
+        ]
+        table._anns = {ann.prefix: ann for ann in anns}
+        if len(table._anns) != len(anns):
+            raise PrefixTableError("from_arrays needs distinct prefixes")
+        for ann in anns:
+            table._by_asn.setdefault(ann.asn, set()).add(ann.prefix)
+        table.generation = len(anns)
+        return table
 
     # ------------------------------------------------------------------
     # Mutation
@@ -54,21 +122,33 @@ class GlobalPrefixTable:
     def announce(self, announcement: Announcement) -> None:
         """Add an origination.  Re-announcing a prefix from a different AS
         moves it (the old origin loses it), mirroring BGP origin changes."""
-        previous = self._trie.insert(announcement)
+        prefix = announcement.prefix
+        self._check_width(prefix)
+        previous = self._anns.get(prefix)
         if previous is not None:
             self._disown(previous)
-        self._by_asn.setdefault(announcement.asn, set()).add(announcement.prefix)
+        self._anns[prefix] = announcement
+        self._by_asn.setdefault(announcement.asn, set()).add(prefix)
         self._lowest.pop(announcement.asn, None)
+        self._snap = None
         self.generation += 1
 
     def withdraw(self, prefix: Prefix) -> Announcement:
         """Remove an origination; raises if the prefix is not announced."""
-        removed = self._trie.withdraw(prefix)
+        self._check_width(prefix)
+        removed = self._anns.pop(prefix, None)
         if removed is None:
             raise PrefixTableError(f"prefix {prefix} is not announced")
         self._disown(removed)
+        self._snap = None
         self.generation += 1
         return removed
+
+    def _check_width(self, prefix: Prefix) -> None:
+        if prefix.bits != self.bits:
+            raise AddressError(
+                f"prefix width {prefix.bits} does not match table width {self.bits}"
+            )
 
     def _disown(self, announcement: Announcement) -> None:
         """Drop ``announcement`` from its origin's per-AS indexes."""
@@ -82,20 +162,36 @@ class GlobalPrefixTable:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
+    def _snapshot(self) -> _Snapshot:
+        snap = self._snap
+        if snap is None:
+            snap = self._snap = _Snapshot(list(self._anns.values()), self.bits)
+        return snap
+
+    def _address(self, address: Union[int, NetworkAddress]) -> int:
+        value = int(address)
+        if not 0 <= value < (1 << self.bits):
+            raise AddressError(f"address {value:#x} out of range")
+        return value
+
     def __len__(self) -> int:
-        return len(self._trie)
+        return len(self._anns)
 
     def __iter__(self) -> Iterator[Announcement]:
-        return iter(self._trie)
+        """Announcements in ``(base, length)`` order: a covering block
+        before its more-specifics."""
+        return iter(self._snapshot().anns)
 
     def __contains__(self, prefix: Prefix) -> bool:
-        return self._trie.exact_match(prefix) is not None
+        return prefix in self._anns
 
     def resolve(
         self, address: Union[int, NetworkAddress]
     ) -> Optional[Announcement]:
         """Longest-prefix match; ``None`` when the address is an IP hole."""
-        return self._trie.longest_prefix_match(address)
+        value = self._address(address)
+        snap = self._snapshot()
+        return snap.owners[bisect_right(snap.bounds, value) - 1]
 
     def owner_asn(self, address: Union[int, NetworkAddress]) -> Optional[int]:
         """AS that would host a mapping hashed to ``address`` (or ``None``)."""
@@ -106,8 +202,53 @@ class GlobalPrefixTable:
         self, address: Union[int, NetworkAddress]
     ) -> Tuple[Announcement, int]:
         """Nearest announced prefix under the XOR IP-distance metric —
-        the deputy-AS selection of Algorithm 1."""
-        return self._trie.nearest_prefix(address)
+        the deputy-AS selection of Algorithm 1 (``findNearestPrefix``,
+        line 10).
+
+        Returns ``(announcement, distance)``; distance 0 means covered.
+        The distance to a block is the XOR of its network bits with the
+        address's (§III-B, :meth:`Prefix.xor_distance_to`).  Two blocks
+        at one distance are nested, and the shorter one wins, so a
+        covered address gets its shortest covering prefix.  Raises
+        :class:`EmptyPrefixTableError` on an empty table.
+        """
+        value = self._address(address)
+        snap = self._snapshot()
+        if not snap.anns:
+            raise EmptyPrefixTableError("nearest prefix in an empty prefix table")
+        keys = snap.keys
+        if keys is None:
+            keys = snap.keys = [
+                base << 8 | length
+                for base, length in zip(snap.bases.tolist(), snap.lengths.tolist())
+            ]
+        # The trie's best-first descent, over the sorted snapshot: the
+        # block ``node/depth`` holds announcements ``lo:hi``.  A mismatched
+        # bit costs more than all later bits together, so the branch
+        # matching the address wins whenever it holds any announcement,
+        # and the first announced block on the way down is the nearest
+        # (deeper ones are no closer; at a tie the shorter wins).
+        bits = self.bits
+        lo, hi, node, distance = 0, len(keys), 0, 0
+        for depth in range(bits + 1):
+            key = keys[lo]
+            if hi - lo == 1:  # one candidate left: its distance directly
+                host = bits - (key & 0xFF)
+                return snap.anns[lo], ((key >> 8 ^ value) >> host) << host
+            if key == node << 8 | depth:
+                return snap.anns[lo], distance
+            half = 1 << (bits - 1 - depth)
+            mid = bisect_left(keys, (node + half) << 8, lo, hi)
+            if value & half:
+                if mid < hi:
+                    lo, node = mid, node + half
+                else:
+                    hi, distance = mid, distance + half
+            elif lo < mid:
+                hi = mid
+            else:
+                lo, node, distance = mid, node + half, distance + half
+        raise AssertionError("a non-empty block holds an announcement")
 
     def prefixes_of(self, asn: int) -> List[Prefix]:
         """All prefixes currently originated by ``asn`` (sorted)."""
@@ -120,7 +261,7 @@ class GlobalPrefixTable:
     def announced_span(self) -> int:
         """Addresses covered by at least one announcement (overlaps counted
         once)."""
-        return self._trie.announced_span()
+        return self._snapshot().span
 
     def announcement_ratio(self) -> float:
         """Fraction of the address space that is announced.
@@ -147,12 +288,28 @@ class GlobalPrefixTable:
             lowest = self._lowest[asn] = min(owned)
         return NetworkAddress(lowest.base, self.bits)
 
+    def prefix_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(bases, lengths, asns)`` of the announcements, in iteration
+        order (read-only ``uint64``/``int64``/``int64`` arrays)."""
+        snap = self._snapshot()
+        return snap.bases, snap.lengths, snap.asns
+
     def build_interval_index(self) -> IntervalIndex:
         """Frozen vectorized snapshot for bulk LPM (Fig. 6 experiment).
 
-        The snapshot does not track later announce/withdraw calls.
+        The index does not track later announce/withdraw calls.  It is
+        built once per table state: calls between two mutations return
+        the same (read-only) index.
         """
-        return IntervalIndex(list(self), bits=self.bits)
+        snap = self._snapshot()
+        if snap.index is None:
+            if not snap.anns:
+                raise EmptyPrefixTableError(
+                    "cannot build an interval index from no announcements"
+                )
+            starts, owners = owner_intervals(snap.starts, snap.labels, snap.asns)
+            snap.index = IntervalIndex.from_intervals(starts, owners, self.bits)
+        return snap.index
 
     def copy(self) -> "GlobalPrefixTable":
         """Independent copy (used to model inconsistent BGP views)."""

@@ -1,9 +1,10 @@
 """Binary trie over announced prefixes: longest-prefix match and
 nearest-prefix search under the paper's XOR "IP distance" metric.
 
-This is the reference structure used by the resolver and the simulation.
-The vectorized :mod:`repro.bgp.interval_index` gives the same answers for
-bulk lookups and is property-tested for agreement with this trie.
+This is the independent reference implementation.  The production
+:class:`~repro.bgp.table.GlobalPrefixTable` answers from a sorted snapshot
+and :mod:`repro.bgp.interval_index` instead; the tests and
+:mod:`repro.validation` check both against this trie.
 """
 
 from __future__ import annotations

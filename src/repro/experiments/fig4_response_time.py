@@ -184,6 +184,13 @@ def run_fig4(
     # from neighbour rows (fallback_rows of them needed a row after all);
     # cumulative over the router's life.  Sharded runs count in workers.
     manifest.extra["routing"] = env.router.cache_stats()
+    # Which stored substrate the run used, and whether its set-up loaded
+    # it or generated it.
+    manifest.extra["substrate"] = {
+        "key": env.substrate_key,
+        "loaded": env.substrate_loaded,
+        "setup_s": env.setup_s,
+    }
     if tracing:
         with manifest.phase("export"):
             count = write_traces(trace_path, tracer.traces)

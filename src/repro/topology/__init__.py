@@ -1,7 +1,6 @@
 """AS-level topology substrate: graph, generator, routing, Jellyfish."""
 
 from .datasets import (
-    cached_topology,
     line_fixture,
     load_topology,
     save_topology,
@@ -20,7 +19,6 @@ from .latency import GeographyModel, LatencyModel, PAPER_MEDIAN_INTRA_MS
 from .routing import Router
 
 __all__ = [
-    "cached_topology",
     "line_fixture",
     "load_topology",
     "save_topology",

@@ -1,70 +1,54 @@
 """Topology persistence and small built-in fixtures.
 
-Generating the full 26k-AS topology takes tens of seconds, so experiment
-drivers cache generated instances on disk (``.npz``).  Tests use the tiny
+A topology on disk is the arrays of :func:`topology_arrays`: a format
+version plus :meth:`ASTopology.adjacency_arrays`.  :func:`save_topology`
+writes them alone to an ``.npz`` archive; the substrate store of
+:mod:`repro.experiments.common` writes them beside the prefix table, and
+decodes them with :func:`load_topology` too.  Tests use the tiny
 hand-built fixtures, whose shortest paths are known by inspection.
 """
 
 from __future__ import annotations
 
 import os
+from typing import Dict, Mapping, Union
 
 import numpy as np
 
 from ..errors import TopologyError
 from .graph import ASInfo, ASTier, ASTopology
 
-_FORMAT_VERSION = 1
+#: Layout of :func:`topology_arrays`.
+FORMAT_VERSION = 2
+
+
+def topology_arrays(topology: ASTopology) -> Dict[str, np.ndarray]:
+    """The arrays that store ``topology`` (see :func:`load_topology`)."""
+    return {
+        "topology_version": np.int64(FORMAT_VERSION),
+        **topology.adjacency_arrays(),
+    }
 
 
 def save_topology(topology: ASTopology, path: str) -> None:
     """Serialize a topology to a compressed ``.npz`` archive."""
-    asns = topology.asns()
-    info = [topology.info(a) for a in asns]
-    links = list(topology.links())
-    np.savez_compressed(
-        path,
-        version=np.int64(_FORMAT_VERSION),
-        asns=np.asarray(asns, dtype=np.int64),
-        tiers=np.asarray([int(i.tier) for i in info], dtype=np.int64),
-        intra=np.asarray([i.intra_latency_ms for i in info], dtype=np.float64),
-        endnodes=np.asarray([i.endnodes for i in info], dtype=np.int64),
-        pos_x=np.asarray([i.position[0] for i in info], dtype=np.float64),
-        pos_y=np.asarray([i.position[1] for i in info], dtype=np.float64),
-        link_a=np.asarray([l.a for l in links], dtype=np.int64),
-        link_b=np.asarray([l.b for l in links], dtype=np.int64),
-        link_latency=np.asarray([l.latency_ms for l in links], dtype=np.float64),
-    )
+    np.savez_compressed(path, **topology_arrays(topology))
 
 
-def load_topology(path: str) -> ASTopology:
-    """Load a topology saved by :func:`save_topology`."""
-    if not os.path.exists(path):
-        raise TopologyError(f"no topology archive at {path}")
-    with np.load(path) as data:
-        if int(data["version"]) != _FORMAT_VERSION:
-            raise TopologyError(
-                f"unsupported topology format version {int(data['version'])}"
-            )
-        topo = ASTopology()
-        for asn, tier, intra, endnodes, x, y in zip(
-            data["asns"].tolist(),
-            data["tiers"].tolist(),
-            data["intra"].tolist(),
-            data["endnodes"].tolist(),
-            data["pos_x"].tolist(),
-            data["pos_y"].tolist(),
-        ):
-            topo.add_as(
-                ASInfo(int(asn), ASTier(int(tier)), float(intra), int(endnodes), (x, y))
-            )
-        for a, b, latency in zip(
-            data["link_a"].tolist(),
-            data["link_b"].tolist(),
-            data["link_latency"].tolist(),
-        ):
-            topo.add_link(int(a), int(b), float(latency))
-    return topo
+def load_topology(source: Union[str, Mapping[str, np.ndarray]]) -> ASTopology:
+    """The topology stored in ``source``: the path of an ``.npz`` archive
+    holding :func:`topology_arrays` (as :func:`save_topology` writes), or
+    those arrays themselves.  Equal to the stored one, neighbour order
+    included."""
+    if isinstance(source, str):
+        if not os.path.exists(source):
+            raise TopologyError(f"no topology archive at {source}")
+        with np.load(source) as data:
+            source = {name: data[name] for name in data.files}
+    version = source.get("topology_version")
+    if version is None or int(version) != FORMAT_VERSION:
+        raise TopologyError(f"unsupported topology format version {version}")
+    return ASTopology.from_adjacency_arrays(source)
 
 
 def line_fixture(n: int = 4, link_ms: float = 10.0, intra_ms: float = 1.0) -> ASTopology:
@@ -96,23 +80,3 @@ def star_fixture(
         topo.add_as(ASInfo(asn, ASTier.STUB, intra_ms, endnodes=10))
         topo.add_link(1, asn, link_ms)
     return topo
-
-
-def cached_topology(
-    path: str,
-    generate,
-    force: bool = False,
-) -> ASTopology:
-    """Load ``path`` if present, else call ``generate()`` and persist it.
-
-    ``generate`` is a zero-argument callable returning an
-    :class:`ASTopology`; experiment drivers pass a seeded generator
-    closure so cache hits and misses produce identical topologies.
-    """
-    if not force and os.path.exists(path):
-        return load_topology(path)
-    topology = generate()
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    save_topology(topology, path)
-    return topology

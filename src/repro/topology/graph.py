@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Mapping, Tuple
 
 import numpy as np
 
@@ -110,6 +110,41 @@ class ASTopology:
             self._adjacency[info.asn] = {}
             self._dirty = True
         self._info[info.asn] = info
+
+    @classmethod
+    def from_adjacency_arrays(cls, arrays: Mapping[str, np.ndarray]) -> "ASTopology":
+        """Bulk constructor, the inverse of :meth:`adjacency_arrays`.
+
+        The result equals the graph the arrays were taken from, down to
+        the order of :meth:`neighbors`, :meth:`links` and
+        :meth:`edge_arrays`: each AS's neighbour dict is rebuilt in its
+        insertion order rather than replayed link by link through
+        :meth:`add_link`, which would reorder it.  Raises
+        :class:`TopologyError` unless every link is listed at both ends
+        with one positive latency.
+        """
+        topo = cls()
+        bounds = arrays["adj_start"].tolist()
+        nbr_asns = arrays["adj_asn"].tolist()
+        latencies = arrays["adj_latency_ms"].tolist()
+        for i, (asn, tier, intra, endnodes, x, y) in enumerate(zip(
+            arrays["asn"].tolist(),
+            arrays["tier"].tolist(),
+            arrays["intra_ms"].tolist(),
+            arrays["endnodes"].tolist(),
+            arrays["pos_x"].tolist(),
+            arrays["pos_y"].tolist(),
+        )):
+            topo.add_as(ASInfo(asn, ASTier(tier), intra, endnodes, (x, y)))
+            lo, hi = bounds[i], bounds[i + 1]
+            topo._adjacency[asn] = dict(zip(nbr_asns[lo:hi], latencies[lo:hi]))
+        adjacency = topo._adjacency
+        for a, nbrs in adjacency.items():
+            for b, latency in nbrs.items():
+                if a == b or not latency > 0 or adjacency.get(b, {}).get(a) != latency:
+                    raise TopologyError(f"link {a}-{b} is not one symmetric positive link")
+        topo._n_links = sum(len(nbrs) for nbrs in adjacency.values()) // 2
+        return topo
 
     def add_link(self, a: int, b: int, latency_ms: float) -> None:
         """Add (or update) an undirected link between two registered ASs."""
@@ -231,6 +266,34 @@ class ASTopology:
             np.asarray(cols, dtype=np.int64),
             np.asarray(weights, dtype=np.float64),
         )
+
+    def adjacency_arrays(self) -> Dict[str, np.ndarray]:
+        """The whole graph as flat arrays, ASs and each AS's neighbours in
+        insertion order (see :meth:`from_adjacency_arrays`).
+
+        Per AS ``i``: ``asn``, ``tier``, ``intra_ms``, ``endnodes``,
+        ``pos_x``, ``pos_y``; its links are entries
+        ``adj_start[i]:adj_start[i + 1]`` of ``adj_asn`` (the neighbour)
+        and ``adj_latency_ms``.  Every link appears at both ends.
+        """
+        infos = list(self._info.values())
+        degrees = [len(self._adjacency[info.asn]) for info in infos]
+        return {
+            "asn": np.asarray([i.asn for i in infos], dtype=np.int64),
+            "tier": np.asarray([int(i.tier) for i in infos], dtype=np.int64),
+            "intra_ms": np.asarray([i.intra_latency_ms for i in infos], dtype=np.float64),
+            "endnodes": np.asarray([i.endnodes for i in infos], dtype=np.int64),
+            "pos_x": np.asarray([i.position[0] for i in infos], dtype=np.float64),
+            "pos_y": np.asarray([i.position[1] for i in infos], dtype=np.float64),
+            "adj_start": np.concatenate(([0], np.cumsum(degrees, dtype=np.int64))),
+            "adj_asn": np.asarray(
+                [b for i in infos for b in self._adjacency[i.asn]], dtype=np.int64
+            ),
+            "adj_latency_ms": np.asarray(
+                [lat for i in infos for lat in self._adjacency[i.asn].values()],
+                dtype=np.float64,
+            ),
+        }
 
     def intra_latency_array(self) -> np.ndarray:
         """Intra-AS latencies in dense-index order."""

@@ -11,8 +11,11 @@ environment artifact.
 Per-lookup outcomes are matched by issue time (unique per operation) and
 compared field by field; RTTs are compared with a tolerance because the
 DES accumulates the same latency terms in a different association order.
-The final storage state, the two prefix tables, and a three-way LPM
-sweep (trie / interval index / flat scan) complete the diff.
+The final storage state, the two prefix tables, and an LPM sweep complete
+the diff.  The sweep checks the production table (its scalar LPM and its
+interval index share one decomposition) against two independent
+references: a :class:`~repro.bgp.trie.PrefixTrie` built from the same
+announcements, and a flat scan.
 """
 
 from __future__ import annotations
@@ -24,7 +27,9 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..bgp.interval_index import HOLE
+from ..bgp.prefix import Announcement
 from ..bgp.table import GlobalPrefixTable
+from ..bgp.trie import PrefixTrie
 from ..core.consistency import handle_new_announcement, prepare_withdrawal
 from ..core.guid import GUID
 from ..core.resolver import DMapResolver
@@ -325,36 +330,44 @@ def _lpm_probes(scenario: Scenario, analytic: PathResult) -> List[int]:
 
 
 def _diff_lpm(scenario: Scenario, analytic: PathResult) -> Tuple[List[Mismatch], int]:
-    """Three-way LPM agreement on the final analytic table."""
+    """LPM agreement on the final analytic table: the table's scalar LPM
+    and its interval index against a trie and a flat scan."""
     table = analytic.table
     announcements = list(table)
     if not announcements:
         return [], 0
     seed = scenario.config.seed
     index = table.build_interval_index()
+    trie = PrefixTrie(table.bits)
+    for ann in announcements:
+        trie.insert(ann)
     bases = np.array([ann.prefix.base for ann in announcements], dtype=np.uint64)
     lengths = np.array([ann.prefix.length for ann in announcements], dtype=np.int64)
     owners = np.array([ann.asn for ann in announcements], dtype=np.int64)
     mismatches: List[Mismatch] = []
     probes = _lpm_probes(scenario, analytic)
     for address in probes:
-        ann = table.resolve(address)
-        via_trie = HOLE if ann is None else ann.asn
+        via_trie = _asn_or_hole(trie.longest_prefix_match(address))
+        via_table = _asn_or_hole(table.resolve(address))
         via_index = index.lookup_one(address)
         via_scan = _flat_scan_lpm(bases, lengths, owners, table.bits, address)
-        if not (via_trie == via_index == via_scan):
+        if not (via_trie == via_table == via_index == via_scan):
             mismatches.append(
                 Mismatch(
                     seed,
                     KIND_LPM,
                     subject=f"address={address:#x}",
                     analytic=f"trie={via_trie}",
-                    simulated=f"interval={via_index} scan={via_scan}",
+                    simulated=f"table={via_table} interval={via_index} scan={via_scan}",
                 )
             )
             if len(mismatches) >= 8:
                 break
     return mismatches, len(probes)
+
+
+def _asn_or_hole(ann: Optional[Announcement]) -> int:
+    return HOLE if ann is None else ann.asn
 
 
 def _entry_repr(item: Tuple[int, tuple]) -> str:

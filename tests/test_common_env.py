@@ -5,7 +5,16 @@ import os
 import numpy as np
 import pytest
 
-from repro.experiments.common import Environment, Scale, get_environment, resolve_scale
+import repro.experiments.common as common
+import repro.topology.datasets as datasets
+from repro.experiments.common import (
+    SCALES,
+    Environment,
+    Scale,
+    get_environment,
+    resolve_scale,
+    substrate_key,
+)
 
 
 @pytest.fixture
@@ -35,14 +44,15 @@ class TestEnvironment:
         assert sorted(env_a.table) == sorted(env_b.table)
 
     def test_topology_cached_on_disk(self, tiny_scale, tmp_path):
-        Environment(tiny_scale, seed=2, cache_dir=str(tmp_path))
+        env = Environment(tiny_scale, seed=2, cache_dir=str(tmp_path))
         cached = [f for f in os.listdir(tmp_path) if f.endswith(".npz")]
-        assert len(cached) == 1
+        assert cached == [f"substrate-{env.substrate_key}.npz"]
         # Second construction loads the cache (mtime unchanged).
         path = tmp_path / cached[0]
         mtime = path.stat().st_mtime_ns
         Environment(tiny_scale, seed=2, cache_dir=str(tmp_path))
         assert path.stat().st_mtime_ns == mtime
+        assert os.listdir(tmp_path) == cached
 
     def test_table_covers_all_ases(self, tiny_scale, tmp_path):
         env = Environment(tiny_scale, seed=3, cache_dir=str(tmp_path))
@@ -52,6 +62,154 @@ class TestEnvironment:
         env = Environment(tiny_scale, seed=4, cache_dir=str(tmp_path))
         asns = env.topology.asns()
         assert env.router.rtt_ms(asns[0], asns[-1]) > 0
+
+
+def store_files(directory):
+    return sorted(os.listdir(directory))
+
+
+@pytest.fixture
+def count_builds(monkeypatch):
+    """Count calls of the two substrate generators."""
+    calls = {"topology": 0, "table": 0}
+    generate_topology = common.generate_internet_topology
+    generate_table = common.generate_global_prefix_table
+
+    def topology(*args, **kwargs):
+        calls["topology"] += 1
+        return generate_topology(*args, **kwargs)
+
+    def table(*args, **kwargs):
+        calls["table"] += 1
+        return generate_table(*args, **kwargs)
+
+    monkeypatch.setattr(common, "generate_internet_topology", topology)
+    monkeypatch.setattr(common, "generate_global_prefix_table", table)
+    return calls
+
+
+def assert_same_substrate(a, b):
+    """Equal down to every order a run can observe."""
+    asns = a.topology.asns()
+    assert b.topology.asns() == asns
+    for asn in asns:
+        assert b.topology.neighbors(asn) == a.topology.neighbors(asn)
+        assert b.topology.info(asn) == a.topology.info(asn)
+    for got, want in zip(b.topology.edge_arrays(), a.topology.edge_arrays()):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert list(b.table) == list(a.table)
+    assert b.table.asns() == a.table.asns()
+    assert b.table.generation == a.table.generation
+    for asn in a.table.asns():
+        assert b.table.representative_address(asn) == a.table.representative_address(asn)
+
+
+class TestSubstrateStore:
+    def test_loaded_equals_generated(self, tmp_path):
+        fresh = Environment(SCALES["small"], seed=0, cache_dir=str(tmp_path))
+        loaded = Environment(SCALES["small"], seed=0, cache_dir=str(tmp_path))
+        assert not fresh.substrate_loaded and loaded.substrate_loaded
+        assert loaded.substrate_key == fresh.substrate_key
+        assert_same_substrate(fresh, loaded)
+
+    def test_generates_once(self, tiny_scale, tmp_path, count_builds):
+        cache = tmp_path / "cache"  # created on first use
+        first = Environment(tiny_scale, seed=2, cache_dir=str(cache))
+        second = Environment(tiny_scale, seed=2, cache_dir=str(cache))
+        assert count_builds == {"topology": 1, "table": 1}
+        assert store_files(cache) == [f"substrate-{first.substrate_key}.npz"]
+        assert second.topology.asns() == first.topology.asns()
+
+    def test_edited_generator_forces_rebuild(
+        self, tiny_scale, tmp_path, monkeypatch, count_builds
+    ):
+        first = Environment(tiny_scale, seed=2, cache_dir=str(tmp_path))
+        read = common._module_bytes
+
+        def edited(name):
+            source = read(name)
+            if name == "repro.topology.generator":
+                source = source.replace(b"PAPER_N_LINKS = 90_267", b"PAPER_N_LINKS = 90_268")
+            return source
+
+        monkeypatch.setattr(common, "_module_bytes", edited)
+        second = Environment(tiny_scale, seed=2, cache_dir=str(tmp_path))
+        assert second.substrate_key != first.substrate_key
+        assert not second.substrate_loaded
+        assert count_builds == {"topology": 2, "table": 2}
+        assert len(store_files(tmp_path)) == 2
+
+    def test_key_covers_config_and_seed(self, tiny_scale):
+        key = substrate_key(tiny_scale, 0)
+        assert substrate_key(tiny_scale, 0) == key
+        assert substrate_key(tiny_scale, 1) != key
+        for field in ("n_as", "total_endnodes", "prefixes_per_as"):
+            changed = Scale(**{**tiny_scale.__dict__, field: getattr(tiny_scale, field) * 2})
+            assert substrate_key(changed, 0) != key, field
+        # The scale's name and workload sizes do not shape the substrate.
+        renamed = Scale("other", 80, 1, 1, 4.0, 80_000)
+        assert substrate_key(renamed, 0) == key
+
+    def test_flipped_byte_rebuilds(self, tiny_scale, tmp_path, count_builds):
+        first = Environment(tiny_scale, seed=3, cache_dir=str(tmp_path))
+        path = tmp_path / f"substrate-{first.substrate_key}.npz"
+        data = bytearray(path.read_bytes())
+        data[len(data) // 2] ^= 0x01
+        path.write_bytes(bytes(data))
+        second = Environment(tiny_scale, seed=3, cache_dir=str(tmp_path))
+        assert not second.substrate_loaded
+        assert count_builds["topology"] == 2
+        assert_same_substrate(first, second)
+        # The rebuild overwrote the damaged file.
+        third = Environment(tiny_scale, seed=3, cache_dir=str(tmp_path))
+        assert third.substrate_loaded
+        assert store_files(tmp_path) == [path.name]
+
+    def test_digest_mismatch_rebuilds(self, tiny_scale, tmp_path, count_builds):
+        # A well-formed archive whose payload no longer matches its digest.
+        first = Environment(tiny_scale, seed=3, cache_dir=str(tmp_path))
+        path = tmp_path / f"substrate-{first.substrate_key}.npz"
+        with np.load(path) as data:
+            arrays = {name: data[name] for name in data.files}
+        arrays["prefix_asn"] = arrays["prefix_asn"][::-1].copy()
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        second = Environment(tiny_scale, seed=3, cache_dir=str(tmp_path))
+        assert not second.substrate_loaded
+        assert count_builds["table"] == 2
+        assert_same_substrate(first, second)
+
+    def test_topology_decoded_by_datasets(self, tiny_scale, tmp_path, monkeypatch):
+        # One topology format: a substrate file is a topology archive, and
+        # a loading construction decodes it through datasets.load_topology.
+        first = Environment(tiny_scale, seed=4, cache_dir=str(tmp_path))
+        path = tmp_path / f"substrate-{first.substrate_key}.npz"
+        archived = datasets.load_topology(str(path))
+        for asn in first.topology.asns():
+            assert archived.neighbors(asn) == first.topology.neighbors(asn)
+        decoded = []
+        load = datasets.load_topology
+
+        def counting(source):
+            decoded.append(source)
+            return load(source)
+
+        monkeypatch.setattr(datasets, "load_topology", counting)
+        second = Environment(tiny_scale, seed=4, cache_dir=str(tmp_path))
+        assert second.substrate_loaded and len(decoded) == 1
+        assert_same_substrate(first, second)
+
+    def test_old_topology_cache_ignored(self, tiny_scale, tmp_path):
+        stale = tmp_path / "topology-unit-80-seed0.npz"
+        stale.write_bytes(b"not an archive")
+        env = Environment(tiny_scale, seed=0, cache_dir=str(tmp_path))
+        assert not env.substrate_loaded
+        assert stale.read_bytes() == b"not an archive"
+
+    def test_setup_recorded(self, tiny_scale, tmp_path):
+        env = Environment(tiny_scale, seed=0, cache_dir=str(tmp_path))
+        assert env.setup_s > 0
+        assert len(env.substrate_key) == 64
 
 
 class TestWorkloadGroupingEquivalence:

@@ -1,18 +1,18 @@
 """Tests for topology persistence and fixtures."""
 
-import os
-
+import numpy as np
 import pytest
 
 from repro.errors import TopologyError
 from repro.topology.datasets import (
-    cached_topology,
     line_fixture,
     load_topology,
     save_topology,
     star_fixture,
+    topology_arrays,
 )
 from repro.topology.generator import generate_internet_topology, small_scale_config
+from repro.topology.graph import ASTopology
 
 
 class TestFixtures:
@@ -55,32 +55,35 @@ class TestPersistence:
                 link.latency_ms
             )
 
+    def test_roundtrip_keeps_neighbour_order(self, tmp_path):
+        # Replaying a link list through add_link reorders neighbours; the
+        # archive keeps each AS's adjacency in insertion order.
+        original = generate_internet_topology(small_scale_config(n_as=80), seed=5)
+        path = str(tmp_path / "topo.npz")
+        save_topology(original, path)
+        loaded = load_topology(path)
+        for asn in original.asns():
+            assert loaded.neighbors(asn) == original.neighbors(asn)
+            assert loaded.info(asn) == original.info(asn)
+        for got, want in zip(loaded.edge_arrays(), original.edge_arrays()):
+            assert np.array_equal(got, want)
+        assert list(loaded.links()) == list(original.links())
+
+    def test_asymmetric_adjacency_rejected(self):
+        arrays = line_fixture(n=3).adjacency_arrays()
+        arrays["adj_latency_ms"][0] += 1.0  # one end of link 1-2 only
+        with pytest.raises(TopologyError):
+            ASTopology.from_adjacency_arrays(arrays)
+
+    def test_load_from_arrays(self):
+        original = line_fixture(n=5)
+        loaded = load_topology(topology_arrays(original))
+        assert list(loaded.links()) == list(original.links())
+
+    def test_unversioned_arrays_rejected(self):
+        with pytest.raises(TopologyError):
+            load_topology(line_fixture(n=3).adjacency_arrays())
+
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(TopologyError):
             load_topology(str(tmp_path / "nope.npz"))
-
-    def test_cached_topology_generates_once(self, tmp_path):
-        path = str(tmp_path / "cache" / "topo.npz")
-        calls = []
-
-        def generate():
-            calls.append(1)
-            return line_fixture(n=4)
-
-        first = cached_topology(path, generate)
-        second = cached_topology(path, generate)
-        assert len(calls) == 1
-        assert os.path.exists(path)
-        assert second.asns() == first.asns()
-
-    def test_cached_topology_force(self, tmp_path):
-        path = str(tmp_path / "topo.npz")
-        calls = []
-
-        def generate():
-            calls.append(1)
-            return line_fixture(n=4)
-
-        cached_topology(path, generate)
-        cached_topology(path, generate, force=True)
-        assert len(calls) == 2

@@ -178,6 +178,16 @@ class TestFig4FastpathSweep:
         phases = json.loads(manifest.read_text())["phases_s"]
         assert set(phases) == {"workload", "placement", "lookups", "export"}
 
+    def test_manifest_records_substrate(self, env, tmp_path):
+        trace = tmp_path / "fastpath.jsonl"
+        self._run(env, "fastpath", trace_path=str(trace))
+        manifest = json.loads((tmp_path / "fastpath.jsonl.manifest.json").read_text())
+        assert manifest["extra"]["substrate"] == {
+            "key": env.substrate_key,
+            "loaded": env.substrate_loaded,
+            "setup_s": env.setup_s,
+        }
+
 
 class TestTable1:
     def test_rows_and_render(self, env):

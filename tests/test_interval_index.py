@@ -6,10 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.bgp.interval_index import HOLE, IntervalIndex
 from repro.bgp.prefix import Announcement, Prefix
+from repro.bgp.table import GlobalPrefixTable
 from repro.bgp.trie import PrefixTrie
 from repro.errors import EmptyPrefixTableError
 
-from .test_trie import announcement_sets, small_ann
+from .test_trie import announcement_sets, churn_traces, naive_lpm, replay, small_ann
 
 
 class TestConstruction:
@@ -23,6 +24,10 @@ class TestConstruction:
         assert idx.lookup_one(0) == HOLE
         assert idx.announced_span() == 64
         assert idx.announced_fraction() == pytest.approx(0.25)
+
+    def test_duplicate_prefix_first_listed_wins(self):
+        idx = IntervalIndex([small_ann(0, 2, 1), small_ann(0, 2, 2)], bits=8)
+        assert idx.lookup_one(0) == 1
 
     def test_full_cover(self):
         idx = IntervalIndex([Announcement(Prefix(0, 0, 8), 3)], bits=8)
@@ -51,6 +56,46 @@ class TestAgreementWithTrie:
             trie.insert(a)
         idx = IntervalIndex(announcements, bits=8)
         assert idx.announced_span() == trie.announced_span()
+
+
+class TestTableIndex:
+    """The table's memoised index shares the table's decomposition; the
+    trie and a naive scan check it independently."""
+
+    @given(announcement_sets())
+    @settings(max_examples=150)
+    def test_equals_index_of_announcements(self, announcements):
+        table_index = GlobalPrefixTable(announcements, bits=8).build_interval_index()
+        direct = IntervalIndex(announcements, bits=8)
+        assert np.array_equal(table_index.starts, direct.starts)
+        assert np.array_equal(table_index.owners, direct.owners)
+
+    @given(churn_traces())
+    @settings(max_examples=150)
+    def test_tracks_churn(self, ops):
+        table, trie = replay(ops)
+        if not len(table):
+            with pytest.raises(EmptyPrefixTableError):
+                table.build_interval_index()
+            return
+        owners = table.build_interval_index().lookup_batch(np.arange(256, dtype=np.uint64))
+        current = list(trie)
+        for addr in range(256):
+            expected = naive_lpm(current, addr)
+            via_trie = trie.longest_prefix_match(addr)
+            assert owners[addr] == (HOLE if expected is None else expected.asn)
+            assert owners[addr] == (HOLE if via_trie is None else via_trie.asn)
+        assert table.build_interval_index().announced_span() == trie.announced_span()
+
+    def test_memoised_per_generation(self):
+        table = GlobalPrefixTable([small_ann(0, 2, 1)], bits=8)
+        first = table.build_interval_index()
+        assert table.build_interval_index() is first
+        assert not first.starts.flags.writeable
+        table.announce(small_ann(0, 4, 2))
+        second = table.build_interval_index()
+        assert second is not first
+        assert second.lookup_one(3) == 2 and first.lookup_one(3) == 1
 
 
 class TestEffectiveSpans:

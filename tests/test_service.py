@@ -1,11 +1,13 @@
 """Tests for the DMapNetwork façade."""
 
+import numpy as np
 import pytest
 
 from repro import DMapNetwork
 from repro.core.guid import GUID
 from repro.errors import ConfigurationError, DMapError, LookupFailedError
 from repro.experiments.common import Environment, Scale
+from repro.topology.graph import ASTopology
 
 
 @pytest.fixture(scope="module")
@@ -67,19 +69,28 @@ class TestMobility:
         assert record.moves == 3
 
     def test_default_move_independent_of_topology_cache(self, tmp_path):
-        # The first Environment generates the topology and writes the
-        # cache; the second loads it, with neighbour lists in another order.
+        # The first Environment generates the substrate and stores it; the
+        # second loads it.  The store keeps neighbour order, so a third
+        # topology reverses every neighbour list on purpose.
         scale = Scale("unit", 80, 100, 500, 4.0, 80_000)
         fresh = Environment(scale, seed=4, cache_dir=str(tmp_path))
         loaded = Environment(scale, seed=4, cache_dir=str(tmp_path))
+        assert loaded.substrate_loaded
+        arrays = fresh.topology.adjacency_arrays()
+        bounds = arrays["adj_start"].tolist()
+        for key in ("adj_asn", "adj_latency_ms"):
+            arrays[key] = np.concatenate(
+                [arrays[key][lo:hi][::-1] for lo, hi in zip(bounds[:-1], bounds[1:])]
+            )
+        reordered = ASTopology.from_adjacency_arrays(arrays)
         asns = fresh.topology.asns()
         assert any(
-            fresh.topology.neighbors(a) != loaded.topology.neighbors(a)
+            fresh.topology.neighbors(a) != reordered.neighbors(a)
             for a in asns
         )
 
-        def moves(env):
-            net = DMapNetwork(env.topology, env.table, k=3, seed=9)
+        def moves(topology, table):
+            net = DMapNetwork(topology, table, k=3, seed=9)
             hosts = [net.register_host(f"walker-{i}", asn=asns[i]) for i in range(5)]
             path = []
             for _ in range(6):
@@ -88,7 +99,9 @@ class TestMobility:
                     path.append(net.host_location(host))
             return path
 
-        assert moves(fresh) == moves(loaded)
+        expected = moves(fresh.topology, fresh.table)
+        assert moves(loaded.topology, loaded.table) == expected
+        assert moves(reordered, fresh.table) == expected
 
     def test_clock_stamps_writes(self, network):
         network.register_host("timed-host")

@@ -1,9 +1,14 @@
-"""Unit and property tests for the prefix trie (LPM + nearest prefix)."""
+"""Unit and property tests for the prefix trie (LPM + nearest prefix), and
+for the production :class:`GlobalPrefixTable` against it."""
+
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.bgp.allocation import AllocationConfig, generate_global_prefix_table
 from repro.bgp.prefix import Announcement, Prefix
+from repro.bgp.table import GlobalPrefixTable
 from repro.bgp.trie import PrefixTrie
 from repro.errors import AddressError, EmptyPrefixTableError
 
@@ -165,3 +170,132 @@ class TestAnnouncedSpan:
             if any(a.prefix.contains(addr) for a in announcements)
         )
         assert trie.announced_span() == brute
+
+
+@st.composite
+def churn_traces(draw, bits=8, max_ops=16):
+    """Announce/withdraw sequences over overlapping prefixes.  A few
+    origin ASs over short prefixes make re-announcements of an announced
+    prefix (origin moves) and withdrawals of announced ones common."""
+    ops = []
+    for _ in range(draw(st.integers(min_value=1, max_value=max_ops))):
+        length = draw(st.integers(min_value=0, max_value=bits))
+        base = draw(st.integers(min_value=0, max_value=(1 << bits) - 1))
+        asn = draw(st.integers(min_value=1, max_value=4))
+        withdraw = draw(st.booleans())
+        ops.append((withdraw, small_ann(base, length, asn, bits=bits)))
+    return ops
+
+
+def replay(ops, bits=8):
+    """The same trace applied to a production table and a reference trie."""
+    table = GlobalPrefixTable(bits=bits)
+    trie = PrefixTrie(bits=bits)
+    for withdraw, a in ops:
+        if withdraw and a.prefix in table:
+            assert table.withdraw(a.prefix) == trie.withdraw(a.prefix)
+        else:
+            table.announce(a)
+            trie.insert(a)
+        # Query between mutations, so a stale snapshot would be caught.
+        table.resolve(a.prefix.base)
+    return table, trie
+
+
+def assert_table_matches_trie(table, trie, bits=8):
+    current = list(trie)
+    assert list(table) == current
+    for address in range(1 << bits):
+        expected = naive_lpm(current, address)
+        assert table.resolve(address) == trie.longest_prefix_match(address)
+        got = table.resolve(address)
+        assert (got is None) == (expected is None)
+        if got is not None:
+            assert got.prefix == expected.prefix
+        if current:
+            # Same announcement as the trie's search, ties included: the
+            # minimum (distance, length), i.e. the shorter of two nested
+            # blocks at one distance.
+            found, dist = table.nearest(address)
+            assert (found, dist) == trie.nearest_prefix(address)
+            assert (dist, found.prefix.length) == min(
+                (a.prefix.xor_distance_to(address), a.prefix.length) for a in current
+            )
+    assert table.announced_span() == trie.announced_span()
+
+
+class TestTableAgreesWithTrie:
+    """:class:`GlobalPrefixTable` answers from its sorted snapshot; the trie
+    and a naive scan are the independent references."""
+
+    @given(announcement_sets())
+    @settings(max_examples=150)
+    def test_overlapping_sets(self, announcements):
+        table = GlobalPrefixTable(announcements, bits=8)
+        trie = PrefixTrie(bits=8)
+        for a in announcements:
+            trie.insert(a)
+        assert_table_matches_trie(table, trie)
+
+    @given(churn_traces())
+    @settings(max_examples=150)
+    def test_after_churn(self, ops):
+        table, trie = replay(ops)
+        assert_table_matches_trie(table, trie)
+
+    def test_reannounced_prefix_moves_origin(self):
+        table = GlobalPrefixTable(bits=8)
+        table.announce(small_ann(0, 1, 1))
+        table.announce(small_ann(64, 2, 2))
+        assert table.resolve(70).asn == 2
+        table.announce(small_ann(64, 2, 3))  # re-origin after a query
+        assert table.resolve(70).asn == 3
+        assert table.nearest(70)[0].asn == 1  # shortest covering prefix
+        assert table.prefixes_of(2) == []
+        assert table.prefixes_of(3) == [small_ann(64, 2, 3).prefix]
+        assert [a.asn for a in table] == [1, 3]
+
+    def test_nested_tie_picks_shorter(self):
+        # Address 0 is 128 away from both 128/1 and 128/4 (nested blocks).
+        outer, inner = small_ann(128, 1, 1), small_ann(128, 4, 2)
+        table = GlobalPrefixTable([inner, outer], bits=8)
+        trie = PrefixTrie(bits=8)
+        trie.insert(inner)
+        trie.insert(outer)
+        assert table.nearest(0) == (outer, 128) == trie.nearest_prefix(0)
+        table.withdraw(outer.prefix)
+        assert table.nearest(0) == (inner, 128)
+
+    def test_withdraw_then_query(self):
+        table = GlobalPrefixTable([small_ann(0, 2, 1), small_ann(0, 4, 2)], bits=8)
+        assert table.resolve(3).asn == 2
+        assert table.announced_span() == 64
+        table.withdraw(small_ann(0, 2, 1).prefix)
+        assert table.resolve(3).asn == 2
+        assert table.resolve(20) is None
+        assert table.announced_span() == 16
+        assert table.nearest(20) == (small_ann(0, 4, 2), 16)
+        table.withdraw(small_ann(0, 4, 2).prefix)
+        assert table.resolve(3) is None
+        assert table.announced_span() == 0
+        with pytest.raises(EmptyPrefixTableError):
+            table.nearest(3)
+
+    def test_nearest_on_a_generated_table(self):
+        # 32-bit descent over a DFZ-like table, mostly from IP holes.
+        table = generate_global_prefix_table(
+            list(range(1, 41)), AllocationConfig(prefixes_per_as=5.0), seed=7
+        )
+        trie = PrefixTrie()
+        for a in table:
+            trie.insert(a)
+        rng = random.Random(3)
+        for _ in range(2000):
+            address = rng.getrandbits(32)
+            assert table.nearest(address) == trie.nearest_prefix(address)
+
+    def test_out_of_range_address(self):
+        table = GlobalPrefixTable([small_ann(0, 1, 1)], bits=8)
+        for query in (table.resolve, table.nearest):
+            with pytest.raises(AddressError):
+                query(256)
