@@ -24,7 +24,7 @@ from ..baselines.mobileip import MobileIP
 from ..baselines.onehop_dht import OneHopDHT
 from ..core.resolver import DMapResolver
 from ..sim.metrics import LatencySummary, summarize
-from ..workload.generator import EventKind, WorkloadConfig, WorkloadGenerator
+from ..workload.generator import WorkloadConfig, WorkloadGenerator
 from .common import Environment, get_environment
 from .reporting import format_table
 
@@ -110,19 +110,19 @@ def run_baseline_comparison(
         SchemeStats(f"dmap (K={k})", summarize(dmap_rtts), 1.0, 0.0)
     )
 
+    arrays = workload.lookup_arrays()
+    homes = arrays.local_asns.tolist()
     for scheme in baselines:
         rtts: List[float] = []
         hops: List[int] = []
-        for event in workload.events:
-            if event.kind is EventKind.LOOKUP:
-                if isinstance(scheme, DNSLike):
-                    scheme.advance_time(5.0)  # TTLs tick between queries
-                outcome = scheme.lookup(event.guid, event.source_asn)
-                rtts.append(outcome.rtt_ms)
-                hops.append(outcome.overlay_hops)
-            else:
-                locator = workload.locator_for(event.guid, env.table)
-                scheme.insert(event.guid, [locator], event.source_asn)
+        for guid, home in zip(arrays.guids, homes):
+            scheme.insert(guid, [env.table.representative_address(home)], home)
+        for idx, source in zip(arrays.guid_idx.tolist(), arrays.sources.tolist()):
+            if isinstance(scheme, DNSLike):
+                scheme.advance_time(5.0)  # TTLs tick between queries
+            outcome = scheme.lookup(arrays.guids[idx], source)
+            rtts.append(outcome.rtt_ms)
+            hops.append(outcome.overlay_hops)
         stats.append(
             SchemeStats(
                 scheme.name,

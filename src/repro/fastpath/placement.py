@@ -12,10 +12,10 @@ Mirrors the scalar placers bit for bit:
   through the cumulative weight distribution.
 
 The hash layer dispatches on the family: :class:`FastHasher` uses its
-native ``hash_batch``; any other :class:`HashFamily` (e.g. the salted
-SHA-256 reference family the resolver defaults to) falls back to a
-per-value loop, which is still cheap because each GUID is hashed once
-per replica chain instead of once per *lookup*.
+native ``hash_batch``, the salted SHA-256 reference family the resolver
+defaults to its ``hash_many`` loop, and any other :class:`HashFamily` a
+per-value loop; each GUID is hashed once per replica chain instead of
+once per *lookup*.
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ def _hash_many(family: HashFamily, values: GuidValues, index: int) -> np.ndarray
     """Apply hash function ``index`` to every value; returns ``uint64``.
 
     Bit-identical to looping :meth:`HashFamily.hash_one`; the
-    :class:`FastHasher` branch uses the vectorized kernel.
+    :class:`FastHasher` branch uses the vectorized kernel, the
+    :class:`Sha256Hasher` one its batch loop.
     """
     if isinstance(family, FastHasher):
         arr = np.asarray(values)
@@ -47,9 +48,12 @@ def _hash_many(family: HashFamily, values: GuidValues, index: int) -> np.ndarray
         else:
             folded = FastHasher.fold_guids([int(v) for v in values])
         return family.hash_batch(folded, index)
-    return np.asarray(
-        [family.hash_one(int(v), index) for v in values], dtype=np.uint64
+    ints = (
+        values.tolist() if isinstance(values, np.ndarray) else [int(v) for v in values]
     )
+    if isinstance(family, Sha256Hasher):
+        return np.asarray(family.hash_many(ints, index), dtype=np.uint64)
+    return np.asarray([family.hash_one(v, index) for v in ints], dtype=np.uint64)
 
 
 def _rehash_many(
@@ -58,6 +62,8 @@ def _rehash_many(
     """Vectorized :meth:`HashFamily.rehash` over an address array."""
     if isinstance(family, FastHasher):
         return family.rehash_batch(addresses, index)
+    if isinstance(family, Sha256Hasher):  # its rehash is hash_one
+        return _hash_many(family, addresses, index)
     return np.asarray(
         [family.rehash(int(v), index) for v in addresses], dtype=np.uint64
     )

@@ -95,8 +95,25 @@ class Sha256Hasher(HashFamily):
         value = _guid_value(guid)
         payload = value.to_bytes((value.bit_length() + 7) // 8 or 1, "big")
         digest = hashlib.sha256(self._prefixes[index] + payload).digest()
-        word = int.from_bytes(digest[:8], "big")
-        return word >> (64 - self.address_bits)
+        return int.from_bytes(digest[:8], "big") >> (64 - self.address_bits)
+
+    def hash_many(self, values: Sequence[int], index: int) -> List[int]:
+        """:meth:`hash_one` over many integer values, bit for bit, with the
+        range check and the salt bound once per call."""
+        if not 0 <= index < self.k:
+            raise ConfigurationError(f"hash index {index} out of range [0, {self.k})")
+        prefix = self._prefixes[index]
+        shift = 64 - self.address_bits
+        sha256 = hashlib.sha256
+        return [
+            int.from_bytes(
+                sha256(prefix + v.to_bytes((v.bit_length() + 7) // 8 or 1, "big"))
+                .digest()[:8],
+                "big",
+            )
+            >> shift
+            for v in values
+        ]
 
 
 # splitmix64 constants — the standard finalizer from Vigna's splitmix64,

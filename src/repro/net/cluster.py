@@ -36,7 +36,7 @@ from ..errors import ClusterError
 from ..obs.counters import MetricsRegistry
 from ..obs.trace import Tracer
 from ..topology.routing import Router
-from ..workload.generator import EventKind, Workload, WorkloadConfig, WorkloadGenerator
+from ..workload.generator import Workload, WorkloadConfig, WorkloadGenerator
 from .node import Addr, DMapNode
 from .protocol import seeded_unit
 
@@ -251,10 +251,12 @@ class LocalCluster:
             locator = workload.locator_for(guid, env.table)
             resolver.insert(guid, [locator], workload.home_asn[guid])
 
+        arrays = workload.lookup_arrays()
+        homes = arrays.local_asns.tolist()
         servable = [
-            ServableLookup(event.guid, event.source_asn, workload.home_asn[event.guid])
-            for event in workload.events
-            if event.kind is EventKind.LOOKUP and event.guid in admitted
+            ServableLookup(arrays.guids[idx], source, homes[idx])
+            for idx, source in zip(arrays.guid_idx.tolist(), arrays.sources.tolist())
+            if arrays.guids[idx] in admitted
         ]
         shaper = LatencyShaper(
             env.router,

@@ -1,4 +1,4 @@
-"""Workload generation: GUID insert / update / lookup event streams.
+"""Workload generation: GUID insert-then-lookup streams.
 
 Reproduces the paper's workload (§IV-B.1):
 
@@ -9,12 +9,18 @@ Reproduces the paper's workload (§IV-B.1):
 * inserts happen in a first phase, lookups in a second, so every query
   targets a fully inserted mapping (the paper verified convergence at
   10^5 GUIDs / 10^6 queries).
+
+A generated stream is stored as arrays (:class:`LookupArrays`), which the
+batched engine reads as they are; the per-event walks (the scalar
+resolver and the DES) read the :attr:`Workload.events` view built from
+them.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, NamedTuple, Optional
 
 import numpy as np
@@ -74,29 +80,50 @@ class WorkloadConfig:
 class LookupArrays(NamedTuple):
     """An insert-then-lookup stream as batched-engine input."""
 
-    #: Written GUIDs, in first-write order.
+    #: Inserted GUIDs, in insert order (rank order for a generated stream).
     guids: List[GUID]
-    #: Source AS of each GUID's latest write (where its local copy lives).
+    #: Home AS of each GUID: where it is inserted and its local copy lives.
     local_asns: np.ndarray
-    #: Per lookup, in event order: index into ``guids``, source AS and
+    #: Per lookup, in issue order: index into ``guids``, source AS and
     #: issue time.
     guid_idx: np.ndarray
     sources: np.ndarray
     issued_at: np.ndarray
 
 
-@dataclass
+@dataclass(eq=False)
 class Workload:
-    """A fully materialized event stream plus host placement."""
+    """A generated stream: every insert, then every lookup.
+
+    The arrays are the stream; :attr:`events`, :attr:`home_asn` and
+    :attr:`guids` are views derived from them.
+    """
 
     config: WorkloadConfig
-    home_asn: Dict[GUID, int]
-    events: List[WorkloadEvent]
+    arrays: LookupArrays
+    #: Insert time of each GUID in ``arrays.guids`` (ascending).
+    insert_times: np.ndarray
 
     @property
     def guids(self) -> List[GUID]:
         """All GUIDs, rank order (rank 1 = most popular)."""
-        return list(self.home_asn)
+        return self.arrays.guids
+
+    @cached_property
+    def home_asn(self) -> Dict[GUID, int]:
+        """Each GUID's home AS, rank order."""
+        return dict(zip(self.arrays.guids, self.arrays.local_asns.tolist()))
+
+    @cached_property
+    def events(self) -> List[WorkloadEvent]:
+        """The stream as time-ordered events, for the per-event walks (the
+        scalar resolver and the DES); built on first use."""
+        a = self.arrays
+        inserts = zip(a.guids, self.insert_times.tolist(), a.local_asns.tolist())
+        lookups = zip(a.guid_idx.tolist(), a.issued_at.tolist(), a.sources.tolist())
+        return [WorkloadEvent(EventKind.INSERT, t, g, asn) for g, t, asn in inserts] + [
+            WorkloadEvent(EventKind.LOOKUP, t, a.guids[i], asn) for i, t, asn in lookups
+        ]
 
     def locator_for(self, guid: GUID, table: GlobalPrefixTable) -> NetworkAddress:
         """The locator a host inserts: an address inside its home AS."""
@@ -106,13 +133,9 @@ class Workload:
         """Schedule every event onto a
         :class:`~repro.sim.simulation.DMapSimulation`."""
         for event in self.events:
-            locator = self.locator_for(event.guid, table)
             if event.kind is EventKind.INSERT:
+                locator = table.representative_address(event.source_asn)
                 simulation.schedule_insert(
-                    event.guid, [locator], event.source_asn, at=event.time_ms
-                )
-            elif event.kind is EventKind.UPDATE:
-                simulation.schedule_update(
                     event.guid, [locator], event.source_asn, at=event.time_ms
                 )
             else:
@@ -158,8 +181,7 @@ class Workload:
         bit-identical to the scalar walk; the returned list is in event
         order rather than grouped order, and the resolver's stores are
         *not* populated (the engine models the converged post-write
-        state).  Probes and write-after-lookup streams need the scalar
-        oracle and are rejected.
+        state).  Probes need the scalar oracle and are rejected.
 
         ``attempt_counts``, when given (scalar engine only), receives the
         number of replicas each lookup contacted across all its retry
@@ -172,15 +194,14 @@ class Workload:
         if engine != "scalar":
             raise WorkloadError(f"unknown engine {engine!r}")
         events = self.events
-        has_updates = any(e.kind is EventKind.UPDATE for e in events)
-        if group_by_source and not has_updates:
-            # Updates interleaved with lookups are time-sensitive (a lookup
-            # must see the binding of its era), so grouping only applies to
-            # the insert-then-lookup workloads the generator produces.
-            events = sorted(
-                events,
-                key=lambda e: (e.kind is EventKind.LOOKUP, e.source_asn, e.time_ms),
-            )
+        if group_by_source:
+            # A stable sort of the events by (is lookup, source AS, time).
+            a = self.arrays
+            order = np.concatenate([
+                np.lexsort((self.insert_times, a.local_asns)),
+                len(a.guids) + np.lexsort((a.issued_at, a.sources)),
+            ])
+            events = [events[i] for i in order.tolist()]
         rtts: List[float] = []
         for event in events:
             if event.kind is EventKind.LOOKUP:
@@ -207,13 +228,10 @@ class Workload:
                 if attempt_counts is not None:
                     attempt_counts.append(contacted + len(result.attempts))
             else:
-                locator = self.locator_for(event.guid, table)
-                op = (
-                    resolver.insert
-                    if event.kind is EventKind.INSERT
-                    else resolver.update
+                locator = table.representative_address(event.source_asn)
+                resolver.insert(
+                    event.guid, [locator], event.source_asn, time=event.time_ms
                 )
-                op(event.guid, [locator], event.source_asn, time=event.time_ms)
         return rtts
 
     def _run_fastpath(self, resolver, probe, n_jobs: int) -> List[float]:
@@ -237,44 +255,8 @@ class Workload:
         return result.rtt_ms.tolist()
 
     def lookup_arrays(self) -> LookupArrays:
-        """The stream as :class:`LookupArrays` for the batched engine.
-
-        The engine computes against the converged post-write state, so
-        every write must precede every lookup (the generator's streams
-        do); hand-built interleaved streams, and lookups of never-written
-        GUIDs, raise :class:`~repro.fastpath.FastpathUnsupportedError`.
-        """
-        from ..fastpath import FastpathUnsupportedError
-
-        write_order: Dict[GUID, int] = {}
-        local_asn: Dict[GUID, int] = {}
-        lookup_guids: List[int] = []
-        lookup_sources: List[int] = []
-        lookup_times: List[float] = []
-        for event in self.events:
-            if event.kind is EventKind.LOOKUP:
-                idx = write_order.get(event.guid)
-                if idx is None:
-                    raise FastpathUnsupportedError(
-                        f"lookup of never-written GUID {event.guid}"
-                    )
-                lookup_guids.append(idx)
-                lookup_sources.append(event.source_asn)
-                lookup_times.append(event.time_ms)
-            else:
-                if lookup_guids:
-                    raise FastpathUnsupportedError(
-                        "writes interleaved with lookups need the scalar resolver"
-                    )
-                write_order.setdefault(event.guid, len(write_order))
-                local_asn[event.guid] = event.source_asn
-        return LookupArrays(
-            list(write_order),
-            np.asarray([local_asn[g] for g in write_order], dtype=np.int64),
-            np.asarray(lookup_guids, dtype=np.int64),
-            np.asarray(lookup_sources, dtype=np.int64),
-            np.asarray(lookup_times, dtype=np.float64),
-        )
+        """The stream as :class:`LookupArrays` for the batched engine."""
+        return self.arrays
 
 
 class WorkloadGenerator:
@@ -286,37 +268,25 @@ class WorkloadGenerator:
         self.config.validate()
 
     def generate(self) -> Workload:
-        """Materialize the event stream (deterministic in the seed)."""
+        """Draw the stream (deterministic in the seed)."""
         cfg = self.config
         rng = np.random.default_rng(cfg.seed)
         sampler = SourceSampler(self.topology, rng)
 
-        # Rank r GUID is "guid-r"; popularity rank == naming rank.
+        # Rank r GUID is "guid-r"; popularity rank == naming rank.  Rank r
+        # is inserted from its home AS at the r-th smallest insert time.
         guids = [GUID.from_name(f"guid-{rank}") for rank in range(1, cfg.n_guids + 1)]
         homes = sampler.sample(cfg.n_guids)
-        home_asn = {guid: int(asn) for guid, asn in zip(guids, homes)}
-
-        events: List[WorkloadEvent] = []
         insert_times = np.sort(rng.uniform(0.0, cfg.insert_window_ms, cfg.n_guids))
-        for guid, time_ms, asn in zip(guids, insert_times, homes):
-            events.append(
-                WorkloadEvent(EventKind.INSERT, float(time_ms), guid, int(asn))
-            )
 
-        if cfg.n_lookups:
-            popularity = MandelbrotZipf(cfg.n_guids, cfg.alpha, cfg.q)
-            ranks = popularity.sample_ranks(cfg.n_lookups, rng)
-            lookup_sources = sampler.sample(cfg.n_lookups)
-            start = cfg.insert_window_ms + cfg.gap_ms
-            lookup_times = np.sort(
-                rng.uniform(start, start + cfg.lookup_window_ms, cfg.n_lookups)
-            )
-            for rank, time_ms, asn in zip(ranks, lookup_times, lookup_sources):
-                events.append(
-                    WorkloadEvent(
-                        EventKind.LOOKUP, float(time_ms), guids[int(rank) - 1], int(asn)
-                    )
-                )
-
-        events.sort(key=lambda e: e.time_ms)
-        return Workload(cfg, home_asn, events)
+        popularity = MandelbrotZipf(cfg.n_guids, cfg.alpha, cfg.q)
+        ranks = popularity.sample_ranks(cfg.n_lookups, rng)
+        sources = sampler.sample(cfg.n_lookups)
+        start = cfg.insert_window_ms + cfg.gap_ms
+        issued_at = np.sort(
+            rng.uniform(start, start + cfg.lookup_window_ms, cfg.n_lookups)
+        )
+        # Every lookup is issued at or after the last insert, so the
+        # stream is all inserts, then all lookups (each in time order).
+        arrays = LookupArrays(guids, homes, ranks - 1, sources, issued_at)
+        return Workload(cfg, arrays, insert_times)

@@ -166,6 +166,20 @@ class TestFig4FastpathSweep:
         assert router.dijkstra_runs < len(sources)
         assert router.evictions == 0
 
+    def test_builds_no_event_objects(self, env, monkeypatch):
+        # The fastpath reads the workload's arrays; only the per-event
+        # walks (here the scalar oracle) build the events view.
+        import repro.workload.generator as generator
+
+        def no_events(*args, **kwargs):
+            raise AssertionError("built a WorkloadEvent")
+
+        monkeypatch.setattr(generator, "WorkloadEvent", no_events)
+        fast, _ = self._run(env, "fastpath")
+        assert sorted(fast.rtts_by_k) == list(self.K_VALUES)
+        with pytest.raises(AssertionError, match="WorkloadEvent"):
+            self._run(env, "scalar")
+
     def test_traces_byte_identical_to_scalar(self, env, tmp_path):
         paths = {}
         for engine in ("scalar", "fastpath"):

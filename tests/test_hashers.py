@@ -1,5 +1,7 @@
 """Tests for the consistent hash families."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -78,6 +80,33 @@ class TestSha256Hasher:
         h = Sha256Hasher(k=1, address_bits=8)
         for i in range(100):
             assert 0 <= h.hash_one(GUID(i), 0) < 256
+
+    @pytest.mark.parametrize("address_bits", [8, 32])
+    def test_hash_many_matches_definition(self, address_bits):
+        # Function i is the top address_bits of SHA256(salt || i || value),
+        # the value as its minimal big-endian bytes (one byte for 0).
+        h = Sha256Hasher(k=5, address_bits=address_bits, salt=b"s")
+        values = (
+            [0, 1, 255, 256, 2**32 - 1]
+            + [GUID.from_name(f"g{i}").value for i in range(50)]
+            + [2**160 - 1]
+        )
+        for index in range(h.k):
+            expected = []
+            for v in values:
+                payload = v.to_bytes(max(1, (v.bit_length() + 7) // 8), "big")
+                digest = hashlib.sha256(b"s" + index.to_bytes(4, "big") + payload)
+                word = int.from_bytes(digest.digest()[:8], "big")
+                expected.append(word >> (64 - address_bits))
+            assert h.hash_many(values, index) == expected
+            assert [h.hash_one(v, index) for v in values] == expected
+
+    def test_hash_many_index_range(self):
+        h = Sha256Hasher(k=2)
+        assert h.hash_many([], 1) == []
+        for index in (-1, 2):
+            with pytest.raises(ConfigurationError):
+                h.hash_many([1], index)
 
 
 class TestFastHasher:

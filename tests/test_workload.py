@@ -1,5 +1,7 @@
 """Tests for the workload generator and event streams."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from repro.errors import WorkloadError
 from repro.sim.failures import ChurnFailureModel
 from repro.workload.generator import (
     EventKind,
+    Workload,
     WorkloadConfig,
     WorkloadGenerator,
 )
@@ -79,6 +82,52 @@ class TestGeneration:
         workload = WorkloadGenerator(topology, cfg).generate()
         assert all(e.kind is EventKind.INSERT for e in workload.events)
 
+    # SHA-256 of the event view and the home map, computed with the
+    # generator that built one event object per draw: the arrays must
+    # give exactly the same stream, from the same draws in the same order.
+    @pytest.mark.parametrize(
+        "overrides, digest",
+        [
+            (
+                {},
+                "60787843e6f8894af06e6cf0686372adfcfcbdcce640cf93161e9f6d43b47fac",
+            ),
+            (
+                {"n_guids": 50, "n_lookups": 0},
+                "86406b830c26735ea99b0e7bec56051beff2c1d7fb3faf65b03120624c97f5ed",
+            ),
+            (
+                {"gap_ms": 0.0},
+                "ff80c049504dc7462d7283c85751167e63d06de2e661af74f67fd43ad0a7b9fe",
+            ),
+            (
+                {"insert_window_ms": 0.0, "gap_ms": 0.0},
+                "e5ed9d40ee4c184e5667ad285d1ea3dd2dd0232c9991468cb51c410f27ac3bb8",
+            ),
+        ],
+        ids=["base", "no-lookups", "no-gap", "no-windows"],
+    )
+    def test_event_view_pinned(self, topology, overrides, digest):
+        base = {"n_guids": 500, "n_lookups": 5000, "seed": 3}
+        cfg = WorkloadConfig(**{**base, **overrides})
+        workload = WorkloadGenerator(topology, cfg).generate()
+        h = hashlib.sha256()
+        for e in workload.events:
+            line = f"{e.kind.value} {e.time_ms!r} {e.guid.value} {e.source_asn}\n"
+            h.update(line.encode())
+        for guid, asn in sorted(workload.home_asn.items()):
+            h.update(f"{guid.value} {asn}\n".encode())
+        assert h.hexdigest() == digest
+
+    def test_arrays_are_the_stream(self, small_workload):
+        a = small_workload.lookup_arrays()
+        assert a is small_workload.arrays
+        assert small_workload.guids == list(small_workload.home_asn)
+        lookups = [e for e in small_workload.events if e.kind is EventKind.LOOKUP]
+        assert [a.guids[i] for i in a.guid_idx] == [e.guid for e in lookups]
+        assert a.sources.tolist() == [e.source_asn for e in lookups]
+        assert a.issued_at.tolist() == [e.time_ms for e in lookups]
+
 
 class TestExecution:
     def test_run_through_resolver(self, small_workload, base_table, router):
@@ -86,6 +135,26 @@ class TestExecution:
         rtts = small_workload.run_through_resolver(resolver, base_table)
         assert len(rtts) == 300
         assert all(r > 0 for r in rtts)
+
+    def test_grouped_order_is_source_then_time(
+        self, small_workload, base_table, router
+    ):
+        # Failure-free RTTs do not depend on the order, so the grouped run
+        # returns the in-order RTTs permuted by a stable sort of the
+        # lookups by (source AS, issue time).
+        in_order = small_workload.run_through_resolver(
+            DMapResolver(base_table, router, k=3), base_table, group_by_source=False
+        )
+        grouped = small_workload.run_through_resolver(
+            DMapResolver(base_table, router, k=3), base_table
+        )
+        lookups = [e for e in small_workload.events if e.kind is EventKind.LOOKUP]
+        order = sorted(
+            range(len(lookups)),
+            key=lambda j: (lookups[j].source_asn, lookups[j].time_ms),
+        )
+        assert grouped == [in_order[j] for j in order]
+        assert grouped != in_order
 
     def test_locator_matches_home(self, small_workload, base_table):
         guid = next(iter(small_workload.home_asn))
@@ -102,14 +171,16 @@ class TestExecution:
             calls["n"] += 1
             return OUTCOME_MISSING if calls["n"] <= 2 else "hit"
 
-        single = [e for e in small_workload.events if e.kind is not EventKind.LOOKUP]
-        from repro.workload.generator import Workload
-
-        one_lookup = [e for e in small_workload.events if e.kind is EventKind.LOOKUP][:1]
+        # Every insert, then the first lookup alone.
+        a = small_workload.arrays
         tiny = Workload(
             small_workload.config,
-            small_workload.home_asn,
-            single + one_lookup,
+            a._replace(
+                guid_idx=a.guid_idx[:1],
+                sources=a.sources[:1],
+                issued_at=a.issued_at[:1],
+            ),
+            small_workload.insert_times,
         )
         rtts_flaky = tiny.run_through_resolver(resolver, base_table, probe=flaky)
         calls["n"] = 0
