@@ -72,23 +72,19 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument(
         "--jobs",
         type=int,
-        default=1,
-        help="worker processes for the fastpath shard runner (fig4 only; "
-        "0 = all cores)",
+        default=0,
+        help="processes that share the fastpath's Dijkstra rows (fig4 only; "
+        "default 0 = every usable CPU; output is the same for any count)",
     )
     parser.add_argument(
         "--trace",
         default=None,
         metavar="PATH",
         help="write per-query JSONL traces (plus a run manifest) there "
-        "(fig4 only; forces --jobs 1); summarize later with "
+        "(fig4 only); summarize later with "
         "'python -m repro.obs summarize-traces PATH'",
     )
     args = parser.parse_args(argv)
-    if args.jobs == 0:
-        from ..fastpath.runner import default_jobs
-
-        args.jobs = default_jobs()
 
     name = ALIASES.get(args.experiment, args.experiment)
     if args.trace is not None and name != "fig4":

@@ -22,6 +22,7 @@ from ..obs.manifest import RunManifest
 from ..obs.trace import Tracer
 from ..sim.metrics import LatencySummary, summarize
 from ..sim.simulation import DMapSimulation
+from ..topology.routing import usable_cpus
 from ..workload.generator import Workload, WorkloadConfig, WorkloadGenerator
 from .common import Environment, get_environment
 from .reporting import ascii_cdf, format_cdf_table, format_table, percentile_row
@@ -80,7 +81,7 @@ def run_fig4(
     environment: Optional[Environment] = None,
     workload_override: Optional[WorkloadConfig] = None,
     engine: str = "scalar",
-    n_jobs: int = 1,
+    n_jobs: int = 0,
     trace_path: Optional[str] = None,
 ) -> Fig4Result:
     """Run the Fig. 4 experiment.
@@ -91,7 +92,8 @@ def run_fig4(
     and §IV-B.2a design knobs for ablation.  ``engine="fastpath"``
     batches the lookup pipeline through
     :class:`~repro.fastpath.engine.FastpathEngine` (bit-identical RTTs;
-    ``n_jobs`` shards source-AS groups across processes).  The fastpath
+    ``n_jobs`` processes share its Dijkstra rows, ``0`` meaning every
+    usable CPU, with the same output for any count).  The fastpath
     sweeps every K in one pass: it places GUIDs once at ``max(k_values)``
     and evaluates each K on the same (source, host) path cells, so the
     router computes them once per run rather than once per K.
@@ -99,8 +101,6 @@ def run_fig4(
     ``trace_path`` writes a canonical JSONL per-query trace file there
     (plus a run manifest at ``<trace_path>.manifest.json``), from which
     ``python -m repro.obs summarize-traces`` reconstructs this report.
-    Tracing forces single-process execution: per-query traces cannot
-    cross process shards.
     """
     from ..obs.export import metrics_report, write_traces
     from ..obs.manifest import manifest_path_for
@@ -113,8 +113,6 @@ def run_fig4(
 
     tracing = trace_path is not None
     tracer = CollectingTracer() if tracing else NULL_TRACER
-    if tracing:
-        n_jobs = 1
     manifest = RunManifest(
         experiment="fig4",
         config={
@@ -135,10 +133,12 @@ def run_fig4(
     rtts_by_k: Dict[int, np.ndarray] = {}
     local_hits: Dict[int, float] = {}
     failed_by_k: Dict[int, int] = {}
+    workers = 1
     if engine == "fastpath" and not use_simulation:
+        workers = n_jobs or usable_cpus()
         rtts_by_k = _fastpath_sweep(
             env, workload, k_values, local_replica, selection_policy,
-            tracer, n_jobs, manifest,
+            tracer, workers, manifest,
         )
         # As on the instant resolver: no failures, local hits untracked.
         local_hits = {k: float("nan") for k in rtts_by_k}
@@ -172,7 +172,7 @@ def run_fig4(
                         tracer=tracer,
                     )
                     rtts = workload.run_through_resolver(
-                        resolver, env.table, engine=engine, n_jobs=n_jobs
+                        resolver, env.table, engine=engine
                     )
                     rtts_by_k[k] = np.asarray(rtts, dtype=float)
                     local_hits[k] = float("nan")
@@ -180,10 +180,11 @@ def run_fig4(
                     # until the lookup succeeds, so this path records no
                     # failures.
                     failed_by_k[k] = 0
-    # Dijkstra rows computed, and the sources whose pairs were derived
-    # from neighbour rows (fallback_rows of them needed a row after all);
-    # cumulative over the router's life.  Sharded runs count in workers.
-    manifest.extra["routing"] = env.router.cache_stats()
+    # Dijkstra rows computed (by any worker), and the sources whose pairs
+    # were derived from neighbour rows (fallback_rows of them needed a row
+    # after all); cumulative over the router's life.  ``workers`` is the
+    # process count the fastpath spread its rows over.
+    manifest.extra["routing"] = {**env.router.cache_stats(), "workers": workers}
     # Which stored substrate the run used, and whether its set-up loaded
     # it or generated it.
     manifest.extra["substrate"] = {
@@ -244,7 +245,7 @@ def _fastpath_sweep(
 def main(
     scale: Optional[str] = None,
     engine: str = "scalar",
-    n_jobs: int = 1,
+    n_jobs: int = 0,
     trace_path: Optional[str] = None,
 ) -> Fig4Result:
     """CLI entry point: run and print."""

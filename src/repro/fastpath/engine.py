@@ -11,6 +11,8 @@
   from neighbour rows, and keeps none; replica order is a row-wise
   stable ``argsort`` whose tie-breaking provably matches the stable sort
   in :class:`~repro.core.replication.ReplicaSelector`;
+* the Dijkstra rows behind the path cells can be spread over
+  ``n_jobs`` processes; everything else runs in the calling process;
 * every lookup goes through one walk, evaluated in slices of at most
   :data:`WALK_ROWS` rows: the §III-C local-replica race and the
   §III-D.3 failed-attempt accounting (one RTT per "GUID missing", an
@@ -306,8 +308,9 @@ class FastpathEngine:
         ``lookup_outcome(asn, guid)`` / ``is_down(asn)`` (as in
         :mod:`repro.validation.scenarios`) or a bare probe callable; it
         must be deterministic per (AS, GUID) so batch evaluation order
-        cannot change outcomes.  ``n_jobs > 1`` shards source-AS groups
-        across worker processes (availability-free workloads only).
+        cannot change outcomes.  ``n_jobs`` processes share the Dijkstra
+        rows of the path cells (:meth:`Router.pair_paths`); the walk runs
+        in this process, and results are the same for every ``n_jobs``.
         ``issued_at`` stamps each lookup's issue time onto its emitted
         trace (tracing only; the arithmetic itself is time-free).
 
@@ -326,57 +329,6 @@ class FastpathEngine:
         model = availability
         if model is not None and not hasattr(model, "lookup_outcome"):
             model = _ProbeAdapter(model)
-        if n_jobs > 1:
-            if model is not None:
-                raise FastpathUnsupportedError(
-                    "sharded execution supports availability-free workloads only"
-                )
-            if self.tracer.enabled:
-                raise FastpathUnsupportedError(
-                    "per-query traces cannot cross process shards; "
-                    "run tracing with n_jobs=1"
-                )
-            from .runner import run_sharded
-
-            results = run_sharded(self, batch, guid_idx, sources, n_jobs, sweep)
-        else:
-            results = self._lookup_serial(
-                batch, guid_idx, sources, model, issued_at, sweep
-            )
-        return results if k_values is not None else results[sweep[0]]
-
-    def _sweep(
-        self, batch: GuidBatch, k_values: Optional[Sequence[int]]
-    ) -> Tuple[int, ...]:
-        """The replication factors one lookup pass evaluates."""
-        width = batch.placements.shape[1]
-        if k_values is None:
-            return (width,)
-        sweep = tuple(int(k) for k in k_values)
-        if not sweep or len(set(sweep)) != len(sweep) or not all(
-            1 <= k <= width for k in sweep
-        ):
-            raise ConfigurationError(
-                f"k_values must be distinct and within [1, {width}], "
-                f"got {list(k_values)}"
-            )
-        if sweep != (width,) and not prefix_stable(self.placer):
-            raise FastpathUnsupportedError(
-                f"placer {type(self.placer).__name__} gives no K-prefix "
-                "guarantee; sweep K with one engine per K"
-            )
-        return sweep
-
-    def _lookup_serial(
-        self,
-        batch: GuidBatch,
-        guid_idx: np.ndarray,
-        sources: np.ndarray,
-        model=None,
-        issued_at: Optional[np.ndarray] = None,
-        k_values: Optional[Sequence[int]] = None,
-    ) -> Dict[int, BatchLookupResult]:
-        sweep = tuple(k_values or (batch.placements.shape[1],))
         n = len(guid_idx)
         tracing = self.tracer.enabled
         traces_by_k: Dict[int, List[QueryTrace]] = {k: [] for k in sweep}
@@ -392,9 +344,9 @@ class FastpathEngine:
                     "issued_at must align one-to-one with guid_idx"
                 )
         placement_cache: Dict[int, Tuple[PlacementRecord, ...]] = {}
-        path = self._path_cells(batch, guid_idx, sources)
+        path = self._path_cells(batch, guid_idx, sources, n_jobs=n_jobs)
         hop_path = (
-            self._path_cells(batch, guid_idx, sources, hops=True)
+            self._path_cells(batch, guid_idx, sources, hops=True, n_jobs=n_jobs)
             if self.selection_policy == "hops"
             else None
         )
@@ -438,7 +390,29 @@ class FastpathEngine:
         for k in sweep:
             for trace in traces_by_k[k]:
                 self.tracer.record(trace)
-        return results
+        return results if k_values is not None else results[sweep[0]]
+
+    def _sweep(
+        self, batch: GuidBatch, k_values: Optional[Sequence[int]]
+    ) -> Tuple[int, ...]:
+        """The replication factors one lookup pass evaluates."""
+        width = batch.placements.shape[1]
+        if k_values is None:
+            return (width,)
+        sweep = tuple(int(k) for k in k_values)
+        if not sweep or len(set(sweep)) != len(sweep) or not all(
+            1 <= k <= width for k in sweep
+        ):
+            raise ConfigurationError(
+                f"k_values must be distinct and within [1, {width}], "
+                f"got {list(k_values)}"
+            )
+        if sweep != (width,) and not prefix_stable(self.placer):
+            raise FastpathUnsupportedError(
+                f"placer {type(self.placer).__name__} gives no K-prefix "
+                "guarantee; sweep K with one engine per K"
+            )
+        return sweep
 
     def _path_cells(
         self,
@@ -446,13 +420,16 @@ class FastpathEngine:
         guid_idx: np.ndarray,
         sources: np.ndarray,
         hops: bool = False,
+        n_jobs: int = 1,
     ) -> np.ndarray:
         """The float32 inter-AS path latency (or ``hops``) from each row's
         source to each of its GUID's replicas, from one
-        :meth:`Router.pair_paths` call."""
+        :meth:`Router.pair_paths` call over ``n_jobs`` processes."""
         router = self.router
         cand_idx = router.indices_of(batch.placements)[guid_idx]
-        return router.pair_paths(router.indices_of(sources), cand_idx, hops=hops)
+        return router.pair_paths(
+            router.indices_of(sources), cand_idx, hops=hops, n_jobs=n_jobs
+        )
 
     def _local_branches(
         self, sources: np.ndarray, model=None

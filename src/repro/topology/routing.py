@@ -16,6 +16,9 @@ module wraps :func:`scipy.sparse.csgraph.dijkstra` two ways:
   pairs of an independent set of the others from their neighbours' rows
   (``d(s, x) = min_n w(s, n) + d(n, x)``), and accepts a derived value
   only when its float32 rounding is certified equal to Dijkstra's.
+  scipy's Dijkstra holds the GIL, so the planned rows are spread over
+  forked worker processes, each filling its own lane of a shared array
+  that the caller min-merges.
 
 Every consumer reads paths as float32, and both ways return the same
 float32 bits for the same pair.
@@ -33,8 +36,11 @@ and the round-trip query time is twice that (the reply retraces the path,
 
 from __future__ import annotations
 
+import mmap
+import multiprocessing
+import os
 from collections import OrderedDict
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -52,6 +58,15 @@ _ROW_CHUNK = 1 << 14
 
 #: Unit roundoff of float64.
 _UNIT_ROUNDOFF = 2.0 ** -53
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    reports one, else the machine's CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def certified(values: np.ndarray, w_min: float, n: int) -> np.ndarray:
@@ -191,7 +206,11 @@ class Router:
         return exact, np.flatnonzero(derived)
 
     def pair_paths(
-        self, src_idx: np.ndarray, dst_idx: np.ndarray, hops: bool = False
+        self,
+        src_idx: np.ndarray,
+        dst_idx: np.ndarray,
+        hops: bool = False,
+        n_jobs: int = 1,
     ) -> np.ndarray:
         """Inter-AS path latencies (or ``hops``) as float32, one per cell
         of ``dst_idx``; row ``i`` of ``dst_idx`` holds destinations of
@@ -206,6 +225,9 @@ class Router:
         each derived neighbour ``s`` to ``w(s, n) + row_n[x]``.  A derived
         value is kept when :func:`certified`; a derived source with any
         uncertain pair gets one exact row instead (a fallback row).
+
+        ``n_jobs`` workers share the blocks (see :meth:`_stream`); the
+        cells are the same bits for every worker count.
         """
         src = np.asarray(src_idx, dtype=np.int64)
         dst = np.asarray(dst_idx, dtype=np.int64)
@@ -225,12 +247,15 @@ class Router:
         is_derived = np.zeros(self.n, dtype=bool)
         is_derived[derived] = True
         dist = np.full(len(pairs), np.inf)
-        self._stream(matrix, exact, bounds, px, dist, feed=is_derived)
+        self._stream(matrix, exact, bounds, px, dist, is_derived, n_jobs)
         via = np.flatnonzero(is_derived[ps] & ~itself)
         w_min = float(matrix.data.min()) if matrix.nnz else 0.0
         unsure = via[~certified(dist[via], w_min, self.n)]
         fallback = np.unique(ps[unsure])
-        self._stream(matrix, fallback, bounds, px, dist)
+        # A fallback row replaces its source's derived values, which the
+        # merge's minimum would otherwise keep where they round lower.
+        dist[_ranges(bounds[fallback], bounds[fallback + 1])[1]] = np.inf
+        self._stream(matrix, fallback, bounds, px, dist, None, n_jobs)
         dist[itself] = 0.0
         self.derived_rows += len(derived)
         self.fallback_rows += len(fallback)
@@ -249,36 +274,52 @@ class Router:
         bounds: np.ndarray,
         px: np.ndarray,
         dist: np.ndarray,
-        feed: Optional[np.ndarray] = None,
+        feed: Optional[np.ndarray],
+        n_jobs: int,
     ) -> None:
-        """Compute the Dijkstra rows of ``nodes``, :data:`ROW_BLOCK` per
-        call, and drop each block once read.
+        """Compute the Dijkstra rows of ``nodes`` into ``dist`` (see
+        :func:`_fill`), dealing their :data:`ROW_BLOCK` blocks round-robin
+        to ``n_jobs`` workers.
 
-        Each row writes its own source's pairs of ``dist`` (source ``s``
-        owns ``bounds[s]:bounds[s + 1]``, with hosts ``px``).  With a
-        ``feed`` mask, the row of ``n`` also lowers every pair ``(s, x)``
-        of each neighbour ``s`` in ``feed`` to ``w(s, n) + row_n[x]``
-        when that is smaller.
+        The caller is worker 0; the others are forked.  Each worker fills
+        its own lane of one shared ``(workers, len(dist))`` array, every
+        lane starting as a copy of ``dist``, and the lanes are merged by
+        ``np.minimum``.  A source's own pairs are written by exactly one
+        worker and stay ``inf`` in the other lanes, and a running minimum
+        over a split feed is the minimum of the parts, so the merge is
+        the serial stream's bits whatever the worker count.  One block,
+        or no ``fork``, streams in-process.
         """
-        indptr, indices = matrix.indptr, matrix.indices
-        for first in range(0, len(nodes), ROW_BLOCK):
-            block = nodes[first : first + ROW_BLOCK]
-            rows = dijkstra(matrix, directed=True, indices=block)
-            self.dijkstra_runs += len(block)
-            at, cells = _ranges(bounds[block], bounds[block + 1])
-            dist[cells] = rows[at, px[cells]]
-            if feed is None:
-                continue
-            # The block's links into fed sources, then each such link
-            # expanded to every pair of the source at its far end.
-            at, links = _ranges(indptr[block], indptr[block + 1])
-            fed = feed[indices[links]]
-            at, links = at[fed], links[fed]
-            nbr = indices[links]
-            link, cells = _ranges(bounds[nbr], bounds[nbr + 1])
-            np.minimum.at(
-                dist, cells, matrix.data[links[link]] + rows[at[link], px[cells]]
+        blocks = [nodes[i : i + ROW_BLOCK] for i in range(0, len(nodes), ROW_BLOCK)]
+        self.dijkstra_runs += len(nodes)
+        workers = min(n_jobs, len(blocks))
+        if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+            _fill(matrix, blocks, bounds, px, dist, feed)
+            return
+        ctx = multiprocessing.get_context("fork")
+        lanes = np.frombuffer(
+            mmap.mmap(-1, workers * dist.nbytes), dtype=np.float64
+        ).reshape(workers, len(dist))
+        lanes[:] = dist
+        started: List[multiprocessing.process.BaseProcess] = []
+        try:
+            for w in range(1, workers):
+                proc = ctx.Process(
+                    target=_fill,
+                    args=(matrix, blocks[w::workers], bounds, px, lanes[w], feed),
+                )
+                proc.start()
+                started.append(proc)
+            _fill(matrix, blocks[::workers], bounds, px, lanes[0], feed)
+        finally:
+            for proc in started:
+                proc.join()
+        failed = [proc.exitcode for proc in started if proc.exitcode != 0]
+        if failed:
+            raise RoutingError(
+                f"{len(failed)} Dijkstra worker(s) failed (exit codes {failed})"
             )
+        np.minimum.reduce(lanes, axis=0, out=dist)
 
     def latency_row(self, src_asn: int) -> np.ndarray:
         """Inter-AS path latency (ms) from ``src_asn`` to every AS, in
@@ -425,6 +466,42 @@ class Router:
             "derived_rows": self.derived_rows,
             "fallback_rows": self.fallback_rows,
         }
+
+
+def _fill(
+    matrix: csr_matrix,
+    blocks: List[np.ndarray],
+    bounds: np.ndarray,
+    px: np.ndarray,
+    dist: np.ndarray,
+    feed: Optional[np.ndarray],
+) -> None:
+    """Run Dijkstra for each block of sources and drop the block once
+    read.
+
+    Each row writes its own source's pairs of ``dist`` (source ``s`` owns
+    ``bounds[s]:bounds[s + 1]``, with hosts ``px``).  With a ``feed``
+    mask, the row of ``n`` also lowers every pair ``(s, x)`` of each
+    neighbour ``s`` in ``feed`` to ``w(s, n) + row_n[x]`` when that is
+    smaller.
+    """
+    indptr, indices = matrix.indptr, matrix.indices
+    for block in blocks:
+        rows = dijkstra(matrix, directed=True, indices=block)
+        at, cells = _ranges(bounds[block], bounds[block + 1])
+        dist[cells] = rows[at, px[cells]]
+        if feed is None:
+            continue
+        # The block's links into fed sources, then each such link
+        # expanded to every pair of the source at its far end.
+        at, links = _ranges(indptr[block], indptr[block + 1])
+        fed = feed[indices[links]]
+        at, links = at[fed], links[fed]
+        nbr = indices[links]
+        link, cells = _ranges(bounds[nbr], bounds[nbr + 1])
+        np.minimum.at(
+            dist, cells, matrix.data[links[link]] + rows[at[link], px[cells]]
+        )
 
 
 def _ranges(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

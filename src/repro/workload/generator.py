@@ -34,10 +34,10 @@ from .sources import SourceSampler
 
 
 class EventKind(enum.Enum):
-    """The three event types the paper simulates (§IV-B.1)."""
+    """The event types of a generated stream: the paper's inserts and
+    lookups (§IV-B.1)."""
 
     INSERT = "insert"
-    UPDATE = "update"
     LOOKUP = "lookup"
 
 
@@ -176,8 +176,8 @@ class Workload:
 
         ``engine="fastpath"`` executes the lookups through the batched
         :class:`~repro.fastpath.engine.FastpathEngine` built from the
-        resolver's configuration (``n_jobs > 1`` additionally shards
-        source-AS groups across worker processes).  Per-query RTTs are
+        resolver's configuration (``n_jobs`` processes share its Dijkstra
+        rows).  Per-query RTTs are
         bit-identical to the scalar walk; the returned list is in event
         order rather than grouped order, and the resolver's stores are
         *not* populated (the engine models the converged post-write

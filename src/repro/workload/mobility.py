@@ -4,7 +4,7 @@
 mobile hosts updating their GUID→NA binding ~100 times/day as they move
 between networks ("a mobile device in a vehicle may change its network
 attachment points many times" during one session).  This module generates
-per-host move schedules and the corresponding update events.
+per-host move schedules.
 
 Two movement regimes:
 
@@ -18,14 +18,13 @@ Two movement regimes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 import numpy as np
 
 from ..core.guid import GUID
 from ..errors import WorkloadError
 from ..topology.graph import ASTopology
-from .generator import EventKind, WorkloadEvent
 from .sources import SourceSampler
 
 #: The paper's headline mobility estimate: 100 binding updates per day
@@ -121,18 +120,6 @@ class MobilityModel:
             moves.extend(self.moves_for_host(guid, home, horizon_ms, start_ms))
         moves.sort(key=lambda m: m.time_ms)
         return moves
-
-    @staticmethod
-    def to_update_events(moves: Sequence[MoveEvent]) -> List[WorkloadEvent]:
-        """Convert moves into GUID Update workload events.
-
-        The update originates from the *destination* AS — the host has
-        already re-attached when it refreshes its binding (§III-A).
-        """
-        return [
-            WorkloadEvent(EventKind.UPDATE, move.time_ms, move.guid, move.to_asn)
-            for move in moves
-        ]
 
 
 def update_traffic_gbps(

@@ -28,12 +28,12 @@ from repro.fastpath import (
 )
 from repro.fastpath.engine import WALK_ROWS
 from repro.fastpath.placement import batch_resolutions, prefix_stable
-from repro.fastpath.runner import _shard_rows, run_sharded
 from repro.hashing.asnum_placer import ASNumberPlacer, WeightedASPlacer
 from repro.hashing.hashers import FastHasher, Sha256Hasher
 from repro.hashing.rehash import GuidPlacer
 from repro.obs.export import dumps_traces
 from repro.obs.trace import CollectingTracer
+from repro.topology import routing
 from repro.topology.routing import Router
 from repro.workload.generator import WorkloadConfig, WorkloadGenerator
 
@@ -228,8 +228,24 @@ class TestAvailabilityEquivalence:
 
 
 # ----------------------------------------------------------------------
-# Sharded runner
+# Dijkstra rows sharded over n_jobs processes
 # ----------------------------------------------------------------------
+@pytest.fixture
+def small_row_blocks(monkeypatch):
+    """Row blocks small enough that a test batch's rows fill several, so
+    ``n_jobs > 1`` really forks."""
+    monkeypatch.setattr(routing, "ROW_BLOCK", 2)
+
+
+def _assert_same_result(a, b):
+    assert np.array_equal(a.rtt_ms, b.rtt_ms)
+    assert np.array_equal(a.served_by, b.served_by)
+    assert np.array_equal(a.used_local, b.used_local)
+    assert np.array_equal(a.attempts, b.attempts)
+    assert np.array_equal(a.success, b.success)
+
+
+@pytest.mark.usefixtures("small_row_blocks")
 class TestShardedRunner:
     def test_sharded_matches_serial(self, base_table, router, asns):
         _, engine, batch, gidx, srcs, _ = _deploy(
@@ -238,29 +254,48 @@ class TestShardedRunner:
         serial = engine.lookup_batch(batch, gidx, srcs)
         for n_jobs in (2, 3):
             sharded = engine.lookup_batch(batch, gidx, srcs, n_jobs=n_jobs)
-            assert np.array_equal(serial.rtt_ms, sharded.rtt_ms)
-            assert np.array_equal(serial.served_by, sharded.served_by)
-            assert np.array_equal(serial.used_local, sharded.used_local)
-            assert np.array_equal(serial.attempts, sharded.attempts)
-            assert np.array_equal(serial.success, sharded.success)
+            _assert_same_result(serial, sharded)
 
-    def test_shard_rows_partition_on_group_boundaries(self):
-        sources = np.array([7, 3, 7, 3, 9, 9, 9, 1, 3, 7])
-        shards = _shard_rows(sources, 3)
-        all_rows = np.concatenate(shards)
-        assert sorted(all_rows.tolist()) == list(range(len(sources)))
-        seen = set()
-        for rows in shards:
-            groups = set(sources[rows].tolist())
-            assert not groups & seen  # no source AS split across shards
-            seen |= groups
+    @pytest.mark.parametrize("policy", ["latency", "hops"])
+    def test_sharded_sweep_matches_serial_and_counts_every_row(
+        self, topology, base_table, asns, policy
+    ):
+        _, engine, batch, gidx, srcs, _ = _deploy(
+            base_table, Router(topology), asns, policy=policy, seed=919
+        )
+        k_values = TestKSweep.K_VALUES
+        runs = []
+        for n_jobs in (1, 2, 3):
+            engine.router = Router(topology)
+            results = engine.lookup_batch(
+                batch, gidx, srcs, n_jobs=n_jobs, k_values=k_values
+            )
+            if n_jobs == 1:
+                serial = results
+            for k in k_values:
+                _assert_same_result(serial[k], results[k])
+            runs.append(engine.router.cache_stats()["dijkstra_runs"])
+        assert runs[0] > 2 * routing.ROW_BLOCK
+        assert runs[0] == runs[1] == runs[2]
 
     def test_single_group_falls_back_to_serial(self, base_table, router, asns):
         _, engine, batch, gidx, _, _ = _deploy(base_table, router, asns, seed=111)
         srcs = np.full(len(gidx), int(asns[0]))
         serial = engine.lookup_batch(batch, gidx, srcs)
-        sharded = run_sharded(engine, batch, gidx, srcs, n_jobs=4)
+        sharded = engine.lookup_batch(batch, gidx, srcs, n_jobs=4)
         assert np.array_equal(serial.rtt_ms, sharded.rtt_ms)
+
+    def test_sharded_availability_matches_serial(self, base_table, router, asns):
+        _, engine, batch, gidx, srcs, _ = _deploy(
+            base_table, router, asns, seed=121
+        )
+        model = _Model(down_asns=asns[:10])
+        serial = engine.lookup_batch(batch, gidx, srcs, availability=model)
+        sharded = engine.lookup_batch(
+            batch, gidx, srcs, availability=model, n_jobs=2
+        )
+        _assert_same_result(serial, sharded)
+        assert (serial.attempts > 1).any()
 
 
 # ----------------------------------------------------------------------
@@ -274,13 +309,6 @@ class TestRejections:
     def test_nonpositive_timeout_rejected(self, base_table, router):
         with pytest.raises(ConfigurationError):
             FastpathEngine(base_table, router, timeout_ms=0.0)
-
-    def test_sharded_availability_rejected(self, base_table, router, asns):
-        _, engine, batch, gidx, srcs, _ = _deploy(
-            base_table, router, asns, seed=121
-        )
-        with pytest.raises(FastpathUnsupportedError):
-            engine.lookup_batch(batch, gidx, srcs, availability=_Model(), n_jobs=2)
 
     def test_misaligned_local_asns_rejected(self, base_table, router):
         engine = FastpathEngine(base_table, router)
@@ -389,14 +417,6 @@ class TestKPrefix:
 class TestKSweep:
     K_VALUES = (1, 3, 5)
 
-    @staticmethod
-    def _assert_same(a, b):
-        assert np.array_equal(a.rtt_ms, b.rtt_ms)
-        assert np.array_equal(a.served_by, b.served_by)
-        assert np.array_equal(a.used_local, b.used_local)
-        assert np.array_equal(a.attempts, b.attempts)
-        assert np.array_equal(a.success, b.success)
-
     @pytest.mark.parametrize("policy", ["latency", "hops"])
     @pytest.mark.parametrize("local", [True, False])
     @pytest.mark.parametrize("available", [True, False])
@@ -416,7 +436,7 @@ class TestKSweep:
                 base_table, router, asns, k=k, policy=policy, local=local,
                 seed=161,
             )
-            self._assert_same(
+            _assert_same_result(
                 sweep[k], engine_k.lookup_batch(batch_k, gidx, srcs, availability=model)
             )
             _assert_lookup_parity(
@@ -439,7 +459,7 @@ class TestKSweep:
                 base_table, router, asns, k=k,
                 placer=_placer(scheme, base_table, asns, k), seed=171,
             )
-            self._assert_same(sweep[k], engine_k.lookup_batch(batch_k, gidx, srcs))
+            _assert_same_result(sweep[k], engine_k.lookup_batch(batch_k, gidx, srcs))
 
     def test_each_row_computed_once(self, topology, base_table, asns):
         small = Router(topology, cache_size=4)
@@ -456,14 +476,17 @@ class TestKSweep:
         # The pair call leaves the LRU alone: nothing is evicted.
         assert stats["evictions"] == start["evictions"]
 
-    def test_sharded_sweep_matches_serial(self, base_table, router, asns):
+    def test_sharded_sweep_matches_serial(
+        self, base_table, router, asns, small_row_blocks
+    ):
         _, engine, batch, gidx, srcs, _ = _deploy(base_table, router, asns, seed=191)
         serial = engine.lookup_batch(batch, gidx, srcs, k_values=self.K_VALUES)
-        sharded = engine.lookup_batch(
-            batch, gidx, srcs, n_jobs=2, k_values=self.K_VALUES
-        )
-        for k in self.K_VALUES:
-            self._assert_same(serial[k], sharded[k])
+        for n_jobs in (2, 3):
+            sharded = engine.lookup_batch(
+                batch, gidx, srcs, n_jobs=n_jobs, k_values=self.K_VALUES
+            )
+            for k in self.K_VALUES:
+                _assert_same_result(serial[k], sharded[k])
 
     def test_sweep_traces_match_per_k_engines(self, base_table, router, asns):
         model = _Model(down_asns=asns[:10])

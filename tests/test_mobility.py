@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.guid import GUID
 from repro.errors import WorkloadError
-from repro.workload.generator import EventKind
 from repro.workload.mobility import (
     MobilityModel,
     PAPER_UPDATES_PER_DAY,
@@ -66,16 +65,6 @@ class TestMoveSchedules:
         times = [m.time_ms for m in moves]
         assert times == sorted(times)
         assert {m.guid for m in moves} <= set(homes)
-
-    def test_to_update_events(self, topology):
-        model = MobilityModel(topology, seed=6)
-        moves = model.moves_for_host(GUID(1), topology.asns()[0], DAY_MS / 10)
-        events = MobilityModel.to_update_events(moves)
-        assert len(events) == len(moves)
-        for move, event in zip(moves, events):
-            assert event.kind is EventKind.UPDATE
-            assert event.source_asn == move.to_asn
-            assert event.time_ms == move.time_ms
 
     def test_validation(self, topology):
         with pytest.raises(WorkloadError):

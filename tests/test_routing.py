@@ -1,11 +1,14 @@
 """Tests for the shortest-path routing oracle."""
 
+import os
+
 import numpy as np
 import pytest
 from scipy.sparse.csgraph import dijkstra
 
 from repro.errors import RoutingError
 from repro.topology.datasets import line_fixture, star_fixture
+from repro.topology import routing
 from repro.topology.graph import ASInfo, ASTopology
 from repro.topology.routing import Router, certified
 
@@ -202,6 +205,107 @@ class TestPairPaths:
         # to a different float32 than Dijkstra's value.
         estimate = (1.0 + 2.0**-24) + (2.0**-53 + 2.0**-53)
         assert np.float32(estimate) != got[0, 3]
+
+
+class TestPairPathWorkers:
+    """``pair_paths`` with ``n_jobs`` workers min-merges their lanes and
+    must return the serial stream's bits for every worker count."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        # Small blocks, so that every worker count has blocks to share.
+        monkeypatch.setattr(routing, "ROW_BLOCK", 4)
+
+    @staticmethod
+    def _all_pairs(router, n_jobs, hops=False):
+        n = router.n
+        return router.pair_paths(
+            np.arange(n), np.tile(np.arange(n), (n, 1)), hops=hops, n_jobs=n_jobs
+        )
+
+    @pytest.mark.parametrize("hops", [False, True], ids=["latency", "hops"])
+    def test_every_worker_count_gives_dijkstra_bits(self, topology, hops):
+        reference = Router(topology)
+        fetch = reference.hop_row if hops else reference.latency_row
+        expected = np.stack([fetch(asn) for asn in topology.asns()])
+        stats = []
+        for n_jobs in (1, 2, 3):
+            router = Router(topology)
+            got = self._all_pairs(router, n_jobs, hops)
+            assert got.dtype == np.float32
+            assert np.array_equal(got, expected), f"n_jobs={n_jobs}"
+            stats.append(router.cache_stats())
+        assert stats[0]["derived_rows"] > 0
+        exact, _ = Router(topology).plan_rows(np.arange(len(topology)))
+        assert len(exact) > 3 * routing.ROW_BLOCK
+        # Every streamed row is counted, whichever process computed it.
+        assert stats[0] == stats[1] == stats[2]
+
+    def test_cells_of_a_request_match_across_worker_counts(self, topology):
+        rng = np.random.default_rng(5)
+        src = rng.integers(0, len(topology), size=300)
+        dst = rng.integers(0, len(topology), size=(300, 5))
+        serial = Router(topology).pair_paths(src, dst)
+        for n_jobs in (2, 3):
+            assert np.array_equal(
+                Router(topology).pair_paths(src, dst, n_jobs=n_jobs), serial
+            )
+
+    def test_forced_fallback_rows_merge_exactly(self, topology, monkeypatch):
+        # Reject every third derived cell: their sources get fallback rows.
+        real = routing.certified
+        monkeypatch.setattr(
+            routing,
+            "certified",
+            lambda values, w_min, n: real(values, w_min, n)
+            & (np.arange(len(values)) % 3 != 0),
+        )
+        reference = Router(topology)
+        expected = np.stack([reference.latency_row(a) for a in topology.asns()])
+        stats = []
+        for n_jobs in (1, 2, 3):
+            router = Router(topology)
+            assert np.array_equal(self._all_pairs(router, n_jobs), expected)
+            stats.append(router.cache_stats())
+        assert stats[0]["fallback_rows"] > routing.ROW_BLOCK
+        assert stats[0] == stats[1] == stats[2]
+
+    def test_fallback_row_replaces_a_lower_derived_value(self, monkeypatch):
+        # Line 1 - 2 - 3 - 4, with AS 1 and AS 4 derived.  Dijkstra from
+        # AS 1 rounds (w1 + w2) + w3 up past the float32 midpoint m; the
+        # derivation w1 + (w2 + w3) stays below it.  The fallback row must
+        # win the merge although its float64 value is the larger one.
+        monkeypatch.setattr(routing, "ROW_BLOCK", 1)
+        ulp = 2.0**-52
+        m = 1.0 + 2.0**-24
+        topo = ASTopology()
+        for asn in (1, 2, 3, 4):
+            topo.add_as(ASInfo(asn, intra_latency_ms=1.0, endnodes=1))
+        topo.add_link(1, 2, m - ulp)
+        topo.add_link(2, 3, 0.6 * ulp)
+        topo.add_link(3, 4, 0.6 * ulp)
+        derived_estimate = (m - ulp) + (0.6 * ulp + 0.6 * ulp)
+        reference = Router(topo)
+        assert np.float32(derived_estimate) < reference.latency_row(1)[3]
+        for n_jobs in (1, 2):
+            router = Router(topo)
+            got = self._all_pairs(router, n_jobs)
+            assert router.cache_stats()["fallback_rows"] == 2
+            for s in range(4):
+                assert np.array_equal(got[s], reference.latency_row(s + 1))
+
+    def test_a_failed_worker_raises(self, topology, monkeypatch):
+        parent = os.getpid()
+        real = routing.dijkstra
+
+        def dies_in_workers(*args, **kwargs):
+            if os.getpid() != parent:
+                raise MemoryError("worker lost")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(routing, "dijkstra", dies_in_workers)
+        with pytest.raises(RoutingError, match="worker"):
+            self._all_pairs(Router(topology), 2)
 
 
 class TestUnreachable:

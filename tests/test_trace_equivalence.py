@@ -24,10 +24,11 @@ from repro.core.resolver import (
     DMapResolver,
 )
 from repro.errors import LookupFailedError
-from repro.fastpath import FastpathEngine, FastpathUnsupportedError
+from repro.fastpath import FastpathEngine
 from repro.hashing.asnum_placer import ASNumberPlacer, WeightedASPlacer
 from repro.obs import CollectingTracer
 from repro.obs.export import dumps_traces, read_traces, write_traces
+from repro.topology import routing
 
 N_GUIDS = 40
 N_LOOKUPS = 150
@@ -52,7 +53,7 @@ class _Model:
 
 
 def _run_both(base_table, router, asns, *, k=5, local=True, placer=None,
-              model=None, seed=101):
+              model=None, seed=101, n_jobs=1):
     """One deployment, the same lookups through both engines.
 
     Returns ``(scalar_traces, fastpath_traces)`` — each engine writes
@@ -90,7 +91,9 @@ def _run_both(base_table, router, asns, *, k=5, local=True, placer=None,
             )
         except LookupFailedError:
             pass
-    engine.lookup_batch(batch, gidx, srcs, availability=model, issued_at=times)
+    engine.lookup_batch(
+        batch, gidx, srcs, availability=model, n_jobs=n_jobs, issued_at=times
+    )
     return scalar_tracer.traces, fast_tracer.traces
 
 
@@ -188,18 +191,15 @@ class TestTraceFileRoundTrip:
             key=lambda t: (t.k, t.issued_at, t.guid_value, t.source_asn),
         )
 
-    def test_tracing_rejects_sharded_execution(self, base_table, router, asns):
-        rng = np.random.default_rng(909)
-        resolver = DMapResolver(base_table, router, k=3, tracer=CollectingTracer())
-        guids = [GUID(int(v)) for v in rng.integers(0, 2**64, size=8, dtype=np.uint64)]
-        for g in guids:
-            resolver.insert(g, [NetworkAddress(1)], int(asns[0]))
-        engine = FastpathEngine.from_resolver(resolver)
-        batch = engine.index_guids(guids)
-        with pytest.raises(FastpathUnsupportedError):
-            engine.lookup_batch(
-                batch,
-                np.zeros(4, dtype=np.int64),
-                np.asarray(asns[:4], dtype=np.int64),
-                n_jobs=2,
-            )
+    def test_sharded_traces_match_serial(
+        self, base_table, router, asns, monkeypatch
+    ):
+        # Small row blocks, so that two workers really share the rows.
+        monkeypatch.setattr(routing, "ROW_BLOCK", 2)
+        model = _Model(down_asns=asns[:10])
+        scalar, serial = _run_both(base_table, router, asns, model=model, seed=909)
+        _, sharded = _run_both(
+            base_table, router, asns, model=model, seed=909, n_jobs=2
+        )
+        assert dumps_traces(sharded) == dumps_traces(serial)
+        _assert_streams_byte_identical(scalar, sharded)
