@@ -89,8 +89,7 @@ class DNSLike(BaselineResolver):
         return store
 
     def _closest_root(self, source_asn: int) -> int:
-        roots = np.asarray(self.root_asns, dtype=np.int64)
-        asn, _latency = self.router.closest_of(source_asn, roots)
+        asn, _latency = self.router.closest_of(source_asn, self.root_asns)
         return asn
 
     # ------------------------------------------------------------------

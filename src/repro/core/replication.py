@@ -101,42 +101,39 @@ class ReplicaSelector:
         self.policy = policy
         self.rng = rng or np.random.default_rng(0)
 
-    def order_candidates(
+    def ranked(
         self, source_asn: int, candidate_asns: Sequence[int]
-    ) -> List[int]:
-        """Candidates sorted best-first under the policy.
+    ) -> List[Tuple[int, float]]:
+        """``(asn, one_way_ms)`` per distinct candidate, best-first under
+        the policy.
 
         Duplicates are removed (two hash functions landing in one AS give
         a single queryable host).  The order determines the retry sequence
-        after a timeout or a "GUID missing" reply (§III-D.3).
+        after a timeout or a "GUID missing" reply (§III-D.3); equal keys
+        keep candidate order.  ``one_way_ms`` is
+        :meth:`Router.one_way_costs`' value, ``inf`` when unreachable.
         """
-        unique: List[int] = []
-        seen = set()
-        for asn in candidate_asns:
-            if asn not in seen:
-                seen.add(asn)
-                unique.append(asn)
+        unique = list(dict.fromkeys(candidate_asns))
         if not unique:
             raise ConfigurationError("no candidate replicas to order")
+        one_way = self.router.one_way_costs(source_asn, unique)
         if self.policy == "random":
-            order = self.rng.permutation(len(unique))
-            return [unique[i] for i in order]
-        if self.policy == "latency":
-            latencies = self.router.one_way_to_many(
-                source_asn, np.asarray(unique, dtype=np.int64)
+            order = self.rng.permutation(len(unique)).tolist()
+        else:
+            keys = (
+                one_way
+                if self.policy == "latency"
+                else self.router.hop_costs(source_asn, unique)
             )
-            ranked = np.argsort(latencies, kind="stable")
-            return [unique[int(i)] for i in ranked]
-        # hops
-        row = self.router.hop_row(source_asn)
-        topo = self.router.topology
-        src_idx = topo.index_of(source_asn)
-        hop_counts = []
-        for asn in unique:
-            idx = topo.index_of(asn)
-            hop_counts.append(0.0 if idx == src_idx else float(row[idx]))
-        ranked = np.argsort(np.asarray(hop_counts), kind="stable")
-        return [unique[int(i)] for i in ranked]
+            order = sorted(range(len(unique)), key=keys.__getitem__)
+        return [(unique[i], one_way[i]) for i in order]
+
+    def order_candidates(
+        self, source_asn: int, candidate_asns: Sequence[int]
+    ) -> List[int]:
+        """Candidates sorted best-first under the policy (see
+        :meth:`ranked`)."""
+        return [asn for asn, _ in self.ranked(source_asn, candidate_asns)]
 
     def best_rtt_ms(self, source_asn: int, candidate_asns: Sequence[int]) -> float:
         """Round-trip time to the best candidate under the policy."""

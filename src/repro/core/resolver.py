@@ -79,11 +79,10 @@ def local_branch_end_ms(
 
     A down querier's own mapping service swallows the local request, so
     the adaptive timer on ``rtt(source, source)`` expires instead;
-    otherwise the reply takes the intra-AS round trip.
+    otherwise the reply takes that intra-AS round trip.
     """
-    if querier_down:
-        return adaptive_timeout_ms(floor_ms, router.rtt_ms(source_asn, source_asn))
-    return 2.0 * router.topology.intra_latency(source_asn)
+    rtt = router.rtt_ms(source_asn, source_asn)
+    return adaptive_timeout_ms(floor_ms, rtt) if querier_down else rtt
 
 
 @dataclass(frozen=True)
@@ -253,17 +252,18 @@ class DMapResolver:
         """
         guid = guid_like(guid)
         version = 0
+        retired: Optional[int] = None
         previous = self.replica_sets.get(guid)
         if previous is not None:
             for asn in previous.all_asns:
                 existing = self.store_at(asn).get(guid)
                 if existing is not None:
                     version = max(version, existing.version + 1)
-            if previous.local_asn is not None and previous.local_asn != source_asn:
+            if previous.local_asn != source_asn:
                 # The host left its old AS; the old local copy is retired.
-                self.store_at(previous.local_asn).delete(guid)
+                retired = previous.local_asn
         entry = MappingEntry(guid, tuple(locators), version=version, timestamp=time)
-        return self._write(entry, source_asn)
+        return self._write(entry, source_asn, retired)
 
     def _placement(self, guid: GUID) -> Sequence[HashResolution]:
         """The K resolutions of ``guid`` under the current BGP view.
@@ -283,13 +283,23 @@ class DMapResolver:
             return replica_set.global_replicas
         return self.placer.resolve_all(guid)
 
-    def _write(self, entry: MappingEntry, source_asn: int) -> WriteResult:
+    def _write(
+        self, entry: MappingEntry, source_asn: int, retired: Optional[int] = None
+    ) -> WriteResult:
+        """Write ``entry`` to its K replicas and local copy, after deleting
+        it at ``retired``.  All K RTTs are priced first: a write to an
+        unreachable replica raises with every store left as it was."""
         generation = getattr(self.placer, "generation", None)
         resolutions = self._placement(entry.guid)
-        rtts: List[float] = []
-        for res in resolutions:
-            self.store_at(res.asn).insert(entry)
-            rtts.append(self.router.rtt_ms(source_asn, res.asn))
+        asns = [res.asn for res in resolutions]
+        rtts = [
+            2.0 * self.router.reached(source_asn, asn, one_way)
+            for asn, one_way in zip(asns, self.router.one_way_costs(source_asn, asns))
+        ]
+        if retired is not None:
+            self.store_at(retired).delete(entry.guid)
+        for asn in asns:
+            self.store_at(asn).insert(entry)
         local_asn: Optional[int] = None
         if self.local_replica:
             local_asn = source_asn
@@ -367,7 +377,7 @@ class DMapResolver:
             candidates: Sequence[int] = [record.asn for record in placement]
         else:
             candidates = [res.asn for res in self._placement(guid)]
-        ordered = self.selector.order_candidates(source_asn, candidates)
+        ranked = self.selector.ranked(source_asn, candidates)
 
         # Parallel local branch: a same-AS copy answers in the intra-AS RTT.
         local_end: Optional[float] = None
@@ -375,7 +385,7 @@ class DMapResolver:
         local_outcome: Optional[str] = None
         # Churn staleness does not affect the local branch: the querier and
         # the local store share one BGP view (same convention as the DES).
-        if self.local_replica and source_asn not in ordered:
+        if self.local_replica and source_asn not in candidates:
             down = is_down is not None and is_down(source_asn)
             local_end = local_branch_end_ms(
                 self.router, source_asn, down, self.timeout_ms
@@ -390,48 +400,24 @@ class DMapResolver:
 
         attempts: List[Attempt] = []
         elapsed = 0.0
-        for asn in ordered:
+        hit: Optional[Tuple[int, MappingEntry]] = None
+        for asn, one_way in ranked:
             if local_entry is not None and local_end <= elapsed:
-                # The local reply arrived before this attempt was sent.
-                if tracing:
-                    self._emit_lookup_trace(
-                        guid, source_asn, time, placement, attempts,
-                        local_outcome, local_end, True, source_asn,
-                        local_end, None,
-                    )
-                return LookupResult(
-                    local_entry, local_end, source_asn, tuple(attempts), True
-                )
-            rtt = self.router.rtt_ms(source_asn, asn)
+                break  # The local reply arrived before this attempt was sent.
+            rtt = 2.0 * self.router.reached(source_asn, asn, one_way)
             outcome = OUTCOME_HIT
             if probe is not None:
                 outcome = probe(asn, guid)
             if outcome == OUTCOME_HIT:
                 try:
-                    entry = self.store_at(asn).lookup(guid)
+                    hit = (asn, self.store_at(asn).lookup(guid))
                 except MappingNotFoundError:
                     outcome = OUTCOME_MISSING
                     self._lazy_migrate(guid, asn)
             if outcome == OUTCOME_HIT:
                 elapsed += rtt
                 attempts.append(Attempt(asn, OUTCOME_HIT, rtt))
-                if local_entry is not None and local_end <= elapsed:
-                    # The parallel local query answered first (§III-C).
-                    if tracing:
-                        self._emit_lookup_trace(
-                            guid, source_asn, time, placement, attempts,
-                            local_outcome, local_end, True, source_asn,
-                            local_end, None,
-                        )
-                    return LookupResult(
-                        local_entry, local_end, source_asn, tuple(attempts), True
-                    )
-                if tracing:
-                    self._emit_lookup_trace(
-                        guid, source_asn, time, placement, attempts,
-                        local_outcome, local_end, False, asn, elapsed, None,
-                    )
-                return LookupResult(entry, elapsed, asn, tuple(attempts), False)
+                break
             if outcome == OUTCOME_MISSING:
                 # The AS answers quickly with "GUID missing": one round trip.
                 elapsed += rtt
@@ -443,7 +429,16 @@ class DMapResolver:
             else:
                 raise ConfigurationError(f"probe returned unknown outcome {outcome!r}")
 
+        if hit is not None and (local_entry is None or elapsed < local_end):
+            served_by, entry = hit
+            if tracing:
+                self._emit_lookup_trace(
+                    guid, source_asn, time, placement, attempts,
+                    local_outcome, local_end, False, served_by, elapsed, None,
+                )
+            return LookupResult(entry, elapsed, served_by, tuple(attempts), False)
         if local_entry is not None:
+            # The parallel local query answered first (§III-C), or alone.
             if tracing:
                 self._emit_lookup_trace(
                     guid, source_asn, time, placement, attempts,
@@ -522,10 +517,8 @@ class DMapResolver:
         )
         if not donors:
             return
-        donor, _latency = self.router.closest_of(
-            asn, np.asarray(donors, dtype=np.int64)
-        )
-        entry = self.store_at(int(donor)).get(guid)
+        donor, _latency = self.router.closest_of(asn, donors)
+        entry = self.store_at(donor).get(guid)
         if entry is not None:
             self.store_at(asn).insert(entry)
 

@@ -26,8 +26,8 @@
 Latency arithmetic reproduces the scalar path bit for bit: the float32
 path cells equal the router's rows, and keys and RTTs widen them to
 float64 before the same left-to-right ``intra + path + intra`` sum as
-``Router.one_way_to_many`` / ``Router.rtt_to_many``, so equivalence
-tests can assert exact equality, not just closeness.
+the scalar rule ``Router.one_way_costs``, so equivalence tests can
+assert exact equality, not just closeness.
 
 Deliberate limits (the scalar resolver stays the oracle):
 
@@ -279,7 +279,7 @@ class FastpathEngine:
         guid_idx = np.asarray(guid_idx, dtype=np.int64)
         sources = np.asarray(sources, dtype=np.int64)
         cand = batch.placements[guid_idx]
-        path = self._path_cells(batch, guid_idx, sources)
+        path, _ = self._path_cells(batch, guid_idx, sources)
         _key, rtt = self._prepare(sources, cand, path)
         if not np.all(np.isfinite(rtt)):
             row, col = np.argwhere(~np.isfinite(rtt))[0]
@@ -344,11 +344,8 @@ class FastpathEngine:
                     "issued_at must align one-to-one with guid_idx"
                 )
         placement_cache: Dict[int, Tuple[PlacementRecord, ...]] = {}
-        path = self._path_cells(batch, guid_idx, sources, n_jobs=n_jobs)
-        hop_path = (
-            self._path_cells(batch, guid_idx, sources, hops=True, n_jobs=n_jobs)
-            if self.selection_policy == "hops"
-            else None
+        path, hop_path = self._path_cells(
+            batch, guid_idx, sources, self.selection_policy == "hops", n_jobs
         )
         local_end, down = self._local_branches(sources, model)
         results = {k: BatchLookupResult.empty(n) for k in sweep}
@@ -421,15 +418,16 @@ class FastpathEngine:
         sources: np.ndarray,
         hops: bool = False,
         n_jobs: int = 1,
-    ) -> np.ndarray:
-        """The float32 inter-AS path latency (or ``hops``) from each row's
-        source to each of its GUID's replicas, from one
-        :meth:`Router.pair_paths` call over ``n_jobs`` processes."""
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """The float32 path latency cells from each row's source to its
+        GUID's replicas, and with ``hops`` the hop cells (else ``None``),
+        from one plan of :meth:`Router.pair_paths` over ``n_jobs``."""
         router = self.router
+        src_idx = router.indices_of(sources)
         cand_idx = router.indices_of(batch.placements)[guid_idx]
-        return router.pair_paths(
-            router.indices_of(sources), cand_idx, hops=hops, n_jobs=n_jobs
-        )
+        if hops:
+            return router.pair_paths_and_hops(src_idx, cand_idx, n_jobs=n_jobs)
+        return router.pair_paths(src_idx, cand_idx, n_jobs=n_jobs), None
 
     def _local_branches(
         self, sources: np.ndarray, model=None
@@ -467,11 +465,11 @@ class FastpathEngine:
 
         ``one_way = intra(src) + path + intra(cand)`` with the path widened
         to float64 (``intra(src)`` alone where the candidate is the
-        querier's own AS), exactly the per-element sum of
-        ``Router.one_way_to_many``; the RTT is ``2.0 * one_way``.  Keys are
+        querier's own AS), exactly the per-element sum of the scalar rule
+        ``Router.one_way_costs``; the RTT is ``2.0 * one_way``.  Keys are
         the one-way latencies, or under the hop policy the hop cells (0
-        for the querier's own AS), as in
-        ``ReplicaSelector.order_candidates``.
+        for the querier's own AS, as ``Router.hop_costs``), as in
+        ``ReplicaSelector.ranked``.
         """
         intra = self.router.intra_array
         src_idx = self.router.indices_of(src)

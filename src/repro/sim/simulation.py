@@ -633,9 +633,7 @@ class DMapSimulation:
         ]
         if not holders:
             return
-        donor, _latency = self.router.closest_of(
-            asn, np.asarray(holders, dtype=np.int64)
-        )
+        donor, _latency = self.router.closest_of(asn, holders)
         entry = self.nodes[donor].store.get(guid)
         if entry is None:
             return

@@ -31,22 +31,24 @@ inter-AS path::
     one_way(s, s) = intra(s)
 
 and the round-trip query time is twice that (the reply retraces the path,
-§IV-B).
+§IV-B).  :meth:`Router.one_way_costs` is the scalar form of this rule;
+the fastpath engine's ``_prepare`` is the bit-equal vector form.
 """
 
 from __future__ import annotations
 
+import math
 import mmap
 import multiprocessing
 import os
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from ..errors import RoutingError
+from ..errors import RoutingError, TopologyError
 from .graph import ASTopology
 
 #: Sources per ``dijkstra(indices=...)`` call of :meth:`Router.pair_paths`.
@@ -126,6 +128,9 @@ class Router:
             shape=(self.n, self.n),
         )
         self._intra = topology.intra_latency_array()
+        # Plain Python copies for the scalar queries (cheaper per element).
+        self._index = {asn: i for i, asn in enumerate(topology.asns())}
+        self._intra_ms: List[float] = self._intra.tolist()
         # Dense asn -> index translation for vectorized queries: ASNs are
         # small positive integers, so a flat lookup vector replaces the
         # per-element ``index_of`` dict probes on the hot path.
@@ -159,20 +164,12 @@ class Router:
         # both directions of every link, so a directed run gives the
         # undirected distances, bit for bit, and skips the transpose.
         row = dijkstra(matrix, directed=True, indices=src_index).astype(np.float32)
-        self._store(cache, src_index, row)
-        return row
-
-    def _store(
-        self,
-        cache: "OrderedDict[int, np.ndarray]",
-        src_index: int,
-        row: np.ndarray,
-    ) -> None:
         self.dijkstra_runs += 1
         cache[src_index] = row
         if len(cache) > self.cache_size:
             cache.popitem(last=False)
             self.evictions += 1
+        return row
 
     # ------------------------------------------------------------------
     # Pair distances (no rows kept)
@@ -229,43 +226,64 @@ class Router:
         ``n_jobs`` workers share the blocks (see :meth:`_stream`); the
         cells are the same bits for every worker count.
         """
+        return self._pair_streams(src_idx, dst_idx, (hops,), n_jobs)[0]
+
+    def pair_paths_and_hops(
+        self, src_idx: np.ndarray, dst_idx: np.ndarray, n_jobs: int = 1
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`pair_paths` without and with ``hops`` from one plan of
+        the pairs; each metric runs its own Dijkstra rows."""
+        latency, hop = self._pair_streams(src_idx, dst_idx, (False, True), n_jobs)
+        return latency, hop
+
+    def _pair_streams(
+        self,
+        src_idx: np.ndarray,
+        dst_idx: np.ndarray,
+        metrics: Tuple[bool, ...],
+        n_jobs: int,
+    ) -> List[np.ndarray]:
+        """:meth:`pair_paths` of each metric (``True``: hops), one plan."""
         src = np.asarray(src_idx, dtype=np.int64)
         dst = np.asarray(dst_idx, dtype=np.int64)
         if src.ndim != 1 or dst.shape[:1] != src.shape:
             raise RoutingError("pair_paths needs one source per row of dst_idx")
         if not len(src):
-            return np.zeros(dst.shape, dtype=np.float32)
+            return [np.zeros(dst.shape, dtype=np.float32) for _ in metrics]
         # One key ``s * n + x`` per cell; the distinct keys are the pairs,
         # sorted by source, so source s owns pairs[bounds[s]:bounds[s + 1]].
         grid = dst.reshape(len(src), -1)
         pairs = np.unique(src[:, None] * self.n + grid)
         ps, px = np.divmod(pairs, self.n)
         bounds = np.searchsorted(ps, np.arange(self.n + 1))
-        matrix = self._hop_matrix if hops else self._matrix
         itself = ps == px
         exact, derived = self.plan_rows(ps[~itself])
         is_derived = np.zeros(self.n, dtype=bool)
         is_derived[derived] = True
-        dist = np.full(len(pairs), np.inf)
-        self._stream(matrix, exact, bounds, px, dist, is_derived, n_jobs)
         via = np.flatnonzero(is_derived[ps] & ~itself)
-        w_min = float(matrix.data.min()) if matrix.nnz else 0.0
-        unsure = via[~certified(dist[via], w_min, self.n)]
-        fallback = np.unique(ps[unsure])
-        # A fallback row replaces its source's derived values, which the
-        # merge's minimum would otherwise keep where they round lower.
-        dist[_ranges(bounds[fallback], bounds[fallback + 1])[1]] = np.inf
-        self._stream(matrix, fallback, bounds, px, dist, None, n_jobs)
-        dist[itself] = 0.0
-        self.derived_rows += len(derived)
-        self.fallback_rows += len(fallback)
-        paths = dist.astype(np.float32)
-        out = np.empty(grid.shape, dtype=np.float32)
-        for first in range(0, len(src), _ROW_CHUNK):
-            rows = slice(first, first + _ROW_CHUNK)
-            keys = src[rows, None] * self.n + grid[rows]
-            out[rows] = paths[np.searchsorted(pairs, keys)]
-        return out.reshape(dst.shape)
+        cells = []
+        for hops in metrics:
+            matrix = self._hop_matrix if hops else self._matrix
+            dist = np.full(len(pairs), np.inf)
+            self._stream(matrix, exact, bounds, px, dist, is_derived, n_jobs)
+            w_min = float(matrix.data.min()) if matrix.nnz else 0.0
+            unsure = via[~certified(dist[via], w_min, self.n)]
+            fallback = np.unique(ps[unsure])
+            # A fallback row replaces its source's derived values, which the
+            # merge's minimum would otherwise keep where they round lower.
+            dist[_ranges(bounds[fallback], bounds[fallback + 1])[1]] = np.inf
+            self._stream(matrix, fallback, bounds, px, dist, None, n_jobs)
+            dist[itself] = 0.0
+            self.derived_rows += len(derived)
+            self.fallback_rows += len(fallback)
+            paths = dist.astype(np.float32)
+            out = np.empty(grid.shape, dtype=np.float32)
+            for first in range(0, len(src), _ROW_CHUNK):
+                rows = slice(first, first + _ROW_CHUNK)
+                keys = src[rows, None] * self.n + grid[rows]
+                out[rows] = paths[np.searchsorted(pairs, keys)]
+            cells.append(out.reshape(dst.shape))
+        return cells
 
     def _stream(
         self,
@@ -324,52 +342,113 @@ class Router:
     def latency_row(self, src_asn: int) -> np.ndarray:
         """Inter-AS path latency (ms) from ``src_asn`` to every AS, in
         dense-index order.  ``inf`` marks unreachable ASs."""
-        idx = self.topology.index_of(src_asn)
-        return self._row(self._latency_rows, self._matrix, idx)
+        return self._row(self._latency_rows, self._matrix, self._dense(src_asn))
 
     def hop_row(self, src_asn: int) -> np.ndarray:
         """AS-path hop counts from ``src_asn`` in dense-index order."""
-        idx = self.topology.index_of(src_asn)
-        return self._row(self._hop_rows, self._hop_matrix, idx)
+        return self._row(self._hop_rows, self._hop_matrix, self._dense(src_asn))
 
     # ------------------------------------------------------------------
     # Scalar queries
     # ------------------------------------------------------------------
+    def _dense(self, asn: int) -> int:
+        """Dense index of ``asn``; :class:`TopologyError` when the router
+        does not know it."""
+        try:
+            return self._index[asn]
+        except KeyError as exc:
+            raise TopologyError(f"unknown AS {asn}") from exc
+
+    @staticmethod
+    def reached(src_asn: int, dst_asn: int, cost: float) -> float:
+        """``cost`` from ``src_asn`` to ``dst_asn``, or
+        :class:`RoutingError` when it is not finite (unreachable)."""
+        if not math.isfinite(cost):
+            raise RoutingError(f"AS {dst_asn} unreachable from AS {src_asn}")
+        return cost
+
     def path_latency_ms(self, src_asn: int, dst_asn: int) -> float:
         """Inter-AS shortest-path latency (0 when src == dst)."""
         if src_asn == dst_asn:
             return 0.0
-        value = float(self.latency_row(src_asn)[self.topology.index_of(dst_asn)])
-        if not np.isfinite(value):
-            raise RoutingError(f"AS {dst_asn} unreachable from AS {src_asn}")
-        return value
+        row = self.latency_row(src_asn)
+        return self.reached(src_asn, dst_asn, row.item(self._dense(dst_asn)))
 
     def hops(self, src_asn: int, dst_asn: int) -> int:
         """AS-path length in hops (0 when src == dst)."""
         if src_asn == dst_asn:
             return 0
-        value = float(self.hop_row(src_asn)[self.topology.index_of(dst_asn)])
-        if not np.isfinite(value):
-            raise RoutingError(f"AS {dst_asn} unreachable from AS {src_asn}")
-        return int(value)
+        row = self.hop_row(src_asn)
+        return int(self.reached(src_asn, dst_asn, row.item(self._dense(dst_asn))))
+
+    def one_way_costs(self, src_asn: int, dst_asns: Iterable[int]) -> List[float]:
+        """End-to-end one-way latencies (ms) host-in-``src_asn`` →
+        server-in-each-of-``dst_asns``, ``inf`` where unreachable.
+
+        The scalar form of the module's one-way rule: the float32 path
+        from the source's cached row, read once and only when some
+        destination is another AS, is widened to a Python float and
+        summed left to right with the float64 intra terms.
+        """
+        intra = self._intra_ms
+        s = self._dense(src_asn)
+        own = intra[s]
+        row = None
+        costs: List[float] = []
+        for asn in dst_asns:
+            d = self._dense(asn)
+            if d == s:
+                costs.append(own)
+                continue
+            if row is None:
+                row = self.latency_row(src_asn)
+            costs.append(own + row.item(d) + intra[d])
+        return costs
+
+    def hop_costs(self, src_asn: int, dst_asns: Iterable[int]) -> List[float]:
+        """AS-path hop counts from ``src_asn`` to each of ``dst_asns`` as
+        floats (``0.0`` to itself, ``inf`` where unreachable), from one
+        read of the source's cached hop row."""
+        s = self._dense(src_asn)
+        row = self.hop_row(src_asn)
+        return [0.0 if d == s else row.item(d) for d in map(self._dense, dst_asns)]
 
     def one_way_ms(self, src_asn: int, dst_asn: int) -> float:
-        """End-to-end one-way latency host-in-``src`` → server-in-``dst``."""
-        src_idx = self.topology.index_of(src_asn)
-        if src_asn == dst_asn:
-            return float(self._intra[src_idx])
-        dst_idx = self.topology.index_of(dst_asn)
-        path = float(self.latency_row(src_asn)[dst_idx])
-        if not np.isfinite(path):
-            raise RoutingError(f"AS {dst_asn} unreachable from AS {src_asn}")
-        return float(self._intra[src_idx]) + path + float(self._intra[dst_idx])
+        """:meth:`one_way_costs` for one destination; raises
+        :class:`RoutingError` when ``dst`` is unreachable."""
+        (cost,) = self.one_way_costs(src_asn, (dst_asn,))
+        return self.reached(src_asn, dst_asn, cost)
 
     def rtt_ms(self, src_asn: int, dst_asn: int) -> float:
         """Round-trip time of a query+response between the two ASs."""
         return 2.0 * self.one_way_ms(src_asn, dst_asn)
 
+    def closest_of(
+        self, src_asn: int, dst_asns: Sequence[int], by: str = "latency"
+    ) -> Tuple[int, float]:
+        """Replica selection: the destination minimizing latency or hops
+        (the first one on a tie).
+
+        ``by="latency"`` models a querying node with response-time
+        estimates; ``by="hops"`` models the least-hop-count fallback the
+        paper notes is available from BGP today and "leads to similar
+        results albeit with marginally increased latencies" (§IV-B.2a).
+
+        Returns ``(chosen_asn, one_way_latency_ms_to_it)``.
+        """
+        dst = list(dst_asns)
+        if not dst:
+            raise RoutingError("closest_of needs at least one destination")
+        if by not in ("latency", "hops"):
+            raise RoutingError(f"unknown selection criterion {by!r}")
+        latency = by == "latency"
+        costs = (self.one_way_costs if latency else self.hop_costs)(src_asn, dst)
+        pick = min(range(len(dst)), key=costs.__getitem__)
+        chosen = int(dst[pick])
+        return chosen, costs[pick] if latency else self.one_way_ms(src_asn, chosen)
+
     # ------------------------------------------------------------------
-    # Vectorized queries (replica selection over K candidates)
+    # Vectorized queries (the fastpath's path cells)
     # ------------------------------------------------------------------
     def indices_of(self, asns: np.ndarray) -> np.ndarray:
         """Dense indices of an ASN array (vectorized ``index_of``)."""
@@ -384,75 +463,10 @@ class Router:
             raise RoutingError(f"unknown AS {int(missing[0])}")
         return idx
 
-    def one_way_to_many(self, src_asn: int, dst_asns: np.ndarray) -> np.ndarray:
-        """One-way latencies from ``src_asn`` to an array of ASNs."""
-        src_idx = self.topology.index_of(src_asn)
-        row = self.latency_row(src_asn)
-        dst_idx = self.indices_of(dst_asns)
-        path = row[dst_idx]
-        result = self._intra[src_idx] + path + self._intra[dst_idx]
-        same = dst_idx == src_idx
-        result[same] = self._intra[src_idx]
-        return result
-
     @property
     def intra_array(self) -> np.ndarray:
         """Cached intra-AS latencies in dense-index order (read-only)."""
         return self._intra
-
-    def rtt_to_many(
-        self, src_asn: int, dst_asns: np.ndarray, strict: bool = True
-    ) -> np.ndarray:
-        """Round-trip times from ``src_asn`` to an array of ASNs.
-
-        Bit-identical to looping :meth:`rtt_ms` over the array: the path
-        term is widened to float64 before the same left-to-right latency
-        sum, so the fastpath engine can assert exact equality against the
-        scalar resolver.  Raises on unreachable destinations, like the
-        scalar query; ``strict=False`` instead leaves ``inf`` in place for
-        callers that only consume a reachable subset.
-        """
-        src_idx = self.topology.index_of(src_asn)
-        dst_idx = self.indices_of(dst_asns)
-        path = self.latency_row(src_asn)[dst_idx].astype(np.float64)
-        one_way = self._intra[src_idx] + path + self._intra[dst_idx]
-        same = dst_idx == src_idx
-        one_way[same] = self._intra[src_idx]
-        if strict and not np.all(np.isfinite(one_way)):
-            bad = np.asarray(dst_asns, dtype=np.int64)[~np.isfinite(one_way)]
-            raise RoutingError(
-                f"AS {int(bad.ravel()[0])} unreachable from AS {src_asn}"
-            )
-        return 2.0 * one_way
-
-    def closest_of(
-        self, src_asn: int, dst_asns: np.ndarray, by: str = "latency"
-    ) -> Tuple[int, float]:
-        """Replica selection: the destination minimizing latency or hops.
-
-        ``by="latency"`` models a querying node with response-time
-        estimates; ``by="hops"`` models the least-hop-count fallback the
-        paper notes is available from BGP today and "leads to similar
-        results albeit with marginally increased latencies" (§IV-B.2a).
-
-        Returns ``(chosen_asn, one_way_latency_ms_to_it)``.
-        """
-        dst = np.asarray(dst_asns, dtype=np.int64)
-        if dst.size == 0:
-            raise RoutingError("closest_of needs at least one destination")
-        if by == "latency":
-            lat = self.one_way_to_many(src_asn, dst)
-            pick = int(np.argmin(lat))
-            return int(dst[pick]), float(lat[pick])
-        if by == "hops":
-            row = self.hop_row(src_asn)
-            idx = self.indices_of(dst)
-            hops = row[idx].copy()
-            hops[idx == self.topology.index_of(src_asn)] = 0
-            pick = int(np.argmin(hops))
-            chosen = int(dst[pick])
-            return chosen, self.one_way_ms(src_asn, chosen)
-        raise RoutingError(f"unknown selection criterion {by!r}")
 
     def cache_stats(self) -> Dict[str, int]:
         """Diagnostics: cached rows, Dijkstra rows computed, rows evicted,

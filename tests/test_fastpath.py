@@ -123,6 +123,24 @@ class TestFailureFreeEquivalence:
         result = engine.lookup_batch(batch, gidx, srcs)
         _assert_lookup_parity(resolver, result, guids, gidx, srcs)
 
+    def test_hops_policy_plans_the_pairs_once(
+        self, base_table, router, asns, monkeypatch
+    ):
+        resolver, engine, batch, gidx, srcs, guids = _deploy(
+            base_table, router, asns, policy="hops", seed=202
+        )
+        plans = []
+        real = Router.plan_rows
+
+        def counting(self, sources):
+            plans.append(len(sources))
+            return real(self, sources)
+
+        monkeypatch.setattr(Router, "plan_rows", counting)
+        result = engine.lookup_batch(batch, gidx, srcs)
+        assert len(plans) == 1
+        _assert_lookup_parity(resolver, result, guids, gidx, srcs)
+
     @pytest.mark.parametrize("k", [1, 3, 5])
     def test_asnum_placement(self, base_table, router, asns, k):
         placer = ASNumberPlacer(asns, k=k)

@@ -11,7 +11,10 @@ from repro.core.resolver import (
     OUTCOME_TIMEOUT,
     adaptive_timeout_ms,
 )
-from repro.errors import ConfigurationError, LookupFailedError
+from repro.bgp.allocation import AllocationConfig, generate_global_prefix_table
+from repro.errors import ConfigurationError, LookupFailedError, RoutingError
+from repro.topology.graph import ASInfo, ASTopology
+from repro.topology.routing import Router
 
 
 def locator(table, asn):
@@ -224,6 +227,61 @@ class TestUpdate:
         resolver.update(guid, [locator(base_table, new)], new)
         result = resolver.lookup(guid, int(rng.choice(asns)))
         assert result.locators == (locator(base_table, new),)
+
+
+class TestUnreachableWrite:
+    """A write that cannot reach one of its replicas raises before any
+    store changes: no orphaned copy at the replicas priced before it."""
+
+    @pytest.fixture
+    def split_resolver(self):
+        # 1 - 2 - 3 and 4 - 5 - 6: each half unreachable from the other.
+        topo = ASTopology()
+        for asn in range(1, 7):
+            topo.add_as(ASInfo(asn, intra_latency_ms=1.0, endnodes=1))
+        for a, b in ((1, 2), (2, 3), (4, 5), (5, 6)):
+            topo.add_link(a, b, 5.0)
+        table = generate_global_prefix_table(
+            topo.asns(), AllocationConfig(prefixes_per_as=3), seed=0
+        )
+        return DMapResolver(table, Router(topo), k=2)
+
+    @staticmethod
+    def guid_placed(resolver, first_half):
+        """A GUID whose first replica is in ASs 1-3 and whose second is in
+        4-6 (``first_half=True``), or whose both replicas are in 1-3."""
+        for i in range(1000):
+            guid = GUID.from_name(f"split-{i}")
+            first, second = resolver.placer.hosting_asns(guid)
+            if first <= 3 and (second > 3) == first_half:
+                return guid
+        raise AssertionError("no GUID with the wanted placement")
+
+    def held_by(self, resolver, guid):
+        return sorted(
+            asn for asn, store in resolver.stores.items() if store.get(guid)
+        )
+
+    def test_failed_insert_writes_nothing(self, split_resolver):
+        guid = self.guid_placed(split_resolver, first_half=True)
+        with pytest.raises(RoutingError, match="unreachable"):
+            split_resolver.insert(guid, [NetworkAddress(7)], 1)
+        assert self.held_by(split_resolver, guid) == []
+        assert guid not in split_resolver.replica_sets
+
+    def test_failed_update_keeps_the_old_binding(self, split_resolver):
+        guid = self.guid_placed(split_resolver, first_half=False)
+        first = split_resolver.insert(guid, [NetworkAddress(7)], 1)
+        before = self.held_by(split_resolver, guid)
+        assert 1 in before
+        # From AS 4 neither replica is reachable: the update raises, and
+        # the old local copy at AS 1 is not retired.
+        with pytest.raises(RoutingError, match="unreachable"):
+            split_resolver.update(guid, [NetworkAddress(9)], 4)
+        assert self.held_by(split_resolver, guid) == before
+        for asn in before:
+            assert split_resolver.store_at(asn).get(guid).version == 0
+        assert split_resolver.replica_sets[guid] == first.replica_set
 
 
 class TestDelete:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.sparse.csgraph import dijkstra
 
-from repro.errors import RoutingError
+from repro.errors import RoutingError, TopologyError
 from repro.topology.datasets import line_fixture, star_fixture
 from repro.topology import routing
 from repro.topology.graph import ASInfo, ASTopology
@@ -37,9 +37,9 @@ class TestLineFixture:
     def test_rtt_is_double(self, line_router):
         assert line_router.rtt_ms(1, 4) == pytest.approx(64.0)
 
-    def test_one_way_to_many(self, line_router):
-        out = line_router.one_way_to_many(2, np.array([1, 2, 5]))
-        assert out.tolist() == pytest.approx([12.0, 1.0, 32.0])
+    def test_one_way_costs(self, line_router):
+        out = line_router.one_way_costs(2, [1, 2, 5])
+        assert out == pytest.approx([12.0, 1.0, 32.0])
 
     def test_closest_of_by_latency(self, line_router):
         asn, latency = line_router.closest_of(2, np.array([5, 1, 4]))
@@ -205,6 +205,28 @@ class TestPairPaths:
         # to a different float32 than Dijkstra's value.
         estimate = (1.0 + 2.0**-24) + (2.0**-53 + 2.0**-53)
         assert np.float32(estimate) != got[0, 3]
+
+    def test_both_metrics_share_one_plan(self, topology, monkeypatch):
+        rng = np.random.default_rng(5)
+        src = rng.integers(0, len(topology), size=60)
+        dst = rng.integers(0, len(topology), size=(60, 4))
+        separate = Router(topology)
+        expected = [separate.pair_paths(src, dst, hops=h) for h in (False, True)]
+        router = Router(topology)
+        plans = []
+        real = Router.plan_rows
+
+        def counting(self, sources):
+            plans.append(len(sources))
+            return real(self, sources)
+
+        monkeypatch.setattr(Router, "plan_rows", counting)
+        got = router.pair_paths_and_hops(src, dst)
+        assert len(plans) == 1
+        for cells, want in zip(got, expected):
+            assert cells.dtype == np.float32
+            assert np.array_equal(cells, want)
+        assert router.cache_stats() == separate.cache_stats()
 
 
 class TestPairPathWorkers:
@@ -378,18 +400,19 @@ class TestConsistency:
             assert direct <= via + 1e-6
 
 
-class TestVectorizedQueries:
-    """Dense asn->index translation, batch RTTs, exact-integer hops."""
+@pytest.fixture(scope="module")
+def gap_router():
+    # Non-contiguous ASNs so the dense lookup table has real holes.
+    topo = ASTopology()
+    for asn in (10, 20, 40):
+        topo.add_as(ASInfo(asn, intra_latency_ms=0.5, endnodes=1))
+    topo.add_link(10, 20, 4.0)
+    topo.add_link(20, 40, 6.0)
+    return Router(topo)
 
-    @pytest.fixture(scope="class")
-    def gap_router(self):
-        # Non-contiguous ASNs so the dense lookup table has real holes.
-        topo = ASTopology()
-        for asn in (10, 20, 40):
-            topo.add_as(ASInfo(asn, intra_latency_ms=0.5, endnodes=1))
-        topo.add_link(10, 20, 4.0)
-        topo.add_link(20, 40, 6.0)
-        return Router(topo)
+
+class TestVectorizedQueries:
+    """Dense asn->index translation and exact-integer hops."""
 
     def test_indices_of_matches_index_of(self, gap_router):
         out = gap_router.indices_of(np.array([40, 10, 20, 10]))
@@ -404,31 +427,6 @@ class TestVectorizedQueries:
         for bogus in (30, 41, -1, 10_000):
             with pytest.raises(RoutingError, match="unknown AS"):
                 gap_router.indices_of(np.array([10, bogus]))
-
-    def test_rtt_to_many_bitwise_equals_scalar(self, router, asns, rng):
-        src = int(rng.choice(asns))
-        dst = np.asarray(rng.choice(asns, size=64), dtype=np.int64)
-        batch = router.rtt_to_many(src, dst)
-        scalar = [router.rtt_ms(src, int(d)) for d in dst]
-        # Exact float equality, not approx: the fastpath engine relies on
-        # the two code paths producing identical bits.
-        assert batch.tolist() == scalar
-
-    def test_rtt_to_many_same_as_is_intra_only(self, gap_router):
-        out = gap_router.rtt_to_many(20, np.array([20]))
-        assert out.tolist() == [2.0 * 0.5]
-
-    def test_rtt_to_many_unreachable(self):
-        topo = ASTopology()
-        for asn in (1, 2, 3):
-            topo.add_as(ASInfo(asn, intra_latency_ms=1.0, endnodes=1))
-        topo.add_link(1, 2, 5.0)  # AS 3 is isolated
-        router = Router(topo)
-        with pytest.raises(RoutingError, match="unreachable"):
-            router.rtt_to_many(1, np.array([2, 3]))
-        relaxed = router.rtt_to_many(1, np.array([2, 3]), strict=False)
-        assert np.isfinite(relaxed[0])
-        assert np.isinf(relaxed[1])
 
     def test_hop_rows_are_exact_integers(self, router, asns):
         row = router.hop_row(int(asns[0]))
@@ -446,3 +444,77 @@ class TestVectorizedQueries:
     def test_hop_matrix_uses_unit_integer_weights(self, router):
         assert router._hop_matrix.dtype == np.int8
         assert set(np.unique(router._hop_matrix.data).tolist()) == {1}
+
+
+class TestScalarRule:
+    """``one_way_costs`` is the one scalar form of the one-way rule;
+    ``one_way_ms`` and ``rtt_ms`` are it for one destination."""
+
+    def test_one_way_costs_bitwise_equal_vector_rule(self, router, asns, rng):
+        src = int(rng.choice(asns))
+        dst = np.asarray(rng.choice(asns, size=64), dtype=np.int64)
+        dst[0] = src
+        # The vector form: the float32 path widened to float64, then the
+        # same left-to-right sum; the querier's own AS is intra alone.
+        intra = router.intra_array
+        src_idx = router.topology.index_of(src)
+        dst_idx = router.indices_of(dst)
+        path = router.latency_row(src)[dst_idx].astype(np.float64)
+        one_way = intra[src_idx] + path + intra[dst_idx]
+        one_way[dst_idx == src_idx] = intra[src_idx]
+        costs = router.one_way_costs(src, dst.tolist())
+        # Exact float equality, not approx: the fastpath engine relies on
+        # the two forms producing identical bits.
+        assert costs == one_way.tolist()
+        assert [2.0 * c for c in costs] == [router.rtt_ms(src, int(d)) for d in dst]
+
+    def test_rtt_ms_bitwise_on_every_pair(self, topology, router):
+        intra = router.intra_array
+        for s, src in enumerate(topology.asns()):
+            row = router.latency_row(src)
+            for d, dst in enumerate(topology.asns()):
+                if d == s:
+                    expected = 2.0 * intra[s]
+                else:
+                    expected = 2.0 * (intra[s] + np.float64(row[d]) + intra[d])
+                assert router.rtt_ms(src, dst) == expected, (src, dst)
+
+    def test_rtt_ms_same_as_is_intra_only(self, gap_router):
+        assert gap_router.one_way_costs(20, [20]) == [0.5]
+        assert gap_router.rtt_ms(20, 20) == 2.0 * 0.5
+
+    def test_unreachable_is_inf_until_priced(self):
+        topo = ASTopology()
+        for asn in (1, 2, 3):
+            topo.add_as(ASInfo(asn, intra_latency_ms=1.0, endnodes=1))
+        topo.add_link(1, 2, 5.0)  # AS 3 is isolated
+        router = Router(topo)
+        costs = router.one_way_costs(1, [2, 3])
+        assert np.isfinite(costs[0])
+        assert np.isinf(costs[1])
+        assert router.rtt_ms(1, 2) == 2.0 * costs[0]
+        for query in (router.rtt_ms, router.one_way_ms):
+            with pytest.raises(RoutingError, match="unreachable"):
+                query(1, 3)
+        with pytest.raises(RoutingError, match="AS 3 unreachable from AS 1"):
+            Router.reached(1, 3, costs[1])
+
+    def test_unknown_as_raises_topology_error(self, gap_router):
+        for bogus in (30, 41, -1, 10_000):
+            for query in (
+                lambda: gap_router.rtt_ms(10, bogus),
+                lambda: gap_router.rtt_ms(bogus, 10),
+                lambda: gap_router.one_way_ms(bogus, bogus),
+                lambda: gap_router.one_way_costs(10, [20, bogus]),
+                lambda: gap_router.hop_costs(10, [bogus]),
+            ):
+                with pytest.raises(TopologyError, match=f"unknown AS {bogus}"):
+                    query()
+
+    def test_own_as_reads_no_row(self):
+        router = Router(line_fixture(n=4))
+        assert router.one_way_costs(2, [2, 2]) == [router.intra_array[1]] * 2
+        router.rtt_ms(3, 3)
+        assert router.dijkstra_runs == 0
+        router.one_way_costs(2, [2, 3])
+        assert router.dijkstra_runs == 1
