@@ -2,7 +2,7 @@
 
 The paper positions DMap against MobileIP, DNS and DHT-based mapping
 systems.  Each baseline here implements the same minimal resolver surface
-so the comparison benchmark can drive them interchangeably with DMap:
+so the ``baselines`` experiment can drive them interchangeably with DMap:
 
 * :meth:`insert` — create/refresh a GUID→NA binding; returns the time (ms)
   until the binding is globally consistent;
@@ -31,7 +31,7 @@ class BaselineLookup:
 class BaselineResolver(ABC):
     """A name-resolution scheme comparable to DMap."""
 
-    #: Human-readable scheme name for benchmark tables.
+    #: Human-readable scheme name for comparison tables.
     name: str = "baseline"
 
     @abstractmethod

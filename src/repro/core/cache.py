@@ -11,8 +11,8 @@ cache is *version-aware*: a stale answer is detectable after the fact
 (the locator stops working, §III-D.2), at which point the querier
 invalidates and re-resolves — the cost model charges that round trip.
 
-The ablation benchmark quantifies the resulting hit-rate / staleness /
-latency triangle against the paper's no-cache baseline.
+``TestAblations`` in ``tests/test_experiments.py`` checks the resulting
+hit-rate / staleness / latency triangle against the no-cache baseline.
 """
 
 from __future__ import annotations

@@ -41,10 +41,6 @@ class MappingNotFoundError(DMapError):
         super().__init__(f"no mapping stored for GUID {guid!r}{suffix}")
 
 
-class StaleMappingError(DMapError):
-    """A resolved locator is known to be obsolete (host moved; §III-D.2)."""
-
-
 class LookupFailedError(DMapError):
     """Every replica failed to answer a lookup (all K copies lost/stale).
 

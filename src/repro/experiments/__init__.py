@@ -11,7 +11,7 @@
 | E7 | §III-B — IP-hole rehash probabilities       | :mod:`.rehash_probe` |
 | E8 | §II-B/§VI — baseline comparison             | :mod:`.baselines_compare` |
 
-Run any of them: ``python -m repro.experiments <id|name> [--scale ...]``.
+Run one or more: ``python -m repro.experiments <id|name>... [--scale ...]``.
 """
 
 from .baselines_compare import BaselineComparisonResult, run_baseline_comparison

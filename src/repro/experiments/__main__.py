@@ -1,10 +1,13 @@
-"""Command-line driver: ``python -m repro.experiments <experiment> [opts]``.
+"""Command-line driver: ``python -m repro.experiments <experiment>... [opts]``.
+
+Each named experiment prints ``=== name ===``, its report and a blank
+line, so every file under ``results/`` is one command's stdout.
 
 Examples::
 
     python -m repro.experiments fig4
-    python -m repro.experiments table1 --scale medium
-    python -m repro.experiments all --scale small
+    python -m repro.experiments fig6 rehash --scale paper
+    python -m repro.experiments all --scale medium --engine fastpath
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from . import (
     table1_stats,
 )
 
-EXPERIMENTS: Dict[str, Callable[[Optional[str]], object]] = {
+EXPERIMENTS: Dict[str, Callable[..., object]] = {
     "fig4": fig4_response_time.main,
     "table1": table1_stats.main,
     "fig5": fig5_churn.main,
@@ -35,15 +38,14 @@ EXPERIMENTS: Dict[str, Callable[[Optional[str]], object]] = {
     "baselines": baselines_compare.main,
 }
 
-ALIASES = {
-    "e1": "fig4",
-    "e2": "table1",
-    "e3": "fig5",
-    "e4": "fig6",
-    "e5": "fig7",
-    "e6": "overhead",
-    "e7": "rehash",
-    "e8": "baselines",
+#: ``e1`` … ``e8``, the experiment ids of DESIGN.md, in registry order.
+ALIASES = {f"e{i}": name for i, name in enumerate(EXPERIMENTS, start=1)}
+
+#: The options an experiment takes beyond ``--scale``: CLI option to the
+#: runner's keyword.
+OPTIONS: Dict[str, Dict[str, str]] = {
+    "fig4": {"engine": "engine", "jobs": "n_jobs", "trace": "trace_path"},
+    "fig6": {"engine": "engine"},
 }
 
 
@@ -54,7 +56,9 @@ def main(argv: Optional[list] = None) -> int:
     )
     parser.add_argument(
         "experiment",
-        help="one of: %s, or 'all'" % ", ".join(sorted(EXPERIMENTS)),
+        nargs="+",
+        help="one or more of: %s, or 'all' (every one, in that order)"
+        % ", ".join(EXPERIMENTS),
     )
     parser.add_argument(
         "--scale",
@@ -72,7 +76,7 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument(
         "--jobs",
         type=int,
-        default=0,
+        default=None,
         help="processes that share the fastpath's Dijkstra rows (fig4 only; "
         "default 0 = every usable CPU; output is the same for any count)",
     )
@@ -81,36 +85,35 @@ def main(argv: Optional[list] = None) -> int:
         default=None,
         metavar="PATH",
         help="write per-query JSONL traces (plus a run manifest) there "
-        "(fig4 only); summarize later with "
+        "(fig4 alone); summarize later with "
         "'python -m repro.obs summarize-traces PATH'",
     )
     args = parser.parse_args(argv)
 
-    name = ALIASES.get(args.experiment, args.experiment)
-    if args.trace is not None and name != "fig4":
-        parser.error("--trace is only supported by fig4")
-    if name == "all":
-        for key in EXPERIMENTS:
-            print(f"=== {key} ===")
-            EXPERIMENTS[key](args.scale)
-            print()
-        return 0
-    runner = EXPERIMENTS.get(name)
-    if runner is None:
-        parser.error(f"unknown experiment {args.experiment!r}")
-    if name == "fig4":
-        fig4_response_time.main(
-            args.scale,
-            engine=args.engine or "scalar",
-            n_jobs=args.jobs,
-            trace_path=args.trace,
-        )
-    elif name == "fig6":
-        fig6_load.main(args.scale, engine=args.engine or "fastpath")
-    else:
-        if args.engine is not None:
-            parser.error(f"--engine is not supported by {name!r}")
-        runner(args.scale)
+    names = []
+    for requested in args.experiment:
+        name = ALIASES.get(requested, requested)
+        if name == "all":
+            names.extend(EXPERIMENTS)
+        elif name in EXPERIMENTS:
+            names.append(name)
+        else:
+            parser.error(f"unknown experiment {requested!r}")
+    if args.trace is not None and names != ["fig4"]:
+        parser.error("--trace is only supported by fig4 alone")
+    for opt in ("engine", "jobs"):
+        taken = any(opt in OPTIONS.get(name, {}) for name in names)
+        if getattr(args, opt) is not None and not taken:
+            parser.error(f"--{opt} is not supported by {' '.join(names)}")
+    for name in names:
+        kwargs = {
+            keyword: getattr(args, opt)
+            for opt, keyword in OPTIONS.get(name, {}).items()
+            if getattr(args, opt) is not None
+        }
+        print(f"=== {name} ===")
+        EXPERIMENTS[name](args.scale, **kwargs)
+        print()
     return 0
 
 

@@ -12,7 +12,7 @@ and a digest of the payload is checked on every load.
 Three scales:
 
 * ``small``  — 400 ASs; seconds; used by tests and quick looks.
-* ``medium`` — 3,000 ASs; tens of seconds; the benchmark default.
+* ``medium`` — 3,000 ASs; tens of seconds; ``results/medium_scale_all.txt``.
 * ``paper``  — 26,424 ASs / 330k prefixes / 10^5 GUIDs / 10^6 lookups,
   the paper's full configuration (§IV-B.1); minutes.
 

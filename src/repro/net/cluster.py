@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..core.guid import GUID
 from ..core.resolver import DEFAULT_TIMEOUT_MS, DMapResolver
@@ -349,9 +349,3 @@ class LocalCluster:
     def analytic_rtt_ms(self, guid: GUID, source_asn: int) -> float:
         """The resolver's predicted lookup RTT on identical state."""
         return self.resolver.lookup(guid, source_asn).rtt_ms
-
-    def analytic_predictions(
-        self, lookups: Sequence[ServableLookup]
-    ) -> List[float]:
-        """Predicted RTTs for a stream of servable lookups."""
-        return [self.analytic_rtt_ms(s.guid, s.source_asn) for s in lookups]
