@@ -151,6 +151,8 @@ def perturb_view(
     hashed value landing in them resolves to the wrong AS.
 
     Returns the perturbed copy and the list of announcements it is missing.
+    The copy is built from the table's rows minus the withdrawn ones in
+    one pass, so its ``generation`` is its length.
     Used by integration tests; the Fig. 5 experiment models the same effect
     with a per-replica failure probability, exactly as the paper's
     "percentage of prefixes that are newly announced or withdrawn" knob.
@@ -158,17 +160,18 @@ def perturb_view(
     if not 0.0 <= fraction <= 1.0:
         raise ConfigurationError("fraction must lie in [0, 1]")
     rng = np.random.default_rng(seed)
-    view = table.copy()
-    announcements = sorted(table)
+    announcements = sorted(table)  # the table's row order
     n_perturb = int(round(fraction * len(announcements)))
     if n_perturb == 0:
-        return view, []
+        return table.copy(), []
     picked_idx = rng.choice(len(announcements), size=n_perturb, replace=False)
-    removed: List[Announcement] = []
-    for idx in sorted(int(i) for i in picked_idx):
-        ann = announcements[idx]
-        view.withdraw(ann.prefix)
-        removed.append(ann)
+    keep = np.ones(len(announcements), dtype=bool)
+    keep[picked_idx] = False
+    bases, lengths, asns = table.prefix_arrays()
+    view = GlobalPrefixTable.from_arrays(
+        bases[keep], lengths[keep], asns[keep], bits=table.bits
+    )
+    removed = [announcements[i] for i in np.flatnonzero(~keep).tolist()]
     return view, removed
 
 

@@ -59,9 +59,14 @@ class IntervalIndex:
             raise EmptyPrefixTableError(
                 "cannot build an interval index from no announcements"
             )
-        _, bases, lengths, asns = sort_announcements(list(unique.values()))
-        starts, labels = decompose(bases, lengths, bits)
-        self._init(*owner_intervals(starts, labels, asns), bits)
+        anns = list(unique.values())
+        n = len(anns)
+        bases = np.fromiter((a.prefix.base for a in anns), np.uint64, n)
+        lengths = np.fromiter((a.prefix.length for a in anns), np.int64, n)
+        asns = np.fromiter((a.asn for a in anns), np.int64, n)
+        order = np.lexsort((lengths, bases))
+        starts, labels = decompose(bases[order], lengths[order], bits)
+        self._init(*owner_intervals(starts, labels, asns[order]), bits)
 
     @classmethod
     def from_intervals(
@@ -128,20 +133,6 @@ class IntervalIndex:
                 continue
             spans[owner] = spans.get(owner, 0) + int(width)
         return spans
-
-
-def sort_announcements(
-    anns: List[Announcement],
-) -> Tuple[List[Announcement], np.ndarray, np.ndarray, np.ndarray]:
-    """``anns`` sorted by ``(base, length)``, and their bases (``uint64``),
-    lengths and origin ASs (``int64``) as arrays in that order."""
-    n = len(anns)
-    bases = np.fromiter((a.prefix.base for a in anns), np.uint64, n)
-    lengths = np.fromiter((a.prefix.length for a in anns), np.int64, n)
-    order = np.lexsort((lengths, bases))
-    ordered = [anns[i] for i in order.tolist()]
-    asns = np.fromiter((a.asn for a in ordered), np.int64, n)
-    return ordered, bases[order], lengths[order], asns
 
 
 def decompose(

@@ -13,60 +13,91 @@ The table supports dynamic announce/withdraw so BGP-churn experiments
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
+from functools import cached_property
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
 from ..core.guid import ADDRESS_BITS, NetworkAddress
 from ..errors import AddressError, EmptyPrefixTableError, PrefixTableError
-from .interval_index import (
-    HOLE,
-    IntervalIndex,
-    decompose,
-    owner_intervals,
-    sort_announcements,
-)
+from .interval_index import HOLE, IntervalIndex, decompose, owner_intervals
 from .prefix import Announcement, Prefix
 
 
 class _Snapshot:
-    """The announcements sorted by ``(base, length)`` and their interval
-    decomposition: what every query of one table state reads."""
+    """What the queries of one table state read, derived from its sorted
+    arrays.  Each part is built on its first use, so a query pays only
+    for what it reads."""
 
-    __slots__ = ("anns", "bases", "lengths", "asns", "starts", "labels",
-                 "bounds", "owners", "span", "index", "keys")
-
-    def __init__(self, anns: List[Announcement], bits: int) -> None:
-        self.anns, self.bases, self.lengths, self.asns = sort_announcements(anns)
-        for array in (self.bases, self.lengths, self.asns):
-            array.flags.writeable = False
-        self.starts, self.labels = decompose(self.bases, self.lengths, bits)
-        # Python lists: the scalar LPM bisects them once per call.
-        self.bounds = self.starts.tolist()
-        self.owners: List[Optional[Announcement]] = [
-            None if label == HOLE else self.anns[label]
-            for label in self.labels.tolist()
-        ]
-        widths = np.diff(np.append(self.starts, np.uint64(1 << bits)))
-        self.span = int(widths[self.labels != HOLE].sum())
+    def __init__(
+        self, bases: np.ndarray, lengths: np.ndarray, asns: np.ndarray, bits: int
+    ) -> None:
+        self.bases, self.lengths, self.asns, self.bits = bases, lengths, asns, bits
+        # One Announcement per row, built when a query first returns it.
+        self.anns: List[Optional[Announcement]] = [None] * len(bases)
         self.index: Optional[IntervalIndex] = None
-        # ``base << 8 | length`` per announcement (in order; a length
-        # fits in 8 bits), for the nearest-prefix descent; built on its
-        # first call.
-        self.keys: Optional[List[int]] = None
+
+    def announcement(self, row: int) -> Announcement:
+        ann = self.anns[row]
+        if ann is None:
+            ann = self.anns[row] = Announcement(
+                Prefix(self.bases.item(row), self.lengths.item(row), self.bits),
+                self.asns.item(row),
+            )
+        return ann
+
+    @cached_property
+    def intervals(self) -> Tuple[np.ndarray, np.ndarray]:
+        """:func:`decompose`'s ``(starts, labels)``: a label is a row."""
+        return decompose(self.bases, self.lengths, self.bits)
+
+    # Python lists: the scalar LPM bisects them once per call.
+    @cached_property
+    def bounds(self) -> List[int]:
+        return self.intervals[0].tolist()
+
+    @cached_property
+    def rows(self) -> List[int]:
+        return self.intervals[1].tolist()
+
+    @cached_property
+    def span(self) -> int:
+        starts, labels = self.intervals
+        widths = np.diff(np.append(starts, np.uint64(1 << self.bits)))
+        return int(widths[labels != HOLE].sum())
+
+    @cached_property
+    def keys(self) -> List[int]:
+        """``base << 8 | length`` per row (a length fits in 8 bits), for
+        the nearest-prefix descent."""
+        return [
+            base << 8 | length
+            for base, length in zip(self.bases.tolist(), self.lengths.tolist())
+        ]
+
+    @cached_property
+    def lowest(self) -> Dict[int, int]:
+        """Base of each AS's lowest prefix, by AS in ascending order: an
+        AS's first row is its lowest prefix."""
+        owners, first = np.unique(self.asns, return_index=True)
+        return dict(zip(owners.tolist(), self.bases[first].tolist()))
 
 
 class GlobalPrefixTable:
     """Set of BGP announcements with LPM and nearest-prefix queries.
 
-    The announcements live in a dict keyed by prefix, plus per-AS
-    indexes.  Every query reads one snapshot of them, sorted by
-    ``(base, length)`` and decomposed into disjoint ownership intervals
-    (:func:`~repro.bgp.interval_index.decompose`): the scalar LPM bisects
-    it, :meth:`build_interval_index` wraps it for vectorized bulk
-    experiments.  A mutation drops the snapshot and the next query
-    rebuilds it, so a run of announcements costs one rebuild, not one
-    per announcement.
+    The table is three arrays, one row per announcement, sorted by
+    ``(base, length)``: the prefix bases (``uint64``), lengths and origin
+    ASs (``int64``).  Every query reads one snapshot derived from them
+    (:class:`_Snapshot`): their decomposition into disjoint ownership
+    intervals (:func:`~repro.bgp.interval_index.decompose`), which the
+    scalar LPM bisects and :meth:`build_interval_index` wraps for
+    vectorized bulk experiments, and the lowest prefix per AS.  An
+    :class:`Announcement` is built only for a row a query returns.  A
+    mutation replaces the arrays (the old ones stay valid for whoever
+    holds them) and drops the snapshot, and the next query derives a new
+    one, so a run of announcements costs one rebuild, not one per
+    announcement.
 
     ``generation`` counts the mutations (:meth:`announce` and
     :meth:`withdraw` are the only ones), so a caller holding something
@@ -78,16 +109,23 @@ class GlobalPrefixTable:
         announcements: Iterable[Announcement] = (),
         bits: int = ADDRESS_BITS,
     ) -> None:
+        if not 1 <= bits <= 64:
+            raise AddressError(f"table width must lie in [1, 64], got {bits}")
         self.bits = bits
-        self._anns: Dict[Prefix, Announcement] = {}
-        self._by_asn: Dict[int, Set[Prefix]] = {}
-        # Lowest prefix per AS, filled lazily by representative_address and
-        # dropped whenever that AS gains or loses a prefix.
-        self._lowest: Dict[int, Prefix] = {}
-        self._snap: Optional[_Snapshot] = None
-        self.generation = 0
+        # Announcing one by one: a later announcement of a prefix moves it.
+        origins: Dict[Tuple[int, int], int] = {}
+        count = 0
         for ann in announcements:
-            self.announce(ann)
+            self._check_width(ann.prefix)
+            origins[ann.prefix.base, ann.prefix.length] = ann.asn
+            count += 1
+        n = len(origins)
+        bases = np.fromiter((base for base, _ in origins), np.uint64, n)
+        lengths = np.fromiter((length for _, length in origins), np.int64, n)
+        asns = np.fromiter(origins.values(), np.int64, n)
+        order = np.lexsort((lengths, bases))
+        self._store(bases[order], lengths[order], asns[order])
+        self.generation = count
 
     @classmethod
     def from_arrays(
@@ -100,21 +138,49 @@ class GlobalPrefixTable:
         """The table announcing ``bases[i]/lengths[i]`` from ``asns[i]`` —
         the inverse of :meth:`prefix_arrays`.
 
-        Equal to announcing them one by one (``generation`` included), in
-        one pass; the prefixes must be distinct.
+        Equal to announcing them one by one (``generation`` included),
+        with the checks :class:`Prefix` and :class:`Announcement` make
+        (:class:`AddressError`), in a few array passes; the prefixes must
+        be distinct (:class:`PrefixTableError`).  Rows out of
+        ``(base, length)`` order are sorted.
         """
         table = cls(bits=bits)
-        anns = [
-            Announcement(Prefix(base, length, bits), asn)
-            for base, length, asn in zip(bases.tolist(), lengths.tolist(), asns.tolist())
-        ]
-        table._anns = {ann.prefix: ann for ann in anns}
-        if len(table._anns) != len(anns):
-            raise PrefixTableError("from_arrays needs distinct prefixes")
-        for ann in anns:
-            table._by_asn.setdefault(ann.asn, set()).add(ann.prefix)
-        table.generation = len(anns)
+        bases, lengths, asns = (np.asarray(a) for a in (bases, lengths, asns))
+        n = len(bases)
+        if any(a.ndim != 1 or len(a) != n for a in (bases, lengths, asns)):
+            raise PrefixTableError("from_arrays needs three 1-D arrays of one length")
+        if not n:
+            return table
+        if any(a.dtype.kind not in "iu" for a in (bases, lengths, asns)):
+            raise TypeError("from_arrays needs integer arrays")
+        if np.any((lengths < 0) | (lengths > bits)):
+            raise AddressError(f"prefix length out of range for {bits}-bit space")
+        if np.any(bases < 0) or (bits < 64 and np.any(bases >> bits)):
+            raise AddressError(f"prefix base out of range for {bits}-bit space")
+        bases = bases.astype(np.uint64)
+        lengths = lengths.astype(np.int64)
+        if np.any(bases & _host_masks(lengths, bits)):
+            raise AddressError("prefix base has non-zero host bits")
+        if np.any(asns < 0):
+            raise AddressError("AS number must be non-negative")
+        asns = asns.astype(np.int64)
+        if not _strictly_sorted(bases, lengths):
+            order = np.lexsort((lengths, bases))
+            bases, lengths, asns = bases[order], lengths[order], asns[order]
+            if not _strictly_sorted(bases, lengths):
+                raise PrefixTableError("from_arrays needs distinct prefixes")
+        table._store(bases, lengths, asns)
+        table.generation = n
         return table
+
+    def _store(self, bases: np.ndarray, lengths: np.ndarray, asns: np.ndarray) -> None:
+        """Make these sorted rows the table's state.  They are read-only,
+        so a snapshot, a copy or a :meth:`prefix_arrays` caller may share
+        them: a mutation builds new arrays instead of writing these."""
+        for array in (bases, lengths, asns):
+            array.flags.writeable = False
+        self._bases, self._lengths, self._asns = bases, lengths, asns
+        self._snap: Optional[_Snapshot] = None
 
     # ------------------------------------------------------------------
     # Mutation
@@ -123,26 +189,32 @@ class GlobalPrefixTable:
         """Add an origination.  Re-announcing a prefix from a different AS
         moves it (the old origin loses it), mirroring BGP origin changes."""
         prefix = announcement.prefix
-        self._check_width(prefix)
-        previous = self._anns.get(prefix)
-        if previous is not None:
-            self._disown(previous)
-        self._anns[prefix] = announcement
-        self._by_asn.setdefault(announcement.asn, set()).add(prefix)
-        self._lowest.pop(announcement.asn, None)
-        self._snap = None
+        row, found = self._row(prefix)
+        if found:
+            asns = self._asns.copy()
+            asns[row] = announcement.asn
+            self._store(self._bases, self._lengths, asns)
+        else:
+            self._store(
+                np.insert(self._bases, row, prefix.base),
+                np.insert(self._lengths, row, prefix.length),
+                np.insert(self._asns, row, announcement.asn),
+            )
         self.generation += 1
 
     def withdraw(self, prefix: Prefix) -> Announcement:
         """Remove an origination; raises if the prefix is not announced."""
-        self._check_width(prefix)
-        removed = self._anns.pop(prefix, None)
-        if removed is None:
+        row, found = self._row(prefix)
+        if not found:
             raise PrefixTableError(f"prefix {prefix} is not announced")
-        self._disown(removed)
-        self._snap = None
+        asn = int(self._asns[row])
+        self._store(
+            np.delete(self._bases, row),
+            np.delete(self._lengths, row),
+            np.delete(self._asns, row),
+        )
         self.generation += 1
-        return removed
+        return Announcement(prefix, asn)
 
     def _check_width(self, prefix: Prefix) -> None:
         if prefix.bits != self.bits:
@@ -150,14 +222,16 @@ class GlobalPrefixTable:
                 f"prefix width {prefix.bits} does not match table width {self.bits}"
             )
 
-    def _disown(self, announcement: Announcement) -> None:
-        """Drop ``announcement`` from its origin's per-AS indexes."""
-        owned = self._by_asn.get(announcement.asn)
-        if owned is not None:
-            owned.discard(announcement.prefix)
-            if not owned:
-                del self._by_asn[announcement.asn]
-        self._lowest.pop(announcement.asn, None)
+    def _row(self, prefix: Prefix) -> Tuple[int, bool]:
+        """The row ``prefix`` holds, or would be inserted at, and whether
+        it is announced: a bisect on the bases, then on the lengths of
+        that base's rows."""
+        self._check_width(prefix)
+        base = np.uint64(prefix.base)
+        lo = int(np.searchsorted(self._bases, base, side="left"))
+        hi = int(np.searchsorted(self._bases, base, side="right"))
+        row = lo + int(np.searchsorted(self._lengths[lo:hi], prefix.length))
+        return row, row < hi and int(self._lengths[row]) == prefix.length
 
     # ------------------------------------------------------------------
     # Queries
@@ -165,7 +239,9 @@ class GlobalPrefixTable:
     def _snapshot(self) -> _Snapshot:
         snap = self._snap
         if snap is None:
-            snap = self._snap = _Snapshot(list(self._anns.values()), self.bits)
+            snap = self._snap = _Snapshot(
+                self._bases, self._lengths, self._asns, self.bits
+            )
         return snap
 
     def _address(self, address: Union[int, NetworkAddress]) -> int:
@@ -175,23 +251,26 @@ class GlobalPrefixTable:
         return value
 
     def __len__(self) -> int:
-        return len(self._anns)
+        return len(self._bases)
 
     def __iter__(self) -> Iterator[Announcement]:
         """Announcements in ``(base, length)`` order: a covering block
         before its more-specifics."""
-        return iter(self._snapshot().anns)
+        return map(self._snapshot().announcement, range(len(self)))
 
     def __contains__(self, prefix: Prefix) -> bool:
-        return prefix in self._anns
+        return prefix.bits == self.bits and self._row(prefix)[1]
 
     def resolve(
         self, address: Union[int, NetworkAddress]
     ) -> Optional[Announcement]:
         """Longest-prefix match; ``None`` when the address is an IP hole."""
         value = self._address(address)
-        snap = self._snapshot()
-        return snap.owners[bisect_right(snap.bounds, value) - 1]
+        snap = self._snap or self._snapshot()
+        row = snap.rows[bisect_right(snap.bounds, value) - 1]
+        if row < 0:  # HOLE
+            return None
+        return snap.anns[row] or snap.announcement(row)
 
     def owner_asn(self, address: Union[int, NetworkAddress]) -> Optional[int]:
         """AS that would host a mapping hashed to ``address`` (or ``None``)."""
@@ -213,30 +292,25 @@ class GlobalPrefixTable:
         :class:`EmptyPrefixTableError` on an empty table.
         """
         value = self._address(address)
-        snap = self._snapshot()
-        if not snap.anns:
+        if not len(self):
             raise EmptyPrefixTableError("nearest prefix in an empty prefix table")
+        snap = self._snapshot()
         keys = snap.keys
-        if keys is None:
-            keys = snap.keys = [
-                base << 8 | length
-                for base, length in zip(snap.bases.tolist(), snap.lengths.tolist())
-            ]
-        # The trie's best-first descent, over the sorted snapshot: the
-        # block ``node/depth`` holds announcements ``lo:hi``.  A mismatched
-        # bit costs more than all later bits together, so the branch
-        # matching the address wins whenever it holds any announcement,
-        # and the first announced block on the way down is the nearest
-        # (deeper ones are no closer; at a tie the shorter wins).
+        # The trie's best-first descent, over the sorted rows: the block
+        # ``node/depth`` holds rows ``lo:hi``.  A mismatched bit costs
+        # more than all later bits together, so the branch matching the
+        # address wins whenever it holds any announcement, and the first
+        # announced block on the way down is the nearest (deeper ones are
+        # no closer; at a tie the shorter wins).
         bits = self.bits
         lo, hi, node, distance = 0, len(keys), 0, 0
         for depth in range(bits + 1):
             key = keys[lo]
             if hi - lo == 1:  # one candidate left: its distance directly
                 host = bits - (key & 0xFF)
-                return snap.anns[lo], ((key >> 8 ^ value) >> host) << host
+                return snap.announcement(lo), ((key >> 8 ^ value) >> host) << host
             if key == node << 8 | depth:
-                return snap.anns[lo], distance
+                return snap.announcement(lo), distance
             half = 1 << (bits - 1 - depth)
             mid = bisect_left(keys, (node + half) << 8, lo, hi)
             if value & half:
@@ -252,11 +326,17 @@ class GlobalPrefixTable:
 
     def prefixes_of(self, asn: int) -> List[Prefix]:
         """All prefixes currently originated by ``asn`` (sorted)."""
-        return sorted(self._by_asn.get(asn, ()))
+        rows = np.flatnonzero(self._asns == asn)
+        return [
+            Prefix(base, length, self.bits)
+            for base, length in zip(
+                self._bases[rows].tolist(), self._lengths[rows].tolist()
+            )
+        ]
 
     def asns(self) -> List[int]:
         """All ASs currently announcing at least one prefix (sorted)."""
-        return sorted(self._by_asn)
+        return list(self._snapshot().lowest)
 
     def announced_span(self) -> int:
         """Addresses covered by at least one announcement (overlaps counted
@@ -276,23 +356,18 @@ class GlobalPrefixTable:
         of its lowest prefix.  Used to mint locators for hosts attached to
         that AS in examples and simulations.
 
-        Equal to ``prefixes_of(asn)[0].base``; the lowest prefix is cached
-        per AS until that AS's prefix set changes, so minting a locator
-        does not sort the AS's prefixes on every call.
+        Equal to ``prefixes_of(asn)[0].base``, read from the snapshot's
+        per-AS first row, so minting a locator is one dict lookup.
         """
-        lowest = self._lowest.get(asn)
-        if lowest is None:
-            owned = self._by_asn.get(asn)
-            if not owned:
-                raise PrefixTableError(f"AS {asn} announces no prefixes")
-            lowest = self._lowest[asn] = min(owned)
-        return NetworkAddress(lowest.base, self.bits)
+        base = (self._snap or self._snapshot()).lowest.get(asn)
+        if base is None:
+            raise PrefixTableError(f"AS {asn} announces no prefixes")
+        return NetworkAddress(base, self.bits)
 
     def prefix_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(bases, lengths, asns)`` of the announcements, in iteration
         order (read-only ``uint64``/``int64``/``int64`` arrays)."""
-        snap = self._snapshot()
-        return snap.bases, snap.lengths, snap.asns
+        return self._bases, self._lengths, self._asns
 
     def build_interval_index(self) -> IntervalIndex:
         """Frozen vectorized snapshot for bulk LPM (Fig. 6 experiment).
@@ -303,14 +378,39 @@ class GlobalPrefixTable:
         """
         snap = self._snapshot()
         if snap.index is None:
-            if not snap.anns:
+            if not len(self):
                 raise EmptyPrefixTableError(
                     "cannot build an interval index from no announcements"
                 )
-            starts, owners = owner_intervals(snap.starts, snap.labels, snap.asns)
+            starts, owners = owner_intervals(*snap.intervals, snap.asns)
             snap.index = IntervalIndex.from_intervals(starts, owners, self.bits)
         return snap.index
 
     def copy(self) -> "GlobalPrefixTable":
-        """Independent copy (used to model inconsistent BGP views)."""
-        return GlobalPrefixTable(list(self), bits=self.bits)
+        """Independent copy (used to model inconsistent BGP views).
+
+        It shares the read-only arrays and their snapshot until either
+        table mutates; its ``generation`` is its length, as if its
+        announcements had been announced one by one.
+        """
+        clone = GlobalPrefixTable(bits=self.bits)
+        clone._store(self._bases, self._lengths, self._asns)
+        clone._snap = self._snap
+        clone.generation = len(self)
+        return clone
+
+
+def _host_masks(lengths: np.ndarray, bits: int) -> np.ndarray:
+    """The host-bit mask (``span - 1``) of each prefix length."""
+    host = (bits - lengths).astype(np.uint64)
+    masks = np.full(len(lengths), np.iinfo(np.uint64).max, dtype=np.uint64)
+    narrow = host < 64
+    masks[narrow] = (np.uint64(1) << host[narrow]) - np.uint64(1)
+    return masks
+
+
+def _strictly_sorted(bases: np.ndarray, lengths: np.ndarray) -> bool:
+    """Whether the rows are in strictly increasing ``(base, length)``
+    order: sorted, and no prefix twice."""
+    same = bases[1:] == bases[:-1]
+    return bool(np.all((bases[1:] > bases[:-1]) | (same & (lengths[1:] > lengths[:-1]))))

@@ -10,7 +10,7 @@ configurable so the scheme extends to other address families (§III-B).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
 
 import numpy as np
@@ -45,6 +45,9 @@ class GUID:
 
     value: int
     bits: int = GUID_BITS
+    # ``hash((value, bits))``, the generated dataclass hash, computed once:
+    # GUIDs key every mapping store and placement cache.
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.bits <= 0:
@@ -53,6 +56,10 @@ class GUID:
             raise GUIDError(
                 f"GUID value {self.value:#x} out of range for {self.bits} bits"
             )
+        object.__setattr__(self, "_hash", hash((self.value, self.bits)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def from_name(cls, name: Union[str, bytes], bits: int = GUID_BITS) -> "GUID":

@@ -30,6 +30,7 @@ import os
 import time
 import zipfile
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Mapping, Optional
 
 import numpy as np
@@ -96,7 +97,8 @@ class Environment:
     first construction generates the topology and the prefix table and
     writes both to the substrate store in ``cache_dir``; later ones load
     and verify them instead (:func:`substrate_key`), which gives the same
-    substrate, neighbour order included.  The router is built fresh.
+    substrate, neighbour order included.  The router is built on the
+    first read of ``router``; a caller that assigns its own builds none.
 
     ``substrate_key`` names the stored substrate, ``substrate_loaded``
     tells whether this construction loaded it (else it generated it), and
@@ -128,8 +130,12 @@ class Environment:
                 stored["prefix_asn"],
                 bits=_allocation_config(scale).bits,
             )
-        self.router = Router(self.topology)
         self.setup_s = time.perf_counter() - start
+
+    @cached_property
+    def router(self) -> Router:
+        """Routing over the topology (default row cache)."""
+        return Router(self.topology)
 
 
 def _topology_config(scale: Scale) -> TopologyConfig:

@@ -7,6 +7,7 @@ import pytest
 
 import repro.experiments.common as common
 import repro.topology.datasets as datasets
+from repro.bgp.prefix import Announcement, Prefix
 from repro.experiments.common import (
     SCALES,
     Environment,
@@ -15,6 +16,7 @@ from repro.experiments.common import (
     resolve_scale,
     substrate_key,
 )
+from repro.topology.routing import Router
 
 
 @pytest.fixture
@@ -62,6 +64,44 @@ class TestEnvironment:
         env = Environment(tiny_scale, seed=4, cache_dir=str(tmp_path))
         asns = env.topology.asns()
         assert env.router.rtt_ms(asns[0], asns[-1]) > 0
+
+    def test_router_built_on_first_read(self, tiny_scale, tmp_path, monkeypatch):
+        built = []
+        init = Router.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Router, "__init__", counting)
+        env = Environment(tiny_scale, seed=4, cache_dir=str(tmp_path))
+        assert built == []
+        router = env.router
+        assert built == [router] and env.router is router
+        # A caller that brings its own router builds no default one.
+        other = Environment(tiny_scale, seed=4, cache_dir=str(tmp_path))
+        other.router = mine = Router(other.topology, cache_size=8)
+        assert other.router is mine and built == [router, mine]
+
+    def test_warm_load_builds_no_prefix_objects(self, tiny_scale, tmp_path, monkeypatch):
+        Environment(tiny_scale, seed=5, cache_dir=str(tmp_path))  # fills the store
+
+        def no_objects(self):
+            raise AssertionError(f"built a {type(self).__name__}")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Prefix, "__post_init__", no_objects)
+            patch.setattr(Announcement, "__post_init__", no_objects)
+            env = Environment(tiny_scale, seed=5, cache_dir=str(tmp_path))
+            assert env.substrate_loaded
+            asn = env.table.asns()[-1]
+            locator = env.table.representative_address(asn)
+            with pytest.raises(AssertionError, match="built a Prefix"):
+                env.table.resolve(locator)
+        # Generated prefixes are disjoint: the lowest one is the match.
+        assert env.table.resolve(locator).asn == asn
+        assert env.table.nearest(locator) == (env.table.resolve(locator), 0)
+        assert env.table.representative_address(asn) == locator
 
 
 def store_files(directory):

@@ -65,6 +65,18 @@ class TestGUID:
         assert a < b
         assert len({a, GUID(1)}) == 1
 
+    def test_hash_is_the_field_tuple_hash(self):
+        # The cached hash is the one the dataclass would compute, so every
+        # dict and set of GUIDs keeps its order.
+        for value, bits in ((0, GUID_BITS), (42, GUID_BITS), (5, 8),
+                            ((1 << GUID_BITS) - 1, GUID_BITS)):
+            assert hash(GUID(value, bits)) == hash((value, bits))
+        assert GUID(7) == GUID(7) and repr(GUID(7)) == "GUID(value=7, bits=160)"
+
+    def test_set_iteration_order_pinned(self):
+        guids = {GUID(v) for v in (5, 3, 9, 1, 1000, 77)}
+        assert [g.value for g in guids] == [77, 9, 1000, 5, 3, 1]
+
     def test_to_bytes_roundtrip(self):
         g = GUID.from_name("x")
         assert int.from_bytes(g.to_bytes(), "big") == g.value

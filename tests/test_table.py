@@ -6,7 +6,7 @@ import pytest
 from repro.bgp.prefix import Announcement, Prefix
 from repro.bgp.table import GlobalPrefixTable
 from repro.core.guid import NetworkAddress
-from repro.errors import PrefixTableError
+from repro.errors import AddressError, PrefixTableError
 
 
 def ann(cidr: str, asn: int) -> Announcement:
@@ -158,3 +158,65 @@ class TestRepresentativeAddressCache:
                 else:
                     with pytest.raises(PrefixTableError):
                         table.representative_address(asn)
+
+
+def table_arrays(*rows):
+    """``(bases, lengths, asns)`` int64 arrays of ``(cidr, asn)`` rows."""
+    prefixes = [(Prefix.from_cidr(cidr), asn) for cidr, asn in rows]
+    return (
+        np.array([p.base for p, _ in prefixes], dtype=np.int64),
+        np.array([p.length for p, _ in prefixes], dtype=np.int64),
+        np.array([asn for _, asn in prefixes], dtype=np.int64),
+    )
+
+
+class TestFromArrays:
+    ROWS = (("44.0.0.0/8", 101), ("10.5.0.0/16", 2), ("10.0.0.0/8", 1),
+            ("67.10.0.0/16", 55))
+
+    def test_equals_announcing_one_by_one(self, small_table):
+        table = GlobalPrefixTable.from_arrays(*table_arrays(*self.ROWS))
+        assert list(table) == list(small_table)
+        assert table.generation == small_table.generation == 4
+        bases, lengths, asns = table.prefix_arrays()
+        assert bases.dtype == np.uint64 and lengths.dtype == asns.dtype == np.int64
+        assert not bases.flags.writeable
+        # Sorted rows are stored as they come; the caller's arrays are copied.
+        ordered = [np.array(a) for a in table.prefix_arrays()]
+        again = GlobalPrefixTable.from_arrays(*ordered)
+        ordered[2][0] = 999
+        assert list(again) == list(table)
+
+    def test_empty(self):
+        table = GlobalPrefixTable.from_arrays(*table_arrays())
+        assert len(table) == 0 and table.generation == 0 and table.asns() == []
+
+    @pytest.mark.parametrize("base, length, asn", [
+        (0, 33, 1),             # length above the width
+        (0, -1, 1),             # negative length
+        (1 << 32, 8, 1),        # base out of range
+        (-(1 << 24), 8, 1),     # negative base
+        (10 << 24 | 1, 8, 1),   # host bits set under /8
+        (10 << 24, 8, -1),      # negative AS number
+    ])
+    def test_rejects_what_a_prefix_or_announcement_rejects(self, base, length, asn):
+        with pytest.raises(AddressError):
+            Announcement(Prefix(base, length), asn)
+        arrays = table_arrays(*self.ROWS)
+        for column, value in enumerate((base, length, asn)):
+            arrays[column][2] = value
+        with pytest.raises(AddressError):
+            GlobalPrefixTable.from_arrays(*arrays)
+
+    @pytest.mark.parametrize("rows", [
+        ROWS + (("10.0.0.0/8", 7),),           # out of order
+        (("9.0.0.0/8", 1), ("9.0.0.0/8", 1)),  # in order
+    ])
+    def test_rejects_a_repeated_prefix(self, rows):
+        with pytest.raises(PrefixTableError, match="distinct"):
+            GlobalPrefixTable.from_arrays(*table_arrays(*rows))
+
+    def test_rejects_ragged_arrays(self):
+        bases, lengths, asns = table_arrays(*self.ROWS)
+        with pytest.raises(PrefixTableError):
+            GlobalPrefixTable.from_arrays(bases, lengths[:-1], asns)

@@ -3,6 +3,7 @@ for the production :class:`GlobalPrefixTable` against it."""
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,7 +11,7 @@ from repro.bgp.allocation import AllocationConfig, generate_global_prefix_table
 from repro.bgp.prefix import Announcement, Prefix
 from repro.bgp.table import GlobalPrefixTable
 from repro.bgp.trie import PrefixTrie
-from repro.errors import AddressError, EmptyPrefixTableError
+from repro.errors import AddressError, EmptyPrefixTableError, PrefixTableError
 
 
 def ann(cidr: str, asn: int) -> Announcement:
@@ -299,3 +300,71 @@ class TestTableAgreesWithTrie:
         for query in (table.resolve, table.nearest):
             with pytest.raises(AddressError):
                 query(256)
+
+
+def arrays_of(announcements):
+    """``(bases, lengths, asns)`` of ``announcements`` in the given order."""
+    return (
+        np.array([a.prefix.base for a in announcements], dtype=np.uint64),
+        np.array([a.prefix.length for a in announcements], dtype=np.int64),
+        np.array([a.asn for a in announcements], dtype=np.int64),
+    )
+
+
+def assert_same_table(table, reference, trie, pool, bits=8):
+    """``table`` answers like ``reference`` (announced one by one) and the
+    trie on everything a caller can read."""
+    assert table.generation == reference.generation
+    assert len(table) == len(reference) == len(trie)
+    assert list(table) == list(reference) == list(trie)
+    assert [p in table for p in pool] == [p in reference for p in pool]
+    assert table.asns() == reference.asns() == sorted({a.asn for a in trie})
+    for asn in range(1, 6):
+        assert table.prefixes_of(asn) == reference.prefixes_of(asn)
+        if asn in table.asns():
+            assert (table.representative_address(asn)
+                    == reference.representative_address(asn))
+        else:
+            with pytest.raises(PrefixTableError):
+                table.representative_address(asn)
+    for address in range(1 << bits):
+        assert table.resolve(address) == trie.longest_prefix_match(address)
+    for address in range(0, 1 << bits, 7):
+        if len(trie):
+            assert table.nearest(address) == trie.nearest_prefix(address)
+
+
+class TestArrayBackedTable:
+    """A table built from arrays, then churned, stays equal to one
+    announced prefix by prefix and to the trie at every step."""
+
+    @given(announcement_sets(), churn_traces(), st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_churn_after_from_arrays(self, announcements, ops, rnd):
+        shuffled = list(announcements)
+        rnd.shuffle(shuffled)  # from_arrays sorts rows given out of order
+        table = GlobalPrefixTable.from_arrays(*arrays_of(shuffled), bits=8)
+        reference = GlobalPrefixTable(bits=8)
+        trie = PrefixTrie(bits=8)
+        for a in announcements:
+            reference.announce(a)
+            trie.insert(a)
+        pool = [a.prefix for a in announcements] + [a.prefix for _, a in ops]
+        assert_same_table(table, reference, trie, pool)
+        for withdraw, a in ops:
+            clone, before = table.copy(), list(reference)
+            if withdraw and a.prefix in reference:
+                assert table.withdraw(a.prefix) == reference.withdraw(a.prefix)
+                trie.withdraw(a.prefix)
+            else:
+                table.announce(a)
+                reference.announce(a)
+                trie.insert(a)
+            assert_same_table(table, reference, trie, pool)
+            # The copy kept the state before this step, and mutating it
+            # leaves the table alone.
+            assert list(clone) == before
+            clone.announce(small_ann(0, 0, 5))
+            if len(clone) > 1:
+                clone.withdraw(next(iter(clone)).prefix)
+            assert_same_table(table, reference, trie, pool)
