@@ -6,11 +6,11 @@ this package actually runs it.  One asyncio datagram server per hosting
 AS answers LOOKUP / INSERT / UPDATE frames from the same
 :class:`~repro.core.mapping.MappingStore` the analytic resolver uses,
 an in-process cluster shapes every response by the topology's RTT
-matrix (plus optional packet loss), and a client issues the paper's K
-parallel replica queries with per-attempt timeouts, bounded
-exponential-backoff retry and first-success cancellation — so the
-wire-measured latency distribution reproduces the Fig. 4 analytic
-distribution on the same seed.
+matrix (plus optional packet loss), and a client walks the K replicas
+best-first, one query at a time, moving on after a "GUID missing" reply
+or the adaptive timeout — so the wire-measured latency distribution
+reproduces the Fig. 4 analytic distribution on the same seed, and each
+lookup is served by the replica the analytic resolver names.
 
 Submodules
 ----------
@@ -23,8 +23,8 @@ Submodules
     The loopback multi-node harness plus the RTT/loss
     :class:`~repro.net.cluster.LatencyShaper`.
 :mod:`.client`
-    :class:`~repro.net.client.DMapClient`: K-parallel lookups, retries,
-    deterministic backoff schedules, :mod:`repro.obs` traces.
+    :class:`~repro.net.client.DMapClient`: best-first replica walks,
+    parallel K-replica writes, :mod:`repro.obs` traces.
 :mod:`.loadgen`
     Open-loop asyncio load generator reporting QPS and latency
     percentiles.
@@ -34,7 +34,7 @@ seeded cluster, measure wire RTTs, compare against the analytic
 resolver's predictions.
 """
 
-from .client import ClientConfig, DMapClient, LiveLookupResult, LiveWriteResult
+from .client import DMapClient, LiveLookupResult, LiveWriteResult
 from .cluster import ClusterConfig, LatencyShaper, LocalCluster
 from .loadgen import BenchReport, LoadgenConfig, run_loadgen
 from .node import DMapNode
@@ -49,7 +49,6 @@ from .protocol import (
 
 __all__ = [
     "BenchReport",
-    "ClientConfig",
     "ClusterConfig",
     "DMapClient",
     "DMapNode",

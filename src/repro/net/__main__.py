@@ -22,7 +22,6 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .client import ClientConfig
 from .cluster import DEFAULT_TIME_SCALE, ClusterConfig, LocalCluster
 from .loadgen import LoadgenConfig, run_loadgen
 
@@ -87,9 +86,7 @@ async def _bench(args: argparse.Namespace):
     await cluster.start()
     try:
         return await run_loadgen(
-            cluster,
-            LoadgenConfig(qps=args.qps, n_queries=args.queries),
-            client_config=ClientConfig(seed=args.seed),
+            cluster, LoadgenConfig(qps=args.qps, n_queries=args.queries)
         )
     finally:
         await cluster.stop()

@@ -1,25 +1,19 @@
-"""The querying gateway: K parallel replica probes over the live wire.
+"""The querying gateway: the best-first replica walk over the live wire.
 
 :class:`DMapClient` is the network twin of
-:meth:`repro.core.resolver.DMapResolver.lookup`.  Where the analytic
-resolver walks replicas best-first and *accounts* for each round trip,
-the client actually races all K replicas in parallel over UDP — the
-paper's §III-A read path — and takes the first successful answer,
-cancelling the rest.  With no packet loss, the first answer is by
-construction the replica with the smallest shaped RTT, which is exactly
-the replica the analytic walk charges for: the two latency
-distributions coincide, and the selftest asserts it.
+:meth:`repro.core.resolver.DMapResolver.lookup` and walks the same order:
+:meth:`repro.core.replication.ReplicaSelector.ranked` over the GUID's
+hosting ASs.  It sends one LOOKUP at a time, best replica first, and
+moves to the next replica after a "GUID missing" reply or after the
+§III-D.3 adaptive timeout ``max(timeout_floor_ms, 2 × expected RTT)``
+(sized in virtual ms, converted to wire seconds by the shaper).  Each
+replica is asked once: the walk is the retry (§III-A, §III-D.3).  With
+no packet loss the best replica answers, so a lookup costs one datagram
+and the analytic walk's latency; the live lane checks ``served_by`` and
+the attempt order against the resolver per query.
 
-Failure handling per replica (§III-D.3):
-
-* per-attempt timeout ``max(timeout_floor_ms, 2 × expected RTT)`` — the
-  resolver's adaptive timeout, sized in virtual ms and converted to wire
-  seconds by the shaper;
-* bounded exponential-backoff retry with deterministic seeded jitter —
-  the whole schedule is the *pure function* :func:`attempt_schedule`, so
-  tests can assert byte-equal schedules without running a clock;
-* a "GUID missing" reply is authoritative: the replica answered
-  honestly, retrying it cannot help, so the probe stops there.
+A write sends its K frames together, one attempt each under the same
+timeout, and fails unless every replica acknowledges (§III-A).
 
 Every lookup emits a :class:`repro.obs.trace.QueryTrace` when a tracer
 is attached, using the same schema as the offline engines.
@@ -29,11 +23,12 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..core.guid import GUID, NetworkAddress, guid_like
-from ..core.resolver import DEFAULT_TIMEOUT_MS, adaptive_timeout_ms
-from ..errors import ClusterError, LookupFailedError, WriteFailedError
+from ..core.replication import ReplicaSelector
+from ..core.resolver import adaptive_timeout_ms
+from ..errors import ClusterError, LookupFailedError, WireProtocolError, WriteFailedError
 from ..obs.counters import MetricsRegistry
 from ..obs.trace import (
     FAILURE_EXHAUSTED,
@@ -44,15 +39,14 @@ from ..obs.trace import (
     AttemptTrace,
     QueryTrace,
     Tracer,
-    hash_index_of,
     placement_records,
 )
+from ..topology.routing import Router
 from .node import Addr
 from .protocol import (
     FLAG_FORWARDED,
     STATUS_OK,
     T_INSERT,
-    T_RESPONSE,
     T_UPDATE,
     Frame,
     LookupFrame,
@@ -60,70 +54,11 @@ from .protocol import (
     WriteFrame,
     decode,
     encode,
-    seeded_unit,
 )
-from ..errors import WireProtocolError
 
-
-@dataclass(frozen=True)
-class ClientConfig:
-    """Retry/timeout policy of one querying gateway.
-
-    All randomness (backoff jitter) is a pure hash of ``seed`` and the
-    attempt coordinates, so two clients with equal configs produce
-    byte-identical schedules.
-    """
-
-    timeout_floor_ms: float = DEFAULT_TIMEOUT_MS
-    max_attempts: int = 4
-    backoff_base_ms: float = 50.0
-    backoff_factor: float = 2.0
-    backoff_cap_ms: float = 400.0
-    jitter_fraction: float = 0.1
-    hop_budget: int = 1
-    seed: int = 0
-
-
-@dataclass(frozen=True)
-class AttemptPlan:
-    """One slot of a replica's retry schedule (virtual milliseconds)."""
-
-    timeout_ms: float
-    backoff_ms: float
-
-
-def attempt_schedule(
-    config: ClientConfig, rtt_ms: float, trace_id: int = 0, k_index: int = 0
-) -> Tuple[AttemptPlan, ...]:
-    """The full per-replica retry schedule, as a pure function.
-
-    Attempt ``i`` waits ``max(timeout_floor_ms, 2 × rtt_ms)`` (the
-    §III-D.3 adaptive timeout), then backs off
-    ``min(cap, base × factor^i)`` stretched by up to ``jitter_fraction``
-    of deterministic seeded jitter before attempt ``i + 1``.  The last
-    attempt carries no backoff.  Determinism tests compare this function
-    against itself under equal seeds — the client has no other clock
-    input.
-    """
-    plans: List[AttemptPlan] = []
-    timeout = adaptive_timeout_ms(config.timeout_floor_ms, rtt_ms)
-    for attempt in range(config.max_attempts):
-        if attempt + 1 >= config.max_attempts:
-            backoff = 0.0
-        else:
-            backoff = min(
-                config.backoff_cap_ms,
-                config.backoff_base_ms * config.backoff_factor ** attempt,
-            )
-            backoff *= 1.0 + config.jitter_fraction * seeded_unit(
-                ">qQBB",
-                config.seed,
-                trace_id & 0xFFFFFFFFFFFFFFFF,
-                k_index & 0xFF,
-                attempt & 0xFF,
-            )
-        plans.append(AttemptPlan(timeout, backoff))
-    return tuple(plans)
+#: Overlay hops a queried node may forward a LOOKUP it cannot answer
+#: (Algorithm 1 deputy forwarding).
+HOP_BUDGET = 1
 
 
 @dataclass(frozen=True)
@@ -173,31 +108,43 @@ class _ClientProtocol(asyncio.DatagramProtocol):
         self.client._on_datagram(data)
 
     def error_received(self, exc: Exception) -> None:
-        # ICMP port-unreachable from a killed node's port: the probe's
+        # ICMP port-unreachable from a killed node's port: the attempt's
         # timeout handles it, exactly like a silently dead replica.
         self.client._count("net.client.socket_errors")
 
 
+def _expire(future: "asyncio.Future[Optional[ResponseFrame]]") -> None:
+    """An attempt's timer: no response by now means ``None``."""
+    if not future.done():
+        future.set_result(None)
+
+
 class DMapClient:
-    """A live querying gateway bound to one cluster's peer table."""
+    """A live querying gateway bound to one cluster's peer table.
+
+    The shaper carries the cluster's timeout floor and seed; the seed
+    prefixes every trace id, so equal clusters number their exchanges
+    (and hence draw their seeded losses) identically.
+    """
 
     def __init__(
         self,
         placer,
         shaper,
         peers: Dict[int, Addr],
-        config: Optional[ClientConfig] = None,
         registry: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
         self.placer = placer
         self.shaper = shaper
         self.peers = peers
-        self.config = config or ClientConfig()
+        self.selector = ReplicaSelector(shaper.router)
         self.registry = registry if registry is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._transport: Optional[asyncio.DatagramTransport] = None
-        self._pending: Dict[Tuple[int, int], "asyncio.Future[ResponseFrame]"] = {}
+        self._pending: Dict[
+            Tuple[int, int], "asyncio.Future[Optional[ResponseFrame]]"
+        ] = {}
         self._trace_counter = 0
 
     # ------------------------------------------------------------------
@@ -235,17 +182,45 @@ class DMapClient:
 
     def _next_trace_id(self) -> int:
         self._trace_counter += 1
-        return ((self.config.seed & 0xFFFFFFFF) << 32) | (
+        return ((self.shaper.seed & 0xFFFFFFFF) << 32) | (
             self._trace_counter & 0xFFFFFFFF
         )
 
-    def _send(self, frame: Frame, asn: int) -> None:
+    def _ranked(
+        self, source_asn: int, chains: Sequence[int]
+    ) -> Iterator[Tuple[int, int, float]]:
+        """``(asn, k_index, timeout_ms)`` per distinct replica, in the
+        resolver's best-first order; ``k_index`` is the replica's first
+        hash index."""
+        for asn, one_way in self.selector.ranked(source_asn, chains):
+            rtt = 2.0 * Router.reached(source_asn, asn, one_way)
+            yield (
+                asn,
+                chains.index(asn),
+                adaptive_timeout_ms(self.shaper.timeout_floor_ms, rtt),
+            )
+
+    async def _exchange(
+        self, frame: Frame, asn: int, timeout_ms: float
+    ) -> Optional[ResponseFrame]:
+        """Send ``frame`` to ``asn`` once: its response, or ``None`` when
+        ``timeout_ms`` (virtual) passes first."""
         if self._transport is None:
             raise ClusterError("client not started (call await start())")
         addr = self.peers.get(asn)
         if addr is None:
             raise ClusterError(f"no serving node registered for AS {asn}")
-        self._transport.sendto(encode(frame), addr)
+        loop = asyncio.get_running_loop()
+        future: "asyncio.Future[Optional[ResponseFrame]]" = loop.create_future()
+        key = (frame.trace_id, frame.k_index)
+        self._pending[key] = future
+        timer = loop.call_later(self.shaper.wire_s(timeout_ms), _expire, future)
+        try:
+            self._transport.sendto(encode(frame), addr)
+            return await future
+        finally:
+            timer.cancel()
+            self._pending.pop(key, None)
 
     def _on_datagram(self, data: bytes) -> None:
         try:
@@ -258,7 +233,7 @@ class DMapClient:
             return
         future = self._pending.get((frame.trace_id, frame.k_index))
         if future is None or future.done():
-            # A late reply from a retried or cancelled attempt.
+            # A reply that arrived after its attempt timed out.
             self._count("net.client.late_responses")
             return
         future.set_result(frame)
@@ -272,10 +247,11 @@ class DMapClient:
         source_asn: int,
         issued_at: float = 0.0,
     ) -> LiveLookupResult:
-        """§III-A wire lookup: race all K replicas, first answer wins.
+        """§III-A wire lookup: walk the replicas best-first until one
+        answers.
 
         Raises :class:`~repro.errors.LookupFailedError` when every
-        replica's retry schedule is exhausted without a hit.
+        replica timed out or answered "GUID missing".
         """
         guid = guid_like(guid)
         trace_id = self._next_trace_id()
@@ -285,34 +261,37 @@ class DMapClient:
             chains: Sequence[int] = [record.asn for record in placement]
         else:
             chains = [int(a) for a in self.placer.hosting_asns(guid)]
-        # Duplicate chains landing in one AS are a single queryable host.
-        replicas: List[Tuple[int, int]] = []
-        seen = set()
-        for index, asn in enumerate(chains):
-            if asn not in seen:
-                seen.add(asn)
-                replicas.append((asn, index))
 
         loop = asyncio.get_running_loop()
         started = loop.time()
         attempts_log: List[AttemptTrace] = []
-        tasks = [
-            loop.create_task(
-                self._probe(guid.value, asn, k_index, trace_id, source_asn, attempts_log)
-            )
-            for asn, k_index in replicas
-        ]
         winner: Optional[ResponseFrame] = None
-        try:
-            for completed in asyncio.as_completed(tasks):
-                response = await completed
-                if response is not None:
-                    winner = response
-                    break
-        finally:
-            for task in tasks:
-                task.cancel()
-            await asyncio.gather(*tasks, return_exceptions=True)
+        for asn, k_index, timeout_ms in self._ranked(source_asn, chains):
+            sent = loop.time()
+            response = await self._exchange(
+                LookupFrame(
+                    trace_id=trace_id,
+                    guid_value=guid.value,
+                    source_asn=source_asn,
+                    k_index=min(k_index, 0xFE),
+                    hop_budget=HOP_BUDGET,
+                ),
+                asn,
+                timeout_ms,
+            )
+            if response is None:
+                attempts_log.append(
+                    AttemptTrace(asn, k_index, OUTCOME_TIMEOUT, timeout_ms)
+                )
+                self._count("net.client.attempt_timeouts", label=asn)
+                continue
+            cost_ms = self.shaper.virtual_ms(loop.time() - sent)
+            if response.status == STATUS_OK:
+                attempts_log.append(AttemptTrace(asn, k_index, OUTCOME_HIT, cost_ms))
+                winner = response
+                break
+            attempts_log.append(AttemptTrace(asn, k_index, OUTCOME_MISSING, cost_ms))
+            self._count("net.client.replica_misses", label=asn)
 
         rtt_ms = self.shaper.virtual_ms(loop.time() - started)
         self._count("net.client.lookups")
@@ -343,60 +322,6 @@ class DMapClient:
             trace_id=trace_id,
         )
 
-    async def _probe(
-        self,
-        guid_value: int,
-        asn: int,
-        k_index: int,
-        trace_id: int,
-        source_asn: int,
-        attempts_log: List[AttemptTrace],
-    ) -> Optional[ResponseFrame]:
-        """One replica's full retry schedule; ``None`` = gave up."""
-        loop = asyncio.get_running_loop()
-        rtt = self.shaper.rtt_ms(source_asn, asn)
-        plans = attempt_schedule(self.config, rtt, trace_id, k_index)
-        key = (trace_id, k_index)
-        for attempt, plan in enumerate(plans):
-            future: "asyncio.Future[ResponseFrame]" = loop.create_future()
-            self._pending[key] = future
-            sent = loop.time()
-            self._send(
-                LookupFrame(
-                    trace_id=trace_id,
-                    guid_value=guid_value,
-                    source_asn=source_asn,
-                    k_index=min(k_index, 0xFE),
-                    hop_budget=self.config.hop_budget,
-                    attempt=attempt,
-                ),
-                asn,
-            )
-            try:
-                response = await asyncio.wait_for(
-                    future, timeout=self.shaper.wire_s(plan.timeout_ms)
-                )
-            except asyncio.TimeoutError:
-                attempts_log.append(
-                    AttemptTrace(asn, k_index, OUTCOME_TIMEOUT, plan.timeout_ms)
-                )
-                self._count("net.client.attempt_timeouts", label=asn)
-                if plan.backoff_ms > 0.0:
-                    await asyncio.sleep(self.shaper.wire_s(plan.backoff_ms))
-                continue
-            finally:
-                if self._pending.get(key) is future:
-                    del self._pending[key]
-            cost_ms = self.shaper.virtual_ms(loop.time() - sent)
-            if response.status == STATUS_OK:
-                attempts_log.append(AttemptTrace(asn, k_index, OUTCOME_HIT, cost_ms))
-                return response
-            # An authoritative "GUID missing": retrying cannot help.
-            attempts_log.append(AttemptTrace(asn, k_index, OUTCOME_MISSING, cost_ms))
-            self._count("net.client.replica_misses", label=asn)
-            return None
-        return None
-
     def _emit_trace(
         self,
         guid: GUID,
@@ -415,12 +340,7 @@ class DMapClient:
                 issued_at=issued_at,
                 k=len(placement),
                 placement=placement,
-                attempts=tuple(
-                    AttemptTrace(
-                        a.asn, hash_index_of(placement, a.asn), a.outcome, a.cost_ms
-                    )
-                    for a in attempts_log
-                ),
+                attempts=tuple(attempts_log),
                 # The live client runs no §III-C local branch (the
                 # cluster has no node at arbitrary querier ASs).
                 local_launched=False,
@@ -472,22 +392,33 @@ class DMapClient:
         guid = guid_like(guid)
         trace_id = self._next_trace_id()
         locator_values = tuple(int(loc) for loc in locators)
-        replicas: List[Tuple[int, int]] = []
-        seen = set()
-        for index, asn in enumerate(self.placer.hosting_asns(guid)):
-            asn = int(asn)
-            if asn not in seen:
-                seen.add(asn)
-                replicas.append((asn, index))
-        results = await asyncio.gather(
-            *(
-                self._write_one(
-                    ftype, guid.value, locator_values, asn, k_index,
-                    trace_id, source_asn, version, timestamp,
-                )
-                for asn, k_index in replicas
+        chains = [int(a) for a in self.placer.hosting_asns(guid)]
+        replicas = list(self._ranked(source_asn, chains))
+        loop = asyncio.get_running_loop()
+        started = loop.time()
+
+        async def write_one(asn: int, k_index: int, timeout_ms: float):
+            response = await self._exchange(
+                WriteFrame(
+                    trace_id=trace_id,
+                    guid_value=guid.value,
+                    source_asn=source_asn,
+                    k_index=min(k_index, 0xFE),
+                    ftype=ftype,
+                    version=version,
+                    timestamp=timestamp,
+                    locators=locator_values,
+                ),
+                asn,
+                timeout_ms,
             )
-        )
+            if response is None:
+                self._count("net.client.write_timeouts", label=asn)
+            elif response.status == STATUS_OK and response.request_type == ftype:
+                return self.shaper.virtual_ms(loop.time() - started)
+            return None
+
+        results = await asyncio.gather(*(write_one(*r) for r in replicas))
         acked = [r for r in results if r is not None]
         self._count("net.client.writes")
         if len(acked) < len(replicas):
@@ -495,60 +426,8 @@ class DMapClient:
             raise WriteFailedError(guid, len(acked), len(replicas))
         return LiveWriteResult(
             guid_value=guid.value,
-            replicas=tuple(asn for asn, _ in replicas),
+            replicas=tuple(asn for asn, _, _ in replicas),
             rtt_ms=max(acked),
             per_replica_rtt_ms=tuple(acked),
             trace_id=trace_id,
         )
-
-    async def _write_one(
-        self,
-        ftype: int,
-        guid_value: int,
-        locators: Tuple[int, ...],
-        asn: int,
-        k_index: int,
-        trace_id: int,
-        source_asn: int,
-        version: int,
-        timestamp: float,
-    ) -> Optional[float]:
-        """One replica write with the same retry schedule as reads."""
-        loop = asyncio.get_running_loop()
-        rtt = self.shaper.rtt_ms(source_asn, asn)
-        plans = attempt_schedule(self.config, rtt, trace_id, k_index)
-        key = (trace_id, k_index)
-        started = loop.time()
-        for attempt, plan in enumerate(plans):
-            future: "asyncio.Future[ResponseFrame]" = loop.create_future()
-            self._pending[key] = future
-            self._send(
-                WriteFrame(
-                    trace_id=trace_id,
-                    guid_value=guid_value,
-                    source_asn=source_asn,
-                    k_index=min(k_index, 0xFE),
-                    attempt=attempt,
-                    ftype=ftype,
-                    version=version,
-                    timestamp=timestamp,
-                    locators=locators,
-                ),
-                asn,
-            )
-            try:
-                response = await asyncio.wait_for(
-                    future, timeout=self.shaper.wire_s(plan.timeout_ms)
-                )
-            except asyncio.TimeoutError:
-                self._count("net.client.write_timeouts", label=asn)
-                if plan.backoff_ms > 0.0:
-                    await asyncio.sleep(self.shaper.wire_s(plan.backoff_ms))
-                continue
-            finally:
-                if self._pending.get(key) is future:
-                    del self._pending[key]
-            if response.status == STATUS_OK and response.request_type == ftype:
-                return self.shaper.virtual_ms(loop.time() - started)
-            return None
-        return None

@@ -60,8 +60,9 @@ class LatencyShaper:
     Packet loss is deterministic: :meth:`should_drop` hashes
     ``(seed, src, dst, trace_id, k_index, attempt)`` and drops when the
     resulting uniform fraction falls below ``loss_rate``, so a seeded run
-    loses exactly the same packets every time, and a retry (higher
-    ``attempt``) re-rolls.
+    loses exactly the same packets every time.  Each replica of a lookup
+    has its own ``k_index``, so the next replica in the walk draws
+    afresh.
     """
 
     def __init__(
@@ -326,16 +327,15 @@ class LocalCluster:
     # ------------------------------------------------------------------
     # Client / traffic plumbing
     # ------------------------------------------------------------------
-    def client(self, config=None, tracer: Optional[Tracer] = None):
+    def client(self, tracer: Optional[Tracer] = None):
         """A :class:`~repro.net.client.DMapClient` wired to this cluster
         (``await client.start()`` before use)."""
-        from .client import ClientConfig, DMapClient
+        from .client import DMapClient
 
         return DMapClient(
             placer=self.resolver.placer,
             shaper=self.shaper,
             peers=self.peers,
-            config=config or ClientConfig(seed=self.config.seed),
             registry=self.registry,
             tracer=tracer,
         )
@@ -345,7 +345,3 @@ class LocalCluster:
         if limit is None:
             return list(self.servable)
         return self.servable[:limit]
-
-    def analytic_rtt_ms(self, guid: GUID, source_asn: int) -> float:
-        """The resolver's predicted lookup RTT on identical state."""
-        return self.resolver.lookup(guid, source_asn).rtt_ms

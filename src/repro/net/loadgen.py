@@ -18,7 +18,7 @@ from typing import Dict, List, Optional
 
 from ..errors import ClusterError, DMapError
 from ..obs.trace import Tracer
-from .client import ClientConfig, LiveLookupResult
+from .client import LiveLookupResult
 
 
 @dataclass
@@ -102,7 +102,6 @@ class BenchReport:
 async def run_loadgen(
     cluster,
     config: Optional[LoadgenConfig] = None,
-    client_config: Optional[ClientConfig] = None,
     tracer: Optional[Tracer] = None,
 ) -> BenchReport:
     """Drive a started cluster at the configured open-loop rate."""
@@ -115,7 +114,7 @@ async def run_loadgen(
     # the workload holds — the Zipf mix is preserved.
     lookups = [stream[i % len(stream)] for i in range(config.n_queries)]
 
-    client = cluster.client(config=client_config, tracer=tracer)
+    client = cluster.client(tracer=tracer)
     await client.start()
     loop = asyncio.get_running_loop()
     interval = 1.0 / config.qps

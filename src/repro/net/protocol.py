@@ -14,7 +14,8 @@ flags        1      :data:`FLAG_FORWARDED`, :data:`FLAG_LOCAL`
 k_index      1      replica-chain index 0..K-1; :data:`LOCAL_K_INDEX`
                     marks the §III-C local-branch request
 hop_budget   1      remaining Algorithm-1 deputy-forwarding hops
-attempt      1      retry ordinal of this contact (0 = first send)
+attempt      1      send ordinal of this contact; always 0, since the
+                    client asks each replica once
 trace_id     8      per-query id correlating requests, responses, and
                     :mod:`repro.obs` traces
 guid         20     the 160-bit identifier (§IV-A width)

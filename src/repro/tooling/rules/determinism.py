@@ -31,9 +31,9 @@ SIM_CRITICAL_PACKAGES: Tuple[str, ...] = (
     "repro.validation",
     "repro.obs",
     # repro.net: only the pure modules are sim-critical.  The codec and
-    # the client's schedule/jitter arithmetic must replay bit-for-bit
-    # (wire tests and the live validation lane assert it), so they get
-    # the full determinism rule set.  The event-loop modules (node,
+    # the client's walk order and timeout arithmetic must replay
+    # bit-for-bit (wire tests and the live validation lane assert it),
+    # so they get the full determinism rule set.  The event-loop modules (node,
     # cluster, loadgen, __main__) are deliberately excluded: their job
     # is real wall-clock I/O — loop.time() reads, timer scheduling,
     # socket readiness — which is inherently order-nondeterministic and

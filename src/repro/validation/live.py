@@ -5,15 +5,18 @@ three *offline* engines against each other.  This lane closes the last
 gap: it boots a real :class:`~repro.net.cluster.LocalCluster` (asyncio
 datagram servers, shaped loopback wire) and replays workload lookups
 through a live :class:`~repro.net.client.DMapClient`, comparing every
-wire-measured latency against the analytic
-:class:`~repro.core.resolver.DMapResolver` prediction on identical
-seeds and identical stores.
+wire-measured lookup against the analytic
+:class:`~repro.core.resolver.DMapResolver` on identical seeds and
+identical stores.
 
-With no packet loss the client's K-parallel race resolves to the same
-replica the analytic best-first walk charges for, so the two
-distributions must agree up to event-loop scheduling noise; the check
-asserts the median of per-query live/analytic ratios stays within a
-pinned tolerance and that success stays ≥ ``min_success_rate``.
+The client walks the replicas in the resolver's best-first order, so
+every live lookup that saw no timeout must match the resolver's per
+query: the same ``served_by`` and the same attempt ASN sequence.  (A
+timed-out attempt is a shaped packet loss, which the resolver does not
+model, so such lookups are left out of that comparison.)  The check
+also asserts the median of per-query live/analytic RTT ratios stays
+within a pinned tolerance — the two latencies agree up to event-loop
+scheduling noise — and that success stays ≥ ``min_success_rate``.
 """
 
 from __future__ import annotations
@@ -23,8 +26,11 @@ import statistics
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..net.client import ClientConfig
+from ..core.resolver import LookupResult
+from ..errors import DMapError
+from ..net.client import LiveLookupResult
 from ..net.cluster import ClusterConfig, LocalCluster
+from ..obs.trace import OUTCOME_TIMEOUT
 
 #: Pinned acceptance bounds: the selftest, the tests, and CI's net-smoke
 #: job all assert against these same numbers.
@@ -38,7 +44,10 @@ class LiveComparison:
 
     ``median_ratio`` is the median over queries of
     ``live_rtt / analytic_rtt`` — robust to a few scheduler-delayed
-    outliers, 1.0 under perfect shaping.
+    outliers, 1.0 under perfect shaping.  ``compared`` counts the
+    successful lookups with no timed-out attempt; ``mismatches`` those
+    among them whose ``served_by`` or attempt ASN sequence differs from
+    the resolver's.
     """
 
     queries: int
@@ -50,6 +59,8 @@ class LiveComparison:
     median_live_ms: float
     median_analytic_ms: float
     median_ratio: float
+    compared: int
+    mismatches: int
     ratios: Tuple[float, ...] = field(repr=False, default=())
 
     @property
@@ -62,7 +73,11 @@ class LiveComparison:
 
     @property
     def ok(self) -> bool:
-        return self.within_tolerance and self.success_rate >= self.min_success_rate
+        return (
+            self.within_tolerance
+            and self.success_rate >= self.min_success_rate
+            and self.mismatches == 0
+        )
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -76,6 +91,8 @@ class LiveComparison:
             "median_ratio": self.median_ratio,
             "tolerance": self.tolerance,
             "min_success_rate": self.min_success_rate,
+            "compared": self.compared,
+            "mismatches": self.mismatches,
             "ok": self.ok,
         }
 
@@ -86,34 +103,34 @@ class LiveComparison:
             f"({100.0 * self.success_rate:.2f}%) across {self.n_nodes} nodes | "
             f"median live {self.median_live_ms:.1f} ms vs analytic "
             f"{self.median_analytic_ms:.1f} ms (ratio {self.median_ratio:.3f}, "
-            f"tolerance ±{self.tolerance:.2f})"
+            f"tolerance ±{self.tolerance:.2f}) | "
+            f"{self.mismatches} of {self.compared} timeout-free lookups differ "
+            f"from the resolver's walk"
         )
 
 
 async def _run_queries(
-    cluster: LocalCluster, queries: int, client_config: Optional[ClientConfig]
-) -> Tuple[List[Optional[float]], List[float]]:
+    cluster: LocalCluster, queries: int
+) -> Tuple[List[Optional[LiveLookupResult]], List[LookupResult]]:
     """Sequentially replay ``queries`` servable lookups on the wire.
 
-    Returns per-query live RTTs (``None`` where the lookup failed) and
-    the matching analytic predictions.  Sequential issue keeps each
-    measurement free of cross-query event-loop contention.
+    Returns the per-query live results (``None`` where the lookup
+    failed) and the resolver's results on the same state.  Sequential
+    issue keeps each measurement free of cross-query event-loop
+    contention.
     """
-    from ..errors import DMapError
-
     await cluster.start()
-    client = cluster.client(config=client_config)
+    client = cluster.client()
     await client.start()
-    live: List[Optional[float]] = []
-    analytic: List[float] = []
+    live: List[Optional[LiveLookupResult]] = []
+    analytic: List[LookupResult] = []
     try:
         stream = cluster.lookup_stream()
         for i in range(queries):
             lookup = stream[i % len(stream)]
-            analytic.append(cluster.analytic_rtt_ms(lookup.guid, lookup.source_asn))
+            analytic.append(cluster.resolver.lookup(lookup.guid, lookup.source_asn))
             try:
-                result = await client.lookup(lookup.guid, lookup.source_asn)
-                live.append(result.rtt_ms)
+                live.append(await client.lookup(lookup.guid, lookup.source_asn))
             except DMapError:
                 live.append(None)
     finally:
@@ -133,7 +150,6 @@ def run_live_check(
     time_scale: Optional[float] = None,
     tolerance: float = DEFAULT_TOLERANCE,
     min_success_rate: float = DEFAULT_MIN_SUCCESS_RATE,
-    client_config: Optional[ClientConfig] = None,
     cluster: Optional[LocalCluster] = None,
 ) -> LiveComparison:
     """Boot a seeded cluster, replay lookups, compare against analytic.
@@ -156,24 +172,35 @@ def run_live_check(
         if time_scale is not None:
             kwargs["time_scale"] = time_scale
         cluster = LocalCluster.build(ClusterConfig(**kwargs))
-    live, analytic = asyncio.run(_run_queries(cluster, queries, client_config))
+    live, analytic = asyncio.run(_run_queries(cluster, queries))
 
     ratios = [
-        measured / predicted
-        for measured, predicted in zip(live, analytic)
-        if measured is not None and predicted > 0.0
+        got.rtt_ms / want.rtt_ms
+        for got, want in zip(live, analytic)
+        if got is not None and want.rtt_ms > 0.0
     ]
-    successes = sum(1 for measured in live if measured is not None)
-    measured_ok = [m for m in live if m is not None]
+    compared = mismatches = 0
+    for got, want in zip(live, analytic):
+        if got is None or any(a.outcome == OUTCOME_TIMEOUT for a in got.attempts):
+            continue
+        compared += 1
+        walk = [a.asn for a in got.attempts]
+        if got.served_by != want.served_by or walk != [a.asn for a in want.attempts]:
+            mismatches += 1
+    measured_ok = [got.rtt_ms for got in live if got is not None]
     return LiveComparison(
         queries=len(live),
-        successes=successes,
-        failures=len(live) - successes,
+        successes=len(measured_ok),
+        failures=len(live) - len(measured_ok),
         n_nodes=len(cluster.node_asns),
         tolerance=tolerance,
         min_success_rate=min_success_rate,
         median_live_ms=statistics.median(measured_ok) if measured_ok else 0.0,
-        median_analytic_ms=statistics.median(analytic) if analytic else 0.0,
+        median_analytic_ms=(
+            statistics.median(want.rtt_ms for want in analytic) if analytic else 0.0
+        ),
         median_ratio=statistics.median(ratios) if ratios else 0.0,
+        compared=compared,
+        mismatches=mismatches,
         ratios=tuple(ratios),
     )

@@ -102,12 +102,17 @@ class TestLiveVsAnalytic:
         assert comparison.ok, comparison.render()
         # The wire can only be slower than the analytic ideal.
         assert comparison.median_ratio >= 0.999
+        # Without loss no attempt times out, so every lookup is compared
+        # with the resolver's walk, and each one matches it.
+        assert comparison.compared == comparison.queries
+        assert comparison.mismatches == 0
 
     def test_report_is_json_ready(self, cluster):
         comparison = run_live_check(queries=10, cluster=cluster)
         payload = comparison.as_dict()
         assert payload["queries"] == 10
         assert "median_ratio" in payload and "ok" in payload
+        assert payload["compared"] == 10 and payload["mismatches"] == 0
         assert "live lane" in comparison.render()
 
 
