@@ -16,7 +16,7 @@ property-tested against the independent reference
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, Tuple
 
 import numpy as np
 
@@ -145,40 +145,45 @@ def decompose(
     ``[starts[i], starts[i + 1])``, or :data:`HOLE`.  ``starts[0] == 0``,
     no interval is empty, and no two neighbours share a label.
 
-    CIDR blocks are laminar: two blocks are nested or disjoint.  So one
-    pass in ``(base, length)`` order with a stack of the open blocks
-    finds every boundary: a block opens at its base, inside whatever is
-    on the stack, and closes (handing back to its parent) before the
-    first block that starts at or after its end.
+    CIDR blocks are laminar (nested or disjoint), so the input is a
+    pre-order walk of the nesting forest.  A block opens at its base and
+    closes after its last address, unless that ends the space.  One stable
+    sort of the events (closes first at a position, deeper ones first) and
+    a running count give each block's depth, its parent is the last block
+    before it one level up, and a position's last event sets its label.
     """
-    space_end = 1 << bits
-    ends = bases + np.left_shift(np.uint64(1), (bits - lengths).astype(np.uint64))
-    pos, lab = _boundaries(bases.tolist(), ends.tolist())
-    # Positions never decrease; the last label emitted at a position
-    # holds from there, and the boundary at the end of the space goes.
-    keep = pos < space_end
-    keep[:-1] &= pos[1:] != pos[:-1]
-    return _merge_runs(pos[keep], lab[keep])
+    lasts = bases | host_masks(lengths, bits)
+    closing = np.flatnonzero(lasts < np.uint64((1 << bits) - 1))
+    closing = closing[np.lexsort((-lengths[closing], lasts[closing]))]
+    n, m = len(bases), len(closing)
+    # The hole from 0 (a -1 step, so the count at an open is the block's
+    # depth), then the closes, then the opens.
+    positions = np.concatenate(
+        (np.zeros(1, np.uint64), lasts[closing] + np.uint64(1), bases)
+    )
+    order = np.argsort(positions, kind="stable")
+    opens = order > m
+    depth = np.empty(n, dtype=np.int32)
+    depth[order[opens] - (m + 1)] = np.cumsum(np.where(opens, 1, -1))[opens]
+    parents = np.full(n, HOLE, dtype=np.int64)
+    above = np.flatnonzero(depth == 0)
+    for level in range(1, int(depth.max(initial=0)) + 1):
+        rows = np.flatnonzero(depth == level)
+        parents[rows] = above[np.searchsorted(above, rows) - 1]
+        above = rows
+    labels = np.concatenate(([HOLE], parents[closing], np.arange(n)))[order]
+    positions = positions[order]
+    last = np.append(positions[1:] != positions[:-1], True)
+    return _merge_runs(positions[last], labels[last])
 
 
-def _boundaries(
-    firsts: List[int], ends: List[int]
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Every block boundary, with the label that holds from there on."""
-    positions: List[int] = [0]
-    labels: List[int] = [HOLE]
-    stack: List[int] = []
-    for i, first in enumerate(firsts):
-        while stack and ends[stack[-1]] <= first:
-            positions.append(ends[stack.pop()])
-            labels.append(stack[-1] if stack else HOLE)
-        positions.append(first)
-        labels.append(i)
-        stack.append(i)
-    while stack:
-        positions.append(ends[stack.pop()])
-        labels.append(stack[-1] if stack else HOLE)
-    return np.asarray(positions, dtype=np.uint64), np.asarray(labels, dtype=np.int64)
+def host_masks(lengths: np.ndarray, bits: int) -> np.ndarray:
+    """The host-bit mask (``span - 1``) of each prefix length."""
+    host = (bits - lengths).astype(np.uint64)
+    masks = np.full(len(lengths), np.iinfo(np.uint64).max, dtype=np.uint64)
+    narrow = host < 64
+    masks[narrow] = (np.uint64(1) << host[narrow]) - np.uint64(1)
+    return masks
 
 
 def owner_intervals(

@@ -20,7 +20,7 @@ import numpy as np
 
 from ..core.guid import ADDRESS_BITS, NetworkAddress
 from ..errors import AddressError, EmptyPrefixTableError, PrefixTableError
-from .interval_index import HOLE, IntervalIndex, decompose, owner_intervals
+from .interval_index import HOLE, IntervalIndex, decompose, host_masks, owner_intervals
 from .prefix import Announcement, Prefix
 
 
@@ -159,7 +159,7 @@ class GlobalPrefixTable:
             raise AddressError(f"prefix base out of range for {bits}-bit space")
         bases = bases.astype(np.uint64)
         lengths = lengths.astype(np.int64)
-        if np.any(bases & _host_masks(lengths, bits)):
+        if np.any(bases & host_masks(lengths, bits)):
             raise AddressError("prefix base has non-zero host bits")
         if np.any(asns < 0):
             raise AddressError("AS number must be non-negative")
@@ -273,9 +273,12 @@ class GlobalPrefixTable:
         return snap.anns[row] or snap.announcement(row)
 
     def owner_asn(self, address: Union[int, NetworkAddress]) -> Optional[int]:
-        """AS that would host a mapping hashed to ``address`` (or ``None``)."""
-        ann = self.resolve(address)
-        return None if ann is None else ann.asn
+        """AS that would host a mapping hashed to ``address`` (or ``None``):
+        the placement's LPM, read from the snapshot with no Announcement."""
+        value = self._address(address)
+        snap = self._snap or self._snapshot()
+        row = snap.rows[bisect_right(snap.bounds, value) - 1]
+        return None if row < 0 else snap.asns.item(row)
 
     def nearest(
         self, address: Union[int, NetworkAddress]
@@ -398,15 +401,6 @@ class GlobalPrefixTable:
         clone._snap = self._snap
         clone.generation = len(self)
         return clone
-
-
-def _host_masks(lengths: np.ndarray, bits: int) -> np.ndarray:
-    """The host-bit mask (``span - 1``) of each prefix length."""
-    host = (bits - lengths).astype(np.uint64)
-    masks = np.full(len(lengths), np.iinfo(np.uint64).max, dtype=np.uint64)
-    narrow = host < 64
-    masks[narrow] = (np.uint64(1) << host[narrow]) - np.uint64(1)
-    return masks
 
 
 def _strictly_sorted(bases: np.ndarray, lengths: np.ndarray) -> bool:

@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import hashlib
 from abc import ABC, abstractmethod
-from typing import List, Sequence, Union
+from typing import Iterable, List, Sequence, Union
 
 import numpy as np
 
-from ..core.guid import ADDRESS_BITS, GUID, NetworkAddress
+from ..core.guid import ADDRESS_BITS, GUID
 from ..errors import ConfigurationError
 
 GuidLike = Union[GUID, int]
@@ -56,10 +56,6 @@ class HashFamily(ABC):
     def hash_all(self, guid: GuidLike) -> List[int]:
         """Apply all K functions; returns K address values."""
         return [self.hash_one(guid, i) for i in range(self.k)]
-
-    def addresses(self, guid: GuidLike) -> List[NetworkAddress]:
-        """Convenience wrapper returning :class:`NetworkAddress` objects."""
-        return [NetworkAddress(v, self.address_bits) for v in self.hash_all(guid)]
 
     def rehash(self, address_value: int, index: int) -> int:
         """Re-hash an address value (IP-hole protocol, Algorithm 1 line 7).
@@ -89,31 +85,35 @@ class Sha256Hasher(HashFamily):
         self.salt = salt
         self._prefixes = [salt + i.to_bytes(4, "big") for i in range(k)]
 
+    def _addresses(self, prefixes: Sequence[bytes], values: Iterable[int]) -> List[int]:
+        """The SHA-256 rule: the top ``address_bits`` bits of
+        ``SHA256(prefix || value-bytes)`` per value, then per prefix; a
+        value is encoded once, as its minimal big-endian bytes."""
+        shift = 64 - self.address_bits
+        sha256 = hashlib.sha256
+        return [
+            int.from_bytes(sha256(prefix + payload).digest()[:8], "big") >> shift
+            for v in values
+            for payload in (v.to_bytes((v.bit_length() + 7) // 8 or 1, "big"),)
+            for prefix in prefixes
+        ]
+
     def hash_one(self, guid: GuidLike, index: int) -> int:
-        if not 0 <= index < self.k:
-            raise ConfigurationError(f"hash index {index} out of range [0, {self.k})")
-        value = _guid_value(guid)
-        payload = value.to_bytes((value.bit_length() + 7) // 8 or 1, "big")
-        digest = hashlib.sha256(self._prefixes[index] + payload).digest()
-        return int.from_bytes(digest[:8], "big") >> (64 - self.address_bits)
+        return self.hash_many((_guid_value(guid),), index)[0]
+
+    def rehash(self, address_value: int, index: int) -> int:
+        return self.hash_many((int(address_value),), index)[0]
+
+    def hash_all(self, guid: GuidLike) -> List[int]:
+        """All K functions, from one encoding of ``guid``."""
+        return self._addresses(self._prefixes, (_guid_value(guid),))
 
     def hash_many(self, values: Sequence[int], index: int) -> List[int]:
         """:meth:`hash_one` over many integer values, bit for bit, with the
         range check and the salt bound once per call."""
         if not 0 <= index < self.k:
             raise ConfigurationError(f"hash index {index} out of range [0, {self.k})")
-        prefix = self._prefixes[index]
-        shift = 64 - self.address_bits
-        sha256 = hashlib.sha256
-        return [
-            int.from_bytes(
-                sha256(prefix + v.to_bytes((v.bit_length() + 7) // 8 or 1, "big"))
-                .digest()[:8],
-                "big",
-            )
-            >> shift
-            for v in values
-        ]
+        return self._addresses((self._prefixes[index],), values)
 
 
 # splitmix64 constants — the standard finalizer from Vigna's splitmix64,

@@ -12,8 +12,7 @@ what keeps the median NLR slightly above 1 (Fig. 6).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Union
+from typing import List, NamedTuple, Union
 
 from ..bgp.table import GlobalPrefixTable
 from ..core.guid import GUID
@@ -24,25 +23,16 @@ from .hashers import HashFamily
 DEFAULT_MAX_REHASHES = 10
 
 
-@dataclass(frozen=True)
-class HashResolution:
-    """Outcome of resolving one GUID through one hash function.
+class HashResolution(NamedTuple):
+    """Outcome of resolving one GUID through one hash function."""
 
-    Attributes
-    ----------
-    address:
-        The final hashed address value.
-    asn:
-        The AS that will host this replica.
-    attempts:
-        Number of hash applications used (1 = first hash announced).
-    via_deputy:
-        Whether the deputy-AS fallback (nearest prefix) was needed.
-    """
-
+    #: The final hashed address value.
     address: int
+    #: The AS that will host this replica.
     asn: int
+    #: Number of hash applications used (1 = first hash announced).
     attempts: int
+    #: Whether the deputy-AS fallback (nearest prefix) was needed.
     via_deputy: bool
 
 
@@ -78,17 +68,27 @@ class GuidPlacer:
         resolved at an equal generation is still the current one."""
         return self.table.generation
 
+    def _resolve(self, values: List[int], first: int) -> List[HashResolution]:
+        """Algorithm 1 from ``values[i]``, the first address of function
+        ``first + i``: LPM, re-hash through holes, then the deputy AS."""
+        owner_asn, rehash = self.table.owner_asn, self.hash_family.rehash
+        max_rehashes, out = self.max_rehashes, []
+        for index, value in enumerate(values, first):
+            attempt = 1
+            asn = owner_asn(value)
+            while asn is None and attempt < max_rehashes:
+                value = rehash(value, index)
+                attempt += 1
+                asn = owner_asn(value)
+            deputy = asn is None
+            if deputy:
+                asn = self.table.nearest(value)[0].asn
+            out.append(HashResolution(value, asn, attempt, deputy))
+        return out
+
     def resolve_one(self, guid: Union[GUID, int], index: int) -> HashResolution:
         """Algorithm 1 for hash function ``index``."""
-        value = self.hash_family.hash_one(guid, index)
-        for attempt in range(1, self.max_rehashes + 1):
-            announcement = self.table.resolve(value)
-            if announcement is not None:
-                return HashResolution(value, announcement.asn, attempt, False)
-            if attempt < self.max_rehashes:
-                value = self.hash_family.rehash(value, index)
-        announcement, _distance = self.table.nearest(value)
-        return HashResolution(value, announcement.asn, self.max_rehashes, True)
+        return self._resolve([self.hash_family.hash_one(guid, index)], index)[0]
 
     def resolve_all(self, guid: Union[GUID, int]) -> List[HashResolution]:
         """Hosting resolution for every replica of ``guid``.
@@ -97,9 +97,10 @@ class GuidPlacer:
         function ``i`` only, so a hole in one chain does not perturb the
         others.  Duplicate ASs across replicas are possible (two hash
         functions may land in the same AS) and are preserved — the caller
-        decides whether to de-duplicate storage.
+        decides whether to de-duplicate storage.  The K first addresses
+        come from one :meth:`HashFamily.hash_all` call.
         """
-        return [self.resolve_one(guid, i) for i in range(self.k)]
+        return self._resolve(self.hash_family.hash_all(guid), 0)
 
     def hosting_asns(self, guid: Union[GUID, int]) -> List[int]:
         """Just the K hosting AS numbers, in replica order."""

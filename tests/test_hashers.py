@@ -100,6 +100,11 @@ class TestSha256Hasher:
                 expected.append(word >> (64 - address_bits))
             assert h.hash_many(values, index) == expected
             assert [h.hash_one(v, index) for v in values] == expected
+            for v, want in zip(values, expected):
+                if v < 2**64:  # an address may come as a numpy integer
+                    assert h.rehash(np.uint64(v), index) == want
+        for v in values:
+            assert h.hash_all(v) == [h.hash_one(v, i) for i in range(h.k)]
 
     def test_hash_many_index_range(self):
         h = Sha256Hasher(k=2)

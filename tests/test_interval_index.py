@@ -4,13 +4,107 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bgp.interval_index import HOLE, IntervalIndex
+from repro.bgp.interval_index import HOLE, IntervalIndex, decompose
 from repro.bgp.prefix import Announcement, Prefix
 from repro.bgp.table import GlobalPrefixTable
 from repro.bgp.trie import PrefixTrie
 from repro.errors import EmptyPrefixTableError
 
 from .test_trie import announcement_sets, churn_traces, naive_lpm, replay, small_ann
+
+
+def check_decompose(prefixes, bits=8, addresses=None):
+    """``decompose`` of ``(base, length)`` pairs against the trie, at every
+    address (8-bit) or at each block's edges, plus its invariants."""
+    rows = sorted(set(prefixes))
+    bases = np.array([b for b, _ in rows], dtype=np.uint64)
+    lengths = np.array([l for _, l in rows], dtype=np.int64)
+    starts, labels = decompose(bases, lengths, bits)
+    assert starts.dtype == np.uint64 and labels.dtype == np.int64
+    assert starts[0] == 0
+    assert np.all(starts[1:] > starts[:-1])  # no empty interval
+    assert np.all(labels[1:] != labels[:-1])
+    trie = PrefixTrie(bits=bits)
+    for row, (base, length) in enumerate(rows):
+        trie.insert(Announcement(Prefix(base, length, bits), row))
+    if addresses is None:
+        if bits <= 8:
+            addresses = range(1 << bits)
+        else:
+            span = [1 << (bits - length) for _, length in rows]
+            edges = {0, (1 << bits) - 1}
+            for (base, _), width in zip(rows, span):
+                edges |= {base - 1, base, base + width - 1, base + width}
+            addresses = sorted(a for a in edges if 0 <= a < 1 << bits)
+    starts_list, labels_list = starts.tolist(), labels.tolist()
+    for address in addresses:
+        at = np.searchsorted(starts, np.uint64(address), side="right") - 1
+        hit = trie.longest_prefix_match(address)
+        assert labels_list[at] == (HOLE if hit is None else hit.asn), address
+    return starts_list, labels_list
+
+
+class TestDecomposeEdges:
+    def test_nested_blocks_share_an_end(self):
+        # 0/1, 64/2, 96/3 and 124/6 all end at 128.
+        starts, labels = check_decompose([(0, 1), (64, 2), (96, 3), (124, 6)])
+        assert starts == [0, 64, 96, 124, 128]
+        assert labels == [0, 1, 2, 3, HOLE]
+
+    def test_sibling_starts_where_parent_ends(self):
+        # 0/2 (with a child 32/3 ending with it) and then 64/2, 128/1.
+        starts, labels = check_decompose([(0, 2), (32, 3), (64, 2), (128, 1)])
+        assert starts == [0, 32, 64, 128]
+        assert labels == [0, 1, 2, 3]
+
+    def test_slash_zero_cover(self):
+        starts, labels = check_decompose([(0, 0), (0, 8), (16, 4), (248, 5)])
+        assert starts == [0, 1, 16, 32, 248]
+        assert labels == [1, 0, 2, 0, 3]
+
+    def test_slash_32_host_routes(self):
+        def p(cidr):
+            prefix = Prefix.from_cidr(cidr)
+            return prefix.base, prefix.length
+
+        check_decompose(
+            [
+                p("0.0.0.0/32"),
+                p("10.0.0.0/8"),
+                p("10.0.0.1/32"),
+                p("10.0.0.2/32"),
+                p("10.255.255.255/32"),
+                p("11.0.0.0/32"),
+                p("255.255.255.255/32"),
+            ],
+            bits=32,
+        )
+
+    def test_block_at_the_end_of_a_64_bit_space(self):
+        starts, labels = check_decompose(
+            [(0, 0), (1 << 63, 1), ((1 << 64) - 1, 64)], bits=64
+        )
+        assert starts == [0, 1 << 63, (1 << 64) - 1]
+        assert labels == [0, 1, 2]
+
+    @given(announcement_sets(max_count=20))
+    @settings(max_examples=150)
+    def test_random_nested_tables(self, announcements):
+        check_decompose([(a.prefix.base, a.prefix.length) for a in announcements])
+
+    def test_empty_table(self):
+        starts, labels = decompose(
+            np.zeros(0, np.uint64), np.zeros(0, np.int64), 8
+        )
+        assert starts.tolist() == [0] and labels.tolist() == [HOLE]
+        with pytest.raises(EmptyPrefixTableError):
+            IntervalIndex([], bits=8)
+        table = GlobalPrefixTable(bits=8)
+        with pytest.raises(EmptyPrefixTableError):
+            table.build_interval_index()
+        with pytest.raises(EmptyPrefixTableError):
+            table.nearest(0)
+        assert table.resolve(5) is None and table.owner_asn(5) is None
 
 
 class TestConstruction:

@@ -2,14 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.bgp.prefix import Announcement, Prefix
 from repro.bgp.table import GlobalPrefixTable
+from repro.bgp.trie import PrefixTrie
 from repro.core.guid import GUID
 from repro.errors import ConfigurationError
 from repro.fastpath.placement import resolve_batch
 from repro.hashing.hashers import FastHasher, Sha256Hasher
-from repro.hashing.rehash import GuidPlacer, hole_probability
+from repro.hashing.rehash import GuidPlacer, HashResolution, hole_probability
+
+from .test_trie import churn_traces, small_ann
 
 
 def ann(cidr: str, asn: int) -> Announcement:
@@ -119,3 +123,83 @@ class TestBulkPlacement:
         ratio = index.announced_fraction()
         frac_two_plus = float((attempts > 1).mean())
         assert frac_two_plus == pytest.approx(1.0 - ratio, abs=0.02)
+
+
+def reference_chain(family, trie, table, guid, index, max_rehashes):
+    """Algorithm 1 step by step: hash, trie LPM, re-hash the address with
+    the same function through holes, then the table's nearest prefix."""
+    value = family.hash_one(guid, index)
+    for attempt in range(1, max_rehashes + 1):
+        hit = trie.longest_prefix_match(value)
+        if hit is not None:
+            return HashResolution(value, hit.asn, attempt, False)
+        if attempt < max_rehashes:
+            value = family.hash_one(value, index)  # rehash(value, index)
+    return HashResolution(value, table.nearest(value)[0].asn, max_rehashes, True)
+
+
+@st.composite
+def sparse_traces(draw, bits=8):
+    """A few long prefixes (/6 to /8): most hashes land in holes, so
+    short chains end at the deputy."""
+    ops = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        length = draw(st.integers(min_value=6, max_value=bits))
+        base = draw(st.integers(min_value=0, max_value=(1 << bits) - 1))
+        asn = draw(st.integers(min_value=1, max_value=4))
+        ops.append((draw(st.booleans()), small_ann(base, length, asn, bits=bits)))
+    return ops
+
+
+class TestChainAgainstReference:
+    """The placer's chain (one hash call per GUID, ``owner_asn`` LPM) on
+    random overlapping 8-bit tables, checked after every announce or
+    withdraw, so a placement read from a stale snapshot is caught."""
+
+    def check(self, ops, k, max_rehashes, guids):
+        table = GlobalPrefixTable(bits=8)
+        trie = PrefixTrie(bits=8)
+        family = Sha256Hasher(k, address_bits=8)
+        placer = GuidPlacer(family, table, max_rehashes=max_rehashes)
+        for withdraw, a in ops:
+            if withdraw and a.prefix in table:
+                table.withdraw(a.prefix)
+                trie.withdraw(a.prefix)
+            else:
+                table.announce(a)
+                trie.insert(a)
+            for address in range(256):
+                got = table.resolve(address)
+                assert table.owner_asn(address) == (None if got is None else got.asn)
+            if not len(table):
+                continue
+            asns, attempts, via_deputy = resolve_batch(placer, guids)
+            for row, guid in enumerate(guids):
+                chains = placer.resolve_all(guid)
+                assert chains == [
+                    reference_chain(family, trie, table, guid, i, max_rehashes)
+                    for i in range(k)
+                ]
+                assert chains == [placer.resolve_one(guid, i) for i in range(k)]
+                assert placer.hosting_asns(guid) == [res.asn for res in chains]
+                assert asns[row].tolist() == [res.asn for res in chains]
+                assert attempts[row].tolist() == [res.attempts for res in chains]
+                assert via_deputy[row].tolist() == [res.via_deputy for res in chains]
+
+    @given(
+        st.one_of(churn_traces(), sparse_traces()),
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=1, max_value=4),
+        st.lists(st.integers(min_value=0, max_value=2**64), min_size=1, max_size=6),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_reference_and_batch(self, ops, k, max_rehashes, guids):
+        self.check(ops, k, max_rehashes, guids)
+
+    def test_sparse_table_takes_the_deputy(self):
+        ops = [(False, small_ann(200, 8, 3)), (False, small_ann(16, 7, 4))]
+        guids = list(range(40))
+        self.check(ops, 2, 2, guids)
+        table = GlobalPrefixTable([a for _, a in ops], bits=8)
+        placer = GuidPlacer(Sha256Hasher(2, address_bits=8), table, max_rehashes=2)
+        assert any(res.via_deputy for g in guids for res in placer.resolve_all(g))
