@@ -30,8 +30,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.guid import ADDRESS_BITS
+from ..draws import choice_cdf, integer_sampler
 from ..errors import ConfigurationError
-from .prefix import Announcement, Prefix
 from .table import GlobalPrefixTable
 
 #: Prefix-length mix loosely matching published IPv4 DFZ statistics
@@ -114,7 +114,7 @@ class BuddyAllocator:
 
     def __init__(self, bits: int, rng: np.random.Generator) -> None:
         self.bits = bits
-        self.rng = rng
+        self._integers = integer_sampler(rng)
         # _free[L] = list of base addresses of free /L blocks.
         self._free: List[List[int]] = [[] for _ in range(bits + 1)]
         self._free[0].append(0)
@@ -130,14 +130,14 @@ class BuddyAllocator:
         if source < 0:
             return None
         pool = self._free[source]
-        pick = int(self.rng.integers(0, len(pool)))
+        pick = self._integers(len(pool))
         pool[pick], pool[-1] = pool[-1], pool[pick]
         base = pool.pop()
         # Split down to the requested size, keeping a random half each time.
         while source < length:
             source += 1
             half_span = 1 << (self.bits - source)
-            if self.rng.integers(0, 2):
+            if self._integers(2):
                 self._free[source].append(base)
                 base += half_span
             else:
@@ -164,62 +164,51 @@ def _draw_per_as_counts(
     return np.minimum(counts, config.max_prefixes_per_as)
 
 
-def _draw_lengths(
-    count: int, config: AllocationConfig, rng: np.random.Generator
-) -> np.ndarray:
-    lengths = np.array(sorted(config.length_mix), dtype=np.int64)
-    weights = np.array([config.length_mix[int(l)] for l in lengths], dtype=float)
-    weights = weights / weights.sum()
-    return rng.choice(lengths, size=count, p=weights)
-
-
 def _fit_to_ratio(
-    lengths: List[Tuple[int, int]],  # (length, asn)
+    lengths: np.ndarray,
+    owners: np.ndarray,
     config: AllocationConfig,
     rng: np.random.Generator,
-) -> List[Tuple[int, int]]:
-    """Trim or pad the drawn prefix list so total span ≈ target ratio.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Trim or pad the drawn prefixes so total span ≈ target ratio.
 
-    Oversized tables drop random *large* prefixes first (preserving the
-    /24-heavy count mix); undersized tables add /16 filler blocks to ASs
-    sampled proportionally to their existing span (preserving the heavy
-    per-AS tail).
+    Oversized tables drop the largest prefixes first, in drawn order
+    (preserving the /24-heavy count mix); undersized tables add /16
+    filler blocks to ASs sampled proportionally to their existing span
+    (preserving the heavy per-AS tail).
     """
-    space = 1 << config.bits
-    target = int(config.target_ratio * space)
-    span = sum(1 << (config.bits - length) for length, _ in lengths)
+    bits = config.bits
+    target = int(config.target_ratio * (1 << bits))
+    # Exact integer spans: int64 while their sum cannot overflow it.
+    wide = len(lengths) << (bits - int(lengths.min())) >= 1 << 63
+    spans = np.left_shift(1, (bits - lengths).astype(object if wide else np.int64))
+    span = int(spans.sum())
 
     if span > target:
-        order = sorted(
-            range(len(lengths)), key=lambda i: lengths[i][0]
-        )  # shortest prefixes (largest spans) first
-        keep = [True] * len(lengths)
-        for i in order:
-            if span <= target:
-                break
-            block = 1 << (config.bits - lengths[i][0])
-            if span - block >= target or block >= (span - target) // 2:
-                keep[i] = False
-                span -= block
-        lengths = [item for item, k in zip(lengths, keep) if k]
+        # Every block met while span > target goes: one no larger than the
+        # excess leaves span >= target, a larger one exceeds half of it.
+        order = np.argsort(lengths, kind="stable")
+        dropped = np.cumsum(spans[order])
+        n_drop = int(np.searchsorted(dropped, span - target)) + 1
+        span -= int(dropped[n_drop - 1])
+        keep = np.ones(len(lengths), dtype=bool)
+        keep[order[:n_drop]] = False
+        lengths, owners, spans = lengths[keep], owners[keep], spans[keep]
 
     if span < target:
         filler_len = 16
-        filler_span = 1 << (config.bits - filler_len)
-        spans_by_asn: Dict[int, int] = {}
-        for length, asn in lengths:
-            spans_by_asn[asn] = spans_by_asn.get(asn, 0) + (
-                1 << (config.bits - length)
-            )
-        asns = np.array(sorted(spans_by_asn), dtype=np.int64)
-        weights = np.array([spans_by_asn[int(a)] for a in asns], dtype=float)
+        filler_span = 1 << (bits - filler_len)
+        asns, inverse = np.unique(owners, return_inverse=True)
+        per_as = np.zeros(len(asns), dtype=spans.dtype)
+        np.add.at(per_as, inverse, spans)
+        weights = per_as.astype(float)
         weights /= weights.sum()
         n_fillers = max(0, (target - span) // filler_span)
-        for asn in rng.choice(asns, size=int(n_fillers), p=weights):
-            lengths.append((filler_len, int(asn)))
-            span += filler_span
+        fillers = rng.choice(asns, size=int(n_fillers), p=weights)
+        lengths = np.concatenate((lengths, np.full(len(fillers), filler_len)))
+        owners = np.concatenate((owners, fillers))
 
-    return lengths
+    return lengths, owners
 
 
 def generate_global_prefix_table(
@@ -261,35 +250,36 @@ def generate_global_prefix_table(
         counts = np.maximum(1, np.round(counts * bias)).astype(np.int64)
         counts = np.minimum(counts, config.max_prefixes_per_as)
 
-    drawn: List[Tuple[int, int]] = []
-    for asn, count in zip(asns, counts.tolist()):
-        for length in _draw_lengths(count, config, rng).tolist():
-            drawn.append((int(length), int(asn)))
+    # One rng.choice(mix, size=count, p=weights) per AS, in AS order: each
+    # draws `count` uniforms and inverts the mix's CDF, so one batch of
+    # uniforms gives the same lengths.
+    mix = np.array(sorted(config.length_mix), dtype=np.int64)
+    weights = np.array([config.length_mix[int(l)] for l in mix], dtype=float)
+    cdf = choice_cdf(weights / weights.sum())
+    lengths = mix[cdf.searchsorted(rng.random(int(counts.sum())), side="right")]
+    owners = np.repeat(np.asarray(asns, dtype=np.int64), counts)
 
-    drawn = _fit_to_ratio(drawn, config, rng)
+    lengths, owners = _fit_to_ratio(lengths, owners, config, rng)
 
-    # Place largest blocks first so buddy alignment always succeeds.
-    drawn.sort(key=lambda item: item[0])
+    # Place largest blocks first so buddy alignment always succeeds; the
+    # fitted span is below the space, so every block finds room.
+    order = np.argsort(lengths, kind="stable")
+    lengths, owners = lengths[order].tolist(), owners[order].tolist()
     allocator = BuddyAllocator(config.bits, rng)
-    announcements: List[Announcement] = []
-    for length, asn in drawn:
-        base = allocator.allocate(length)
-        if base is None:
-            continue  # space exhausted (cannot happen when ratio < 1)
-        announcements.append(
-            Announcement(Prefix(base, length, config.bits), asn)
-        )
-
-    table = GlobalPrefixTable(announcements, bits=config.bits)
+    bases = [allocator.allocate(length) for length in lengths]
 
     # Guarantee every AS announces something (the paper's NLR is undefined
     # for ASs with zero announced space).
-    covered = set(table.asns())
+    covered = set(owners)
     for asn in asns:
         if asn not in covered:
             base = allocator.allocate(24)
             if base is None:
                 break
-            table.announce(Announcement(Prefix(base, 24, config.bits), asn))
+            bases.append(base)
+            lengths.append(24)
+            owners.append(asn)
 
-    return table
+    return GlobalPrefixTable.from_arrays(
+        np.array(bases, np.uint64), np.array(lengths), np.array(owners), bits=config.bits
+    )

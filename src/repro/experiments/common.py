@@ -57,6 +57,7 @@ GENERATOR_MODULES = (
     "repro.topology.graph",
     "repro.bgp.allocation",
     "repro.bgp.prefix",
+    "repro.draws",
 )
 
 

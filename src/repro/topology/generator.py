@@ -23,10 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
+from ..draws import integer_sampler, weighted_choice, weighted_sample
 from ..errors import ConfigurationError
 from .graph import ASInfo, ASTier, ASTopology
 from .latency import GeographyModel, LatencyModel
@@ -121,6 +122,7 @@ def generate_internet_topology(
 
     topo = ASTopology()
     positions: List[Tuple[float, float]] = []
+    integers = integer_sampler(rng)
 
     # --- Tier 1: well-separated backbone sites, full-mesh peering. -----
     t1_asns = list(range(1, n_t1 + 1))
@@ -134,55 +136,42 @@ def generate_internet_topology(
 
     # --- Tier 2: transit providers near core sites. --------------------
     t2_asns = list(range(n_t1 + 1, n_t1 + n_t2 + 1))
-    t1_pos = np.asarray(positions[:n_t1], dtype=float)
-    degrees: Dict[int, int] = {asn: topo.degree(asn) for asn in t1_asns}
+    t1_x, t1_y = np.array(positions).T
     for asn in t2_asns:
-        anchor_idx = int(rng.integers(0, n_t1))
-        pos = geo.near(tuple(t1_pos[anchor_idx]), geo.transit_spread_km, rng)
+        pos = geo.near(positions[integers(n_t1)], geo.transit_spread_km, rng)
         positions.append(pos)
         topo.add_as(ASInfo(asn, ASTier.TRANSIT, 0.0, 0, pos))
         # 1-3 upstream tier-1 providers, nearest-biased.
         n_up = 1 + int(rng.random() < 0.7) + int(rng.random() < 0.25)
-        d2 = ((t1_pos - np.asarray(pos)) ** 2).sum(axis=1)
-        weights = 1.0 / (d2 + 1e4)
+        dx, dy = t1_x - pos[0], t1_y - pos[1]
+        weights = 1.0 / (dx * dx + dy * dy + 1e4)
         weights /= weights.sum()
-        ups = rng.choice(n_t1, size=min(n_up, n_t1), replace=False, p=weights)
-        for up in ups.tolist():
+        for up in weighted_sample(rng, weights, min(n_up, n_t1)):
             provider = t1_asns[up]
             topo.add_link(asn, provider, lat.link_latency_ms(pos, positions[provider - 1]))
-        degrees[asn] = topo.degree(asn)
 
     # Transit-transit peering: each transit peers with ~1 other, degree- and
-    # proximity-biased.
-    t2_pos = np.asarray(positions[n_t1:], dtype=float)
+    # proximity-biased.  ``deg`` tracks the transit degrees link by link.
+    t2_x, t2_y = np.array(positions[n_t1:]).T
+    deg = np.array([topo.degree(asn) for asn in t2_asns], dtype=float)
     for i, asn in enumerate(t2_asns):
-        if rng.random() < 0.6 and len(t2_asns) > 1:
-            d2 = ((t2_pos - t2_pos[i]) ** 2).sum(axis=1)
-            d2[i] = np.inf
-            deg = np.asarray([degrees[a] for a in t2_asns], dtype=float)
-            weights = (deg + 1.0) / (d2 + 1e5)
+        if rng.random() < 0.6 and n_t2 > 1:
+            dx, dy = t2_x - t2_x[i], t2_y - t2_y[i]
+            weights = (deg + 1.0) / (dx * dx + dy * dy + 1e5)
             weights[i] = 0.0
-            total = weights.sum()
-            if total <= 0:
-                continue
-            j = int(rng.choice(len(t2_asns), p=weights / total))
+            j = weighted_choice(rng, weights / weights.sum())
             peer = t2_asns[j]
             if peer not in topo.neighbors(asn):
                 topo.add_link(
                     asn, peer, lat.link_latency_ms(positions[asn - 1], positions[peer - 1])
                 )
-                degrees[asn] = topo.degree(asn)
-                degrees[peer] = topo.degree(peer)
+                deg[i] += 1.0
+                deg[j] += 1.0
 
     # --- Tier 3: stubs via degree+proximity preferential attachment. ---
-    t3_asns = list(range(n_t1 + n_t2 + 1, n + 1))
-    provider_pool = t2_asns if t2_asns else t1_asns
-    pool_pos = np.asarray([positions[a - 1] for a in provider_pool], dtype=float)
-    pool_deg = np.asarray([degrees[a] for a in provider_pool], dtype=float)
-    for asn in t3_asns:
+    for asn in range(n_t1 + n_t2 + 1, n + 1):
         # Anchor near a random provider region (population clusters).
-        anchor = int(rng.integers(0, len(provider_pool)))
-        pos = geo.near(tuple(pool_pos[anchor]), geo.stub_spread_km, rng)
+        pos = geo.near(positions[n_t1 + integers(n_t2)], geo.stub_spread_km, rng)
         positions.append(pos)
         topo.add_as(ASInfo(asn, ASTier.STUB, 0.0, 0, pos))
         n_prov = 1
@@ -190,35 +179,36 @@ def generate_internet_topology(
             n_prov += 1
             if rng.random() < 0.3:
                 n_prov += 1
-        d2 = ((pool_pos - np.asarray(pos)) ** 2).sum(axis=1)
-        weights = (pool_deg + 1.0) / (d2 + 1e5)
+        dx, dy = t2_x - pos[0], t2_y - pos[1]
+        weights = (deg + 1.0) / (dx * dx + dy * dy + 1e5)
         weights /= weights.sum()
-        chosen = rng.choice(
-            len(provider_pool), size=min(n_prov, len(provider_pool)), replace=False, p=weights
-        )
-        for c in chosen.tolist():
-            provider = provider_pool[c]
+        for c in weighted_sample(rng, weights, min(n_prov, n_t2)):
+            provider = t2_asns[c]
             topo.add_link(asn, provider, lat.link_latency_ms(pos, positions[provider - 1]))
-            pool_deg[c] += 1.0
+            deg[c] += 1.0
 
     # --- Extra peering links up to the target count. --------------------
     target = config.resolved_target_links()
-    all_pos = np.asarray(positions, dtype=float)
+    neighbours = [set(topo.neighbors(asn)) for asn in range(1, n + 1)]
+    links = topo.n_links()
     attempts = 0
-    max_attempts = 20 * max(target - topo.n_links(), 0) + 100
-    while topo.n_links() < target and attempts < max_attempts:
+    max_attempts = 20 * max(target - links, 0) + 100
+    while links < target and attempts < max_attempts:
         attempts += 1
-        a = int(rng.integers(1, n + 1))
-        b = int(rng.integers(1, n + 1))
+        a = integers(n) + 1
+        b = integers(n) + 1
         if a == b:
             continue
-        dist = math.hypot(*(all_pos[a - 1] - all_pos[b - 1]))
+        (ax, ay), (bx, by) = positions[a - 1], positions[b - 1]
         # Peering is overwhelmingly local (IXP-style).
-        if rng.random() > math.exp(-dist / 2000.0):
+        if rng.random() > math.exp(-math.hypot(ax - bx, ay - by) / 2000.0):
             continue
-        if b in topo.neighbors(a):
+        if b in neighbours[a - 1]:
             continue
-        topo.add_link(a, b, lat.link_latency_ms(tuple(all_pos[a - 1]), tuple(all_pos[b - 1])))
+        neighbours[a - 1].add(b)
+        neighbours[b - 1].add(a)
+        topo.add_link(a, b, lat.link_latency_ms(positions[a - 1], positions[b - 1]))
+        links += 1
 
     # --- Attributes: intra-AS latency and end-node populations. --------
     intra = lat.intra_latencies_ms(n, rng, allow_outliers=False)
@@ -244,17 +234,9 @@ def generate_internet_topology(
         n, stub_mask, config.population_exponent, config.total_endnodes, rng
     )
 
-    for asn in range(1, n + 1):
+    for asn, intra_ms, endnodes in zip(topo.asns(), intra.tolist(), populations.tolist()):
         info = topo.info(asn)
-        topo.add_as(
-            ASInfo(
-                asn,
-                info.tier,
-                float(intra[asn - 1]),
-                int(populations[asn - 1]),
-                info.position,
-            )
-        )
+        topo.add_as(ASInfo(asn, info.tier, intra_ms, endnodes, info.position))
 
     topo.validate()
     return topo

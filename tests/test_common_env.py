@@ -103,6 +103,18 @@ class TestEnvironment:
         assert env.table.nearest(locator) == (env.table.resolve(locator), 0)
         assert env.table.representative_address(asn) == locator
 
+    def test_cold_build_builds_no_prefix_objects(self, tiny_scale, tmp_path, monkeypatch):
+        def no_objects(self):
+            raise AssertionError(f"built a {type(self).__name__}")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Prefix, "__post_init__", no_objects)
+            patch.setattr(Announcement, "__post_init__", no_objects)
+            env = Environment(tiny_scale, seed=5, cache_dir=str(tmp_path))
+            assert not env.substrate_loaded
+        assert len(env.table) > len(env.topology)
+        assert set(env.table.asns()) == set(env.topology.asns())
+
 
 def store_files(directory):
     return sorted(os.listdir(directory))
@@ -163,21 +175,29 @@ class TestSubstrateStore:
     def test_edited_generator_forces_rebuild(
         self, tiny_scale, tmp_path, monkeypatch, count_builds
     ):
-        first = Environment(tiny_scale, seed=2, cache_dir=str(tmp_path))
+        keys = [Environment(tiny_scale, seed=2, cache_dir=str(tmp_path)).substrate_key]
         read = common._module_bytes
+        edit = {}
 
         def edited(name):
             source = read(name)
-            if name == "repro.topology.generator":
-                source = source.replace(b"PAPER_N_LINKS = 90_267", b"PAPER_N_LINKS = 90_268")
-            return source
+            return source.replace(*edit[name]) if name in edit else source
 
         monkeypatch.setattr(common, "_module_bytes", edited)
-        second = Environment(tiny_scale, seed=2, cache_dir=str(tmp_path))
-        assert second.substrate_key != first.substrate_key
-        assert not second.substrate_loaded
-        assert count_builds == {"topology": 2, "table": 2}
-        assert len(store_files(tmp_path)) == 2
+        # An edit to the generator, then instead one to the exact-draw
+        # helpers it calls: each names a new substrate, built and stored.
+        for builds, (name, old, new) in enumerate([
+            ("repro.topology.generator", b"PAPER_N_LINKS = 90_267", b"PAPER_N_LINKS = 90_268"),
+            ("repro.draws", b"0xFFFFFFFF", b"0xffffffff"),
+        ], start=2):
+            edit.clear()
+            edit[name] = (old, new)
+            assert edited(name) != read(name)
+            env = Environment(tiny_scale, seed=2, cache_dir=str(tmp_path))
+            assert env.substrate_key not in keys and not env.substrate_loaded
+            keys.append(env.substrate_key)
+            assert count_builds == {"topology": builds, "table": builds}
+        assert len(store_files(tmp_path)) == 3
 
     def test_key_covers_config_and_seed(self, tiny_scale):
         key = substrate_key(tiny_scale, 0)
@@ -189,6 +209,21 @@ class TestSubstrateStore:
         # The scale's name and workload sizes do not shape the substrate.
         renamed = Scale("other", 80, 1, 1, 4.0, 80_000)
         assert substrate_key(renamed, 0) == key
+
+    def test_key_covers_generator_modules(self, tiny_scale, monkeypatch):
+        # The generators' own modules and the exact-draw helpers they call.
+        assert {"repro.topology.generator", "repro.bgp.allocation", "repro.draws"} <= set(
+            common.GENERATOR_MODULES
+        )
+        key = substrate_key(tiny_scale, 0)
+        read = common._module_bytes
+        for module in common.GENERATOR_MODULES:
+            monkeypatch.setattr(
+                common,
+                "_module_bytes",
+                lambda name: read(name) + (b"\n" if name == module else b""),
+            )
+            assert substrate_key(tiny_scale, 0) != key, module
 
     def test_flipped_byte_rebuilds(self, tiny_scale, tmp_path, count_builds):
         first = Environment(tiny_scale, seed=3, cache_dir=str(tmp_path))
