@@ -92,6 +92,10 @@ class AllocationConfig:
     bits: int = ADDRESS_BITS
 
     def validate(self) -> None:
+        if self.bits < 24:
+            # The every-AS pass allocates /24 blocks and the ratio filler
+            # /16 ones; a narrower space holds neither.
+            raise ConfigurationError(f"bits must be >= 24, got {self.bits}")
         if not 0.0 < self.target_ratio < 1.0:
             raise ConfigurationError("target_ratio must lie in (0, 1)")
         if self.prefixes_per_as <= 0:

@@ -16,27 +16,20 @@ property-tested against the independent reference
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
 from ..core.guid import ADDRESS_BITS
-from ..errors import EmptyPrefixTableError
-from .prefix import Announcement, Prefix
 
 #: Owner label for address ranges covered by no announcement (IP holes).
 HOLE = -1
 
 
 class IntervalIndex:
-    """Immutable, vectorized LPM index.
-
-    Parameters
-    ----------
-    announcements:
-        The frozen set of announcements to index.
-    bits:
-        Address-family width.
+    """Immutable, vectorized LPM index over a prefix table's snapshot
+    (built by :meth:`GlobalPrefixTable.build_interval_index
+    <repro.bgp.table.GlobalPrefixTable.build_interval_index>`).
 
     Attributes
     ----------
@@ -45,39 +38,14 @@ class IntervalIndex:
         intervals partition the whole space.
     owners:
         ``int64`` array, same length: AS number owning each interval, or
-        :data:`HOLE`.
+        :data:`HOLE` (see :func:`owner_intervals`).
+    bits:
+        Address-family width.
     """
 
     def __init__(
-        self, announcements: Iterable[Announcement], bits: int = ADDRESS_BITS
+        self, starts: np.ndarray, owners: np.ndarray, bits: int = ADDRESS_BITS
     ) -> None:
-        # One announcement per prefix; the first one listed wins.
-        unique: Dict[Prefix, Announcement] = {}
-        for ann in announcements:
-            unique.setdefault(ann.prefix, ann)
-        if not unique:
-            raise EmptyPrefixTableError(
-                "cannot build an interval index from no announcements"
-            )
-        anns = list(unique.values())
-        n = len(anns)
-        bases = np.fromiter((a.prefix.base for a in anns), np.uint64, n)
-        lengths = np.fromiter((a.prefix.length for a in anns), np.int64, n)
-        asns = np.fromiter((a.asn for a in anns), np.int64, n)
-        order = np.lexsort((lengths, bases))
-        starts, labels = decompose(bases[order], lengths[order], bits)
-        self._init(*owner_intervals(starts, labels, asns[order]), bits)
-
-    @classmethod
-    def from_intervals(
-        cls, starts: np.ndarray, owners: np.ndarray, bits: int = ADDRESS_BITS
-    ) -> "IntervalIndex":
-        """Wrap an already decomposed table (see :func:`owner_intervals`)."""
-        index = cls.__new__(cls)
-        index._init(starts, owners, bits)
-        return index
-
-    def _init(self, starts: np.ndarray, owners: np.ndarray, bits: int) -> None:
         self.bits = bits
         self.starts = starts
         self.owners = owners

@@ -386,7 +386,7 @@ class GlobalPrefixTable:
                     "cannot build an interval index from no announcements"
                 )
             starts, owners = owner_intervals(*snap.intervals, snap.asns)
-            snap.index = IntervalIndex.from_intervals(starts, owners, self.bits)
+            snap.index = IntervalIndex(starts, owners, self.bits)
         return snap.index
 
     def copy(self) -> "GlobalPrefixTable":

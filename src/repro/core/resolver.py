@@ -31,12 +31,14 @@ import numpy as np
 from ..bgp.table import GlobalPrefixTable
 from ..errors import ConfigurationError, LookupFailedError, MappingNotFoundError
 from ..hashing.hashers import HashFamily, Sha256Hasher
-from ..hashing.rehash import DEFAULT_MAX_REHASHES, GuidPlacer, HashResolution
+from ..hashing.rehash import DEFAULT_MAX_REHASHES, GuidPlacer, HashResolution, Placer
 from ..obs.trace import (
     FAILURE_EXHAUSTED,
     NULL_TRACER,
+    OUTCOME_HIT,
+    OUTCOME_MISSING,
+    OUTCOME_TIMEOUT,
     AttemptTrace,
-    PlacementRecord,
     QueryTrace,
     Tracer,
     hash_index_of,
@@ -47,12 +49,8 @@ from .guid import GUID, NetworkAddress, guid_like
 from .mapping import MappingEntry, MappingStore
 from .replication import ReplicaSelector, ReplicaSet
 
-#: Lookup attempt outcomes (see :class:`Attempt`).
-OUTCOME_HIT = "hit"
-OUTCOME_MISSING = "missing"
-OUTCOME_TIMEOUT = "timeout"
-
-#: An availability oracle: maps (asn, guid) to one of the outcomes above.
+#: An availability oracle: maps (asn, guid) to one of the outcomes
+#: ``OUTCOME_HIT`` / ``OUTCOME_MISSING`` / ``OUTCOME_TIMEOUT``.
 #: Used to inject BGP-churn staleness and router failures (Fig. 5, §III-D).
 AvailabilityProbe = Callable[[int, GUID], str]
 
@@ -160,12 +158,11 @@ class DMapResolver:
     timeout_ms:
         Floor for the adaptive replica timeout (§III-D.3).
     placer:
-        Override the placement scheme: anything exposing ``k``,
-        ``resolve_one``, ``resolve_all`` and ``hosting_asns`` (e.g. the
-        §VII variants in :mod:`repro.hashing.asnum_placer`).  Defaults to
-        address-space hashing (Algorithm 1).  A placer that also exposes
-        ``generation`` lets writes and lookups reuse a GUID's stored
-        placement while that value is unchanged.
+        Override the placement scheme with another
+        :class:`~repro.hashing.rehash.Placer` (e.g. the §VII variants in
+        :mod:`repro.hashing.asnum_placer`).  Defaults to address-space
+        hashing (Algorithm 1).  Writes and lookups reuse a GUID's stored
+        placement while the placer's ``generation`` is unchanged.
     tracer:
         Per-query trace sink (:mod:`repro.obs`).  Defaults to the shared
         no-op tracer, which the lookup path checks once per call.
@@ -182,7 +179,7 @@ class DMapResolver:
         max_rehashes: int = DEFAULT_MAX_REHASHES,
         timeout_ms: float = DEFAULT_TIMEOUT_MS,
         selection_rng: Optional[np.random.Generator] = None,
-        placer=None,
+        placer: Optional[Placer] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
         if timeout_ms <= 0:
@@ -271,14 +268,11 @@ class DMapResolver:
         The placement stored by the last write is reused while its stamp
         equals ``placer.generation`` (the table has not been announced
         into or withdrawn from since); otherwise it is derived afresh.
-        Placers without a ``generation`` are always re-derived.
         """
-        generation = getattr(self.placer, "generation", None)
         replica_set = self.replica_sets.get(guid)
         if (
-            generation is not None
-            and replica_set is not None
-            and replica_set.generation == generation
+            replica_set is not None
+            and replica_set.generation == self.placer.generation
         ):
             return replica_set.global_replicas
         return self.placer.resolve_all(guid)
@@ -289,7 +283,7 @@ class DMapResolver:
         """Write ``entry`` to its K replicas and local copy, after deleting
         it at ``retired``.  All K RTTs are priced first: a write to an
         unreachable replica raises with every store left as it was."""
-        generation = getattr(self.placer, "generation", None)
+        generation = self.placer.generation
         resolutions = self._placement(entry.guid)
         asns = [res.asn for res in resolutions]
         rtts = [
@@ -369,14 +363,8 @@ class DMapResolver:
         """
         guid = guid_like(guid)
         tracing = self.tracer.enabled
-        placement: Tuple[PlacementRecord, ...] = ()
-        if tracing:
-            # The placement records carry the Algorithm 1 provenance the
-            # trace wants; their ASNs are exactly ``hosting_asns``.
-            placement = placement_records(self.placer, guid)
-            candidates: Sequence[int] = [record.asn for record in placement]
-        else:
-            candidates = [res.asn for res in self._placement(guid)]
+        resolutions = self._placement(guid)
+        candidates = [res.asn for res in resolutions]
         ranked = self.selector.ranked(source_asn, candidates)
 
         # Parallel local branch: a same-AS copy answers in the intra-AS RTT.
@@ -433,7 +421,7 @@ class DMapResolver:
             served_by, entry = hit
             if tracing:
                 self._emit_lookup_trace(
-                    guid, source_asn, time, placement, attempts,
+                    guid, source_asn, time, resolutions, attempts,
                     local_outcome, local_end, False, served_by, elapsed, None,
                 )
             return LookupResult(entry, elapsed, served_by, tuple(attempts), False)
@@ -441,7 +429,7 @@ class DMapResolver:
             # The parallel local query answered first (§III-C), or alone.
             if tracing:
                 self._emit_lookup_trace(
-                    guid, source_asn, time, placement, attempts,
+                    guid, source_asn, time, resolutions, attempts,
                     local_outcome, local_end, True, source_asn, local_end, None,
                 )
             return LookupResult(
@@ -453,7 +441,7 @@ class DMapResolver:
             elapsed = max(elapsed, local_end)
         if tracing:
             self._emit_lookup_trace(
-                guid, source_asn, time, placement, attempts,
+                guid, source_asn, time, resolutions, attempts,
                 local_outcome, local_end, False, None, elapsed,
                 FAILURE_EXHAUSTED,
             )
@@ -464,7 +452,7 @@ class DMapResolver:
         guid: GUID,
         source_asn: int,
         issued_at: float,
-        placement: Tuple[PlacementRecord, ...],
+        resolutions: Sequence[HashResolution],
         attempts: Sequence[Attempt],
         local_outcome: Optional[str],
         local_end: Optional[float],
@@ -474,6 +462,7 @@ class DMapResolver:
         failure_cause: Optional[str],
     ) -> None:
         """Build and record the :class:`QueryTrace` for one lookup."""
+        placement = placement_records(resolutions)
         self.tracer.record(
             QueryTrace(
                 guid_value=guid.value,

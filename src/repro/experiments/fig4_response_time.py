@@ -18,6 +18,7 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from ..core.resolver import DMapResolver
+from ..errors import ConfigurationError
 from ..obs.manifest import RunManifest
 from ..obs.trace import Tracer
 from ..sim.metrics import LatencySummary, summarize
@@ -106,6 +107,8 @@ def run_fig4(
     from ..obs.manifest import manifest_path_for
     from ..obs.trace import NULL_TRACER, CollectingTracer
 
+    if engine not in ("scalar", "fastpath"):
+        raise ConfigurationError(f"unknown engine {engine!r}")
     env = environment or get_environment(scale, seed)
     workload_config = workload_override or WorkloadConfig(
         n_guids=env.scale.n_guids, n_lookups=env.scale.n_lookups, seed=seed
@@ -171,9 +174,7 @@ def run_fig4(
                         selection_policy=selection_policy,
                         tracer=tracer,
                     )
-                    rtts = workload.run_through_resolver(
-                        resolver, env.table, engine=engine
-                    )
+                    rtts = workload.run_through_resolver(resolver, env.table)
                     rtts_by_k[k] = np.asarray(rtts, dtype=float)
                     local_hits[k] = float("nan")
                     # The instant resolver retries whole replica-set rounds

@@ -59,7 +59,7 @@ from ..core.resolver import (
 )
 from ..errors import ConfigurationError, DMapError, RoutingError
 from ..hashing.hashers import HashFamily, Sha256Hasher
-from ..hashing.rehash import DEFAULT_MAX_REHASHES, GuidPlacer
+from ..hashing.rehash import DEFAULT_MAX_REHASHES, GuidPlacer, Placer
 from ..obs.trace import (
     FAILURE_EXHAUSTED,
     NULL_TRACER,
@@ -70,7 +70,7 @@ from ..obs.trace import (
     hash_index_of,
 )
 from ..topology.routing import Router
-from .placement import batch_resolutions, prefix_stable
+from .placement import batch_resolutions
 
 #: Selection policies the batch engine reproduces exactly.
 SUPPORTED_POLICIES = ("latency", "hops")
@@ -182,8 +182,8 @@ class BatchLookupResult:
 class FastpathEngine:
     """Vectorized twin of :class:`~repro.core.resolver.DMapResolver`.
 
-    Constructor parameters mirror the resolver's; ``placer`` may be any
-    scheme :mod:`repro.fastpath.placement` knows how to batch.
+    Constructor parameters mirror the resolver's; ``placer`` is any of
+    the batchable placers of :mod:`repro.fastpath.placement`.
     """
 
     def __init__(
@@ -196,7 +196,7 @@ class FastpathEngine:
         local_replica: bool = True,
         max_rehashes: int = DEFAULT_MAX_REHASHES,
         timeout_ms: float = DEFAULT_TIMEOUT_MS,
-        placer=None,
+        placer: Optional[Placer] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
         if timeout_ms <= 0:
@@ -317,9 +317,10 @@ class FastpathEngine:
         ``k_values`` sweeps several replication factors over the same
         lookups and returns ``{K: result}``.  K evaluates the first K
         replica columns of ``batch``, so each K is at most the batch's
-        width, and the placer must be :func:`prefix_stable`.  The path
-        cells are computed once for the whole sweep.  Without ``k_values`` the lookups run at the
-        batch's K and one result is returned.
+        width; every placer's function ``i`` is independent of K, so
+        those columns are the placement at K.  The path cells are
+        computed once for the whole sweep.  Without ``k_values`` the
+        lookups run at the batch's K and one result is returned.
         """
         guid_idx = np.asarray(guid_idx, dtype=np.int64)
         sources = np.asarray(sources, dtype=np.int64)
@@ -403,11 +404,6 @@ class FastpathEngine:
             raise ConfigurationError(
                 f"k_values must be distinct and within [1, {width}], "
                 f"got {list(k_values)}"
-            )
-        if sweep != (width,) and not prefix_stable(self.placer):
-            raise FastpathUnsupportedError(
-                f"placer {type(self.placer).__name__} gives no K-prefix "
-                "guarantee; sweep K with one engine per K"
             )
         return sweep
 

@@ -6,16 +6,15 @@ Mirrors the scalar placers bit for bit:
   through a frozen :class:`~repro.bgp.interval_index.IntervalIndex`
   (exact vs. the trie by construction), re-hash the IP-hole residue with
   the same function index, deputy-AS fallback for exhausted chains;
-* :class:`~repro.hashing.asnum_placer.ASNumberPlacer` — hash modulo the
-  participant roster;
-* :class:`~repro.hashing.asnum_placer.WeightedASPlacer` — hash mapped
-  through the cumulative weight distribution.
+* :class:`~repro.hashing.asnum_placer.RosterPlacer` (the two §VII
+  variants) — hash, then the placer's own vectorized roster
+  :meth:`~repro.hashing.asnum_placer.RosterPlacer.slots`.
 
 The hash layer dispatches on the family: :class:`FastHasher` uses its
 native ``hash_batch``, the salted SHA-256 reference family the resolver
-defaults to its ``hash_many`` loop, and any other :class:`HashFamily` a
-per-value loop; each GUID is hashed once per replica chain instead of
-once per *lookup*.
+defaults to its ``hash_many`` loop; each GUID is hashed once per replica
+chain instead of once per *lookup*.  Any other placer or hash family is
+rejected with :class:`~repro.errors.ConfigurationError`.
 """
 
 from __future__ import annotations
@@ -26,9 +25,9 @@ import numpy as np
 
 from ..bgp.interval_index import HOLE, IntervalIndex
 from ..errors import ConfigurationError
-from ..hashing.asnum_placer import ASNumberPlacer, WeightedASPlacer
+from ..hashing.asnum_placer import RosterPlacer
 from ..hashing.hashers import FastHasher, HashFamily, Sha256Hasher
-from ..hashing.rehash import GuidPlacer
+from ..hashing.rehash import GuidPlacer, Placer
 
 #: Loose GUID input: raw integer identifier values.
 GuidValues = Union[Sequence[int], np.ndarray]
@@ -48,12 +47,14 @@ def _hash_many(family: HashFamily, values: GuidValues, index: int) -> np.ndarray
         else:
             folded = FastHasher.fold_guids([int(v) for v in values])
         return family.hash_batch(folded, index)
+    if not isinstance(family, Sha256Hasher):
+        raise ConfigurationError(
+            f"no batch kernel for hash family {type(family).__name__}"
+        )
     ints = (
         values.tolist() if isinstance(values, np.ndarray) else [int(v) for v in values]
     )
-    if isinstance(family, Sha256Hasher):
-        return np.asarray(family.hash_many(ints, index), dtype=np.uint64)
-    return np.asarray([family.hash_one(v, index) for v in ints], dtype=np.uint64)
+    return np.asarray(family.hash_many(ints, index), dtype=np.uint64)
 
 
 def _rehash_many(
@@ -62,11 +63,7 @@ def _rehash_many(
     """Vectorized :meth:`HashFamily.rehash` over an address array."""
     if isinstance(family, FastHasher):
         return family.rehash_batch(addresses, index)
-    if isinstance(family, Sha256Hasher):  # its rehash is hash_one
-        return _hash_many(family, addresses, index)
-    return np.asarray(
-        [family.rehash(int(v), index) for v in addresses], dtype=np.uint64
-    )
+    return _hash_many(family, addresses, index)  # Sha256Hasher: rehash is hash_one
 
 
 def resolve_batch(
@@ -124,99 +121,42 @@ def resolve_batch(
     return asns, attempts, via_deputy
 
 
-def _asnum_batch(placer: ASNumberPlacer, values: List[int]) -> np.ndarray:
-    roster = np.asarray(placer.asns, dtype=np.int64)
+def _roster_batch(placer: RosterPlacer, values: List[int]) -> np.ndarray:
     out = np.empty((len(values), placer.k), dtype=np.int64)
     for i in range(placer.k):
-        slots = _hash_many(placer.hash_family, values, i) % np.uint64(len(roster))
-        out[:, i] = roster[slots.astype(np.int64)]
+        slots = placer.slots(_hash_many(placer.hash_family, values, i))
+        out[:, i] = placer.roster[slots.astype(np.int64)]
     return out
-
-
-def _weighted_batch(placer: WeightedASPlacer, values: List[int]) -> np.ndarray:
-    roster = np.asarray(placer.asns, dtype=np.int64)
-    cumulative = placer._cumulative
-    out = np.empty((len(values), placer.k), dtype=np.int64)
-    for i in range(placer.k):
-        draws = _hash_many(placer.hash_family, values, i).astype(np.float64)
-        draws /= float(1 << 64)
-        slots = np.searchsorted(cumulative, draws, side="right")
-        slots = np.minimum(slots, len(roster) - 1)
-        out[:, i] = roster[slots]
-    return out
-
-
-def prefix_stable(placer: object) -> bool:
-    """Whether ``placer``'s placement at ``K=k`` is the first ``k`` columns
-    of its placement at any larger K, on all three planes.
-
-    It is for the batchable placers over the two built-in hash families,
-    whose function ``i`` does not depend on K; an unrecognised placer or
-    hash family gives no such guarantee.
-    """
-    return isinstance(
-        placer, (GuidPlacer, ASNumberPlacer, WeightedASPlacer)
-    ) and isinstance(placer.hash_family, (Sha256Hasher, FastHasher))
 
 
 def batch_hosting_asns(
-    placer: object,
+    placer: Placer,
     guid_values: GuidValues,
     index: Optional[IntervalIndex] = None,
 ) -> np.ndarray:
-    """Hosting AS numbers for many GUIDs: ``(n, K)`` in replica order.
-
-    Dispatches on the placer type; an unrecognized placer falls back to
-    its scalar ``hosting_asns`` per GUID, so any object satisfying the
-    placer interface stays usable (just not vectorized).
-    """
+    """Hosting AS numbers for many GUIDs: ``(n, K)`` in replica order."""
     asns, _attempts, _deputy = batch_resolutions(placer, guid_values, index)
     return asns
 
 
 def batch_resolutions(
-    placer: object,
+    placer: Placer,
     guid_values: GuidValues,
     index: Optional[IntervalIndex] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(asns, hash_attempts, via_deputy)`` for many GUIDs, shape ``(n, K)``.
 
     The full Algorithm 1 provenance :meth:`GuidPlacer.resolve_all`
-    carries, batched.  Roster-based placers (§VII variants) resolve
-    every chain in one hash application and never need a deputy, so
-    their provenance planes are constant; an unrecognized placer goes
-    through its scalar ``resolve_all``/``hosting_asns`` per GUID.
+    carries, batched.  Roster placers (§VII variants) resolve every
+    chain in one hash application and never need a deputy, so their
+    provenance planes are constant.  Column ``i`` depends only on hash
+    function ``i``, so the placement at ``K=k`` is the first ``k``
+    columns of the placement at any larger K.
     """
     values = [int(v) for v in guid_values]
     if isinstance(placer, GuidPlacer):
         return resolve_batch(placer, values, index)
-    if isinstance(placer, ASNumberPlacer):
-        asns = _asnum_batch(placer, values)
-    elif isinstance(placer, WeightedASPlacer):
-        asns = _weighted_batch(placer, values)
-    else:
-        resolve_all = getattr(placer, "resolve_all", None)
-        if resolve_all is not None:
-            rows = [resolve_all(v) for v in values]
-            asns = np.asarray(
-                [[res.asn for res in row] for row in rows], dtype=np.int64
-            )
-            attempts = np.asarray(
-                [[getattr(res, "attempts", 1) for res in row] for row in rows],
-                dtype=np.int64,
-            )
-            deputy = np.asarray(
-                [
-                    [getattr(res, "via_deputy", False) for res in row]
-                    for row in rows
-                ],
-                dtype=bool,
-            )
-            return asns, attempts, deputy
-        hosting = getattr(placer, "hosting_asns", None)
-        if hosting is None:
-            raise ConfigurationError(
-                f"object {placer!r} does not expose a placer interface"
-            )
-        asns = np.asarray([hosting(v) for v in values], dtype=np.int64)
+    if not isinstance(placer, RosterPlacer):
+        raise ConfigurationError(f"no batch kernel for placer {placer!r}")
+    asns = _roster_batch(placer, values)
     return asns, np.ones_like(asns), np.zeros(asns.shape, dtype=bool)

@@ -5,10 +5,8 @@ DMap distribution scheme — for example GUIDs can be hashed directly to AS
 numbers or allocation sizes can be varied to reflect economic incentives
 at ASs."
 
-Two placers implementing the same interface as
-:class:`~repro.hashing.rehash.GuidPlacer` (``k``, ``resolve_one``,
-``resolve_all``, ``hosting_asns``), so the resolver and the simulation can
-swap them in:
+Two roster placers implementing :class:`~repro.hashing.rehash.Placer`, so
+the resolver, the simulation and the batch engine can swap them in:
 
 * :class:`ASNumberPlacer` — hash the GUID directly onto the participant
   list.  No IP holes, no rehashing; storage load becomes uniform *per AS*
@@ -18,11 +16,15 @@ swap them in:
   rendezvous-free cumulative-weight hashing.  Setting weights proportional
   to announced space recovers baseline DMap's load profile; setting them
   to payment tiers realizes the economic-incentive variant.
+
+They differ only in :meth:`RosterPlacer.slots`, how a hash value picks a
+roster slot; the scalar placers and the batch kernel share it.
 """
 
 from __future__ import annotations
 
 import bisect
+from abc import abstractmethod
 from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
@@ -30,24 +32,55 @@ import numpy as np
 from ..core.guid import GUID
 from ..errors import ConfigurationError
 from .hashers import HashFamily, Sha256Hasher
-from .rehash import HashResolution
+from .rehash import HashResolution, Placer
 
 GuidLike = Union[GUID, int]
 
 
-class ASNumberPlacer:
-    """Hash GUIDs directly to AS numbers (uniformly over participants).
+class RosterPlacer(Placer):
+    """Hash each replica onto one slot of an agreed, sorted AS roster.
 
-    Each of the K hash functions selects one AS from the sorted
-    participant list.  The ``address`` recorded in the resolution is the
-    participant *index* — there is no underlying IP address, which is
-    exactly the variant's point: placement no longer depends on the BGP
-    table at all (at the cost of needing an agreed participant roster).
+    The ``address`` recorded in a resolution is the roster *slot* — there
+    is no underlying IP address, which is exactly the variants' point:
+    placement no longer depends on the BGP table at all (at the cost of
+    needing an agreed participant roster), so it never goes stale
+    (``generation`` stays 0).
     """
 
-    #: Placement ignores the BGP table, so a resolved placement never
-    #: goes stale (see :attr:`GuidPlacer.generation`).
-    generation = 0
+    def __init__(
+        self,
+        asns: List[int],
+        k: int,
+        hash_family: Optional[HashFamily],
+        salt: bytes,
+    ) -> None:
+        super().__init__(hash_family or Sha256Hasher(k, address_bits=64, salt=salt))
+        if self.hash_family.k != k:
+            raise ConfigurationError("hash_family.k must equal k")
+        self.asns = asns
+        self.roster = np.asarray(asns, dtype=np.int64)
+
+    @abstractmethod
+    def slots(self, hashes: np.ndarray) -> np.ndarray:
+        """Roster slot of each ``uint64`` hash value."""
+
+    def _resolutions(self, hashes: List[int]) -> List[HashResolution]:
+        slots = self.slots(np.asarray(hashes, dtype=np.uint64)).tolist()
+        return [HashResolution(slot, self.asns[slot], 1, False) for slot in slots]
+
+    def resolve_one(self, guid: GuidLike, index: int) -> HashResolution:
+        """Pick the AS for replica ``index`` of ``guid``."""
+        return self._resolutions([self.hash_family.hash_one(guid, index)])[0]
+
+    def resolve_all(self, guid: GuidLike) -> List[HashResolution]:
+        """All K replica placements."""
+        return self._resolutions(self.hash_family.hash_all(guid))
+
+
+class ASNumberPlacer(RosterPlacer):
+    """Hash GUIDs directly to AS numbers (uniformly over participants):
+    each of the K hash functions selects one AS of the sorted participant
+    list."""
 
     def __init__(
         self,
@@ -57,45 +90,21 @@ class ASNumberPlacer:
     ) -> None:
         if not asns:
             raise ConfigurationError("need at least one participating AS")
-        self.asns = sorted(set(int(a) for a in asns))
-        self.hash_family = hash_family or Sha256Hasher(
-            k, address_bits=64, salt=b"dmap-asnum"
-        )
-        if self.hash_family.k != k:
-            raise ConfigurationError("hash_family.k must equal k")
+        roster = sorted(set(int(a) for a in asns))
+        super().__init__(roster, k, hash_family, b"dmap-asnum")
 
-    @property
-    def k(self) -> int:
-        """Replication factor."""
-        return self.hash_family.k
-
-    def resolve_one(self, guid: GuidLike, index: int) -> HashResolution:
-        """Pick the AS for replica ``index`` of ``guid``."""
-        slot = self.hash_family.hash_one(guid, index) % len(self.asns)
-        return HashResolution(
-            address=slot, asn=self.asns[slot], attempts=1, via_deputy=False
-        )
-
-    def resolve_all(self, guid: GuidLike) -> List[HashResolution]:
-        """All K replica placements."""
-        return [self.resolve_one(guid, i) for i in range(self.k)]
-
-    def hosting_asns(self, guid: GuidLike) -> List[int]:
-        """Hosting AS numbers in replica order."""
-        return [res.asn for res in self.resolve_all(guid)]
+    def slots(self, hashes: np.ndarray) -> np.ndarray:
+        """The hash modulo the roster size."""
+        return hashes % np.uint64(len(self.asns))
 
 
-class WeightedASPlacer:
+class WeightedASPlacer(RosterPlacer):
     """Hash GUIDs to ASs proportionally to explicit hosting weights.
 
     A 64-bit hash is mapped through the cumulative weight distribution, so
     AS ``i`` receives a ``w_i / sum(w)`` share of replicas in expectation.
     Deterministic, locally computable from the agreed (asn, weight) list.
     """
-
-    #: Placement ignores the BGP table, so a resolved placement never
-    #: goes stale (see :attr:`GuidPlacer.generation`).
-    generation = 0
 
     def __init__(
         self,
@@ -110,20 +119,11 @@ class WeightedASPlacer:
         total = float(sum(weights.values()))
         if total <= 0:
             raise ConfigurationError("total weight must be positive")
-        self.asns = sorted(weights)
-        cumulative = np.cumsum([weights[a] / total for a in self.asns])
+        roster = sorted(weights)
+        super().__init__(roster, k, hash_family, b"dmap-weighted")
+        cumulative = np.cumsum([weights[a] / total for a in roster])
         cumulative[-1] = 1.0  # guard against float drift
         self._cumulative = cumulative
-        self.hash_family = hash_family or Sha256Hasher(
-            k, address_bits=64, salt=b"dmap-weighted"
-        )
-        if self.hash_family.k != k:
-            raise ConfigurationError("hash_family.k must equal k")
-
-    @property
-    def k(self) -> int:
-        """Replication factor."""
-        return self.hash_family.k
 
     def share_of(self, asn: int) -> float:
         """Expected replica share of ``asn``."""
@@ -133,19 +133,8 @@ class WeightedASPlacer:
         lower = self._cumulative[idx - 1] if idx > 0 else 0.0
         return float(self._cumulative[idx] - lower)
 
-    def resolve_one(self, guid: GuidLike, index: int) -> HashResolution:
-        """Pick the AS for replica ``index`` of ``guid``."""
-        draw = self.hash_family.hash_one(guid, index) / float(1 << 64)
-        slot = int(np.searchsorted(self._cumulative, draw, side="right"))
-        slot = min(slot, len(self.asns) - 1)
-        return HashResolution(
-            address=slot, asn=self.asns[slot], attempts=1, via_deputy=False
-        )
-
-    def resolve_all(self, guid: GuidLike) -> List[HashResolution]:
-        """All K replica placements."""
-        return [self.resolve_one(guid, i) for i in range(self.k)]
-
-    def hosting_asns(self, guid: GuidLike) -> List[int]:
-        """Hosting AS numbers in replica order."""
-        return [res.asn for res in self.resolve_all(guid)]
+    def slots(self, hashes: np.ndarray) -> np.ndarray:
+        """The hash, scaled to [0, 1), through the cumulative weights."""
+        draws = hashes.astype(np.float64) / float(1 << 64)
+        slots = np.searchsorted(self._cumulative, draws, side="right")
+        return np.minimum(slots, len(self.asns) - 1)

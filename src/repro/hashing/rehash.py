@@ -12,6 +12,7 @@ what keeps the median NLR slightly above 1 (Fig. 6).
 
 from __future__ import annotations
 
+from abc import ABC, abstractmethod
 from typing import List, NamedTuple, Union
 
 from ..bgp.table import GlobalPrefixTable
@@ -36,13 +37,48 @@ class HashResolution(NamedTuple):
     via_deputy: bool
 
 
-class GuidPlacer:
+class Placer(ABC):
+    """The placement contract every engine relies on.
+
+    A placer derives the K hosting ASs of any GUID locally, from the
+    agreed hash family (and, for address-space hashing, the local BGP
+    view) — the paper's "direct mapping" property (§III-A).  Every
+    resolver, simulation, batch kernel and live node consumes placement
+    through this interface only.
+
+    ``generation`` names the state placement is derived from: a placement
+    resolved at an equal generation is still the current one.  Placers
+    that ignore the BGP table never go stale and keep generation 0.
+    """
+
+    generation = 0
+
+    def __init__(self, hash_family: HashFamily) -> None:
+        self.hash_family = hash_family
+
+    @property
+    def k(self) -> int:
+        """Replication factor (number of hash functions)."""
+        return self.hash_family.k
+
+    @abstractmethod
+    def resolve_one(self, guid: Union[GUID, int], index: int) -> HashResolution:
+        """Placement of replica ``index`` of ``guid``."""
+
+    @abstractmethod
+    def resolve_all(self, guid: Union[GUID, int]) -> List[HashResolution]:
+        """Placement of every replica of ``guid``, in hash-function order."""
+
+    def hosting_asns(self, guid: Union[GUID, int]) -> List[int]:
+        """Just the K hosting AS numbers, in replica order."""
+        return [res.asn for res in self.resolve_all(guid)]
+
+
+class GuidPlacer(Placer):
     """Applies Algorithm 1 for each of the K hash functions.
 
     This is the component every border gateway runs locally: it needs only
-    the hash family (agreed upon beforehand) and the local BGP view, so any
-    network entity can deterministically derive the K hosting ASs of any
-    GUID — the paper's key "direct mapping" property.
+    the hash family (agreed upon beforehand) and the local BGP view.
     """
 
     def __init__(
@@ -53,19 +89,14 @@ class GuidPlacer:
     ) -> None:
         if max_rehashes < 1:
             raise ConfigurationError(f"max_rehashes must be >= 1, got {max_rehashes}")
-        self.hash_family = hash_family
+        super().__init__(hash_family)
         self.table = table
         self.max_rehashes = max_rehashes
 
     @property
-    def k(self) -> int:
-        """Replication factor (number of hash functions)."""
-        return self.hash_family.k
-
-    @property
     def generation(self) -> int:
-        """State of the BGP view placement is derived from: a placement
-        resolved at an equal generation is still the current one."""
+        """The BGP table's mutation count: announcing into or withdrawing
+        from it makes every earlier placement stale."""
         return self.table.generation
 
     def _resolve(self, values: List[int], first: int) -> List[HashResolution]:
@@ -101,10 +132,6 @@ class GuidPlacer:
         come from one :meth:`HashFamily.hash_all` call.
         """
         return self._resolve(self.hash_family.hash_all(guid), 0)
-
-    def hosting_asns(self, guid: Union[GUID, int]) -> List[int]:
-        """Just the K hosting AS numbers, in replica order."""
-        return [res.asn for res in self.resolve_all(guid)]
 
 
 def hole_probability(announcement_ratio: float, max_rehashes: int) -> float:

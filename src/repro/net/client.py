@@ -29,6 +29,7 @@ from ..core.guid import GUID, NetworkAddress, guid_like
 from ..core.replication import ReplicaSelector
 from ..core.resolver import adaptive_timeout_ms
 from ..errors import ClusterError, LookupFailedError, WireProtocolError, WriteFailedError
+from ..hashing.rehash import HashResolution, Placer
 from ..obs.counters import MetricsRegistry
 from ..obs.trace import (
     FAILURE_EXHAUSTED,
@@ -129,7 +130,7 @@ class DMapClient:
 
     def __init__(
         self,
-        placer,
+        placer: Placer,
         shaper,
         peers: Dict[int, Addr],
         registry: Optional[MetricsRegistry] = None,
@@ -256,11 +257,8 @@ class DMapClient:
         guid = guid_like(guid)
         trace_id = self._next_trace_id()
         tracing = self.tracer.enabled
-        placement = placement_records(self.placer, guid) if tracing else ()
-        if tracing:
-            chains: Sequence[int] = [record.asn for record in placement]
-        else:
-            chains = [int(a) for a in self.placer.hosting_asns(guid)]
+        resolutions = self.placer.resolve_all(guid)
+        chains = [res.asn for res in resolutions]
 
         loop = asyncio.get_running_loop()
         started = loop.time()
@@ -299,7 +297,7 @@ class DMapClient:
             self._count("net.client.lookup_failures")
             if tracing:
                 self._emit_trace(
-                    guid, source_asn, issued_at, placement, attempts_log,
+                    guid, source_asn, issued_at, resolutions, attempts_log,
                     None, rtt_ms, FAILURE_EXHAUSTED,
                 )
             raise LookupFailedError(guid, rtt_ms, len(attempts_log))
@@ -308,7 +306,7 @@ class DMapClient:
         ).observe(rtt_ms)
         if tracing:
             self._emit_trace(
-                guid, source_asn, issued_at, placement, attempts_log,
+                guid, source_asn, issued_at, resolutions, attempts_log,
                 winner.served_by, rtt_ms, None,
             )
         return LiveLookupResult(
@@ -327,12 +325,13 @@ class DMapClient:
         guid: GUID,
         source_asn: int,
         issued_at: float,
-        placement,
+        resolutions: Sequence[HashResolution],
         attempts_log: List[AttemptTrace],
         served_by: Optional[int],
         rtt_ms: float,
         failure_cause: Optional[str],
     ) -> None:
+        placement = placement_records(resolutions)
         self.tracer.record(
             QueryTrace(
                 guid_value=guid.value,
@@ -392,7 +391,7 @@ class DMapClient:
         guid = guid_like(guid)
         trace_id = self._next_trace_id()
         locator_values = tuple(int(loc) for loc in locators)
-        chains = [int(a) for a in self.placer.hosting_asns(guid)]
+        chains = self.placer.hosting_asns(guid)
         replicas = list(self._ranked(source_asn, chains))
         loop = asyncio.get_running_loop()
         started = loop.time()

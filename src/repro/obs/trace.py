@@ -18,11 +18,13 @@ memory for tests and experiment drivers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
 
-#: Local-branch / attempt outcome strings, shared with
-#: :mod:`repro.core.resolver` (kept literal here to avoid an import
-#: cycle: the resolver imports this module).
+if TYPE_CHECKING:
+    from ..hashing.rehash import HashResolution
+
+#: Local-branch / attempt outcome strings of every engine (the resolver
+#: re-exports them).
 OUTCOME_HIT = "hit"
 OUTCOME_MISSING = "missing"
 OUTCOME_TIMEOUT = "timeout"
@@ -166,25 +168,12 @@ class QueryTrace:
         )
 
 
-def placement_records(placer: object, guid: object) -> Tuple[PlacementRecord, ...]:
-    """Derive a GUID's placement records from any scalar placer.
-
-    Uses ``resolve_all`` when the placer exposes it (all shipped placers
-    do — it carries the Algorithm 1 rehash depth and deputy flag), and
-    degrades to ``hosting_asns`` with depth 1 otherwise.
-    """
-    resolve_all = getattr(placer, "resolve_all", None)
-    if resolve_all is not None:
-        return tuple(
-            PlacementRecord(
-                res.asn,
-                getattr(res, "attempts", 1),
-                getattr(res, "via_deputy", False),
-            )
-            for res in resolve_all(guid)
-        )
+def placement_records(
+    resolutions: Iterable[HashResolution],
+) -> Tuple[PlacementRecord, ...]:
+    """A GUID's placement records, from the resolutions its placer derived."""
     return tuple(
-        PlacementRecord(int(asn), 1, False) for asn in placer.hosting_asns(guid)
+        PlacementRecord(res.asn, res.attempts, res.via_deputy) for res in resolutions
     )
 
 

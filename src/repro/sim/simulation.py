@@ -22,7 +22,7 @@ from ..core.replication import ReplicaSelector
 from ..core.resolver import DEFAULT_TIMEOUT_MS
 from ..errors import ConfigurationError, SimulationError
 from ..hashing.hashers import HashFamily, Sha256Hasher
-from ..hashing.rehash import DEFAULT_MAX_REHASHES, GuidPlacer
+from ..hashing.rehash import DEFAULT_MAX_REHASHES, GuidPlacer, Placer
 from ..obs.trace import (
     FAILURE_EXHAUSTED,
     NULL_TRACER,
@@ -348,7 +348,7 @@ class DMapSimulation:
         processing_ms: float = 0.0,
         router: Optional[Router] = None,
         seed: int = 0,
-        placer=None,
+        placer: Optional[Placer] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
         if timeout_ms <= 0:
@@ -531,16 +531,14 @@ class DMapSimulation:
 
     def _start_lookup(self, guid: GUID, source_asn: int) -> None:
         now = self.simulator.now
-        if self.tracer.enabled:
-            placement = placement_records(self.placer, guid)
-            hosting: Sequence[int] = [record.asn for record in placement]
-        else:
-            placement = ()
-            hosting = self.placer.hosting_asns(guid)
-        candidates = self.selector.order_candidates(source_asn, hosting)
+        resolutions = self.placer.resolve_all(guid)
+        candidates = self.selector.order_candidates(
+            source_asn, [res.asn for res in resolutions]
+        )
         request_id = self.network.next_request_id()
         pending = _PendingLookup(self, guid, source_asn, now, candidates)
-        pending.placement = placement
+        if self.tracer.enabled:
+            pending.placement = placement_records(resolutions)
         self._pending[request_id] = pending
         if self.local_replica and source_asn not in candidates:
             pending.local_pending = True

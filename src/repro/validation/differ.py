@@ -74,20 +74,25 @@ _ABS_TOL = 1e-6
 #: Domain separation for the LPM probe-address stream.
 _LPM_STREAM = 0x1B4D
 
-#: Per-field mismatch kinds for the DES lane and the fastpath lane.
-_SIM_LOOKUP_KINDS = {
+#: Mismatch kinds of the DES lane and the fastpath lane: one per compared
+#: lookup field, plus a lookup the lane never recorded and a write RTT.
+_SIM_KINDS = {
+    "lost": KIND_LOOKUP_LOST,
     "success": KIND_LOOKUP_SUCCESS,
     "served_by": KIND_LOOKUP_SERVED_BY,
     "used_local": KIND_LOOKUP_USED_LOCAL,
     "attempts": KIND_LOOKUP_ATTEMPTS,
     "rtt_ms": KIND_LOOKUP_RTT,
+    "write_rtt": KIND_WRITE_RTT,
 }
-_FASTPATH_LOOKUP_KINDS = {
+_FASTPATH_KINDS = {
+    "lost": KIND_FASTPATH_SUCCESS,
     "success": KIND_FASTPATH_SUCCESS,
     "served_by": KIND_FASTPATH_SERVED_BY,
     "used_local": KIND_FASTPATH_USED_LOCAL,
     "attempts": KIND_FASTPATH_ATTEMPTS,
     "rtt_ms": KIND_FASTPATH_RTT,
+    "write_rtt": KIND_FASTPATH_WRITE_RTT,
 }
 
 
@@ -418,8 +423,8 @@ def _diff_lookup(
     subject: str,
     ours: LookupOutcome,
     theirs: LookupOutcome,
-    kinds: Dict[str, str] = _SIM_LOOKUP_KINDS,
-    trace_detail: str = "",
+    kinds: Dict[str, str],
+    trace_detail: str,
 ) -> List[Mismatch]:
     mismatches: List[Mismatch] = []
     if ours.success != theirs.success:
@@ -564,83 +569,28 @@ def run_fastpath(
     )
 
 
-def _diff_fastpath(
-    scenario: Scenario, analytic: PathResult, ops_by_time: Dict[float, object]
-) -> Tuple[List[Mismatch], int]:
-    """Fastpath lane: batched engine vs the analytic oracle."""
-    seed = scenario.config.seed
-    fp_lookups, fp_writes, fp_traces = run_fastpath(scenario)
+def _diff_lane(
+    seed: int,
+    analytic: PathResult,
+    lookups: Dict[float, LookupOutcome],
+    write_rtts: Dict[float, float],
+    traces: Dict[float, QueryTrace],
+    ops_by_time: Dict[float, object],
+    kinds: Dict[str, str],
+) -> List[Mismatch]:
+    """Every lookup and write of one lane against the analytic oracle,
+    tagged with the lane's mismatch ``kinds``."""
     mismatches: List[Mismatch] = []
     for at in sorted(analytic.lookups):
         op = ops_by_time[at]
         subject = f"guid={op.guid_value:#x} querier={op.asn} t={at:g}"
         ours = analytic.lookups[at]
-        theirs = fp_lookups.get(at)
+        theirs = lookups.get(at)
         if theirs is None:
             mismatches.append(
                 Mismatch(
                     seed,
-                    KIND_FASTPATH_SUCCESS,
-                    subject,
-                    analytic=f"success={ours.success}",
-                    simulated="no record (lookup missing from batch)",
-                    detail=_trace_pair(analytic.traces.get(at), None),
-                )
-            )
-            continue
-        mismatches.extend(
-            _diff_lookup(
-                seed,
-                subject,
-                ours,
-                theirs,
-                kinds=_FASTPATH_LOOKUP_KINDS,
-                trace_detail=_trace_pair(
-                    analytic.traces.get(at), fp_traces.get(at)
-                ),
-            )
-        )
-    for at in sorted(analytic.write_rtts):
-        op = ops_by_time[at]
-        subject = f"guid={op.guid_value:#x} source={op.asn} t={at:g}"
-        ours_rtt = analytic.write_rtts[at]
-        theirs_rtt = fp_writes.get(at)
-        if theirs_rtt is None or not _close(ours_rtt, theirs_rtt):
-            mismatches.append(
-                Mismatch(
-                    seed,
-                    KIND_FASTPATH_WRITE_RTT,
-                    subject,
-                    f"{ours_rtt:.6f}",
-                    "no record" if theirs_rtt is None else f"{theirs_rtt:.6f}",
-                )
-            )
-    return mismatches, len(fp_lookups)
-
-
-def diff_scenario(scenario: Scenario, fastpath: bool = True) -> ScenarioDiff:
-    """Run both paths on ``scenario`` and return the structured diff.
-
-    ``fastpath`` additionally replays supported scenarios (no churn,
-    deterministic selection policy) through the batched engine and diffs
-    it against the analytic resolver — three-way validation.
-    """
-    seed = scenario.config.seed
-    analytic = run_analytic(scenario)
-    simulated = run_simulation(scenario)
-    mismatches: List[Mismatch] = []
-
-    ops_by_time = {op.at: op for op in scenario.trace}
-    for at in sorted(analytic.lookups):
-        op = ops_by_time[at]
-        subject = f"guid={op.guid_value:#x} querier={op.asn} t={at:g}"
-        ours = analytic.lookups[at]
-        theirs = simulated.lookups.get(at)
-        if theirs is None:
-            mismatches.append(
-                Mismatch(
-                    seed,
-                    KIND_LOOKUP_LOST,
+                    kinds["lost"],
                     subject,
                     analytic=(
                         f"success={ours.success} rtt={ours.rtt_ms:.3f} "
@@ -657,33 +607,49 @@ def diff_scenario(scenario: Scenario, fastpath: bool = True) -> ScenarioDiff:
                 subject,
                 ours,
                 theirs,
-                trace_detail=_trace_pair(
-                    analytic.traces.get(at), simulated.traces.get(at)
-                ),
+                kinds,
+                _trace_pair(analytic.traces.get(at), traces.get(at)),
             )
         )
-
     for at in sorted(analytic.write_rtts):
         op = ops_by_time[at]
         subject = f"guid={op.guid_value:#x} source={op.asn} t={at:g}"
         ours_rtt = analytic.write_rtts[at]
-        theirs_rtt = simulated.write_rtts.get(at)
-        if theirs_rtt is None:
+        theirs_rtt = write_rtts.get(at)
+        if theirs_rtt is None or not _close(ours_rtt, theirs_rtt):
             mismatches.append(
                 Mismatch(
                     seed,
-                    KIND_WRITE_RTT,
+                    kinds["write_rtt"],
                     subject,
                     f"{ours_rtt:.6f}",
-                    "no record (write never completed)",
+                    "no record (write never completed)"
+                    if theirs_rtt is None
+                    else f"{theirs_rtt:.6f}",
                 )
             )
-        elif not _close(ours_rtt, theirs_rtt):
-            mismatches.append(
-                Mismatch(
-                    seed, KIND_WRITE_RTT, subject, f"{ours_rtt:.6f}", f"{theirs_rtt:.6f}"
-                )
-            )
+    return mismatches
+
+
+def diff_scenario(scenario: Scenario, fastpath: bool = True) -> ScenarioDiff:
+    """Run both paths on ``scenario`` and return the structured diff.
+
+    ``fastpath`` additionally replays supported scenarios (no churn,
+    deterministic selection policy) through the batched engine and diffs
+    it against the analytic resolver — three-way validation.
+    """
+    seed = scenario.config.seed
+    analytic = run_analytic(scenario)
+    simulated = run_simulation(scenario)
+    mismatches: List[Mismatch] = []
+
+    ops_by_time = {op.at: op for op in scenario.trace}
+    mismatches.extend(
+        _diff_lane(
+            seed, analytic, simulated.lookups, simulated.write_rtts,
+            simulated.traces, ops_by_time, _SIM_KINDS,
+        )
+    )
 
     if _table_signature(analytic.table) != _table_signature(simulated.table):
         mismatches.append(
@@ -703,10 +669,14 @@ def diff_scenario(scenario: Scenario, fastpath: bool = True) -> ScenarioDiff:
 
     fastpath_lookups = 0
     if fastpath and fastpath_supported(scenario):
-        fastpath_mismatches, fastpath_lookups = _diff_fastpath(
-            scenario, analytic, ops_by_time
+        fp_lookups, fp_writes, fp_traces = run_fastpath(scenario)
+        mismatches.extend(
+            _diff_lane(
+                seed, analytic, fp_lookups, fp_writes, fp_traces,
+                ops_by_time, _FASTPATH_KINDS,
+            )
         )
-        mismatches.extend(fastpath_mismatches)
+        fastpath_lookups = len(fp_lookups)
 
     return ScenarioDiff(
         seed=seed,

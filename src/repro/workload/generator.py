@@ -150,8 +150,6 @@ class Workload:
         probe=None,
         max_retry_rounds: int = 20,
         group_by_source: bool = True,
-        engine: str = "scalar",
-        n_jobs: int = 1,
         attempt_counts: Optional[List[int]] = None,
     ) -> List[float]:
         """Execute the stream on an instant-mode
@@ -174,25 +172,10 @@ class Workload:
         and recomputed, which is what makes the paper-scale run (26k ASs,
         10^6 lookups) tractable.
 
-        ``engine="fastpath"`` executes the lookups through the batched
-        :class:`~repro.fastpath.engine.FastpathEngine` built from the
-        resolver's configuration (``n_jobs`` processes share its Dijkstra
-        rows).  Per-query RTTs are
-        bit-identical to the scalar walk; the returned list is in event
-        order rather than grouped order, and the resolver's stores are
-        *not* populated (the engine models the converged post-write
-        state).  Probes need the scalar oracle and are rejected.
-
-        ``attempt_counts``, when given (scalar engine only), receives the
-        number of replicas each lookup contacted across all its retry
-        rounds, in the order of the returned RTTs.
+        ``attempt_counts``, when given, receives the number of replicas
+        each lookup contacted across all its retry rounds, in the order
+        of the returned RTTs.
         """
-        if engine == "fastpath":
-            if attempt_counts is not None:
-                raise WorkloadError("attempt_counts needs the scalar engine")
-            return self._run_fastpath(resolver, probe, n_jobs)
-        if engine != "scalar":
-            raise WorkloadError(f"unknown engine {engine!r}")
         events = self.events
         if group_by_source:
             # A stable sort of the events by (is lookup, source AS, time).
@@ -233,26 +216,6 @@ class Workload:
                     event.guid, [locator], event.source_asn, time=event.time_ms
                 )
         return rtts
-
-    def _run_fastpath(self, resolver, probe, n_jobs: int) -> List[float]:
-        """Batched-engine execution of an insert-then-lookup stream."""
-        from ..fastpath import FastpathEngine, FastpathUnsupportedError
-
-        if probe is not None:
-            raise FastpathUnsupportedError(
-                "availability probes need the scalar resolver walk"
-            )
-        arrays = self.lookup_arrays()
-        engine = FastpathEngine.from_resolver(resolver)
-        batch = engine.index_guids(arrays.guids, arrays.local_asns)
-        result = engine.lookup_batch(
-            batch,
-            arrays.guid_idx,
-            arrays.sources,
-            n_jobs=n_jobs,
-            issued_at=arrays.issued_at,
-        )
-        return result.rtt_ms.tolist()
 
     def lookup_arrays(self) -> LookupArrays:
         """The stream as :class:`LookupArrays` for the batched engine."""

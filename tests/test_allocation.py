@@ -109,6 +109,22 @@ class TestGeneration:
         with pytest.raises(ConfigurationError):
             AllocationConfig(length_mix={40: 1.0}).validate()
 
+    @pytest.mark.parametrize(
+        "fields, seed",
+        [
+            # Reached the every-AS pass: "block length 24 out of range".
+            (dict(bits=16, length_mix={4: 0.2, 6: 0.3, 8: 0.5}, prefixes_per_as=3), 7),
+            # Reached the /16 ratio filler: "negative shift count".
+            (dict(bits=12, length_mix={8: 0.5, 10: 0.5}, prefixes_per_as=1), 0),
+        ],
+    )
+    def test_address_space_narrower_than_24_bits_rejected(self, fields, seed):
+        config = AllocationConfig(**fields)
+        with pytest.raises(ConfigurationError, match="bits must be >= 24"):
+            config.validate()
+        with pytest.raises(ConfigurationError, match="bits must be >= 24"):
+            generate_global_prefix_table(list(range(1, 51)), config, seed=seed)
+
     def test_heavy_tail_in_per_as_span(self):
         table = generate_global_prefix_table(
             list(range(1, 201)), AllocationConfig(prefixes_per_as=8), seed=4

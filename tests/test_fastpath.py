@@ -27,9 +27,9 @@ from repro.fastpath import (
     batch_hosting_asns,
 )
 from repro.fastpath.engine import WALK_ROWS
-from repro.fastpath.placement import batch_resolutions, prefix_stable
+from repro.fastpath.placement import batch_resolutions
 from repro.hashing.asnum_placer import ASNumberPlacer, WeightedASPlacer
-from repro.hashing.hashers import FastHasher, Sha256Hasher
+from repro.hashing.hashers import FastHasher, HashFamily, Sha256Hasher
 from repro.hashing.rehash import GuidPlacer
 from repro.obs.export import dumps_traces
 from repro.obs.trace import CollectingTracer
@@ -360,6 +360,17 @@ class TestBatchPlacement:
         for row, v in zip(batch, values):
             assert row.tolist() == placer.hosting_asns(GUID(v))
 
+    def test_placer_outside_contract_rejected(self, base_table):
+        class _PlainHasher(HashFamily):
+            def hash_one(self, guid, index):
+                return 0
+
+        with pytest.raises(ConfigurationError, match="no batch kernel"):
+            batch_hosting_asns(object(), [1, 2])
+        placer = GuidPlacer(_PlainHasher(5, address_bits=base_table.bits), base_table)
+        with pytest.raises(ConfigurationError, match="no batch kernel"):
+            batch_hosting_asns(placer, [1, 2])
+
 
 # ----------------------------------------------------------------------
 # K sweeps: one engine at max K evaluates every smaller K on its prefix
@@ -373,17 +384,6 @@ def _placer(scheme, base_table, asns, k):
         return ASNumberPlacer(asns, k=k)
     weights = {int(a): float(i % 7 + 1) for i, a in enumerate(asns)}
     return WeightedASPlacer(weights, k=k)
-
-
-class _OpaquePlacer:
-    """A placer the batch kernels do not recognise (scalar fallback)."""
-
-    def __init__(self, inner):
-        self._inner = inner
-        self.k = inner.k
-
-    def resolve_all(self, guid):
-        return self._inner.resolve_all(guid)
 
 
 SCHEMES = ["guid-sha256", "guid-fast", "asnum", "weighted"]
@@ -401,29 +401,10 @@ class TestKPrefix:
             assert (full[1] > 1).any()
         for k in (1, 3):
             placer = _placer(scheme, base_table, asns, k)
-            assert prefix_stable(placer)
             for plane_k, plane_full in zip(
                 batch_resolutions(placer, values, index), full
             ):
                 assert np.array_equal(plane_k, plane_full[:, :k])
-
-    def test_unrecognised_placer_not_prefix_stable(self, base_table):
-        inner = GuidPlacer(Sha256Hasher(5, address_bits=base_table.bits), base_table)
-        assert not prefix_stable(_OpaquePlacer(inner))
-
-    def test_multi_k_sweep_rejects_unrecognised_placer(
-        self, base_table, router, asns
-    ):
-        inner = GuidPlacer(Sha256Hasher(5, address_bits=base_table.bits), base_table)
-        _, engine, batch, gidx, srcs, _ = _deploy(
-            base_table, router, asns, placer=_OpaquePlacer(inner), seed=141
-        )
-        with pytest.raises(FastpathUnsupportedError):
-            engine.lookup_batch(batch, gidx, srcs, k_values=(1, 3, 5))
-        # Its own K alone needs no prefix guarantee.
-        only = engine.lookup_batch(batch, gidx, srcs, k_values=(5,))
-        single = engine.lookup_batch(batch, gidx, srcs)
-        assert np.array_equal(only[5].rtt_ms, single.rtt_ms)
 
     @pytest.mark.parametrize("k_values", [(), (0,), (6,), (3, 3)])
     def test_invalid_k_values_rejected(self, base_table, router, asns, k_values):
@@ -574,27 +555,19 @@ class TestWorkloadEngine:
         scalar = workload.run_through_resolver(
             DMapResolver(base_table, router, k=5), base_table
         )
-        fast = workload.run_through_resolver(
-            DMapResolver(base_table, router, k=5), base_table, engine="fastpath"
-        )
+        arrays = workload.lookup_arrays()
+        engine = FastpathEngine.from_resolver(DMapResolver(base_table, router, k=5))
+        batch = engine.index_guids(arrays.guids, arrays.local_asns)
+        fast = engine.lookup_batch(
+            batch, arrays.guid_idx, arrays.sources, issued_at=arrays.issued_at
+        ).rtt_ms.tolist()
         # Scalar returns grouped order, fastpath event order: compare as
         # sorted sequences (both exact, no tolerance).
         assert sorted(fast) == sorted(scalar)
         assert len(fast) == workload.config.n_lookups
 
-    def test_fastpath_rejects_probe(self, base_table, router, workload):
-        with pytest.raises(FastpathUnsupportedError):
-            workload.run_through_resolver(
-                DMapResolver(base_table, router),
-                base_table,
-                probe=lambda asn, guid: OUTCOME_HIT,
-                engine="fastpath",
-            )
+    def test_unknown_engine_rejected(self):
+        from repro.experiments.fig4_response_time import run_fig4
 
-    def test_unknown_engine_rejected(self, base_table, router, workload):
-        from repro.errors import WorkloadError
-
-        with pytest.raises(WorkloadError):
-            workload.run_through_resolver(
-                DMapResolver(base_table, router), base_table, engine="quantum"
-            )
+        with pytest.raises(ConfigurationError, match="unknown engine"):
+            run_fig4("small", engine="quantum")

@@ -4,13 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bgp.interval_index import HOLE, IntervalIndex, decompose
+from repro.bgp.interval_index import HOLE, IntervalIndex, decompose, owner_intervals
 from repro.bgp.prefix import Announcement, Prefix
 from repro.bgp.table import GlobalPrefixTable
 from repro.bgp.trie import PrefixTrie
 from repro.errors import EmptyPrefixTableError
 
 from .test_trie import announcement_sets, churn_traces, naive_lpm, replay, small_ann
+
+
+def index_of(announcements):
+    """The interval index of an 8-bit table holding ``announcements``."""
+    return GlobalPrefixTable(announcements, bits=8).build_interval_index()
 
 
 def check_decompose(prefixes, bits=8, addresses=None):
@@ -97,8 +102,6 @@ class TestDecomposeEdges:
             np.zeros(0, np.uint64), np.zeros(0, np.int64), 8
         )
         assert starts.tolist() == [0] and labels.tolist() == [HOLE]
-        with pytest.raises(EmptyPrefixTableError):
-            IntervalIndex([], bits=8)
         table = GlobalPrefixTable(bits=8)
         with pytest.raises(EmptyPrefixTableError):
             table.build_interval_index()
@@ -110,21 +113,17 @@ class TestDecomposeEdges:
 class TestConstruction:
     def test_empty_rejected(self):
         with pytest.raises(EmptyPrefixTableError):
-            IntervalIndex([], bits=8)
+            index_of([])
 
     def test_single_prefix(self):
-        idx = IntervalIndex([small_ann(64, 2, 7)], bits=8)
+        idx = index_of([small_ann(64, 2, 7)])
         assert idx.lookup_one(70) == 7
         assert idx.lookup_one(0) == HOLE
         assert idx.announced_span() == 64
         assert idx.announced_fraction() == pytest.approx(0.25)
 
-    def test_duplicate_prefix_first_listed_wins(self):
-        idx = IntervalIndex([small_ann(0, 2, 1), small_ann(0, 2, 2)], bits=8)
-        assert idx.lookup_one(0) == 1
-
     def test_full_cover(self):
-        idx = IntervalIndex([Announcement(Prefix(0, 0, 8), 3)], bits=8)
+        idx = index_of([Announcement(Prefix(0, 0, 8), 3)])
         assert idx.announced_fraction() == 1.0
         assert (idx.lookup_batch(np.arange(256)) == 3).all()
 
@@ -136,7 +135,7 @@ class TestAgreementWithTrie:
         trie = PrefixTrie(bits=8)
         for a in announcements:
             trie.insert(a)
-        idx = IntervalIndex(announcements, bits=8)
+        idx = index_of(announcements)
         owners = idx.lookup_batch(np.arange(256, dtype=np.uint64))
         for addr in range(256):
             expected = trie.longest_prefix_match(addr)
@@ -148,7 +147,7 @@ class TestAgreementWithTrie:
         trie = PrefixTrie(bits=8)
         for a in announcements:
             trie.insert(a)
-        idx = IntervalIndex(announcements, bits=8)
+        idx = index_of(announcements)
         assert idx.announced_span() == trie.announced_span()
 
 
@@ -159,8 +158,11 @@ class TestTableIndex:
     @given(announcement_sets())
     @settings(max_examples=150)
     def test_equals_index_of_announcements(self, announcements):
-        table_index = GlobalPrefixTable(announcements, bits=8).build_interval_index()
-        direct = IntervalIndex(announcements, bits=8)
+        table_index = index_of(announcements)
+        rows = sorted((a.prefix.base, a.prefix.length, a.asn) for a in announcements)
+        bases, lengths, asns = (np.array(column) for column in zip(*rows))
+        starts, labels = decompose(bases.astype(np.uint64), lengths, 8)
+        direct = IntervalIndex(*owner_intervals(starts, labels, asns), bits=8)
         assert np.array_equal(table_index.starts, direct.starts)
         assert np.array_equal(table_index.owners, direct.owners)
 
@@ -196,20 +198,20 @@ class TestEffectiveSpans:
     def test_overlap_assigns_to_most_specific(self):
         outer = small_ann(0, 2, 1)  # 0-63
         inner = small_ann(0, 4, 2)  # 0-15
-        idx = IntervalIndex([outer, inner], bits=8)
+        idx = index_of([outer, inner])
         spans = idx.effective_span_by_asn()
         assert spans[2] == 16
         assert spans[1] == 48
 
     @given(announcement_sets())
     def test_spans_sum_to_announced(self, announcements):
-        idx = IntervalIndex(announcements, bits=8)
+        idx = index_of(announcements)
         spans = idx.effective_span_by_asn()
         assert sum(spans.values()) == idx.announced_span()
 
     @given(announcement_sets())
     def test_spans_match_per_address_count(self, announcements):
-        idx = IntervalIndex(announcements, bits=8)
+        idx = index_of(announcements)
         owners = idx.lookup_batch(np.arange(256, dtype=np.uint64))
         spans = idx.effective_span_by_asn()
         for asn, span in spans.items():
@@ -218,12 +220,12 @@ class TestEffectiveSpans:
 
 class TestBatchSemantics:
     def test_is_announced_batch(self):
-        idx = IntervalIndex([small_ann(0, 1, 5)], bits=8)  # 0-127
+        idx = index_of([small_ann(0, 1, 5)])  # 0-127
         flags = idx.is_announced_batch(np.array([0, 127, 128, 255], dtype=np.uint64))
         assert flags.tolist() == [True, True, False, False]
 
     def test_lookup_batch_preserves_shape(self):
-        idx = IntervalIndex([small_ann(0, 1, 5)], bits=8)
+        idx = index_of([small_ann(0, 1, 5)])
         out = idx.lookup_batch(np.zeros((3,), dtype=np.uint64))
         assert out.shape == (3,)
 

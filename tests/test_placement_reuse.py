@@ -8,6 +8,7 @@ observable protocol (lookup walks, lazy migration pulls, store contents)
 must equal that of a resolver that derives every placement afresh.
 """
 
+import itertools
 from collections import Counter
 
 import pytest
@@ -22,21 +23,17 @@ from repro.hashing.hashers import Sha256Hasher
 from repro.hashing.rehash import GuidPlacer
 
 
-class _FreshPlacer:
-    """A placer without ``generation``: its placements are never reused."""
+class _FreshPlacer(GuidPlacer):
+    """Algorithm 1 with a generation that never matches a stamp: every
+    write and lookup derives its placement afresh."""
 
-    def __init__(self, inner):
-        self._inner = inner
-        self.k = inner.k
+    def __init__(self, hash_family, table):
+        super().__init__(hash_family, table)
+        self._reads = itertools.count()
 
-    def resolve_one(self, guid, index):
-        return self._inner.resolve_one(guid, index)
-
-    def resolve_all(self, guid):
-        return self._inner.resolve_all(guid)
-
-    def hosting_asns(self, guid):
-        return self._inner.hosting_asns(guid)
+    @property
+    def generation(self):
+        return -1 - next(self._reads)
 
 
 @pytest.fixture
@@ -60,7 +57,7 @@ def _pair(table, router):
     fresh_table = table.copy()
     fresh = DMapResolver(
         fresh_table, router, k=5,
-        placer=_FreshPlacer(GuidPlacer(reusing.hash_family, fresh_table)),
+        placer=_FreshPlacer(reusing.hash_family, fresh_table),
     )
     return reusing, fresh
 
@@ -131,8 +128,7 @@ class TestReuse:
         (guid,) = _populate([fresh], asns, rng, count=1)
         fresh.lookup(guid, asns[0])
         fresh.lookup(guid, asns[1])
-        assert spy[fresh.placer._inner, guid] == 3
-        assert fresh.replica_sets[guid].generation is None
+        assert spy[fresh.placer, guid] == 3
 
     def test_reused_walks_equal_fresh_walks(self, table, router, asns, rng):
         reusing, fresh = _pair(table, router)

@@ -208,13 +208,6 @@ class TestExecution:
         assert sum(counts) == len(probed)
         assert max(counts) > 3  # some lookup needed a second round
 
-    def test_attempt_counts_need_scalar_engine(self, small_workload, base_table, router):
-        resolver = DMapResolver(base_table, router, k=3)
-        with pytest.raises(WorkloadError, match="scalar"):
-            small_workload.run_through_resolver(
-                resolver, base_table, engine="fastpath", attempt_counts=[]
-            )
-
     def test_retry_gives_up_eventually(self, small_workload, base_table, router):
         resolver = DMapResolver(base_table, router, k=2, local_replica=False)
 
