@@ -20,6 +20,7 @@ does not host the mapping and must retry the next replica.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
@@ -87,6 +88,9 @@ class ChurnScheduleGenerator:
         # Withdrawn announcements become candidates for re-announcement,
         # which is the common churn pattern (flapping).
         self._withdrawn_pool: List[Announcement] = []
+        # ``table.asns()`` at generation ``_seen``, not re-sorted per event.
+        self._asns: List[int] = []
+        self._seen = -1
 
     def events(self, horizon: float) -> Iterator[ChurnEvent]:
         """Yield churn events with arrival times in ``[0, horizon)``.
@@ -108,12 +112,29 @@ class ChurnScheduleGenerator:
                 event = self._make_announcement(time)
             if event is not None:
                 yield event
+                self._follow(event)
+
+    def _follow(self, event: ChurnEvent) -> None:
+        """Carry ``_asns`` past ``event`` if the caller applied it (only)."""
+        ann, table, asns = event.announcement, self.table, self._asns
+        announce = event.kind is ChurnKind.ANNOUNCE
+        if table.generation != self._seen + 1 or (ann.prefix in table) != announce:
+            return
+        at = bisect_left(asns, ann.asn)
+        if announce and asns[at : at + 1] != [ann.asn]:
+            asns.insert(at, ann.asn)
+        elif not announce and not np.any(table.prefix_arrays()[2] == ann.asn):
+            del asns[at]
+        self._seen = table.generation
 
     def _make_withdrawal(self, time: float) -> Optional[ChurnEvent]:
-        asns = self.table.asns()
+        if self._seen != self.table.generation:  # not moved by _follow's events
+            self._asns, self._seen = self.table.asns(), self.table.generation
+        asns = self._asns
         if not asns:
             return None
-        asn = int(self.rng.choice(np.asarray(asns, dtype=np.int64)))
+        # A draw over the list's length is the draw over the list itself.
+        asn = asns[int(self.rng.choice(len(asns)))]
         prefixes = self.table.prefixes_of(asn)
         if not prefixes:
             return None

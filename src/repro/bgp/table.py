@@ -36,6 +36,7 @@ class _Snapshot:
         # One Announcement per row, built when a query first returns it.
         self.anns: List[Optional[Announcement]] = [None] * len(bases)
         self.index: Optional[IntervalIndex] = None
+        self.locators: Dict[int, NetworkAddress] = {}  # representative_address
 
     def announcement(self, row: int) -> Announcement:
         ann = self.anns[row]
@@ -51,14 +52,14 @@ class _Snapshot:
         """:func:`decompose`'s ``(starts, labels)``: a label is a row."""
         return decompose(self.bases, self.lengths, self.bits)
 
-    # Python lists: the scalar LPM bisects them once per call.
     @cached_property
-    def bounds(self) -> List[int]:
-        return self.intervals[0].tolist()
-
-    @cached_property
-    def rows(self) -> List[int]:
-        return self.intervals[1].tolist()
+    def lpm(self) -> Tuple[List[int], List[Optional[int]], List[int]]:
+        """The scalar LPM's lists, built in one pass: the interval bounds,
+        and per interval its owner AS (``None``) and row (``HOLE``)."""
+        starts, labels = self.intervals
+        rows = labels.tolist()
+        owners = self.asns.tolist() + [None]  # a HOLE row reads the None
+        return starts.tolist(), [owners[row] for row in rows], rows
 
     @cached_property
     def span(self) -> int:
@@ -267,18 +268,22 @@ class GlobalPrefixTable:
         """Longest-prefix match; ``None`` when the address is an IP hole."""
         value = self._address(address)
         snap = self._snap or self._snapshot()
-        row = snap.rows[bisect_right(snap.bounds, value) - 1]
+        bounds, _owners, rows = snap.lpm
+        row = rows[bisect_right(bounds, value) - 1]
         if row < 0:  # HOLE
             return None
         return snap.anns[row] or snap.announcement(row)
 
     def owner_asn(self, address: Union[int, NetworkAddress]) -> Optional[int]:
         """AS that would host a mapping hashed to ``address`` (or ``None``):
-        the placement's LPM, read from the snapshot with no Announcement."""
-        value = self._address(address)
-        snap = self._snap or self._snapshot()
-        row = snap.rows[bisect_right(snap.bounds, value) - 1]
-        return None if row < 0 else snap.asns.item(row)
+        the placement's LPM, one bisect into the snapshot's owner list."""
+        bounds, owners = self.owner_list()
+        return owners[bisect_right(bounds, self._address(address)) - 1]
+
+    def owner_list(self) -> Tuple[List[int], List[Optional[int]]]:
+        """``(bounds, owners)``: an address ``a`` in range is owned by
+        ``owners[bisect_right(bounds, a) - 1]`` until the next mutation."""
+        return (self._snap or self._snapshot()).lpm[:2]
 
     def nearest(
         self, address: Union[int, NetworkAddress]
@@ -360,12 +365,15 @@ class GlobalPrefixTable:
         that AS in examples and simulations.
 
         Equal to ``prefixes_of(asn)[0].base``, read from the snapshot's
-        per-AS first row, so minting a locator is one dict lookup.
+        per-AS first row; between two mutations every call for one AS
+        returns the same (immutable) :class:`NetworkAddress`.
         """
-        base = (self._snap or self._snapshot()).lowest.get(asn)
-        if base is None:
-            raise PrefixTableError(f"AS {asn} announces no prefixes")
-        return NetworkAddress(base, self.bits)
+        snap = self._snap or self._snapshot()
+        if asn not in snap.locators:
+            if asn not in snap.lowest:
+                raise PrefixTableError(f"AS {asn} announces no prefixes")
+            snap.locators[asn] = NetworkAddress(snap.lowest[asn], self.bits)
+        return snap.locators[asn]
 
     def prefix_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(bases, lengths, asns)`` of the announcements, in iteration

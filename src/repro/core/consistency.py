@@ -121,7 +121,7 @@ def _relocate_replica(resolver: DMapResolver, guid: GUID, index: int) -> int:
     if new.asn == old.asn and new.address == old.address:
         return 0
 
-    entry = _freshest_entry(resolver, replica_set)
+    entry = resolver.freshest_copy(replica_set)
     if entry is not None:
         resolver.store_at(new.asn).insert(entry)
 
@@ -134,17 +134,6 @@ def _relocate_replica(resolver: DMapResolver, guid: GUID, index: int) -> int:
     if old.asn not in updated.all_asns:
         resolver.store_at(old.asn).delete(guid)
     return 1
-
-
-def _freshest_entry(
-    resolver: DMapResolver, replica_set: ReplicaSet
-) -> Union[MappingEntry, None]:
-    best: Union[MappingEntry, None] = None
-    for asn in replica_set.all_asns:
-        entry = resolver.store_at(asn).get(replica_set.guid)
-        if entry is not None and (best is None or entry.version > best.version):
-            best = entry
-    return best
 
 
 def is_stale(entry: MappingEntry, observed_version: int) -> bool:

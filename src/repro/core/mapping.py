@@ -8,8 +8,8 @@ DMap runs a :class:`MappingStore` on its gateway-router compute layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from ..errors import ConfigurationError, MappingNotFoundError
 from .guid import GUID, MAX_LOCATORS, NetworkAddress
@@ -19,9 +19,18 @@ from .guid import GUID, MAX_LOCATORS, NetworkAddress
 METADATA_BITS = 32
 
 
-@dataclass(frozen=True)
-class MappingEntry:
+class _EntryFields(NamedTuple):
+    guid: GUID
+    locators: Tuple[NetworkAddress, ...]
+    version: int = 0
+    timestamp: float = 0.0
+
+
+class MappingEntry(_EntryFields):
     """An immutable GUID→NA binding with a version stamp.
+
+    A named tuple that checks its fields when built (every write builds
+    one).
 
     Parameters
     ----------
@@ -36,20 +45,19 @@ class MappingEntry:
         Simulation time (seconds) the binding was produced.
     """
 
-    guid: GUID
-    locators: Tuple[NetworkAddress, ...]
-    version: int = 0
-    timestamp: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.locators:
+    def __new__(cls, guid: GUID, locators: Tuple[NetworkAddress, ...],
+                version: int = 0, timestamp: float = 0.0) -> "MappingEntry":
+        if not locators:
             raise ConfigurationError("a mapping entry needs at least one locator")
-        if len(self.locators) > MAX_LOCATORS:
+        if len(locators) > MAX_LOCATORS:
             raise ConfigurationError(
-                f"at most {MAX_LOCATORS} locators per entry, got {len(self.locators)}"
+                f"at most {MAX_LOCATORS} locators per entry, got {len(locators)}"
             )
-        if self.version < 0:
+        if version < 0:
             raise ConfigurationError("version must be non-negative")
+        return _EntryFields.__new__(cls, guid, locators, version, timestamp)
 
     @property
     def primary_locator(self) -> NetworkAddress:
@@ -60,12 +68,7 @@ class MappingEntry:
         self, locators: Iterable[NetworkAddress], timestamp: float
     ) -> "MappingEntry":
         """Produce the successor entry after a move/update (version + 1)."""
-        return replace(
-            self,
-            locators=tuple(locators),
-            version=self.version + 1,
-            timestamp=timestamp,
-        )
+        return type(self)(self.guid, tuple(locators), self.version + 1, timestamp)
 
     def size_bits(self) -> int:
         """Storage footprint following the paper's §IV-A accounting.

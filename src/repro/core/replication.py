@@ -17,8 +17,7 @@ respond fastest; the paper evaluates two selection criteria:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,8 +30,7 @@ from .guid import GUID
 SELECTION_POLICIES = ("latency", "hops", "random")
 
 
-@dataclass(frozen=True)
-class ReplicaSet:
+class ReplicaSet(NamedTuple):
     """Where the replicas of one GUID live right now.
 
     Attributes

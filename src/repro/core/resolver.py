@@ -23,8 +23,8 @@ and the two are cross-checked in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Union
 
 import numpy as np
 
@@ -83,8 +83,7 @@ def local_branch_end_ms(
     return adaptive_timeout_ms(floor_ms, rtt) if querier_down else rtt
 
 
-@dataclass(frozen=True)
-class Attempt:
+class Attempt(NamedTuple):
     """One contact with a replica during a lookup."""
 
     asn: int
@@ -92,8 +91,7 @@ class Attempt:
     cost_ms: float
 
 
-@dataclass(frozen=True)
-class LookupResult:
+class LookupResult(NamedTuple):
     """Outcome of a successful GUID lookup.
 
     Attributes
@@ -122,8 +120,7 @@ class LookupResult:
         return self.entry.locators
 
 
-@dataclass(frozen=True)
-class WriteResult:
+class WriteResult(NamedTuple):
     """Outcome of an insert or update.
 
     ``rtt_ms`` is the slowest of the K parallel replica writes — the time
@@ -252,15 +249,27 @@ class DMapResolver:
         retired: Optional[int] = None
         previous = self.replica_sets.get(guid)
         if previous is not None:
-            for asn in previous.all_asns:
-                existing = self.store_at(asn).get(guid)
-                if existing is not None:
-                    version = max(version, existing.version + 1)
+            freshest = self.freshest_copy(previous)
+            if freshest is not None:
+                version = freshest.version + 1
             if previous.local_asn != source_asn:
                 # The host left its old AS; the old local copy is retired.
                 retired = previous.local_asn
         entry = MappingEntry(guid, tuple(locators), version=version, timestamp=time)
         return self._write(entry, source_asn, retired)
+
+    def freshest_copy(self, replica_set: ReplicaSet) -> Optional[MappingEntry]:
+        """The newest stored copy of ``replica_set``'s GUID (the first at a
+        tie, in replica order and then the local copy), or ``None``."""
+        asns = [res.asn for res in replica_set.global_replicas]
+        if replica_set.local_asn is not None:
+            asns.append(replica_set.local_asn)
+        best: Optional[MappingEntry] = None
+        for asn in asns:
+            entry = self.store_at(asn).get(replica_set.guid)
+            if entry is not None and (best is None or entry.version > best.version):
+                best = entry
+        return best
 
     def _placement(self, guid: GUID) -> Sequence[HashResolution]:
         """The K resolutions of ``guid`` under the current BGP view.

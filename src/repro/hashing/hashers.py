@@ -22,9 +22,9 @@ determinism and uniformity.
 
 from __future__ import annotations
 
-import hashlib
 from abc import ABC, abstractmethod
-from typing import Iterable, List, Sequence, Union
+from hashlib import sha256
+from typing import List, Sequence, Union
 
 import numpy as np
 
@@ -84,36 +84,36 @@ class Sha256Hasher(HashFamily):
         super().__init__(k, address_bits)
         self.salt = salt
         self._prefixes = [salt + i.to_bytes(4, "big") for i in range(k)]
+        self._shift = 64 - address_bits
 
-    def _addresses(self, prefixes: Sequence[bytes], values: Iterable[int]) -> List[int]:
-        """The SHA-256 rule: the top ``address_bits`` bits of
-        ``SHA256(prefix || value-bytes)`` per value, then per prefix; a
-        value is encoded once, as its minimal big-endian bytes."""
-        shift = 64 - self.address_bits
-        sha256 = hashlib.sha256
-        return [
-            int.from_bytes(sha256(prefix + payload).digest()[:8], "big") >> shift
-            for v in values
-            for payload in (v.to_bytes((v.bit_length() + 7) // 8 or 1, "big"),)
-            for prefix in prefixes
-        ]
+    def _address(self, prefix: bytes, value: int) -> int:
+        """The SHA-256 rule, the one every method applies: the top
+        ``address_bits`` bits of ``SHA256(prefix || value-bytes)``, the
+        value as its minimal big-endian bytes (one byte for 0)."""
+        payload = value.to_bytes((value.bit_length() + 7) // 8 or 1, "big")
+        return int.from_bytes(sha256(prefix + payload).digest()[:8], "big") >> self._shift
+
+    def _prefix(self, index: int) -> bytes:
+        if not 0 <= index < self.k:
+            raise ConfigurationError(f"hash index {index} out of range [0, {self.k})")
+        return self._prefixes[index]
 
     def hash_one(self, guid: GuidLike, index: int) -> int:
-        return self.hash_many((_guid_value(guid),), index)[0]
+        return self._address(self._prefix(index), _guid_value(guid))
 
     def rehash(self, address_value: int, index: int) -> int:
-        return self.hash_many((int(address_value),), index)[0]
+        return self._address(self._prefix(index), int(address_value))
 
     def hash_all(self, guid: GuidLike) -> List[int]:
-        """All K functions, from one encoding of ``guid``."""
-        return self._addresses(self._prefixes, (_guid_value(guid),))
+        """All K functions of ``guid``."""
+        value = _guid_value(guid)
+        return [self._address(prefix, value) for prefix in self._prefixes]
 
     def hash_many(self, values: Sequence[int], index: int) -> List[int]:
         """:meth:`hash_one` over many integer values, bit for bit, with the
         range check and the salt bound once per call."""
-        if not 0 <= index < self.k:
-            raise ConfigurationError(f"hash index {index} out of range [0, {self.k})")
-        return self._addresses((self._prefixes[index],), values)
+        address, prefix = self._address, self._prefix(index)
+        return [address(prefix, value) for value in values]
 
 
 # splitmix64 constants — the standard finalizer from Vigna's splitmix64,

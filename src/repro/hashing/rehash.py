@@ -13,6 +13,7 @@ what keeps the median NLR slightly above 1 (Fig. 6).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from bisect import bisect_right
 from typing import List, NamedTuple, Union
 
 from ..bgp.table import GlobalPrefixTable
@@ -89,6 +90,8 @@ class GuidPlacer(Placer):
     ) -> None:
         if max_rehashes < 1:
             raise ConfigurationError(f"max_rehashes must be >= 1, got {max_rehashes}")
+        if hash_family.address_bits > table.bits:  # the chains skip range checks
+            raise ConfigurationError("hash family is wider than the prefix table")
         super().__init__(hash_family)
         self.table = table
         self.max_rehashes = max_rehashes
@@ -101,16 +104,17 @@ class GuidPlacer(Placer):
 
     def _resolve(self, values: List[int], first: int) -> List[HashResolution]:
         """Algorithm 1 from ``values[i]``, the first address of function
-        ``first + i``: LPM, re-hash through holes, then the deputy AS."""
-        owner_asn, rehash = self.table.owner_asn, self.hash_family.rehash
-        max_rehashes, out = self.max_rehashes, []
+        ``first + i``, one pass per chain: each LPM bisects the table's
+        owner list, a hole re-hashes, an exhausted chain takes the deputy."""
+        bounds, owners = self.table.owner_list()
+        rehash, max_rehashes, out = self.hash_family.rehash, self.max_rehashes, []
         for index, value in enumerate(values, first):
             attempt = 1
-            asn = owner_asn(value)
+            asn = owners[bisect_right(bounds, value) - 1]
             while asn is None and attempt < max_rehashes:
                 value = rehash(value, index)
                 attempt += 1
-                asn = owner_asn(value)
+                asn = owners[bisect_right(bounds, value) - 1]
             deputy = asn is None
             if deputy:
                 asn = self.table.nearest(value)[0].asn

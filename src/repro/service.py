@@ -137,10 +137,8 @@ class DMapNetwork:
         """Re-attach a host and update its binding (GUID Update, §III-A).
 
         Without ``to_asn`` the host moves to a random neighbour of its
-        current AS (a vehicular-style handoff).  The draw is over the
-        sorted neighbour list: a topology loaded from the on-disk cache
-        lists neighbours in another order than a freshly generated one,
-        and the pick must not depend on which it is.
+        current AS (a vehicular-style handoff), drawn over the sorted
+        neighbour list so the pick does not depend on neighbour order.
         """
         record = self._record(name_or_guid)
         if to_asn is None:

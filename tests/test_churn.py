@@ -1,5 +1,6 @@
 """Tests for BGP churn schedules and inconsistent views."""
 
+import numpy as np
 import pytest
 
 from repro.bgp.churn import (
@@ -53,6 +54,52 @@ class TestScheduleGenerator:
                 assert event.announcement.prefix in withdrawn
                 assert event.announcement.prefix not in churn_table
             event.apply(churn_table)
+
+    def test_schedule_matches_public_queries(self):
+        """The generator carries its AS list past each applied event; the
+        schedule must be the one that re-reads ``asns()`` and
+        ``prefixes_of()`` from the table before every withdrawal, also
+        when the caller makes another mutation than the event."""
+
+        class Reference(ChurnScheduleGenerator):
+            def _make_withdrawal(self, time):
+                asns = self.table.asns()
+                if not asns:
+                    return None
+                asn = int(self.rng.choice(np.asarray(asns, dtype=np.int64)))
+                prefixes = self.table.prefixes_of(asn)
+                prefix = prefixes[int(self.rng.integers(0, len(prefixes)))]
+                withdrawn = Announcement(prefix, asn)
+                self._withdrawn_pool.append(withdrawn)
+                return ChurnEvent(time, ChurnKind.WITHDRAW, withdrawn)
+
+        def schedule(cls):
+            # One to three prefixes per AS, so ASs drop out and come back.
+            table = GlobalPrefixTable(
+                [
+                    ann(f"{10 + i}.{j}.0.0/16", i + 1)
+                    for i in range(30)
+                    for j in range(i % 3 + 1)
+                ]
+            )
+            events = []
+            for event in cls(table, 1.0, 1.0, seed=11).events(horizon=200.0):
+                events.append(event)
+                if len(events) % 100:
+                    event.apply(table)
+                else:  # another mutation than the event: the view is re-read
+                    table.withdraw(
+                        next(a for a in table if a != event.announcement).prefix
+                    )
+            return events, table
+
+        got, got_table = schedule(ChurnScheduleGenerator)
+        want, want_table = schedule(Reference)
+        assert len(want) >= 300
+        kinds = {event.kind for event in want}
+        assert kinds == {ChurnKind.ANNOUNCE, ChurnKind.WITHDRAW}
+        assert got == want
+        assert list(got_table) == list(want_table)
 
     def test_invalid_rates_rejected(self, churn_table):
         with pytest.raises(ConfigurationError):

@@ -81,7 +81,7 @@ class TestSha256Hasher:
         for i in range(100):
             assert 0 <= h.hash_one(GUID(i), 0) < 256
 
-    @pytest.mark.parametrize("address_bits", [8, 32])
+    @pytest.mark.parametrize("address_bits", [1, 8, 32, 64])
     def test_hash_many_matches_definition(self, address_bits):
         # Function i is the top address_bits of SHA256(salt || i || value),
         # the value as its minimal big-endian bytes (one byte for 0).

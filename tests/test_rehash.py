@@ -61,6 +61,13 @@ class TestGuidPlacer:
         with pytest.raises(ConfigurationError):
             GuidPlacer(Sha256Hasher(1), base_table, max_rehashes=0)
 
+    def test_hash_family_wider_than_table_rejected(self):
+        # Its addresses would fall outside the table's address space.
+        table = GlobalPrefixTable([small_ann(0, 1, 3)], bits=8)
+        with pytest.raises(ConfigurationError, match="wider"):
+            GuidPlacer(Sha256Hasher(1, address_bits=9), table)
+        assert GuidPlacer(Sha256Hasher(1, address_bits=7), table).hosting_asns(5) == [3]
+
     def test_rehash_reduces_deputy_usage(self, base_table):
         few = GuidPlacer(Sha256Hasher(1), base_table, max_rehashes=1)
         many = GuidPlacer(Sha256Hasher(1), base_table, max_rehashes=10)

@@ -1,14 +1,20 @@
 """Tests for the DMap resolver protocol (insert / update / lookup)."""
 
+import inspect
+
 import numpy as np
 import pytest
 
 from repro.core.guid import GUID, NetworkAddress
+from repro.core.mapping import MappingEntry
 from repro.core.resolver import (
+    Attempt,
     DMapResolver,
+    LookupResult,
     OUTCOME_HIT,
     OUTCOME_MISSING,
     OUTCOME_TIMEOUT,
+    WriteResult,
     adaptive_timeout_ms,
 )
 from repro.bgp.allocation import AllocationConfig, generate_global_prefix_table
@@ -227,6 +233,53 @@ class TestUpdate:
         resolver.update(guid, [locator(base_table, new)], new)
         result = resolver.lookup(guid, int(rng.choice(asns)))
         assert result.locators == (locator(base_table, new),)
+
+    def test_update_reads_every_copy_version(self, resolver, base_table, asns):
+        # A newer copy at the local AS alone still advances the version.
+        guid = GUID.from_name("mover")
+        resolver.insert(guid, [locator(base_table, asns[0])], asns[0])
+        local = resolver.replica_sets[guid].local_asn
+        resolver.store_at(local).insert(
+            MappingEntry(guid, (locator(base_table, asns[0]),), version=6)
+        )
+        result = resolver.update(guid, [locator(base_table, asns[1])], asns[1])
+        for asn in result.replica_set.global_asns:
+            assert resolver.store_at(asn).get(guid).version == 7
+
+
+class TestRecords:
+    """The records every scalar call returns: immutable, and with the
+    fields, in order, that callers unpack and build them by."""
+
+    FIELDS = {
+        Attempt: ["asn", "outcome", "cost_ms"],
+        LookupResult: ["entry", "rtt_ms", "served_by", "attempts", "used_local"],
+        WriteResult: ["replica_set", "rtt_ms", "per_replica_rtt_ms"],
+    }
+
+    def records(self, resolver, base_table, asns):
+        guid = GUID.from_name("recorded")
+        write = resolver.insert(guid, [locator(base_table, asns[0])], asns[0])
+        found = resolver.lookup(guid, asns[1])
+        return {Attempt: found.attempts[0], LookupResult: found, WriteResult: write}
+
+    def test_field_names_and_order(self, resolver, base_table, asns):
+        for cls, record in self.records(resolver, base_table, asns).items():
+            fields = self.FIELDS[cls]
+            assert list(inspect.signature(cls).parameters) == fields
+            values = [getattr(record, name) for name in fields]
+            assert cls(*values) == record
+
+    def test_fields_cannot_be_assigned(self, resolver, base_table, asns):
+        for cls, record in self.records(resolver, base_table, asns).items():
+            for name in self.FIELDS[cls]:
+                with pytest.raises(AttributeError):
+                    setattr(record, name, None)
+
+    def test_locators_are_the_entry_locators(self, resolver, base_table, asns):
+        found = self.records(resolver, base_table, asns)[LookupResult]
+        assert found.locators is found.entry.locators
+        assert found.locators == (locator(base_table, asns[0]),)
 
 
 class TestUnreachableWrite:

@@ -135,6 +135,14 @@ class TestGeneration:
 
 
 class TestRepresentativeAddressCache:
+    def test_one_address_per_as_until_a_mutation(self, small_table):
+        first = small_table.representative_address(55)
+        assert small_table.representative_address(55) is first
+        small_table.announce(ann("67.0.0.0/16", 55))
+        moved = small_table.representative_address(55)
+        assert moved is not first
+        assert moved == NetworkAddress.from_dotted("67.0.0.0")
+
     def test_tracks_lowest_prefix_through_churn(self):
         rng = np.random.default_rng(5)
         asns = [1, 2, 3, 4]
