@@ -79,7 +79,7 @@ def local_branch_end_ms(
     the adaptive timer on ``rtt(source, source)`` expires instead;
     otherwise the reply takes that intra-AS round trip.
     """
-    rtt = router.rtt_ms(source_asn, source_asn)
+    rtt = 2.0 * router.intra_ms(source_asn)
     return adaptive_timeout_ms(floor_ms, rtt) if querier_down else rtt
 
 

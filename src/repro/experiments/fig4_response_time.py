@@ -76,7 +76,6 @@ def run_fig4(
     scale: Optional[str] = None,
     k_values: Sequence[int] = FIG4_K_VALUES,
     seed: int = 0,
-    use_simulation: bool = False,
     local_replica: bool = True,
     selection_policy: str = "latency",
     environment: Optional[Environment] = None,
@@ -87,11 +86,12 @@ def run_fig4(
 ) -> Fig4Result:
     """Run the Fig. 4 experiment.
 
-    ``use_simulation`` replays the workload through the discrete-event
-    engine instead of the (equivalent, faster) instant resolver;
-    ``local_replica`` and ``selection_policy`` expose the paper's §III-C
-    and §IV-B.2a design knobs for ablation.  ``engine="fastpath"``
-    batches the lookup pipeline through
+    ``engine`` picks the lookup engine: ``"scalar"`` (the instant
+    resolver), ``"simulation"`` (the equivalent, slower discrete-event
+    engine) or ``"fastpath"``.  ``local_replica`` and
+    ``selection_policy`` expose the paper's §III-C and §IV-B.2a design
+    knobs for ablation.  ``engine="fastpath"`` batches the lookup
+    pipeline through
     :class:`~repro.fastpath.engine.FastpathEngine` (bit-identical RTTs;
     ``n_jobs`` processes share its Dijkstra rows, ``0`` meaning every
     usable CPU, with the same output for any count).  The fastpath
@@ -107,7 +107,7 @@ def run_fig4(
     from ..obs.manifest import manifest_path_for
     from ..obs.trace import NULL_TRACER, CollectingTracer
 
-    if engine not in ("scalar", "fastpath"):
+    if engine not in ("scalar", "fastpath", "simulation"):
         raise ConfigurationError(f"unknown engine {engine!r}")
     env = environment or get_environment(scale, seed)
     workload_config = workload_override or WorkloadConfig(
@@ -122,7 +122,7 @@ def run_fig4(
             "scale": env.scale.name,
             "seed": seed,
             "k_values": list(k_values),
-            "engine": "simulation" if use_simulation else engine,
+            "engine": engine,
             "local_replica": local_replica,
             "selection_policy": selection_policy,
             "n_guids": workload_config.n_guids,
@@ -137,7 +137,7 @@ def run_fig4(
     local_hits: Dict[int, float] = {}
     failed_by_k: Dict[int, int] = {}
     workers = 1
-    if engine == "fastpath" and not use_simulation:
+    if engine == "fastpath":
         workers = n_jobs or usable_cpus()
         rtts_by_k = _fastpath_sweep(
             env, workload, k_values, local_replica, selection_policy,
@@ -149,7 +149,7 @@ def run_fig4(
     else:
         for k in k_values:
             with manifest.phase(f"k={k}"):
-                if use_simulation:
+                if engine == "simulation":
                     sim = DMapSimulation(
                         env.topology,
                         env.table,

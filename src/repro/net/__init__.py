@@ -17,8 +17,8 @@ Submodules
 :mod:`.protocol`
     The compact versioned binary wire codec (pure, event-loop-free).
 :mod:`.node`
-    The per-AS asyncio datagram server, including Algorithm-1 deputy
-    forwarding when a queried AS is not the true holder.
+    The per-AS asyncio datagram server: a hit, or "GUID missing" from
+    an AS that does not store the GUID.
 :mod:`.cluster`
     The loopback multi-node harness plus the RTT/loss
     :class:`~repro.net.cluster.LatencyShaper`.

@@ -10,7 +10,7 @@ moves to the next replica after a "GUID missing" reply or after the
 replica is asked once: the walk is the retry (§III-A, §III-D.3).  With
 no packet loss the best replica answers, so a lookup costs one datagram
 and the analytic walk's latency; the live lane checks ``served_by`` and
-the attempt order against the resolver per query.
+the ``(asn, outcome)`` attempt sequence against the resolver per query.
 
 A write sends its K frames together, one attempt each under the same
 timeout, and fails unless every replica acknowledges (§III-A).
@@ -45,7 +45,6 @@ from ..obs.trace import (
 from ..topology.routing import Router
 from .node import Addr
 from .protocol import (
-    FLAG_FORWARDED,
     STATUS_OK,
     T_INSERT,
     T_UPDATE,
@@ -56,10 +55,6 @@ from .protocol import (
     decode,
     encode,
 )
-
-#: Overlay hops a queried node may forward a LOOKUP it cannot answer
-#: (Algorithm 1 deputy forwarding).
-HOP_BUDGET = 1
 
 
 @dataclass(frozen=True)
@@ -76,7 +71,6 @@ class LiveLookupResult:
     version: int
     served_by: int
     rtt_ms: float
-    forwarded: bool
     attempts: Tuple[AttemptTrace, ...]
     trace_id: int
 
@@ -271,8 +265,7 @@ class DMapClient:
                     trace_id=trace_id,
                     guid_value=guid.value,
                     source_asn=source_asn,
-                    k_index=min(k_index, 0xFE),
-                    hop_budget=HOP_BUDGET,
+                    k_index=k_index,
                 ),
                 asn,
                 timeout_ms,
@@ -315,7 +308,6 @@ class DMapClient:
             version=winner.version,
             served_by=winner.served_by,
             rtt_ms=rtt_ms,
-            forwarded=bool(winner.flags & FLAG_FORWARDED),
             attempts=tuple(attempts_log),
             trace_id=trace_id,
         )
@@ -402,7 +394,7 @@ class DMapClient:
                     trace_id=trace_id,
                     guid_value=guid.value,
                     source_asn=source_asn,
-                    k_index=min(k_index, 0xFE),
+                    k_index=k_index,
                     ftype=ftype,
                     version=version,
                     timestamp=timestamp,

@@ -58,11 +58,11 @@ class LatencyShaper:
     (:meth:`virtual_ms`) and to size timeouts (:meth:`wire_s`).
 
     Packet loss is deterministic: :meth:`should_drop` hashes
-    ``(seed, src, dst, trace_id, k_index, attempt)`` and drops when the
-    resulting uniform fraction falls below ``loss_rate``, so a seeded run
-    loses exactly the same packets every time.  Each replica of a lookup
-    has its own ``k_index``, so the next replica in the walk draws
-    afresh.
+    ``(seed, src, dst, trace_id, k_index)`` and drops when the resulting
+    uniform fraction falls below ``loss_rate``, so a seeded run loses
+    exactly the same packets every time.  Each replica of a lookup is
+    asked once under its own ``k_index``, so the key is unique per
+    exchange and the next replica in the walk draws afresh.
     """
 
     def __init__(
@@ -111,19 +111,18 @@ class LatencyShaper:
     # Deterministic loss
     # ------------------------------------------------------------------
     def should_drop(
-        self, src_asn: int, dst_asn: int, trace_id: int, k_index: int, attempt: int
+        self, src_asn: int, dst_asn: int, trace_id: int, k_index: int
     ) -> bool:
         """Whether this exchange's response is lost (seeded, replayable)."""
         if self.loss_rate <= 0.0:
             return False
         fraction = seeded_unit(
-            ">qIIQBB",
+            ">qIIQB",
             self.seed,
             src_asn & 0xFFFFFFFF,
             dst_asn & 0xFFFFFFFF,
             trace_id & 0xFFFFFFFFFFFFFFFF,
             k_index & 0xFF,
-            attempt & 0xFF,
         )
         return fraction < self.loss_rate
 
@@ -287,9 +286,7 @@ class LocalCluster:
             node = DMapNode(
                 asn,
                 self.resolver.store_at(asn),
-                self.resolver.placer,
                 self.shaper,
-                self.peers,
                 registry=self.registry,
             )
             addr = await node.start()

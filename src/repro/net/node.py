@@ -7,36 +7,30 @@ answers LOOKUP / INSERT / UPDATE frames from the *same*
 the offline engines can never disagree about state — only about time.
 
 Latency model: the responder owns the whole leg.  A node delays every
-response (and every deputy relay) by the shaped round-trip time between
-the original querier's AS and itself, as dictated by the cluster's
+response by the shaped round-trip time between the querier's AS and
+itself, as dictated by the cluster's
 :class:`~repro.net.cluster.LatencyShaper` over the topology's RTT
 matrix.  Requests travel instantly; the reply pays the full round trip.
 This halves the number of timers without changing any measured latency.
 
-Deputy forwarding (Algorithm 1, §III-D.1): when a LOOKUP reaches an AS
-that does not store the mapping but the frame still has hop budget, the
-node re-derives the GUID's placement with the shared placer and forwards
-the query one overlay hop to the true holder, then relays the holder's
-answer back to the querier with :data:`~repro.net.protocol.FLAG_FORWARDED`
-set.  A query that exhausts its budget gets an honest "GUID missing".
+A node that does not store the GUID answers "GUID missing" with its own
+AS, as every offline engine records it; the querier's best-first walk
+then asks the next replica (§III-A, §III-D.3).
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..core.guid import GUID, NetworkAddress
 from ..core.mapping import MappingEntry, MappingStore
 from ..obs.counters import MetricsRegistry
 from .protocol import (
-    FLAG_FORWARDED,
     STATUS_MISS,
     STATUS_OK,
-    T_ERROR,
     T_INSERT,
     T_LOOKUP,
-    T_RESPONSE,
     T_UPDATE,
     ERR_MALFORMED,
     ErrorFrame,
@@ -48,9 +42,6 @@ from .protocol import (
     encode,
 )
 from ..errors import WireProtocolError
-
-#: Wire-seconds a pending deputy relay is kept before being dropped.
-RELAY_TTL_S = 5.0
 
 Addr = Tuple[str, int]
 
@@ -81,13 +72,8 @@ class DMapNode:
     store:
         The mapping store to answer from — share the resolver's
         ``store_at(asn)`` instance to keep both worlds consistent.
-    placer:
-        The cluster-wide placement scheme (for deputy forwarding).
     shaper:
         Latency/loss shaping oracle (:mod:`repro.net.cluster`).
-    peers:
-        Shared ``asn -> (host, port)`` map, filled in by the cluster
-        once every node has bound its port.
     registry:
         Metrics registry; the cluster passes one shared instance so
         façade and wire-server metrics land together.
@@ -97,23 +83,14 @@ class DMapNode:
         self,
         asn: int,
         store: MappingStore,
-        placer,
         shaper,
-        peers: Dict[int, Addr],
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
         self.asn = int(asn)
         self.store = store
-        self.placer = placer
         self.shaper = shaper
-        self.peers = peers
         self.registry = registry if registry is not None else MetricsRegistry()
         self._transport: Optional[asyncio.DatagramTransport] = None
-        #: Pending deputy relays: (trace_id, k_index, attempt) ->
-        #: (requester address, original source AS, expiry timer).
-        self._relays: Dict[
-            Tuple[int, int, int], Tuple[Addr, int, asyncio.TimerHandle]
-        ] = {}
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -128,13 +105,10 @@ class DMapNode:
         return transport.get_extra_info("sockname")[:2]
 
     def close(self) -> None:
-        """Stop serving (pending relays are abandoned)."""
+        """Stop serving."""
         if self._transport is not None:
             self._transport.close()
             self._transport = None
-        for _, _, handle in self._relays.values():
-            handle.cancel()
-        self._relays.clear()
 
     @property
     def running(self) -> bool:
@@ -155,13 +129,15 @@ class DMapNode:
             frame = decode(data)
         except WireProtocolError as exc:
             self._count("net.node.malformed")
-            self._send_now(
-                ErrorFrame(
-                    trace_id=0,
-                    guid_value=0,
-                    source_asn=self.asn,
-                    code=ERR_MALFORMED,
-                    message=str(exc)[:200],
+            self._send_bytes(
+                encode(
+                    ErrorFrame(
+                        trace_id=0,
+                        guid_value=0,
+                        source_asn=self.asn,
+                        code=ERR_MALFORMED,
+                        message=str(exc)[:200],
+                    )
                 ),
                 addr,
             )
@@ -171,128 +147,29 @@ class DMapNode:
             self._handle_lookup(frame, addr)
         elif frame.ftype in (T_INSERT, T_UPDATE):
             self._handle_write(frame, addr)
-        elif frame.ftype == T_RESPONSE:
-            self._handle_relay_response(frame)
-        elif frame.ftype == T_ERROR:
-            self._count("net.node.errors_rx")
+        else:
+            # A node answers requests only; a stray response or error
+            # frame is counted and dropped.
+            self._count("net.node.unexpected_frames", label=frame.ftype)
 
     # ------------------------------------------------------------------
     # Request handlers
     # ------------------------------------------------------------------
     def _handle_lookup(self, frame: LookupFrame, addr: Addr) -> None:
-        guid = GUID(frame.guid_value)
-        entry = self.store.get(guid)
-        if entry is not None:
-            self._count("net.node.lookups_served", label=self.asn)
-            self._respond(
-                frame,
-                addr,
-                ResponseFrame(
-                    trace_id=frame.trace_id,
-                    guid_value=frame.guid_value,
-                    source_asn=frame.source_asn,
-                    k_index=frame.k_index,
-                    attempt=frame.attempt,
-                    flags=frame.flags,
-                    status=STATUS_OK,
-                    request_type=T_LOOKUP,
-                    served_by=self.asn,
-                    version=entry.version,
-                    timestamp=entry.timestamp,
-                    locators=tuple(int(loc) for loc in entry.locators),
-                ),
-            )
+        entry = self.store.get(GUID(frame.guid_value))
+        if entry is None:
+            self._count("net.node.lookup_misses", label=self.asn)
+            self._respond(frame, addr, STATUS_MISS)
             return
-        if frame.hop_budget > 0 and self._forward_lookup(frame, addr):
-            return
-        self._count("net.node.lookup_misses", label=self.asn)
+        self._count("net.node.lookups_served", label=self.asn)
         self._respond(
             frame,
             addr,
-            ResponseFrame(
-                trace_id=frame.trace_id,
-                guid_value=frame.guid_value,
-                source_asn=frame.source_asn,
-                k_index=frame.k_index,
-                attempt=frame.attempt,
-                flags=frame.flags,
-                status=STATUS_MISS,
-                request_type=T_LOOKUP,
-                served_by=self.asn,
-            ),
+            STATUS_OK,
+            entry.version,
+            entry.timestamp,
+            tuple(int(loc) for loc in entry.locators),
         )
-
-    def _forward_lookup(self, frame: LookupFrame, addr: Addr) -> bool:
-        """Algorithm-1 deputy forwarding: one overlay hop to the holder.
-
-        Returns whether the query was forwarded (``False`` when this
-        node is itself the only reachable placement, in which case the
-        caller answers "missing" honestly).
-        """
-        holder: Optional[int] = None
-        for candidate in self.placer.hosting_asns(GUID(frame.guid_value)):
-            candidate = int(candidate)
-            if candidate != self.asn and candidate in self.peers:
-                holder = candidate
-                break
-        if holder is None:
-            return False
-        key = (frame.trace_id, frame.k_index, frame.attempt)
-        loop = asyncio.get_running_loop()
-        handle = loop.call_later(
-            max(RELAY_TTL_S, self.shaper.wire_s(self.shaper.timeout_floor_ms)),
-            self._expire_relay,
-            key,
-        )
-        stale = self._relays.pop(key, None)
-        if stale is not None:
-            stale[2].cancel()
-        self._relays[key] = (addr, frame.source_asn, handle)
-        forwarded = LookupFrame(
-            trace_id=frame.trace_id,
-            guid_value=frame.guid_value,
-            # The forwarded leg is deputy -> holder; shaping keys on the
-            # frame's source AS, so the deputy substitutes itself.
-            source_asn=self.asn,
-            k_index=frame.k_index,
-            hop_budget=frame.hop_budget - 1,
-            attempt=frame.attempt,
-            flags=frame.flags | FLAG_FORWARDED,
-        )
-        self._count("net.node.forwards", label=self.asn)
-        self._send_now(forwarded, self.peers[holder])
-        return True
-
-    def _expire_relay(self, key: Tuple[int, int, int]) -> None:
-        if self._relays.pop(key, None) is not None:
-            self._count("net.node.relay_expired")
-
-    def _handle_relay_response(self, frame: ResponseFrame) -> None:
-        key = (frame.trace_id, frame.k_index, frame.attempt)
-        pending = self._relays.pop(key, None)
-        if pending is None:
-            self._count("net.node.orphan_responses")
-            return
-        requester, source_asn, handle = pending
-        handle.cancel()
-        relayed = ResponseFrame(
-            trace_id=frame.trace_id,
-            guid_value=frame.guid_value,
-            source_asn=source_asn,
-            k_index=frame.k_index,
-            attempt=frame.attempt,
-            flags=frame.flags | FLAG_FORWARDED,
-            status=frame.status,
-            request_type=frame.request_type,
-            served_by=frame.served_by,
-            version=frame.version,
-            timestamp=frame.timestamp,
-            locators=frame.locators,
-        )
-        self._count("net.node.relays", label=self.asn)
-        # The relay leg back to the querier pays querier<->deputy shaping;
-        # the holder already charged the deputy<->holder leg.
-        self._send_shaped(relayed, requester, source_asn)
 
     def _handle_write(self, frame: WriteFrame, addr: Addr) -> None:
         entry = MappingEntry(
@@ -306,50 +183,47 @@ class DMapNode:
             "net.node.writes_applied" if accepted else "net.node.writes_stale",
             label=self.asn,
         )
-        self._respond(
-            frame,
-            addr,
-            ResponseFrame(
-                trace_id=frame.trace_id,
-                guid_value=frame.guid_value,
-                source_asn=frame.source_asn,
-                k_index=frame.k_index,
-                attempt=frame.attempt,
-                flags=frame.flags,
-                status=STATUS_OK,
-                request_type=frame.ftype,
-                served_by=self.asn,
-                version=entry.version,
-            ),
-        )
+        self._respond(frame, addr, STATUS_OK, entry.version)
 
     # ------------------------------------------------------------------
     # Shaped sending
     # ------------------------------------------------------------------
-    def _respond(self, request: Frame, addr: Addr, response: ResponseFrame) -> None:
+    def _respond(
+        self,
+        request: Frame,
+        addr: Addr,
+        status: int,
+        version: int = 0,
+        timestamp: float = 0.0,
+        locators: Tuple[int, ...] = (),
+    ) -> None:
+        """Answer ``request`` after the querier<->node round trip,
+        unless the shaper loses the reply."""
+        source_asn = request.source_asn
         if self.shaper.should_drop(
-            request.source_asn,
-            self.asn,
-            request.trace_id,
-            request.k_index,
-            request.attempt,
+            source_asn, self.asn, request.trace_id, request.k_index
         ):
             self._count("net.node.shaped_drops", label=self.asn)
             return
-        self._send_shaped(response, addr, request.source_asn)
-
-    def _send_shaped(
-        self, response: ResponseFrame, addr: Addr, source_asn: int
-    ) -> None:
+        data = encode(
+            ResponseFrame(
+                trace_id=request.trace_id,
+                guid_value=request.guid_value,
+                source_asn=source_asn,
+                k_index=request.k_index,
+                status=status,
+                request_type=request.ftype,
+                served_by=self.asn,
+                version=version,
+                timestamp=timestamp,
+                locators=locators,
+            )
+        )
         delay = self.shaper.delay_s(source_asn, self.asn)
-        data = encode(response)
         if delay <= 0.0:
             self._send_bytes(data, addr)
             return
         asyncio.get_running_loop().call_later(delay, self._send_bytes, data, addr)
-
-    def _send_now(self, frame: Frame, addr: Addr) -> None:
-        self._send_bytes(encode(frame), addr)
 
     def _send_bytes(self, data: bytes, addr: Addr) -> None:
         if self._transport is None or self._transport.is_closing():

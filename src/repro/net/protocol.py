@@ -1,7 +1,7 @@
 """The DMap wire protocol: a compact, versioned binary frame codec.
 
 Every message between a querying gateway and a hosting AS is one UDP
-datagram carrying one frame.  A frame is a fixed 40-byte header followed
+datagram carrying one frame.  A frame is a fixed 37-byte header followed
 by a type-specific payload, all big-endian:
 
 ===========  =====  ====================================================
@@ -10,12 +10,8 @@ field        bytes  meaning
 magic        2      ``b"DM"`` — rejects cross-protocol traffic early
 version      1      wire schema version (:data:`WIRE_VERSION`)
 type         1      LOOKUP / INSERT / UPDATE / RESPONSE / ERROR
-flags        1      :data:`FLAG_FORWARDED`, :data:`FLAG_LOCAL`
-k_index      1      replica-chain index 0..K-1; :data:`LOCAL_K_INDEX`
-                    marks the §III-C local-branch request
-hop_budget   1      remaining Algorithm-1 deputy-forwarding hops
-attempt      1      send ordinal of this contact; always 0, since the
-                    client asks each replica once
+k_index      1      hash index of the replica this exchange asks; the
+                    client asks each replica once, so it keys the exchange
 trace_id     8      per-query id correlating requests, responses, and
                     :mod:`repro.obs` traces
 guid         20     the 160-bit identifier (§IV-A width)
@@ -53,7 +49,7 @@ from ..errors import WireProtocolError
 MAGIC = b"DM"
 
 #: Bumped when the frame layout changes shape.
-WIRE_VERSION = 1
+WIRE_VERSION = 2
 
 #: Frame types.
 T_LOOKUP = 1
@@ -62,24 +58,15 @@ T_UPDATE = 3
 T_RESPONSE = 4
 T_ERROR = 5
 
-#: Header flags.
-FLAG_FORWARDED = 0x01  # response was produced via deputy forwarding
-FLAG_LOCAL = 0x02  # request is the §III-C local-branch contact
-
-#: ``k_index`` sentinel for the local-branch request (not a hash chain).
-LOCAL_K_INDEX = 0xFF
-
 #: Response status codes.
 STATUS_OK = 0
 STATUS_MISS = 1
 
 #: Error codes.
 ERR_MALFORMED = 1
-ERR_HOP_EXHAUSTED = 2
-ERR_UNSUPPORTED = 3
 
-_HEADER = struct.Struct(">2sBBBBBBQ20sI")
-HEADER_SIZE = _HEADER.size  # 40 bytes
+_HEADER = struct.Struct(">2sBBBQ20sI")
+HEADER_SIZE = _HEADER.size  # 37 bytes
 
 _WRITE_HEAD = struct.Struct(">IdB")
 _RESPONSE_HEAD = struct.Struct(">BBIIdB")
@@ -110,9 +97,6 @@ class _Head:
     guid_value: int
     source_asn: int
     k_index: int = 0
-    hop_budget: int = 0
-    attempt: int = 0
-    flags: int = 0
 
 
 @dataclass(frozen=True)
@@ -147,7 +131,7 @@ class ResponseFrame(_Head):
 
 @dataclass(frozen=True)
 class ErrorFrame(_Head):
-    """A protocol-level rejection (malformed frame, exhausted budget)."""
+    """A protocol-level rejection of a malformed datagram."""
 
     ftype: int = T_ERROR
     code: int = ERR_MALFORMED
@@ -193,10 +177,7 @@ def encode(frame: Frame) -> bytes:
         MAGIC,
         WIRE_VERSION,
         ftype,
-        _check_range("flags", frame.flags, _U8),
         _check_range("k_index", frame.k_index, _U8),
-        _check_range("hop_budget", frame.hop_budget, _U8),
-        _check_range("attempt", frame.attempt, _U8),
         _check_range("trace_id", frame.trace_id, _U64),
         guid_value.to_bytes(GUID_WIRE_BYTES, "big"),
         _check_range("source_asn", frame.source_asn, _U32),
@@ -262,10 +243,7 @@ def decode(data: bytes) -> Frame:
         magic,
         version,
         ftype,
-        flags,
         k_index,
-        hop_budget,
-        attempt,
         trace_id,
         guid_bytes,
         source_asn,
@@ -281,9 +259,6 @@ def decode(data: bytes) -> Frame:
         guid_value=int.from_bytes(guid_bytes, "big"),
         source_asn=source_asn,
         k_index=k_index,
-        hop_budget=hop_budget,
-        attempt=attempt,
-        flags=flags,
     )
     offset = HEADER_SIZE
     if ftype == T_LOOKUP:

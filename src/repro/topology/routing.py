@@ -359,6 +359,10 @@ class Router:
         except KeyError as exc:
             raise TopologyError(f"unknown AS {asn}") from exc
 
+    def intra_ms(self, asn: int) -> float:
+        """The one-way rule's same-AS cost: ``one_way(s, s) = intra(s)``."""
+        return self._intra_ms[self._dense(asn)]
+
     @staticmethod
     def reached(src_asn: int, dst_asn: int, cost: float) -> float:
         """``cost`` from ``src_asn`` to ``dst_asn``, or

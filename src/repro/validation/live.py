@@ -11,9 +11,11 @@ identical stores.
 
 The client walks the replicas in the resolver's best-first order, so
 every live lookup that saw no timeout must match the resolver's per
-query: the same ``served_by`` and the same attempt ASN sequence.  (A
-timed-out attempt is a shaped packet loss, which the resolver does not
-model, so such lookups are left out of that comparison.)  The check
+query: the same ``served_by`` and the same ``(asn, outcome)`` attempt
+sequence, so a replica that answers "GUID missing" on the wire must be
+a miss in the resolver's walk too.  (A timed-out attempt is a shaped
+packet loss, which the resolver does not model, so such lookups are
+left out of that comparison.)  The check
 also asserts the median of per-query live/analytic RTT ratios stays
 within a pinned tolerance — the two latencies agree up to event-loop
 scheduling noise — and that success stays ≥ ``min_success_rate``.
@@ -46,8 +48,8 @@ class LiveComparison:
     ``live_rtt / analytic_rtt`` — robust to a few scheduler-delayed
     outliers, 1.0 under perfect shaping.  ``compared`` counts the
     successful lookups with no timed-out attempt; ``mismatches`` those
-    among them whose ``served_by`` or attempt ASN sequence differs from
-    the resolver's.
+    among them whose ``served_by`` or ``(asn, outcome)`` attempt
+    sequence differs from the resolver's.
     """
 
     queries: int
@@ -117,7 +119,9 @@ async def _run_queries(
     Returns the per-query live results (``None`` where the lookup
     failed) and the resolver's results on the same state.  Sequential
     issue keeps each measurement free of cross-query event-loop
-    contention.
+    contention.  The wire asks first: a resolver miss triggers the
+    §III-D.1 lazy pull, which would repair a replica's store before the
+    wire could read it.
     """
     await cluster.start()
     client = cluster.client()
@@ -128,15 +132,20 @@ async def _run_queries(
         stream = cluster.lookup_stream()
         for i in range(queries):
             lookup = stream[i % len(stream)]
-            analytic.append(cluster.resolver.lookup(lookup.guid, lookup.source_asn))
             try:
                 live.append(await client.lookup(lookup.guid, lookup.source_asn))
             except DMapError:
                 live.append(None)
+            analytic.append(cluster.resolver.lookup(lookup.guid, lookup.source_asn))
     finally:
         client.close()
         await cluster.stop()
     return live, analytic
+
+
+def _walk(attempts) -> List[Tuple[int, str]]:
+    """The ``(asn, outcome)`` pairs of a lookup's attempts, in order."""
+    return [(a.asn, a.outcome) for a in attempts]
 
 
 def run_live_check(
@@ -184,8 +193,9 @@ def run_live_check(
         if got is None or any(a.outcome == OUTCOME_TIMEOUT for a in got.attempts):
             continue
         compared += 1
-        walk = [a.asn for a in got.attempts]
-        if got.served_by != want.served_by or walk != [a.asn for a in want.attempts]:
+        if got.served_by != want.served_by or _walk(got.attempts) != _walk(
+            want.attempts
+        ):
             mismatches += 1
     measured_ok = [got.rtt_ms for got in live if got is not None]
     return LiveComparison(

@@ -100,7 +100,7 @@ class TestFig4Shape:
             environment=env,
             workload_override=tiny,
             k_values=(3,),
-            use_simulation=True,
+            engine="simulation",
         )
         np.testing.assert_allclose(
             np.sort(instant.rtts_by_k[3]),

@@ -54,7 +54,7 @@ def _predicted_walk(cluster, lookup, trace_id):
     for asn, _ in cluster.resolver.selector.ranked(lookup.source_asn, chains):
         asked.append(asn)
         if not cluster.shaper.should_drop(
-            lookup.source_asn, asn, trace_id, chains.index(asn), 0
+            lookup.source_asn, asn, trace_id, chains.index(asn)
         ):
             return asked, asn
     return asked, None

@@ -1,4 +1,4 @@
-"""Live-cluster tests: boot, equivalence, forwarding, writes, metrics."""
+"""Live-cluster tests: boot, equivalence, misses, writes, metrics."""
 
 from __future__ import annotations
 
@@ -9,15 +9,14 @@ import pytest
 from repro.errors import ClusterError
 from repro.net.cluster import ClusterConfig, LatencyShaper, LocalCluster
 from repro.net.protocol import (
-    FLAG_FORWARDED,
     STATUS_MISS,
-    STATUS_OK,
     LookupFrame,
     ResponseFrame,
     decode,
     encode,
 )
 from repro.obs.counters import MetricsRegistry
+from repro.obs.trace import OUTCOME_HIT, OUTCOME_MISSING
 from repro.validation.live import run_live_check
 
 #: One modest cluster shared by the whole module (read-mostly; the
@@ -69,23 +68,22 @@ class TestShaper:
             cluster.resolver.router, loss_rate=0.2, seed=5
         )
         draws = [
-            shaper.should_drop(1, 2, trace_id, k, attempt)
-            for trace_id in range(200)
+            shaper.should_drop(1, 2, trace_id, k)
+            for trace_id in range(400)
             for k in range(5)
-            for attempt in range(2)
         ]
         again = [
-            shaper.should_drop(1, 2, trace_id, k, attempt)
-            for trace_id in range(200)
+            shaper.should_drop(1, 2, trace_id, k)
+            for trace_id in range(400)
             for k in range(5)
-            for attempt in range(2)
         ]
+        assert len(draws) >= 2_000
         assert draws == again
         rate = sum(draws) / len(draws)
         assert 0.15 < rate < 0.25
 
     def test_zero_loss_never_drops(self, cluster):
-        assert not cluster.shaper.should_drop(1, 2, 3, 4, 5)
+        assert not cluster.shaper.should_drop(1, 2, 3, 4)
 
     def test_invalid_config_rejected(self, cluster):
         with pytest.raises(ClusterError):
@@ -107,6 +105,20 @@ class TestLiveVsAnalytic:
         assert comparison.compared == comparison.queries
         assert comparison.mismatches == 0
 
+    def test_lane_compares_a_stripped_replica_before_the_pull(self, cluster):
+        """The lane asks the wire before the resolver, so a replica whose
+        copy is missing is a miss on both sides: the resolver's lazy pull
+        restores it only after the wire has read it."""
+        lookup = cluster.lookup_stream(1)[0]
+        chains = [int(a) for a in cluster.resolver.placer.hosting_asns(lookup.guid)]
+        ranked = cluster.resolver.selector.ranked(lookup.source_asn, chains)
+        assert len(ranked) >= 2
+        assert cluster.resolver.store_at(ranked[0][0]).delete(lookup.guid)
+        comparison = run_live_check(queries=1, cluster=cluster)
+        assert comparison.compared == 1
+        assert comparison.mismatches == 0, comparison.render()
+        assert cluster.resolver.store_at(ranked[0][0]).get(lookup.guid) is not None
+
     def test_report_is_json_ready(self, cluster):
         comparison = run_live_check(queries=10, cluster=cluster)
         payload = comparison.as_dict()
@@ -124,11 +136,12 @@ async def _boot(cluster):
 
 
 class TestWirePaths:
-    def test_deputy_forwarding(self, cluster):
-        """Algorithm 1: a non-holder with hop budget relays the answer."""
+    def test_non_holder_answers_miss(self, cluster):
+        """A node that does not store the GUID answers "GUID missing"
+        in its own name; it never relays the query."""
 
         async def scenario():
-            client = await _boot(cluster)
+            await cluster.start()
             try:
                 lookup = cluster.servable[0]
                 hosting = {
@@ -138,24 +151,56 @@ class TestWirePaths:
                 non_holder = next(
                     asn for asn in cluster.node_asns if asn not in hosting
                 )
-                response = await _raw_lookup(
-                    cluster, lookup, non_holder, hop_budget=1
-                )
-                assert response.status == STATUS_OK
-                assert response.flags & FLAG_FORWARDED
-                assert response.served_by in hosting
-
-                # With the budget exhausted, the same node answers MISS.
-                response = await _raw_lookup(
-                    cluster, lookup, non_holder, hop_budget=0
-                )
+                response = await _raw_lookup(cluster, lookup, non_holder)
                 assert response.status == STATUS_MISS
                 assert response.served_by == non_holder
+                assert response.locators == ()
             finally:
-                client.close()
                 await cluster.stop()
 
         asyncio.run(scenario())
+
+    def test_stripped_best_replica_walks_on_like_the_resolver(self, cluster):
+        """With the mapping deleted from the best-ranked replica, the live
+        walk records that replica's miss and is served by the
+        second-ranked one, exactly as the resolver's walk is.
+
+        The live lookup runs first: the resolver's miss triggers the
+        §III-D.1 lazy pull, which restores the stripped copy."""
+        resolver = cluster.resolver
+        picked = []
+        seen = set()
+        for lookup in cluster.servable:
+            chains = [int(a) for a in resolver.placer.hosting_asns(lookup.guid)]
+            ranked = resolver.selector.ranked(lookup.source_asn, chains)
+            if lookup.guid in seen or len(ranked) < 2:
+                continue
+            seen.add(lookup.guid)
+            picked.append((lookup, ranked[0][0], ranked[1][0]))
+            if len(picked) == 5:
+                break
+        assert len(picked) == 5
+
+        async def scenario():
+            client = await _boot(cluster)
+            rows = []
+            try:
+                for lookup, best, runner_up in picked:
+                    assert resolver.store_at(best).delete(lookup.guid)
+                    live = await client.lookup(lookup.guid, lookup.source_asn)
+                    want = resolver.lookup(lookup.guid, lookup.source_asn)
+                    rows.append((lookup, best, runner_up, live, want))
+            finally:
+                client.close()
+                await cluster.stop()
+            return rows
+
+        for lookup, best, runner_up, live, want in asyncio.run(scenario()):
+            walk = [(a.asn, a.outcome) for a in live.attempts]
+            assert walk == [(best, OUTCOME_MISSING), (runner_up, OUTCOME_HIT)]
+            assert walk == [(a.asn, a.outcome) for a in want.attempts]
+            assert live.served_by == want.served_by == runner_up
+            assert resolver.store_at(best).get(lookup.guid) is not None
 
     def test_live_write_then_read(self, cluster):
         """An update written over the wire is visible to wire lookups."""
@@ -209,7 +254,7 @@ class TestWirePaths:
         asyncio.run(scenario())
 
 
-async def _raw_lookup(cluster, lookup, target_asn, hop_budget):
+async def _raw_lookup(cluster, lookup, target_asn):
     """Send one hand-built LOOKUP frame and await its response."""
     loop = asyncio.get_running_loop()
     future = loop.create_future()
@@ -228,7 +273,6 @@ async def _raw_lookup(cluster, lookup, target_asn, hop_budget):
             guid_value=lookup.guid.value,
             source_asn=lookup.source_asn,
             k_index=0,
-            hop_budget=hop_budget,
         )
         transport.sendto(encode(frame), cluster.peers[target_asn])
         response = await asyncio.wait_for(future, timeout=5.0)

@@ -8,11 +8,8 @@ import pytest
 from repro.core.guid import GUID_BITS, MAX_LOCATORS
 from repro.errors import WireProtocolError
 from repro.net.protocol import (
-    ERR_HOP_EXHAUSTED,
-    FLAG_FORWARDED,
-    FLAG_LOCAL,
+    ERR_MALFORMED,
     HEADER_SIZE,
-    LOCAL_K_INDEX,
     MAGIC,
     STATUS_MISS,
     STATUS_OK,
@@ -34,17 +31,14 @@ U64 = (1 << 64) - 1
 
 
 def frames_exhaustive():
-    """Representative frames covering every type, flag, and boundary."""
+    """Representative frames covering every type and boundary."""
     return [
         LookupFrame(trace_id=0, guid_value=0, source_asn=0),
         LookupFrame(
             trace_id=U64,
             guid_value=MAX_GUID,
             source_asn=U32,
-            k_index=LOCAL_K_INDEX,
-            hop_budget=255,
-            attempt=255,
-            flags=FLAG_FORWARDED | FLAG_LOCAL,
+            k_index=255,
         ),
         WriteFrame(trace_id=1, guid_value=2, source_asn=3, locators=()),
         WriteFrame(
@@ -68,7 +62,7 @@ def frames_exhaustive():
             trace_id=10,
             guid_value=6,
             source_asn=18,
-            flags=FLAG_FORWARDED,
+            k_index=4,
             status=STATUS_OK,
             request_type=T_INSERT,
             served_by=1234,
@@ -81,7 +75,7 @@ def frames_exhaustive():
             trace_id=12,
             guid_value=8,
             source_asn=20,
-            code=ERR_HOP_EXHAUSTED,
+            code=ERR_MALFORMED,
             message="héllo wörld ☃",
         ),
     ]
@@ -94,10 +88,26 @@ class TestRoundTrip:
 
     def test_header_layout(self):
         data = encode(LookupFrame(trace_id=0, guid_value=0, source_asn=0))
-        assert len(data) == HEADER_SIZE == 40
+        assert len(data) == HEADER_SIZE == 37
         assert data[:2] == MAGIC
-        assert data[2] == WIRE_VERSION
+        assert data[2] == WIRE_VERSION == 2
         assert data[3] == T_LOOKUP
+
+    def test_header_field_offsets(self):
+        """k_index, trace_id, guid and source_asn sit at bytes 4, 5, 13
+        and 33 of the 37-byte header."""
+        data = encode(
+            LookupFrame(
+                trace_id=0x0102030405060708,
+                guid_value=MAX_GUID,
+                source_asn=0xA0B0C0D0,
+                k_index=255,
+            )
+        )
+        assert data[4] == 255
+        assert data[5:13] == bytes(range(1, 9))
+        assert data[13:33] == b"\xff" * 20
+        assert data[33:37] == bytes([0xA0, 0xB0, 0xC0, 0xD0])
 
     def test_seeded_fuzz_round_trip(self):
         rng = np.random.default_rng(0)
@@ -107,9 +117,6 @@ class TestRoundTrip:
                 guid_value=int(rng.integers(0, 1 << 62)),
                 source_asn=int(rng.integers(0, U32)),
                 k_index=int(rng.integers(0, 256)),
-                hop_budget=int(rng.integers(0, 256)),
-                attempt=int(rng.integers(0, 256)),
-                flags=int(rng.integers(0, 4)),
                 ftype=T_UPDATE if rng.integers(0, 2) else T_INSERT,
                 version=int(rng.integers(0, U32)),
                 timestamp=float(rng.uniform(0, 1e9)),
@@ -179,6 +186,14 @@ class TestDecodeValidation:
         data[2] = WIRE_VERSION + 1
         with pytest.raises(WireProtocolError, match="version"):
             decode(bytes(data))
+
+    def test_rejects_version_1_frame(self):
+        """A version-1 frame (the old 40-byte header) is refused, not
+        reinterpreted."""
+        data = bytearray(encode(LookupFrame(trace_id=0, guid_value=0, source_asn=0)))
+        data[2] = 1
+        with pytest.raises(WireProtocolError, match="version"):
+            decode(bytes(data) + b"\x00" * 3)
 
     def test_rejects_unknown_frame_type(self):
         data = bytearray(encode(LookupFrame(trace_id=0, guid_value=0, source_asn=0)))
