@@ -124,21 +124,20 @@ def main() -> None:
     # Query-visible cost of stale views (the Fig. 5 knob).
     print("query cost under stale BGP views (Fig. 5 failure model):")
     querier_pool = [int(rng.choice(asns)) for _ in range(600)]
-    def lookup_with_retry(guid, src, probe):
+    def lookup_with_retry(guid, src, model):
         # §III-D.2: on total failure the querier "keeps checking",
         # carrying the time already spent into the final response time.
         carried = 0.0
         while True:
             try:
-                return resolver.lookup(guid, src, probe=probe).rtt_ms + carried
+                return resolver.lookup(guid, src, model).rtt_ms + carried
             except LookupFailedError as exc:
                 carried += exc.elapsed_ms
 
     for rate in (0.0, 0.05, 0.10):
         model = ChurnFailureModel(rate, seed=13)
-        probe = model.lookup_outcome if rate else None
         rtts = [
-            lookup_with_retry(guids[i % N_HOSTS], src, probe)
+            lookup_with_retry(guids[i % N_HOSTS], src, model)
             for i, src in enumerate(querier_pool)
         ]
         arr = np.asarray(rtts)

@@ -19,9 +19,9 @@ from .guid import (
 from .mapping import METADATA_BITS, MappingEntry, MappingStore, StoreStats
 from .replication import SELECTION_POLICIES, ReplicaSelector, ReplicaSet
 from .resolver import (
-    Attempt,
     DEFAULT_TIMEOUT_MS,
     DMapResolver,
+    FailureModel,
     LookupResult,
     OUTCOME_HIT,
     OUTCOME_MISSING,
@@ -50,9 +50,9 @@ __all__ = [
     "SELECTION_POLICIES",
     "ReplicaSelector",
     "ReplicaSet",
-    "Attempt",
     "DEFAULT_TIMEOUT_MS",
     "DMapResolver",
+    "FailureModel",
     "LookupResult",
     "OUTCOME_HIT",
     "OUTCOME_MISSING",

@@ -23,7 +23,7 @@ from typing import Dict, Optional, Tuple, Union
 from ..core.guid import GUID, guid_like
 from ..core.mapping import MappingEntry
 from ..errors import ConfigurationError
-from .resolver import AvailabilityProbe, DMapResolver, LookupResult
+from .resolver import DMapResolver, FailureModel, LookupResult
 
 
 @dataclass
@@ -97,7 +97,7 @@ class CachingResolver:
         self,
         guid: Union[GUID, int, str],
         source_asn: int,
-        probe: Optional[AvailabilityProbe] = None,
+        failure_model: Optional[FailureModel] = None,
     ) -> Tuple[LookupResult, bool]:
         """Resolve through the cache.
 
@@ -128,7 +128,7 @@ class CachingResolver:
             self.stats.stale_hits += 1
             self.stats.invalidations += 1
             del cache[guid]
-            authoritative = self.resolver.lookup(guid, source_asn, probe=probe)
+            authoritative = self.resolver.lookup(guid, source_asn, failure_model)
             cache[guid] = _CacheSlot(
                 authoritative.entry, self.now_ms + self.ttl_ms
             )
@@ -142,7 +142,7 @@ class CachingResolver:
             return combined, True
 
         self.stats.misses += 1
-        result = self.resolver.lookup(guid, source_asn, probe=probe)
+        result = self.resolver.lookup(guid, source_asn, failure_model)
         cache[guid] = _CacheSlot(result.entry, self.now_ms + self.ttl_ms)
         return result, False
 

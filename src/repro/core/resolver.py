@@ -23,15 +23,14 @@ and the two are cross-checked in the test suite.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
-from typing import Union
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..bgp.table import GlobalPrefixTable
 from ..errors import ConfigurationError, LookupFailedError, MappingNotFoundError
-from ..hashing.hashers import HashFamily, Sha256Hasher
-from ..hashing.rehash import DEFAULT_MAX_REHASHES, GuidPlacer, HashResolution, Placer
+from ..hashing.hashers import Sha256Hasher
+from ..hashing.rehash import GuidPlacer, HashResolution, Placer
 from ..obs.trace import (
     FAILURE_EXHAUSTED,
     NULL_TRACER,
@@ -41,18 +40,12 @@ from ..obs.trace import (
     AttemptTrace,
     QueryTrace,
     Tracer,
-    hash_index_of,
     placement_records,
 )
 from ..topology.routing import Router
 from .guid import GUID, NetworkAddress, guid_like
 from .mapping import MappingEntry, MappingStore
 from .replication import ReplicaSelector, ReplicaSet
-
-#: An availability oracle: maps (asn, guid) to one of the outcomes
-#: ``OUTCOME_HIT`` / ``OUTCOME_MISSING`` / ``OUTCOME_TIMEOUT``.
-#: Used to inject BGP-churn staleness and router failures (Fig. 5, §III-D).
-AvailabilityProbe = Callable[[int, GUID], str]
 
 #: Paper-informed retry timeout: WiFi/IP handoff protocols are "on the
 #: order of 0.5-1 second" (§IV-B.2a); we time out a dead replica at 1 s.
@@ -83,12 +76,27 @@ def local_branch_end_ms(
     return adaptive_timeout_ms(floor_ms, rtt) if querier_down else rtt
 
 
-class Attempt(NamedTuple):
-    """One contact with a replica during a lookup."""
+class FailureModel:
+    """Base failure model: everything works.
 
-    asn: int
-    outcome: str
-    cost_ms: float
+    The one availability seam of every engine (resolver, fastpath, DES):
+    BGP-churn staleness and router failures (Fig. 5, §III-D) are
+    subclasses in :mod:`repro.sim.failures`.
+    """
+
+    def lookup_outcome(self, asn: int, guid: GUID) -> str:
+        """Fate of a lookup arriving at a *global* replica of ``guid``.
+
+        One of ``OUTCOME_HIT``, ``OUTCOME_MISSING`` or
+        ``OUTCOME_TIMEOUT``.  Local-replica reads are not subject to churn
+        staleness (the querier shares the AS and thus the BGP view) but
+        do honour :meth:`is_down`.
+        """
+        return OUTCOME_HIT
+
+    def is_down(self, asn: int) -> bool:
+        """Whether the AS's mapping service is unresponsive."""
+        return False
 
 
 class LookupResult(NamedTuple):
@@ -111,7 +119,7 @@ class LookupResult(NamedTuple):
     entry: MappingEntry
     rtt_ms: float
     served_by: int
-    attempts: Tuple[Attempt, ...]
+    attempts: Tuple[AttemptTrace, ...]
     used_local: bool
 
     @property
@@ -142,24 +150,22 @@ class DMapResolver:
     router:
         Latency/hop oracle; also identifies the participating ASs.
     k:
-        Replication factor (ignored if ``hash_family`` is given).
-    hash_family:
-        The pre-agreed hash functions; defaults to salted SHA-256.
+        Replication factor of the default placer (ignored if ``placer``
+        is given).
     selection_policy:
         Replica-choice criterion: ``"latency"`` (paper default),
         ``"hops"`` or ``"random"``.
     local_replica:
         Maintain the extra attachment-AS copy of §III-C.
-    max_rehashes:
-        M of Algorithm 1.
     timeout_ms:
         Floor for the adaptive replica timeout (§III-D.3).
     placer:
         Override the placement scheme with another
         :class:`~repro.hashing.rehash.Placer` (e.g. the §VII variants in
         :mod:`repro.hashing.asnum_placer`).  Defaults to address-space
-        hashing (Algorithm 1).  Writes and lookups reuse a GUID's stored
-        placement while the placer's ``generation`` is unchanged.
+        hashing (Algorithm 1) with K salted SHA-256 functions.  Writes
+        and lookups reuse a GUID's stored placement while the placer's
+        ``generation`` is unchanged.
     tracer:
         Per-query trace sink (:mod:`repro.obs`).  Defaults to the shared
         no-op tracer, which the lookup path checks once per call.
@@ -170,10 +176,8 @@ class DMapResolver:
         table: GlobalPrefixTable,
         router: Router,
         k: int = 5,
-        hash_family: Optional[HashFamily] = None,
         selection_policy: str = "latency",
         local_replica: bool = True,
-        max_rehashes: int = DEFAULT_MAX_REHASHES,
         timeout_ms: float = DEFAULT_TIMEOUT_MS,
         selection_rng: Optional[np.random.Generator] = None,
         placer: Optional[Placer] = None,
@@ -183,8 +187,9 @@ class DMapResolver:
             raise ConfigurationError("timeout_ms must be positive")
         self.table = table
         self.router = router
-        self.hash_family = hash_family or Sha256Hasher(k, address_bits=table.bits)
-        self.placer = placer or GuidPlacer(self.hash_family, table, max_rehashes)
+        self.placer = placer or GuidPlacer(
+            Sha256Hasher(k, address_bits=table.bits), table
+        )
         self.selector = ReplicaSelector(router, selection_policy, selection_rng)
         self.local_replica = local_replica
         self.timeout_ms = timeout_ms
@@ -336,21 +341,19 @@ class DMapResolver:
         self,
         guid: Union[GUID, int, str],
         source_asn: int,
-        probe: Optional[AvailabilityProbe] = None,
-        is_down: Optional[Callable[[int], bool]] = None,
+        failure_model: Optional[FailureModel] = None,
         time: float = 0.0,
     ) -> LookupResult:
         """GUID Lookup from a host attached to ``source_asn``.
 
         The local and global lookups race in parallel (§III-C); the global
         side walks replicas best-first, paying a full round trip for each
-        "GUID missing" reply and ``timeout_ms`` for each dead AS
-        (§III-D.3).  ``probe`` injects churn/failure outcomes; by default
-        every replica that stores the mapping answers.  ``is_down`` marks
-        ASs whose mapping service drops requests outright — it only
-        affects the querier's own AS here (a down *replica* is expressed
-        through ``probe`` returning a timeout), mirroring the DES where a
-        down source swallows the local-branch request.
+        "GUID missing" reply and the adaptive timeout for each dead AS
+        (§III-D.3).  ``failure_model`` injects churn/failure outcomes at
+        the global replicas; by default every replica that stores the
+        mapping answers.  Its ``is_down`` only matters for the querier's
+        own AS here (a down *replica* is a timeout outcome), mirroring the
+        DES where a down source swallows the local-branch request.
 
         The local branch is only launched when the source AS is not
         itself a global candidate (otherwise the global walk covers it),
@@ -371,7 +374,6 @@ class DMapResolver:
             local miss (or local timeout, when the source AS is down).
         """
         guid = guid_like(guid)
-        tracing = self.tracer.enabled
         resolutions = self._placement(guid)
         candidates = [res.asn for res in resolutions]
         ranked = self.selector.ranked(source_asn, candidates)
@@ -383,7 +385,7 @@ class DMapResolver:
         # Churn staleness does not affect the local branch: the querier and
         # the local store share one BGP view (same convention as the DES).
         if self.local_replica and source_asn not in candidates:
-            down = is_down is not None and is_down(source_asn)
+            down = failure_model is not None and failure_model.is_down(source_asn)
             local_end = local_branch_end_ms(
                 self.router, source_asn, down, self.timeout_ms
             )
@@ -395,109 +397,69 @@ class DMapResolver:
                     OUTCOME_HIT if local_entry is not None else OUTCOME_MISSING
                 )
 
-        attempts: List[Attempt] = []
+        attempts: List[AttemptTrace] = []
         elapsed = 0.0
-        hit: Optional[Tuple[int, MappingEntry]] = None
+        entry: Optional[MappingEntry] = None
+        served_by: Optional[int] = None
         for asn, one_way in ranked:
             if local_entry is not None and local_end <= elapsed:
                 break  # The local reply arrived before this attempt was sent.
-            rtt = 2.0 * self.router.reached(source_asn, asn, one_way)
+            cost = 2.0 * self.router.reached(source_asn, asn, one_way)
             outcome = OUTCOME_HIT
-            if probe is not None:
-                outcome = probe(asn, guid)
+            if failure_model is not None:
+                outcome = failure_model.lookup_outcome(asn, guid)
             if outcome == OUTCOME_HIT:
                 try:
-                    hit = (asn, self.store_at(asn).lookup(guid))
+                    entry = self.store_at(asn).lookup(guid)
                 except MappingNotFoundError:
                     outcome = OUTCOME_MISSING
                     self._lazy_migrate(guid, asn)
-            if outcome == OUTCOME_HIT:
-                elapsed += rtt
-                attempts.append(Attempt(asn, OUTCOME_HIT, rtt))
+            if outcome == OUTCOME_TIMEOUT:
+                cost = adaptive_timeout_ms(self.timeout_ms, cost)
+            elif outcome not in (OUTCOME_HIT, OUTCOME_MISSING):
+                raise ConfigurationError(
+                    f"failure model returned unknown outcome {outcome!r}"
+                )
+            # A "GUID missing" reply costs one round trip, a hit too.
+            elapsed += cost
+            attempts.append(AttemptTrace(asn, candidates.index(asn), outcome, cost))
+            if entry is not None:
+                served_by = asn
                 break
-            if outcome == OUTCOME_MISSING:
-                # The AS answers quickly with "GUID missing": one round trip.
-                elapsed += rtt
-                attempts.append(Attempt(asn, OUTCOME_MISSING, rtt))
-            elif outcome == OUTCOME_TIMEOUT:
-                timeout = adaptive_timeout_ms(self.timeout_ms, rtt)
-                elapsed += timeout
-                attempts.append(Attempt(asn, OUTCOME_TIMEOUT, timeout))
-            else:
-                raise ConfigurationError(f"probe returned unknown outcome {outcome!r}")
 
-        if hit is not None and (local_entry is None or elapsed < local_end):
-            served_by, entry = hit
-            if tracing:
-                self._emit_lookup_trace(
-                    guid, source_asn, time, resolutions, attempts,
-                    local_outcome, local_end, False, served_by, elapsed, None,
-                )
-            return LookupResult(entry, elapsed, served_by, tuple(attempts), False)
-        if local_entry is not None:
-            # The parallel local query answered first (§III-C), or alone.
-            if tracing:
-                self._emit_lookup_trace(
-                    guid, source_asn, time, resolutions, attempts,
-                    local_outcome, local_end, True, source_asn, local_end, None,
-                )
-            return LookupResult(
-                local_entry, local_end, source_asn, tuple(attempts), True
-            )
-        if local_end is not None:
+        # The verdict: the local reply wins ties and a failed walk.
+        used_local = local_entry is not None and (
+            entry is None or local_end <= elapsed
+        )
+        if used_local:
+            entry, served_by, elapsed = local_entry, source_asn, local_end
+        elif entry is None and local_end is not None:
             # The local branch ran but answered "missing" (or its timer
             # expired): the lookup fails when the later branch ends.
             elapsed = max(elapsed, local_end)
-        if tracing:
-            self._emit_lookup_trace(
-                guid, source_asn, time, resolutions, attempts,
-                local_outcome, local_end, False, None, elapsed,
-                FAILURE_EXHAUSTED,
+        if self.tracer.enabled:
+            placement = placement_records(resolutions)
+            self.tracer.record(
+                QueryTrace(
+                    guid_value=guid.value,
+                    source_asn=source_asn,
+                    issued_at=time,
+                    k=len(placement),
+                    placement=placement,
+                    attempts=tuple(attempts),
+                    local_launched=local_end is not None,
+                    local_outcome=local_outcome,
+                    local_end_ms=local_end,
+                    used_local=used_local,
+                    served_by=served_by,
+                    rtt_ms=elapsed,
+                    success=entry is not None,
+                    failure_cause=None if entry is not None else FAILURE_EXHAUSTED,
+                )
             )
-        raise LookupFailedError(guid, elapsed, len(attempts))
-
-    def _emit_lookup_trace(
-        self,
-        guid: GUID,
-        source_asn: int,
-        issued_at: float,
-        resolutions: Sequence[HashResolution],
-        attempts: Sequence[Attempt],
-        local_outcome: Optional[str],
-        local_end: Optional[float],
-        used_local: bool,
-        served_by: Optional[int],
-        rtt_ms: float,
-        failure_cause: Optional[str],
-    ) -> None:
-        """Build and record the :class:`QueryTrace` for one lookup."""
-        placement = placement_records(resolutions)
-        self.tracer.record(
-            QueryTrace(
-                guid_value=guid.value,
-                source_asn=source_asn,
-                issued_at=issued_at,
-                k=len(placement),
-                placement=placement,
-                attempts=tuple(
-                    AttemptTrace(
-                        attempt.asn,
-                        hash_index_of(placement, attempt.asn),
-                        attempt.outcome,
-                        attempt.cost_ms,
-                    )
-                    for attempt in attempts
-                ),
-                local_launched=local_end is not None,
-                local_outcome=local_outcome,
-                local_end_ms=local_end,
-                used_local=used_local,
-                served_by=served_by,
-                rtt_ms=rtt_ms,
-                success=failure_cause is None,
-                failure_cause=failure_cause,
-            )
-        )
+        if entry is None:
+            raise LookupFailedError(guid, elapsed, len(attempts))
+        return LookupResult(entry, elapsed, served_by, tuple(attempts), used_local)
 
     def _lazy_migrate(self, guid: GUID, asn: int) -> None:
         """§III-D.1 lazy pull after a genuine miss at a hosting AS.

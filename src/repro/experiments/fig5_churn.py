@@ -79,7 +79,7 @@ def run_fig5(
 ) -> Fig5Result:
     """Run the Fig. 5 sweep.
 
-    Uses the instant resolver with a :class:`ChurnFailureModel` probe —
+    Uses the instant resolver with a :class:`ChurnFailureModel` —
     identical retry arithmetic to the event simulation (cross-checked in
     the test suite).
     """
@@ -93,11 +93,12 @@ def run_fig5(
     attempts_by_rate: Dict[float, float] = {}
     for rate in failure_rates:
         resolver = DMapResolver(env.table, env.router, k=k)
-        model = ChurnFailureModel(rate, seed=seed + 17)
-        probe = model.lookup_outcome if rate > 0 else None
         counts: List[int] = []
         rtts = workload.run_through_resolver(
-            resolver, env.table, probe=probe, attempt_counts=counts
+            resolver,
+            env.table,
+            failure_model=ChurnFailureModel(rate, seed=seed + 17),
+            attempt_counts=counts,
         )
         rtts_by_rate[rate] = np.asarray(rtts, dtype=float)
         attempts_by_rate[rate] = float(np.mean(counts))

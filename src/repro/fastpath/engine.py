@@ -34,7 +34,7 @@ Deliberate limits (the scalar resolver stays the oracle):
 * the prefix table must not mutate between placement and lookup — BGP
   churn replays belong to :class:`DMapResolver` / :mod:`repro.sim`;
 * the engine models the *converged* post-write state: every global
-  replica of an inserted GUID holds the mapping (availability models can
+  replica of an inserted GUID holds the mapping (failure models can
   still inject timeouts/stale misses per (AS, GUID) pair);
 * the ``"random"`` selection policy draws from a per-lookup RNG stream
   whose consumption order is inherently sequential, and is rejected.
@@ -43,7 +43,7 @@ Deliberate limits (the scalar resolver stays the oracle):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -54,12 +54,13 @@ from ..core.resolver import (
     OUTCOME_HIT,
     OUTCOME_MISSING,
     OUTCOME_TIMEOUT,
+    FailureModel,
     adaptive_timeout_ms,
     local_branch_end_ms,
 )
 from ..errors import ConfigurationError, DMapError, RoutingError
-from ..hashing.hashers import HashFamily, Sha256Hasher
-from ..hashing.rehash import DEFAULT_MAX_REHASHES, GuidPlacer, Placer
+from ..hashing.hashers import Sha256Hasher
+from ..hashing.rehash import GuidPlacer, Placer
 from ..obs.trace import (
     FAILURE_EXHAUSTED,
     NULL_TRACER,
@@ -92,21 +93,6 @@ WALK_ROWS = 4096
 
 class FastpathUnsupportedError(DMapError):
     """The requested configuration needs the scalar oracle."""
-
-
-class _ProbeAdapter:
-    """Wrap a bare ``(asn, guid) -> outcome`` probe as a failure model."""
-
-    def __init__(self, probe: Callable[[int, GUID], str]) -> None:
-        self._probe = probe
-
-    def lookup_outcome(self, asn: int, guid: GUID) -> str:
-        """Fate of a global lookup arriving at ``asn``."""
-        return self._probe(asn, guid)
-
-    def is_down(self, asn: int) -> bool:
-        """Bare probes cannot mark a querier's own AS as down."""
-        return False
 
 
 @dataclass
@@ -191,10 +177,8 @@ class FastpathEngine:
         table: GlobalPrefixTable,
         router: Router,
         k: int = 5,
-        hash_family: Optional[HashFamily] = None,
         selection_policy: str = "latency",
         local_replica: bool = True,
-        max_rehashes: int = DEFAULT_MAX_REHASHES,
         timeout_ms: float = DEFAULT_TIMEOUT_MS,
         placer: Optional[Placer] = None,
         tracer: Optional[Tracer] = None,
@@ -208,8 +192,9 @@ class FastpathEngine:
             )
         self.table = table
         self.router = router
-        self.hash_family = hash_family or Sha256Hasher(k, address_bits=table.bits)
-        self.placer = placer or GuidPlacer(self.hash_family, table, max_rehashes)
+        self.placer = placer or GuidPlacer(
+            Sha256Hasher(k, address_bits=table.bits), table
+        )
         self.selection_policy = selection_policy
         self.local_replica = local_replica
         self.timeout_ms = timeout_ms
@@ -296,7 +281,7 @@ class FastpathEngine:
         batch: GuidBatch,
         guid_idx: np.ndarray,
         sources: np.ndarray,
-        availability=None,
+        failure_model: Optional[FailureModel] = None,
         n_jobs: int = 1,
         issued_at: Optional[np.ndarray] = None,
         k_values: Optional[Sequence[int]] = None,
@@ -304,13 +289,13 @@ class FastpathEngine:
         """Resolve many lookups; row ``i`` queries ``batch.guids[guid_idx[i]]``
         from AS ``sources[i]``.
 
-        ``availability`` is either a failure model exposing
-        ``lookup_outcome(asn, guid)`` / ``is_down(asn)`` (as in
-        :mod:`repro.validation.scenarios`) or a bare probe callable; it
-        must be deterministic per (AS, GUID) so batch evaluation order
-        cannot change outcomes.  ``n_jobs`` processes share the Dijkstra
-        rows of the path cells (:meth:`Router.pair_paths`); the walk runs
-        in this process, and results are the same for every ``n_jobs``.
+        ``failure_model`` is the resolver's: its ``lookup_outcome(asn,
+        guid)`` fates each global contact and its ``is_down(asn)`` the
+        querier's local branch.  It must be deterministic per (AS, GUID)
+        so batch evaluation order cannot change outcomes.  ``n_jobs``
+        processes share the Dijkstra rows of the path cells
+        (:meth:`Router.pair_paths`); the walk runs in this process, and
+        results are the same for every ``n_jobs``.
         ``issued_at`` stamps each lookup's issue time onto its emitted
         trace (tracing only; the arithmetic itself is time-free).
 
@@ -327,9 +312,6 @@ class FastpathEngine:
         if guid_idx.shape != sources.shape or guid_idx.ndim != 1:
             raise ConfigurationError("guid_idx and sources must be 1-D and aligned")
         sweep = self._sweep(batch, k_values)
-        model = availability
-        if model is not None and not hasattr(model, "lookup_outcome"):
-            model = _ProbeAdapter(model)
         n = len(guid_idx)
         tracing = self.tracer.enabled
         traces_by_k: Dict[int, List[QueryTrace]] = {k: [] for k in sweep}
@@ -348,7 +330,7 @@ class FastpathEngine:
         path, hop_path = self._path_cells(
             batch, guid_idx, sources, self.selection_policy == "hops", n_jobs
         )
-        local_end, down = self._local_branches(sources, model)
+        local_end, down = self._local_branches(sources, failure_model)
         results = {k: BatchLookupResult.empty(n) for k in sweep}
         for start in range(0, n, WALK_ROWS):
             rows = slice(start, min(start + WALK_ROWS, n))
@@ -360,8 +342,8 @@ class FastpathEngine:
             )
             outcome = (
                 np.full(s_cand.shape, _HIT, dtype=np.int8)
-                if model is None
-                else self._outcome_matrix(batch, gidx, s_cand, model)
+                if failure_model is None
+                else self._outcome_matrix(batch, gidx, s_cand, failure_model)
             )
             has_local = ~down[rows] & (batch.local_asns[gidx] == src)
             for k in sweep:
@@ -426,7 +408,7 @@ class FastpathEngine:
         return router.pair_paths(src_idx, cand_idx, n_jobs=n_jobs), None
 
     def _local_branches(
-        self, sources: np.ndarray, model=None
+        self, sources: np.ndarray, model: Optional[FailureModel] = None
     ) -> Tuple[np.ndarray, np.ndarray]:
         """``(local_end, down)`` per row: when the querier's §III-C local
         reply (or its timer) lands, and whether the querier's own service
@@ -634,7 +616,7 @@ class FastpathEngine:
         batch: GuidBatch,
         gidx: np.ndarray,
         cand: np.ndarray,
-        model,
+        model: FailureModel,
     ) -> np.ndarray:
         """Outcome codes per (row, replica), memoized per (AS, GUID)."""
         m, k = cand.shape
@@ -651,7 +633,7 @@ class FastpathEngine:
                     cached = _OUTCOME_CODES.get(raw)
                     if cached is None:
                         raise ConfigurationError(
-                            f"probe returned unknown outcome {raw!r}"
+                            f"failure model returned unknown outcome {raw!r}"
                         )
                     memo[(asn, gi)] = cached
                 out[r, c] = cached

@@ -29,7 +29,7 @@ from ..core.guid import GUID, NetworkAddress, guid_like
 from ..core.replication import ReplicaSelector
 from ..core.resolver import adaptive_timeout_ms
 from ..errors import ClusterError, LookupFailedError, WireProtocolError, WriteFailedError
-from ..hashing.rehash import HashResolution, Placer
+from ..hashing.rehash import Placer
 from ..obs.counters import MetricsRegistry
 from ..obs.trace import (
     FAILURE_EXHAUSTED,
@@ -250,7 +250,6 @@ class DMapClient:
         """
         guid = guid_like(guid)
         trace_id = self._next_trace_id()
-        tracing = self.tracer.enabled
         resolutions = self.placer.resolve_all(guid)
         chains = [res.asn for res in resolutions]
 
@@ -286,22 +285,34 @@ class DMapClient:
 
         rtt_ms = self.shaper.virtual_ms(loop.time() - started)
         self._count("net.client.lookups")
+        if self.tracer.enabled:
+            placement = placement_records(resolutions)
+            self.tracer.record(
+                QueryTrace(
+                    guid_value=guid.value,
+                    source_asn=source_asn,
+                    issued_at=issued_at,
+                    k=len(placement),
+                    placement=placement,
+                    attempts=tuple(attempts_log),
+                    # The live client runs no §III-C local branch (the
+                    # cluster has no node at arbitrary querier ASs).
+                    local_launched=False,
+                    local_outcome=None,
+                    local_end_ms=None,
+                    used_local=False,
+                    served_by=None if winner is None else winner.served_by,
+                    rtt_ms=rtt_ms,
+                    success=winner is not None,
+                    failure_cause=None if winner is not None else FAILURE_EXHAUSTED,
+                )
+            )
         if winner is None:
             self._count("net.client.lookup_failures")
-            if tracing:
-                self._emit_trace(
-                    guid, source_asn, issued_at, resolutions, attempts_log,
-                    None, rtt_ms, FAILURE_EXHAUSTED,
-                )
             raise LookupFailedError(guid, rtt_ms, len(attempts_log))
         self.registry.histogram(
             "net.client.rtt_ms", "wire lookup RTT (virtual ms)"
         ).observe(rtt_ms)
-        if tracing:
-            self._emit_trace(
-                guid, source_asn, issued_at, resolutions, attempts_log,
-                winner.served_by, rtt_ms, None,
-            )
         return LiveLookupResult(
             guid_value=guid.value,
             locators=winner.locators,
@@ -310,39 +321,6 @@ class DMapClient:
             rtt_ms=rtt_ms,
             attempts=tuple(attempts_log),
             trace_id=trace_id,
-        )
-
-    def _emit_trace(
-        self,
-        guid: GUID,
-        source_asn: int,
-        issued_at: float,
-        resolutions: Sequence[HashResolution],
-        attempts_log: List[AttemptTrace],
-        served_by: Optional[int],
-        rtt_ms: float,
-        failure_cause: Optional[str],
-    ) -> None:
-        placement = placement_records(resolutions)
-        self.tracer.record(
-            QueryTrace(
-                guid_value=guid.value,
-                source_asn=source_asn,
-                issued_at=issued_at,
-                k=len(placement),
-                placement=placement,
-                attempts=tuple(attempts_log),
-                # The live client runs no §III-C local branch (the
-                # cluster has no node at arbitrary querier ASs).
-                local_launched=False,
-                local_outcome=None,
-                local_end_ms=None,
-                used_local=False,
-                served_by=served_by,
-                rtt_ms=rtt_ms,
-                success=failure_cause is None,
-                failure_cause=failure_cause,
-            )
         )
 
     # ------------------------------------------------------------------

@@ -18,7 +18,7 @@ memory for tests and experiment drivers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Iterable, List, NamedTuple, Optional, Tuple
 
 if TYPE_CHECKING:
     from ..hashing.rehash import HashResolution
@@ -55,13 +55,13 @@ class PlacementRecord:
     via_deputy: bool
 
 
-@dataclass(frozen=True)
-class AttemptTrace:
+class AttemptTrace(NamedTuple):
     """One contact with a global replica during the best-first walk.
 
     ``hash_index`` is the first replica-chain index (0..K-1) that placed
     this AS — duplicate chains landing in one AS are a single queryable
-    host, so the walk contacts it once.
+    host, so the walk contacts it once.  A named tuple: the scalar
+    resolver builds one per attempt on its hot path.
     """
 
     asn: int

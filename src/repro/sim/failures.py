@@ -1,4 +1,7 @@
-"""Failure injection for the discrete-event simulation.
+"""Failure injection for every engine (resolver, fastpath, DES).
+
+The base :class:`FailureModel` (everything works) lives in
+:mod:`repro.core.resolver` and is re-exported here.
 
 Two failure classes from the paper:
 
@@ -20,26 +23,8 @@ from typing import Iterable, Sequence, Set
 import numpy as np
 
 from ..core.guid import GUID
-from ..core.resolver import OUTCOME_HIT, OUTCOME_MISSING, OUTCOME_TIMEOUT
+from ..core.resolver import FailureModel, OUTCOME_HIT, OUTCOME_MISSING, OUTCOME_TIMEOUT
 from ..errors import ConfigurationError
-
-
-class FailureModel:
-    """Base failure model: everything works."""
-
-    def lookup_outcome(self, asn: int, guid: GUID) -> str:
-        """Fate of a lookup arriving at a *global* replica of ``guid``.
-
-        One of :data:`~repro.core.resolver.OUTCOME_HIT`,
-        ``OUTCOME_MISSING`` or ``OUTCOME_TIMEOUT``.  Local-replica reads
-        are not subject to churn staleness (the querier shares the AS and
-        thus the BGP view) but do honour :meth:`is_down`.
-        """
-        return OUTCOME_HIT
-
-    def is_down(self, asn: int) -> bool:
-        """Whether the AS's mapping service is unresponsive."""
-        return False
 
 
 class ChurnFailureModel(FailureModel):

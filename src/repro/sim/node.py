@@ -2,9 +2,9 @@
 
 Each AS runs DMap "at a separate compute layer at the gateway router"
 (§IV-B): it stores the mapping replicas hashed to its announced space and
-answers INSERT / LOOKUP / MIGRATE messages.  Request handling is
-charged a configurable processing delay (the paper argues queueing and
-processing are negligible next to the network round trip and uses ~0).
+answers INSERT / LOOKUP / MIGRATE messages.  Requests are served the
+moment they arrive: the paper argues queueing and processing are
+negligible next to the network round trip.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from ..core.guid import GUID
 from ..core.mapping import MappingEntry, MappingStore
 from ..core.resolver import OUTCOME_HIT, OUTCOME_TIMEOUT
 from ..errors import SimulationError
-from .engine import Simulator
 from .failures import FailureModel
 from .network import Message, MessageKind, Network
 
@@ -37,18 +36,12 @@ class ASNode:
     def __init__(
         self,
         asn: int,
-        simulator: Simulator,
         network: Network,
         failure_model: FailureModel,
-        processing_ms: float = 0.0,
     ) -> None:
-        if processing_ms < 0:
-            raise SimulationError("processing_ms must be non-negative")
         self.asn = asn
-        self.simulator = simulator
         self.network = network
         self.failure_model = failure_model
-        self.processing_ms = processing_ms
         self.store = MappingStore(owner_asn=asn)
         self.response_sink: Optional[Callable[[Message], None]] = None
         #: Called with (asn, guid) after a genuine miss — lets the
@@ -71,12 +64,6 @@ class ASNode:
             return
         if self.failure_model.is_down(self.asn):
             return  # dead router: requests vanish, requester times out
-        if self.processing_ms > 0:
-            self.simulator.schedule(self.processing_ms, lambda: self._serve(message))
-        else:
-            self._serve(message)
-
-    def _serve(self, message: Message) -> None:
         if message.kind is MessageKind.INSERT:
             self._serve_insert(message)
         elif message.kind is MessageKind.LOOKUP:

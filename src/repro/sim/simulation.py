@@ -21,8 +21,8 @@ from ..core.mapping import MappingEntry
 from ..core.replication import ReplicaSelector
 from ..core.resolver import DEFAULT_TIMEOUT_MS
 from ..errors import ConfigurationError, SimulationError
-from ..hashing.hashers import HashFamily, Sha256Hasher
-from ..hashing.rehash import DEFAULT_MAX_REHASHES, GuidPlacer, Placer
+from ..hashing.hashers import Sha256Hasher
+from ..hashing.rehash import GuidPlacer, Placer
 from ..obs.trace import (
     FAILURE_EXHAUSTED,
     NULL_TRACER,
@@ -171,7 +171,8 @@ class _PendingLookup:
         # Adaptive timeout: the gateway already estimates the response
         # time to rank replicas, so it won't declare a replica dead before
         # twice its expected round trip (matters for the pathological
-        # high-latency stub ASs driving the paper's CDF tail).
+        # high-latency stub ASs driving the paper's CDF tail).  An inline
+        # twin of the resolver's ``adaptive_timeout_ms``.
         timeout = max(sim.timeout_ms, 2.0 * sim.router.rtt_ms(self.source_asn, target))
         self.timeout_handle = sim.simulator.schedule(
             timeout, lambda: self._on_timeout(request_id)
@@ -339,13 +340,10 @@ class DMapSimulation:
         topology: ASTopology,
         table: GlobalPrefixTable,
         k: int = 5,
-        hash_family: Optional[HashFamily] = None,
         selection_policy: str = "latency",
         local_replica: bool = True,
-        max_rehashes: int = DEFAULT_MAX_REHASHES,
         timeout_ms: float = DEFAULT_TIMEOUT_MS,
         failure_model: Optional[FailureModel] = None,
-        processing_ms: float = 0.0,
         router: Optional[Router] = None,
         seed: int = 0,
         placer: Optional[Placer] = None,
@@ -356,8 +354,9 @@ class DMapSimulation:
         self.topology = topology
         self.table = table
         self.router = router or Router(topology)
-        self.hash_family = hash_family or Sha256Hasher(k, address_bits=table.bits)
-        self.placer = placer or GuidPlacer(self.hash_family, table, max_rehashes)
+        self.placer = placer or GuidPlacer(
+            Sha256Hasher(k, address_bits=table.bits), table
+        )
         self.selector = ReplicaSelector(
             self.router, selection_policy, np.random.default_rng(seed)
         )
@@ -371,9 +370,7 @@ class DMapSimulation:
         self.network = Network(self.simulator, self.router)
         self.nodes: Dict[int, ASNode] = {}
         for asn in topology.asns():
-            node = ASNode(
-                asn, self.simulator, self.network, self.failure_model, processing_ms
-            )
+            node = ASNode(asn, self.network, self.failure_model)
             node.response_sink = self._dispatch_response
             self.nodes[asn] = node
 
@@ -554,10 +551,10 @@ class DMapSimulation:
             # Guard the local branch with the same adaptive timeout the
             # global walk uses: if the querier's own AS is down the local
             # request vanishes, and without this timer the lookup would
-            # stay pending forever.
+            # stay pending forever.  An inline twin of the resolver's
+            # ``local_branch_end_ms``, kept so the DES stays independent.
             local_timeout = max(
-                self.timeout_ms,
-                2.0 * self.router.rtt_ms(source_asn, source_asn),
+                self.timeout_ms, 2.0 * self.router.intra_ms(source_asn)
             )
             pending.local_timeout_handle = self.simulator.schedule(
                 local_timeout, pending._on_local_timeout

@@ -309,32 +309,6 @@ class ASTopology:
             [self._info[asn].endnodes for asn in self._asns], dtype=np.float64
         )
 
-    def to_networkx(self):
-        """Export as a :class:`networkx.Graph` (nodes keyed by ASN).
-
-        networkx is not a runtime dependency; install it directly or with
-        the ``test`` extra (``pip install "repro[test]"``).
-        """
-        try:
-            import networkx as nx
-        except ImportError as exc:
-            raise ImportError(
-                "ASTopology.to_networkx needs networkx, which is not a "
-                'runtime dependency: pip install networkx (or "repro[test]")'
-            ) from exc
-
-        graph = nx.Graph()
-        for asn, info in self._info.items():
-            graph.add_node(
-                asn,
-                tier=int(info.tier),
-                intra_latency_ms=info.intra_latency_ms,
-                endnodes=info.endnodes,
-            )
-        for link in self.links():
-            graph.add_edge(link.a, link.b, latency_ms=link.latency_ms)
-        return graph
-
     def validate(self) -> None:
         """Check structural invariants; raises :class:`TopologyError`.
 

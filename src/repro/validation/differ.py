@@ -172,7 +172,6 @@ def run_analytic(scenario: Scenario) -> PathResult:
         placer=scenario.make_placer(table),
         tracer=tracer,
     )
-    availability = scenario.availability
     lookups: Dict[float, LookupOutcome] = {}
     write_rtts: Dict[float, float] = {}
     for op in scenario.trace:
@@ -195,8 +194,7 @@ def run_analytic(scenario: Scenario) -> PathResult:
                 found = resolver.lookup(
                     GUID(op.guid_value),
                     op.asn,
-                    probe=availability.lookup_outcome,
-                    is_down=availability.is_down,
+                    failure_model=scenario.availability,
                     time=op.at,
                 )
                 lookups[op.at] = LookupOutcome(
@@ -550,7 +548,7 @@ def run_fastpath(
                 [write_order[op.guid_value] for op in lookup_ops], dtype=np.int64
             ),
             np.asarray([op.asn for op in lookup_ops], dtype=np.int64),
-            availability=scenario.availability,
+            failure_model=scenario.availability,
             issued_at=np.asarray([op.at for op in lookup_ops], dtype=np.float64),
         )
         for i, op in enumerate(lookup_ops):

@@ -27,6 +27,7 @@ import numpy as np
 
 from ..bgp.table import GlobalPrefixTable
 from ..core.guid import GUID, NetworkAddress
+from ..core.resolver import FailureModel
 from ..errors import LookupFailedError, WorkloadError
 from ..topology.graph import ASTopology
 from .popularity import MandelbrotZipf, PAPER_ALPHA, PAPER_Q
@@ -147,9 +148,8 @@ class Workload:
         self,
         resolver,
         table: GlobalPrefixTable,
-        probe=None,
+        failure_model: Optional[FailureModel] = None,
         max_retry_rounds: int = 20,
-        group_by_source: bool = True,
         attempt_counts: Optional[List[int]] = None,
     ) -> List[float]:
         """Execute the stream on an instant-mode
@@ -159,32 +159,30 @@ class Workload:
         arithmetic to the event simulation (cross-checked in tests), but
         without per-message event scheduling overhead.
 
-        When every replica fails a lookup (possible under injected churn),
-        the querier retries the whole replica set, carrying the time
-        already spent — the §III-D.2 "keep checking" behaviour — up to
+        ``failure_model`` is passed to every lookup.  When every replica
+        fails a lookup (possible under injected churn), the querier
+        retries the whole replica set, carrying the time already spent —
+        the §III-D.2 "keep checking" behaviour — up to
         ``max_retry_rounds`` rounds.
 
-        ``group_by_source`` processes events grouped by (phase, source AS)
-        instead of strict time order.  Instant-mode execution is
-        order-independent within a phase (inserts all precede lookups, and
-        lookups mutate nothing), so the RTT multiset is unchanged — but
-        each source's routing row is computed once instead of being evicted
-        and recomputed, which is what makes the paper-scale run (26k ASs,
-        10^6 lookups) tractable.
+        Events run grouped by (phase, source AS) rather than in strict
+        time order.  Instant-mode execution is order-independent within a
+        phase (inserts all precede lookups, and lookups mutate nothing),
+        so the RTT multiset is unchanged — but each source's routing row
+        is computed once instead of being evicted and recomputed, which is
+        what makes the paper-scale run (26k ASs, 10^6 lookups) tractable.
 
         ``attempt_counts``, when given, receives the number of replicas
         each lookup contacted across all its retry rounds, in the order
         of the returned RTTs.
         """
-        events = self.events
-        if group_by_source:
-            # A stable sort of the events by (is lookup, source AS, time).
-            a = self.arrays
-            order = np.concatenate([
-                np.lexsort((self.insert_times, a.local_asns)),
-                len(a.guids) + np.lexsort((a.issued_at, a.sources)),
-            ])
-            events = [events[i] for i in order.tolist()]
+        # A stable sort of the events by (is lookup, source AS, time).
+        a = self.arrays
+        order = np.concatenate([
+            np.lexsort((self.insert_times, a.local_asns)),
+            len(a.guids) + np.lexsort((a.issued_at, a.sources)),
+        ])
+        events = [self.events[i] for i in order.tolist()]
         rtts: List[float] = []
         for event in events:
             if event.kind is EventKind.LOOKUP:
@@ -195,7 +193,7 @@ class Workload:
                         result = resolver.lookup(
                             event.guid,
                             event.source_asn,
-                            probe=probe,
+                            failure_model=failure_model,
                             time=event.time_ms,
                         )
                         break

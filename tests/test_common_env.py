@@ -292,7 +292,11 @@ class TestWorkloadGroupingEquivalence:
         """Grouping by source is a pure performance optimization: the RTT
         multiset must be identical to strict time-order execution."""
         from repro.core.resolver import DMapResolver
-        from repro.workload.generator import WorkloadConfig, WorkloadGenerator
+        from repro.workload.generator import (
+            EventKind,
+            WorkloadConfig,
+            WorkloadGenerator,
+        )
 
         workload = WorkloadGenerator(
             topology, WorkloadConfig(n_guids=60, n_lookups=400, seed=8)
@@ -302,11 +306,14 @@ class TestWorkloadGroupingEquivalence:
         ).generate()
 
         r1 = DMapResolver(base_table, router, k=5)
-        r2 = DMapResolver(base_table, router, k=5)
-        in_order = workload.run_through_resolver(
-            r1, base_table, group_by_source=False
-        )
+        in_order = []
+        for event in workload.events:  # strict time order
+            if event.kind is EventKind.LOOKUP:
+                in_order.append(r1.lookup(event.guid, event.source_asn).rtt_ms)
+            else:
+                locator = base_table.representative_address(event.source_asn)
+                r1.insert(event.guid, [locator], event.source_asn)
         by_source = grouped.run_through_resolver(
-            r2, base_table, group_by_source=True
+            DMapResolver(base_table, router, k=5), base_table
         )
         assert sorted(in_order) == pytest.approx(sorted(by_source))

@@ -158,14 +158,14 @@ class TestMinimalDisruption:
         affected = set()
         for g in guids:
             for idx in range(5):
-                value = resolver.hash_family.hash_one(g, idx)
+                value = resolver.placer.hash_family.hash_one(g, idx)
                 for _attempt in range(resolver.placer.max_rehashes):
                     if prefix.contains(value):
                         affected.add((g, idx))
                         break
                     if table.resolve(value) is not None:
                         break
-                    value = resolver.hash_family.rehash(value, idx)
+                    value = resolver.placer.hash_family.rehash(value, idx)
 
         prepare_withdrawal(resolver, prefix)
         after = {g: resolver.placer.hosting_asns(g) for g in guids}

@@ -1,10 +1,17 @@
 """Tests for the failure-injection models."""
 
+import numpy as np
 import pytest
 
 from repro.core.guid import GUID
-from repro.core.resolver import OUTCOME_HIT, OUTCOME_MISSING, OUTCOME_TIMEOUT
-from repro.errors import ConfigurationError
+from repro.core.resolver import (
+    OUTCOME_HIT,
+    OUTCOME_MISSING,
+    OUTCOME_TIMEOUT,
+    DMapResolver,
+)
+from repro.errors import ConfigurationError, LookupFailedError
+from repro.fastpath import FastpathEngine
 from repro.sim.failures import (
     ChurnFailureModel,
     CompositeFailureModel,
@@ -259,3 +266,73 @@ class TestTracedFailureRuns:
         assert sum(report["orphaned_mapping_hits"]["values"].values()) == misses
         failed = [t for t in tracer.traces if not t.success]
         assert len(failed) == len(sim.metrics.failed)
+
+
+class TestOneModelAcrossEngines:
+    """One failure-model object, passed unchanged to the resolver, the
+    fastpath and the DES, gives every query the same server and the same
+    number of replica attempts in all three."""
+
+    def test_down_querier_same_walk_in_every_engine(
+        self, topology, base_table, router, asns, rng
+    ):
+        from repro.sim.simulation import DMapSimulation
+
+        down = [int(a) for a in asns[: len(asns) // 4]]
+        down_src = down[0]
+        up = [int(a) for a in asns if int(a) not in set(down)]
+        model = RouterFailureModel(down)
+        guids = [GUID.from_name(f"one-model-{i}") for i in range(30)]
+        # Five GUIDs live at the down querier: its local copy is there,
+        # but the down service swallows the local request.
+        homes = [down_src] * 5 + [int(rng.choice(up)) for _ in guids[5:]]
+        # A third of the lookups come from the down querier, a third from
+        # the GUID's home (a local copy to race), a third from anywhere.
+        lookups = []
+        for i in range(90):
+            g = i % len(guids)
+            lookups.append((g, (down_src, homes[g], int(rng.choice(asns)))[i % 3]))
+        issued = [60_000.0 + 10.0 * i for i in range(len(lookups))]
+
+        resolver = DMapResolver(base_table, router, k=5)
+        sim = DMapSimulation(
+            topology, base_table, k=5, router=router, failure_model=model
+        )
+        for guid, home in zip(guids, homes):
+            locator = base_table.representative_address(home)
+            resolver.insert(guid, [locator], home)
+            sim.schedule_insert(guid, [locator], home, at=0.0)
+        scalar = []
+        for (g, src), at in zip(lookups, issued):
+            sim.schedule_lookup(guids[g], src, at=at)
+            try:
+                found = resolver.lookup(guids[g], src, model)
+                scalar.append(
+                    (found.served_by, len(found.attempts), found.used_local)
+                )
+            except LookupFailedError as exc:
+                scalar.append((None, exc.attempts, False))
+        sim.run()
+        engine = FastpathEngine.from_resolver(resolver)
+        fast = engine.lookup_batch(
+            engine.index_guids(guids, homes),
+            np.array([g for g, _ in lookups]),
+            np.array([src for _, src in lookups]),
+            failure_model=model,
+        )
+        des = {record.issued_at: record for record in sim.metrics.records}
+
+        assert len(des) == len(lookups)
+        for i, (served_by, attempts, _) in enumerate(scalar):
+            assert (des[issued[i]].served_by, des[issued[i]].attempts) == (
+                served_by,
+                attempts,
+            )
+            fast_served = int(fast.served_by[i]) if fast.success[i] else None
+            assert (fast_served, int(fast.attempts[i])) == (served_by, attempts)
+        # The run covers what it claims: the down querier is served by a
+        # live replica, some walks time out first, some local copies win.
+        from_down = [r for (_, src), r in zip(lookups, scalar) if src == down_src]
+        assert all(served not in (None, down_src) for served, _, _ in from_down)
+        assert any(attempts > 1 for _, attempts, _ in scalar)
+        assert any(used_local for _, _, used_local in scalar)

@@ -19,6 +19,7 @@ from repro.core.resolver import (
     OUTCOME_MISSING,
     OUTCOME_TIMEOUT,
     DMapResolver,
+    FailureModel,
 )
 from repro.errors import ConfigurationError, LookupFailedError
 from repro.fastpath import (
@@ -33,6 +34,7 @@ from repro.hashing.hashers import FastHasher, HashFamily, Sha256Hasher
 from repro.hashing.rehash import GuidPlacer
 from repro.obs.export import dumps_traces
 from repro.obs.trace import CollectingTracer
+from repro.sim.failures import ChurnFailureModel, RouterFailureModel
 from repro.topology import routing
 from repro.topology.routing import Router
 from repro.workload.generator import WorkloadConfig, WorkloadGenerator
@@ -82,12 +84,12 @@ def _deploy(base_table, router, asns, *, k=5, policy="latency", local=True,
 
 
 def _assert_lookup_parity(resolver, result, guids, guid_idx, sources,
-                          probe=None, is_down=None):
+                          failure_model=None):
     """Row-by-row comparison against the scalar walk (exact equality)."""
     for i in range(len(guid_idx)):
         g, src = guids[int(guid_idx[i])], int(sources[i])
         try:
-            scalar = resolver.lookup(g, src, probe=probe, is_down=is_down)
+            scalar = resolver.lookup(g, src, failure_model)
         except LookupFailedError as exc:
             assert not result.success[i]
             assert result.served_by[i] == -1
@@ -168,7 +170,7 @@ class TestFailureFreeEquivalence:
 # ----------------------------------------------------------------------
 # Availability lane (churn staleness, dead replicas, dead queriers)
 # ----------------------------------------------------------------------
-class _Model:
+class _Model(FailureModel):
     """Deterministic per-(AS, GUID) availability — a pure function."""
 
     def __init__(self, down_asns=()):
@@ -192,10 +194,10 @@ class TestAvailabilityEquivalence:
             base_table, router, asns, seed=404
         )
         model = _Model()
-        result = engine.lookup_batch(batch, gidx, srcs, availability=model)
+        result = engine.lookup_batch(batch, gidx, srcs, failure_model=model)
         _assert_lookup_parity(
             resolver, result, guids, gidx, srcs,
-            probe=model.lookup_outcome, is_down=model.is_down,
+            failure_model=model,
         )
 
     def test_dead_querier_local_timeout(self, base_table, router, asns):
@@ -203,21 +205,21 @@ class TestAvailabilityEquivalence:
             base_table, router, asns, seed=505
         )
         model = _Model(down_asns=srcs[:40])
-        result = engine.lookup_batch(batch, gidx, srcs, availability=model)
+        result = engine.lookup_batch(batch, gidx, srcs, failure_model=model)
         _assert_lookup_parity(
             resolver, result, guids, gidx, srcs,
-            probe=model.lookup_outcome, is_down=model.is_down,
+            failure_model=model,
         )
 
     def test_total_failure_without_local(self, base_table, router, asns):
         resolver, engine, batch, gidx, srcs, guids = _deploy(
             base_table, router, asns, local=False, seed=606
         )
-        dead = lambda asn, guid: OUTCOME_TIMEOUT  # noqa: E731
-        result = engine.lookup_batch(batch, gidx, srcs, availability=dead)
+        dead = RouterFailureModel(asns)
+        result = engine.lookup_batch(batch, gidx, srcs, failure_model=dead)
         assert not result.success.any()
         assert (result.served_by == -1).all()
-        _assert_lookup_parity(resolver, result, guids, gidx, srcs, probe=dead)
+        _assert_lookup_parity(resolver, result, guids, gidx, srcs, dead)
 
     def test_local_fallback_after_failed_walk(self, base_table, router, asns):
         resolver, engine, batch, gidx, srcs, guids = _deploy(
@@ -227,22 +229,22 @@ class TestAvailabilityEquivalence:
         # the §III-C fallback branch is guaranteed to be exercised.
         srcs = srcs.copy()
         srcs[::2] = batch.local_asns[gidx[::2]]
-        missing = lambda asn, guid: OUTCOME_MISSING  # noqa: E731
-        result = engine.lookup_batch(batch, gidx, srcs, availability=missing)
-        _assert_lookup_parity(resolver, result, guids, gidx, srcs, probe=missing)
+        missing = ChurnFailureModel(1.0)
+        result = engine.lookup_batch(batch, gidx, srcs, failure_model=missing)
+        _assert_lookup_parity(resolver, result, guids, gidx, srcs, missing)
         assert result.used_local.any()
 
-    def test_bare_probe_is_adapted(self, base_table, router, asns):
+    def test_unknown_outcome_rejected(self, base_table, router, asns):
         _, engine, batch, gidx, srcs, _ = _deploy(
             base_table, router, asns, seed=808
         )
-        model = _Model()
-        as_model = engine.lookup_batch(batch, gidx, srcs, availability=model)
-        as_probe = engine.lookup_batch(
-            batch, gidx, srcs, availability=model.lookup_outcome
-        )
-        assert np.array_equal(as_model.rtt_ms, as_probe.rtt_ms)
-        assert np.array_equal(as_model.attempts, as_probe.attempts)
+
+        class Garbled(FailureModel):
+            def lookup_outcome(self, asn, guid):
+                return "garbled"
+
+        with pytest.raises(ConfigurationError, match="unknown outcome 'garbled'"):
+            engine.lookup_batch(batch, gidx, srcs, failure_model=Garbled())
 
 
 # ----------------------------------------------------------------------
@@ -308,9 +310,9 @@ class TestShardedRunner:
             base_table, router, asns, seed=121
         )
         model = _Model(down_asns=asns[:10])
-        serial = engine.lookup_batch(batch, gidx, srcs, availability=model)
+        serial = engine.lookup_batch(batch, gidx, srcs, failure_model=model)
         sharded = engine.lookup_batch(
-            batch, gidx, srcs, availability=model, n_jobs=2
+            batch, gidx, srcs, failure_model=model, n_jobs=2
         )
         _assert_same_result(serial, sharded)
         assert (serial.attempts > 1).any()
@@ -427,7 +429,7 @@ class TestKSweep:
             base_table, router, asns, policy=policy, local=local, seed=161
         )
         sweep = engine.lookup_batch(
-            batch, gidx, srcs, availability=model, k_values=self.K_VALUES
+            batch, gidx, srcs, failure_model=model, k_values=self.K_VALUES
         )
         assert list(sweep) == list(self.K_VALUES)
         for k in self.K_VALUES:
@@ -436,12 +438,12 @@ class TestKSweep:
                 seed=161,
             )
             _assert_same_result(
-                sweep[k], engine_k.lookup_batch(batch_k, gidx, srcs, availability=model)
+                sweep[k],
+                engine_k.lookup_batch(batch_k, gidx, srcs, failure_model=model),
             )
             _assert_lookup_parity(
                 resolver, sweep[k], guids, gidx, srcs,
-                probe=None if model is None else model.lookup_outcome,
-                is_down=None if model is None else model.is_down,
+                failure_model=model,
             )
 
     @pytest.mark.parametrize("scheme", SCHEMES)
@@ -492,7 +494,7 @@ class TestKSweep:
         _, engine, batch, gidx, srcs, _ = _deploy(base_table, router, asns, seed=201)
         engine.tracer = CollectingTracer()
         engine.lookup_batch(
-            batch, gidx, srcs, availability=model, k_values=self.K_VALUES
+            batch, gidx, srcs, failure_model=model, k_values=self.K_VALUES
         )
         per_k = []
         for k in self.K_VALUES:
@@ -500,7 +502,7 @@ class TestKSweep:
                 base_table, router, asns, k=k, seed=201
             )
             engine_k.tracer = CollectingTracer()
-            engine_k.lookup_batch(batch_k, gidx, srcs, availability=model)
+            engine_k.lookup_batch(batch_k, gidx, srcs, failure_model=model)
             per_k.extend(engine_k.tracer.traces)
         assert dumps_traces(engine.tracer.traces) == dumps_traces(per_k)
 
@@ -524,7 +526,7 @@ class TestWalkSlices:
         gidx = rng.integers(0, N_GUIDS, size=len(srcs))
         engine.tracer = CollectingTracer()
         sweep = engine.lookup_batch(
-            batch, gidx, srcs, availability=model, k_values=k_values
+            batch, gidx, srcs, failure_model=model, k_values=k_values
         )
         scalar_traces = []
         for k in k_values:
@@ -534,7 +536,7 @@ class TestWalkSlices:
             resolver.tracer = CollectingTracer()
             _assert_lookup_parity(
                 resolver, sweep[k], guids, gidx, srcs,
-                probe=model.lookup_outcome, is_down=model.is_down,
+                failure_model=model,
             )
             scalar_traces.extend(resolver.tracer.traces)
         assert sweep[5].used_local.any()

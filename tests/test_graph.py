@@ -145,19 +145,3 @@ class TestValidation:
         topo.add_as(ASInfo(4))
         with pytest.raises(TopologyError, match="disconnected"):
             topo.validate()
-
-
-class TestNetworkxExport:
-    def test_roundtrip_structure(self):
-        graph = simple_topology().to_networkx()
-        assert graph.number_of_nodes() == 3
-        assert graph.number_of_edges() == 2
-        assert graph.nodes[2]["tier"] == int(ASTier.TRANSIT)
-        assert graph.edges[1, 2]["latency_ms"] == 5.0
-
-    def test_missing_networkx_names_the_extra(self, monkeypatch):
-        import sys
-
-        monkeypatch.setitem(sys.modules, "networkx", None)
-        with pytest.raises(ImportError, match=r"repro\[test\]"):
-            simple_topology().to_networkx()

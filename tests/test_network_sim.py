@@ -21,7 +21,7 @@ def stack():
     simulator = Simulator()
     network = Network(simulator, router)
     nodes = {
-        asn: ASNode(asn, simulator, network, FailureModel())
+        asn: ASNode(asn, network, FailureModel())
         for asn in topology.asns()
     }
     return simulator, network, router, nodes
@@ -107,7 +107,7 @@ class TestNodeProtocol:
         network = Network(simulator, router)
         failures = RouterFailureModel([3])
         nodes = {
-            asn: ASNode(asn, simulator, network, failures)
+            asn: ASNode(asn, network, failures)
             for asn in topology.asns()
         }
         responses = []
@@ -122,27 +122,9 @@ class TestNodeProtocol:
         simulator.run()
         assert responses == []
 
-    def test_processing_delay_applied(self):
-        topology = line_fixture(n=2, link_ms=10.0, intra_ms=1.0)
-        router = Router(topology)
-        simulator = Simulator()
-        network = Network(simulator, router)
-        node1 = ASNode(1, simulator, network, FailureModel())
-        node2 = ASNode(2, simulator, network, FailureModel(), processing_ms=7.0)
-        acks = []
-        node1.response_sink = acks.append
-        network.send(MessageKind.INSERT, 1, 2, request_id=1, payload=entry())
-        simulator.run()
-        assert simulator.now == pytest.approx(2 * router.one_way_ms(1, 2) + 7.0)
-
     def test_response_without_sink_raises(self, stack):
         simulator, network, _router, nodes = stack
         nodes[2].response_sink = None
         network.send(MessageKind.INSERT_ACK, 1, 2, request_id=1)
         with pytest.raises(SimulationError):
             simulator.run()
-
-    def test_negative_processing_rejected(self, stack):
-        simulator, network, _router, _nodes = stack
-        with pytest.raises(SimulationError):
-            ASNode(99, simulator, network, FailureModel(), processing_ms=-1.0)

@@ -28,6 +28,7 @@ from repro.core.resolver import (
     OUTCOME_MISSING,
     OUTCOME_TIMEOUT,
     DMapResolver,
+    FailureModel,
 )
 from repro.errors import LookupFailedError
 from repro.fastpath.placement import batch_hosting_asns, batch_resolutions
@@ -37,13 +38,16 @@ from repro.obs.export import dumps_trace, trace_from_dict, trace_to_dict
 N_ROUNDS = 200
 
 
-def _mixed_probe(asn, guid):
-    v = (asn * 48271 + int(guid) * 16807) % 8
-    if v == 0:
-        return OUTCOME_TIMEOUT
-    if v < 3:
-        return OUTCOME_MISSING
-    return OUTCOME_HIT
+class _Mixed(FailureModel):
+    """Deterministic per-(AS, GUID) mix of all three outcomes."""
+
+    def lookup_outcome(self, asn, guid):
+        v = (asn * 48271 + int(guid) * 16807) % 8
+        if v == 0:
+            return OUTCOME_TIMEOUT
+        if v < 3:
+            return OUTCOME_MISSING
+        return OUTCOME_HIT
 
 
 @pytest.fixture(scope="module")
@@ -67,7 +71,7 @@ def traced_world(base_table, router, asns):
             resolver.lookup(
                 g,
                 src,
-                probe=_mixed_probe,
+                _Mixed(),
                 time=float(rng.randrange(10**6)),
             )
         except LookupFailedError:

@@ -57,7 +57,7 @@ def _pair(table, router):
     fresh_table = table.copy()
     fresh = DMapResolver(
         fresh_table, router, k=5,
-        placer=_FreshPlacer(reusing.hash_family, fresh_table),
+        placer=_FreshPlacer(reusing.placer.hash_family, fresh_table),
     )
     return reusing, fresh
 

@@ -8,8 +8,8 @@ import pytest
 from repro.core.guid import GUID, NetworkAddress
 from repro.core.mapping import MappingEntry
 from repro.core.resolver import (
-    Attempt,
     DMapResolver,
+    FailureModel,
     LookupResult,
     OUTCOME_HIT,
     OUTCOME_MISSING,
@@ -19,12 +19,24 @@ from repro.core.resolver import (
 )
 from repro.bgp.allocation import AllocationConfig, generate_global_prefix_table
 from repro.errors import ConfigurationError, LookupFailedError, RoutingError
+from repro.obs.trace import AttemptTrace
 from repro.topology.graph import ASInfo, ASTopology
 from repro.topology.routing import Router
 
 
 def locator(table, asn):
     return table.representative_address(asn)
+
+
+class _FailAt(FailureModel):
+    """``outcome`` at the given ASs, a hit everywhere else."""
+
+    def __init__(self, outcome, asns):
+        self.outcome = outcome
+        self.asns = set(asns)
+
+    def lookup_outcome(self, asn, guid):
+        return self.outcome if asn in self.asns else OUTCOME_HIT
 
 
 @pytest.fixture
@@ -137,11 +149,8 @@ class TestLookup:
         )
         first = ordered[0]
 
-        def probe(asn, g):
-            return OUTCOME_MISSING if asn == first else OUTCOME_HIT
-
         clean = resolver.lookup(guid, src)
-        churned = resolver.lookup(guid, src, probe=probe)
+        churned = resolver.lookup(guid, src, _FailAt(OUTCOME_MISSING, [first]))
         if not churned.used_local and len(ordered) > 1:
             # Paid a full round trip to the failed replica, then the next.
             expected = resolver.router.rtt_ms(src, first) + resolver.router.rtt_ms(
@@ -160,10 +169,7 @@ class TestLookup:
         )
         first = ordered[0]
 
-        def probe(asn, g):
-            return OUTCOME_TIMEOUT if asn == first else OUTCOME_HIT
-
-        result = resolver.lookup(guid, src, probe=probe)
+        result = resolver.lookup(guid, src, _FailAt(OUTCOME_TIMEOUT, [first]))
         if not result.used_local and len(ordered) > 1:
             timeout = max(
                 resolver.timeout_ms, 2.0 * resolver.router.rtt_ms(src, first)
@@ -175,12 +181,8 @@ class TestLookup:
         resolver, hosts = populated
         guid = next(iter(hosts))
         src = [a for a in asns if a != hosts[guid]][0]
-
-        def probe(asn, g):
-            return OUTCOME_TIMEOUT
-
         with pytest.raises(LookupFailedError) as exc_info:
-            resolver.lookup(guid, src, probe=probe)
+            resolver.lookup(guid, src, _FailAt(OUTCOME_TIMEOUT, asns))
         unique = list(dict.fromkeys(resolver.placer.hosting_asns(guid)))
         assert exc_info.value.attempts == len(unique)
         expected = sum(
@@ -189,21 +191,17 @@ class TestLookup:
         )
         assert exc_info.value.elapsed_ms == pytest.approx(expected)
 
-    def test_all_down_but_local_saves_it(self, populated):
+    def test_all_down_but_local_saves_it(self, populated, asns):
         resolver, hosts = populated
         guid, home = next(iter(hosts.items()))
-
-        def probe(asn, g):
-            return OUTCOME_TIMEOUT
-
-        result = resolver.lookup(guid, home, probe=probe)
+        result = resolver.lookup(guid, home, _FailAt(OUTCOME_TIMEOUT, asns))
         assert result.used_local
 
     def test_unknown_probe_outcome_rejected(self, populated, asns):
         resolver, hosts = populated
         guid = next(iter(hosts))
         with pytest.raises(ConfigurationError):
-            resolver.lookup(guid, asns[0], probe=lambda a, g: "garbled")
+            resolver.lookup(guid, asns[0], _FailAt("garbled", asns))
 
 
 class TestUpdate:
@@ -252,7 +250,7 @@ class TestRecords:
     fields, in order, that callers unpack and build them by."""
 
     FIELDS = {
-        Attempt: ["asn", "outcome", "cost_ms"],
+        AttemptTrace: ["asn", "hash_index", "outcome", "cost_ms"],
         LookupResult: ["entry", "rtt_ms", "served_by", "attempts", "used_local"],
         WriteResult: ["replica_set", "rtt_ms", "per_replica_rtt_ms"],
     }
@@ -261,7 +259,11 @@ class TestRecords:
         guid = GUID.from_name("recorded")
         write = resolver.insert(guid, [locator(base_table, asns[0])], asns[0])
         found = resolver.lookup(guid, asns[1])
-        return {Attempt: found.attempts[0], LookupResult: found, WriteResult: write}
+        return {
+            AttemptTrace: found.attempts[0],
+            LookupResult: found,
+            WriteResult: write,
+        }
 
     def test_field_names_and_order(self, resolver, base_table, asns):
         for cls, record in self.records(resolver, base_table, asns).items():

@@ -130,7 +130,7 @@ class TestOrphanMigrationRoundTrip:
         sim.run()
 
         assert not sim.metrics.failed
-        k = sim.hash_family.k
+        k = sim.placer.k
         for record in sim.metrics.records:
             assert record.attempts <= k
         # Recapture: the original AS holds the copy again...

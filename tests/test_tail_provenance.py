@@ -21,6 +21,8 @@ import pytest
 from repro.bgp.allocation import AllocationConfig, generate_global_prefix_table
 from repro.core.guid import GUID, NetworkAddress
 from repro.core.resolver import DMapResolver
+from repro.hashing.hashers import Sha256Hasher
+from repro.hashing.rehash import GuidPlacer
 from repro.obs import CollectingTracer
 from repro.obs.export import classify_provenance, tail_provenance_table
 from repro.sim.failures import RouterFailureModel
@@ -136,7 +138,7 @@ class TestDeputyFallbackRegression:
     development and are pinned so the exact Algorithm 1 behaviour —
     every chain needing both rehashes, four of five falling back to the
     deputy — stays locked in.  A 2% announced ratio makes hash misses
-    near-certain; ``max_rehashes=2`` forces the deputy path.
+    near-certain; a placer with ``max_rehashes=2`` forces the deputy path.
     """
 
     TABLE_SEED = 1
@@ -153,9 +155,10 @@ class TestDeputyFallbackRegression:
             seed=self.TABLE_SEED,
         )
         tracer = CollectingTracer()
-        resolver = DMapResolver(
-            table, router, k=5, max_rehashes=2, tracer=tracer
+        placer = GuidPlacer(
+            Sha256Hasher(5, address_bits=table.bits), table, max_rehashes=2
         )
+        resolver = DMapResolver(table, router, placer=placer, tracer=tracer)
         return resolver, tracer
 
     def test_pinned_multi_attempt_deputy_chain(self, sparse_resolver, asns):
@@ -170,13 +173,7 @@ class TestDeputyFallbackRegression:
         first_choice = resolver.selector.order_candidates(source, hosting)[0]
         model = RouterFailureModel([first_choice])
         tracer.clear()
-        result = resolver.lookup(
-            guid,
-            source,
-            probe=model.lookup_outcome,
-            is_down=model.is_down,
-            time=0.0,
-        )
+        result = resolver.lookup(guid, source, model, time=0.0)
 
         (trace,) = tracer.traces
         assert trace.replica_set == self.EXPECTED_REPLICA_SET

@@ -22,6 +22,7 @@ from repro.core.resolver import (
     OUTCOME_MISSING,
     OUTCOME_TIMEOUT,
     DMapResolver,
+    FailureModel,
 )
 from repro.errors import LookupFailedError
 from repro.fastpath import FastpathEngine
@@ -34,7 +35,7 @@ N_GUIDS = 40
 N_LOOKUPS = 150
 
 
-class _Model:
+class _Model(FailureModel):
     """Deterministic per-(AS, GUID) availability — a pure function."""
 
     def __init__(self, down_asns=()):
@@ -81,18 +82,15 @@ def _run_both(base_table, router, asns, *, k=5, local=True, placer=None,
     srcs = rng.choice(asns, size=N_LOOKUPS)
     times = rng.uniform(0.0, 1000.0, size=N_LOOKUPS)
 
-    probe = model.lookup_outcome if model is not None else None
-    is_down = model.is_down if model is not None else None
     for i in range(N_LOOKUPS):
         try:
             resolver.lookup(
-                guids[int(gidx[i])], int(srcs[i]),
-                probe=probe, is_down=is_down, time=float(times[i]),
+                guids[int(gidx[i])], int(srcs[i]), model, time=float(times[i])
             )
         except LookupFailedError:
             pass
     engine.lookup_batch(
-        batch, gidx, srcs, availability=model, n_jobs=n_jobs, issued_at=times
+        batch, gidx, srcs, failure_model=model, n_jobs=n_jobs, issued_at=times
     )
     return scalar_tracer.traces, fast_tracer.traces
 

@@ -5,7 +5,12 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.core.resolver import DMapResolver, OUTCOME_MISSING
+from repro.core.resolver import (
+    DMapResolver,
+    FailureModel,
+    OUTCOME_HIT,
+    OUTCOME_MISSING,
+)
 from repro.errors import WorkloadError
 from repro.sim.failures import ChurnFailureModel
 from repro.workload.generator import (
@@ -142,9 +147,14 @@ class TestExecution:
         # Failure-free RTTs do not depend on the order, so the grouped run
         # returns the in-order RTTs permuted by a stable sort of the
         # lookups by (source AS, issue time).
-        in_order = small_workload.run_through_resolver(
-            DMapResolver(base_table, router, k=3), base_table, group_by_source=False
-        )
+        resolver = DMapResolver(base_table, router, k=3)
+        in_order = []
+        for event in small_workload.events:
+            if event.kind is EventKind.LOOKUP:
+                in_order.append(resolver.lookup(event.guid, event.source_asn).rtt_ms)
+            else:
+                locator = base_table.representative_address(event.source_asn)
+                resolver.insert(event.guid, [locator], event.source_asn)
         grouped = small_workload.run_through_resolver(
             DMapResolver(base_table, router, k=3), base_table
         )
@@ -162,14 +172,16 @@ class TestExecution:
         assert base_table.owner_asn(locator) == small_workload.home_asn[guid]
 
     def test_retry_on_total_failure(self, small_workload, base_table, router):
-        # A probe that fails everything a bounded number of times: each
+        # A model that fails everything a bounded number of times: each
         # failed round's time must be carried into the final RTT.
         resolver = DMapResolver(base_table, router, k=2)
-        calls = {"n": 0}
 
-        def flaky(asn, guid):
-            calls["n"] += 1
-            return OUTCOME_MISSING if calls["n"] <= 2 else "hit"
+        class Flaky(FailureModel):
+            calls = 0
+
+            def lookup_outcome(self, asn, guid):
+                self.calls += 1
+                return OUTCOME_MISSING if self.calls <= 2 else OUTCOME_HIT
 
         # Every insert, then the first lookup alone.
         a = small_workload.arrays
@@ -182,27 +194,29 @@ class TestExecution:
             ),
             small_workload.insert_times,
         )
-        rtts_flaky = tiny.run_through_resolver(resolver, base_table, probe=flaky)
-        calls["n"] = 0
-        rtts_clean = tiny.run_through_resolver(resolver, base_table, probe=None)
+        rtts_flaky = tiny.run_through_resolver(resolver, base_table, Flaky())
+        rtts_clean = tiny.run_through_resolver(resolver, base_table)
         assert rtts_flaky[0] >= rtts_clean[0]
 
     def test_attempt_counts_measure_replicas_contacted(
         self, small_workload, base_table, router
     ):
-        # Every replica contact consults the probe exactly once, including
+        # Every replica contact consults the model exactly once, including
         # contacts in failed rounds that the retry loop repeats.
         resolver = DMapResolver(base_table, router, k=3)
-        model = ChurnFailureModel(0.4, seed=3)
         probed = []
 
-        def probe(asn, guid):
-            probed.append(asn)
-            return model.lookup_outcome(asn, guid)
+        class Recording(ChurnFailureModel):
+            def lookup_outcome(self, asn, guid):
+                probed.append(asn)
+                return super().lookup_outcome(asn, guid)
 
         counts = []
         rtts = small_workload.run_through_resolver(
-            resolver, base_table, probe=probe, attempt_counts=counts
+            resolver,
+            base_table,
+            Recording(0.4, seed=3),
+            attempt_counts=counts,
         )
         assert len(counts) == len(rtts)
         assert sum(counts) == len(probed)
@@ -210,13 +224,9 @@ class TestExecution:
 
     def test_retry_gives_up_eventually(self, small_workload, base_table, router):
         resolver = DMapResolver(base_table, router, k=2, local_replica=False)
-
-        def always_missing(asn, guid):
-            return OUTCOME_MISSING
-
         with pytest.raises(WorkloadError, match="kept failing"):
             small_workload.run_through_resolver(
-                resolver, base_table, probe=always_missing, max_retry_rounds=3
+                resolver, base_table, ChurnFailureModel(1.0), max_retry_rounds=3
             )
 
     def test_apply_to_simulation(self, small_workload, topology, base_table, router):
