@@ -65,6 +65,10 @@ class RoutingError(TopologyError):
     """No route exists between two ASs, or a routing query was invalid."""
 
 
+class WorkerError(DMapError):
+    """A forked worker process exited with a non-zero code."""
+
+
 class SimulationError(DMapError):
     """The discrete-event simulation reached an inconsistent state."""
 

@@ -77,8 +77,9 @@ def main(argv: Optional[list] = None) -> int:
         "--jobs",
         type=int,
         default=None,
-        help="processes that share the fastpath's Dijkstra rows (fig4 only; "
-        "default 0 = every usable CPU; output is the same for any count)",
+        help="processes that share the fastpath's GUID placement and "
+        "Dijkstra rows (fig4 only; default 0 = every usable CPU; output is "
+        "the same for any count)",
     )
     parser.add_argument(
         "--trace",

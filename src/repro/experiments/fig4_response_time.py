@@ -19,11 +19,11 @@ import numpy as np
 
 from ..core.resolver import DMapResolver
 from ..errors import ConfigurationError
-from ..obs.manifest import RunManifest
+from ..obs.manifest import RunManifest, peak_rss_mb
 from ..obs.trace import Tracer
 from ..sim.metrics import LatencySummary, summarize
 from ..sim.simulation import DMapSimulation
-from ..topology.routing import usable_cpus
+from ..workers import usable_cpus
 from ..workload.generator import Workload, WorkloadConfig, WorkloadGenerator
 from .common import Environment, get_environment
 from .reporting import ascii_cdf, format_cdf_table, format_table, percentile_row
@@ -93,11 +93,12 @@ def run_fig4(
     knobs for ablation.  ``engine="fastpath"`` batches the lookup
     pipeline through
     :class:`~repro.fastpath.engine.FastpathEngine` (bit-identical RTTs;
-    ``n_jobs`` processes share its Dijkstra rows, ``0`` meaning every
-    usable CPU, with the same output for any count).  The fastpath
-    sweeps every K in one pass: it places GUIDs once at ``max(k_values)``
-    and evaluates each K on the same (source, host) path cells, so the
-    router computes them once per run rather than once per K.
+    ``n_jobs`` processes share its GUID placement and its Dijkstra rows,
+    ``0`` meaning every usable CPU, with the same output for any count).
+    The fastpath sweeps every K in one pass: it places GUIDs once at
+    ``max(k_values)`` and evaluates each K on the same (source, host)
+    path cells, so the router computes them once per run rather than
+    once per K.
 
     ``trace_path`` writes a canonical JSONL per-query trace file there
     (plus a run manifest at ``<trace_path>.manifest.json``), from which
@@ -186,6 +187,10 @@ def run_fig4(
     # after all); cumulative over the router's life.  ``workers`` is the
     # process count the fastpath spread its rows over.
     manifest.extra["routing"] = {**env.router.cache_stats(), "workers": workers}
+    # The peak RSS of this process and of its largest waited-for child
+    # (a placement or Dijkstra worker: it counts the parent's pages it
+    # shares copy-on-write).
+    manifest.extra["peak_rss_mb"] = peak_rss_mb()
     # Which stored substrate the run used, and whether its set-up loaded
     # it or generated it.
     manifest.extra["substrate"] = {
@@ -219,6 +224,7 @@ def _fastpath_sweep(
     placement's first K columns, which the default placer guarantees.
     """
     from ..fastpath import FastpathEngine
+    from ..fastpath.placement import placement_workers
 
     arrays = workload.lookup_arrays()
     engine = FastpathEngine(
@@ -230,7 +236,10 @@ def _fastpath_sweep(
         tracer=tracer,
     )
     with manifest.phase("placement"):
-        batch = engine.index_guids(arrays.guids, arrays.local_asns)
+        batch = engine.index_guids(arrays.guids, arrays.local_asns, n_jobs=n_jobs)
+    manifest.extra["placement"] = {
+        "workers": placement_workers(len(arrays.guids), n_jobs)
+    }
     with manifest.phase("lookups"):
         results = engine.lookup_batch(
             batch,

@@ -13,8 +13,9 @@ arrays:
   selection as a row-wise stable sort over (source, candidate) path
   cells from one ``Router.pair_paths`` call, with the §III-C
   local-replica race and §III-D.3 failed-attempt accounting expressed as
-  row-wise prefix sums.  ``n_jobs`` spreads that call's Dijkstra rows
-  over forked processes; the walk itself stays in-process.
+  row-wise prefix sums.  ``n_jobs`` spreads the GUID placement and that
+  call's Dijkstra rows over forked processes; the walk itself stays
+  in-process.
 
 The scalar resolver remains the semantic *oracle*: the engine is checked
 against it per query (bit-identical chosen replicas, 1e-9-relative RTTs)

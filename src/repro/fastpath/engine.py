@@ -11,8 +11,9 @@
   from neighbour rows, and keeps none; replica order is a row-wise
   stable ``argsort`` whose tie-breaking provably matches the stable sort
   in :class:`~repro.core.replication.ReplicaSelector`;
-* the Dijkstra rows behind the path cells can be spread over
-  ``n_jobs`` processes; everything else runs in the calling process;
+* the GUID placement and the Dijkstra rows behind the path cells can
+  be spread over ``n_jobs`` processes; the walk runs in the calling
+  process;
 * every lookup goes through one walk, evaluated in slices of at most
   :data:`WALK_ROWS` rows: the §III-C local-replica race and the
   §III-D.3 failed-attempt accounting (one RTT per "GUID missing", an
@@ -200,7 +201,6 @@ class FastpathEngine:
         self.timeout_ms = timeout_ms
         # Explicit None check: an empty CollectingTracer is falsy (len 0).
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self._interval = None
 
     @classmethod
     def from_resolver(cls, resolver) -> "FastpathEngine":
@@ -227,19 +227,21 @@ class FastpathEngine:
         self,
         guids: Sequence[Union[GUID, int, str]],
         local_asns: Optional[Sequence[int]] = None,
+        n_jobs: int = 1,
     ) -> GuidBatch:
-        """Resolve every GUID's K hosting ASs once, up front.
+        """Resolve every GUID's K hosting ASs once, up front, against the
+        placer's BGP view as it stands at this call.
 
         ``local_asns`` records where each GUID's local copy currently
         lives (its latest insert/update source); omit it when the
-        engine's ``local_replica`` is off.
+        engine's ``local_replica`` is off.  ``n_jobs`` processes share
+        the GUIDs (:func:`~repro.fastpath.placement.batch_resolutions`);
+        the batch is the same for every ``n_jobs``.
         """
         glist = [guid_like(g) for g in guids]
         values = [g.value for g in glist]
-        if self._interval is None and isinstance(self.placer, GuidPlacer):
-            self._interval = self.placer.table.build_interval_index()
         placements, hash_attempts, via_deputy = batch_resolutions(
-            self.placer, values, self._interval
+            self.placer, values, n_jobs=n_jobs
         )
         if local_asns is None:
             local = np.full(len(glist), -1, dtype=np.int64)

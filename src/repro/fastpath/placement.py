@@ -28,9 +28,15 @@ from ..errors import ConfigurationError
 from ..hashing.asnum_placer import RosterPlacer
 from ..hashing.hashers import FastHasher, HashFamily, Sha256Hasher
 from ..hashing.rehash import GuidPlacer, Placer
+from ..workers import run_forked, shared_array, worker_count
 
 #: Loose GUID input: raw integer identifier values.
 GuidValues = Union[Sequence[int], np.ndarray]
+
+#: Fewest GUID rows :func:`batch_resolutions` gives one worker process;
+#: a smaller batch is placed in fewer processes (a fork costs about as
+#: much as placing a few hundred GUIDs).
+WORKER_ROWS = 1024
 
 
 def _hash_many(family: HashFamily, values: GuidValues, index: int) -> np.ndarray:
@@ -139,10 +145,17 @@ def batch_hosting_asns(
     return asns
 
 
+def placement_workers(n_guids: int, n_jobs: int) -> int:
+    """Processes :func:`batch_resolutions` places ``n_guids`` GUIDs on:
+    at most ``n_jobs``, each with at least :data:`WORKER_ROWS` rows."""
+    return worker_count(n_jobs, n_guids // WORKER_ROWS)
+
+
 def batch_resolutions(
     placer: Placer,
     guid_values: GuidValues,
     index: Optional[IntervalIndex] = None,
+    n_jobs: int = 1,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(asns, hash_attempts, via_deputy)`` for many GUIDs, shape ``(n, K)``.
 
@@ -152,11 +165,42 @@ def batch_resolutions(
     provenance planes are constant.  Column ``i`` depends only on hash
     function ``i``, so the placement at ``K=k`` is the first ``k``
     columns of the placement at any larger K.
+
+    A row depends only on its own GUID, so ``n_jobs`` processes
+    (:func:`placement_workers`) each place one contiguous slice of the
+    rows into shared planes (:func:`repro.workers.run_forked`); the
+    planes are the same for every worker count.
     """
     values = [int(v) for v in guid_values]
     if isinstance(placer, GuidPlacer):
-        return resolve_batch(placer, values, index)
-    if not isinstance(placer, RosterPlacer):
+        if index is None:  # built once, before any fork shares it
+            index = placer.table.build_interval_index()
+    elif not isinstance(placer, RosterPlacer):
         raise ConfigurationError(f"no batch kernel for placer {placer!r}")
+    workers = placement_workers(len(values), n_jobs)
+    if workers < 2:
+        return _resolutions(placer, values, index)
+    planes = (
+        shared_array((len(values), placer.k), np.int64),
+        shared_array((len(values), placer.k), np.int64),
+        shared_array((len(values), placer.k), bool),
+    )
+    edges = [len(values) * w // workers for w in range(workers + 1)]
+
+    def place(w: int) -> None:
+        rows = slice(edges[w], edges[w + 1])
+        for plane, part in zip(planes, _resolutions(placer, values[rows], index)):
+            plane[rows] = part
+
+    run_forked(place, workers, "placement")
+    return planes
+
+
+def _resolutions(
+    placer: Placer, values: List[int], index: Optional[IntervalIndex]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`batch_resolutions` of ``values`` in this process."""
+    if isinstance(placer, GuidPlacer):
+        return resolve_batch(placer, values, index)
     asns = _roster_batch(placer, values)
     return asns, np.ones_like(asns), np.zeros(asns.shape, dtype=bool)

@@ -9,7 +9,8 @@ seconds per phase.
 Timing uses ``time.perf_counter`` (a monotonic interval clock, not a
 wall-clock read): manifests record *how long* phases took, never *when*
 they ran, so two runs of the same configuration produce manifests that
-differ only in the timing section.
+differ only in the timing section and the peak memory
+(:func:`peak_rss_mb`) an experiment records.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import hashlib
 import json
 import os
 import subprocess
+import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -42,6 +44,22 @@ def current_git_sha() -> Optional[str]:
         return None
     sha = proc.stdout.strip()
     return sha if proc.returncode == 0 and sha else None
+
+
+def peak_rss_mb() -> Dict[str, float]:
+    """Peak resident set size (MB) of this process (``self``) and of its
+    largest waited-for child process (``children``) so far; empty where
+    the platform has no ``resource`` module."""
+    try:
+        import resource
+    except ImportError:
+        return {}
+    # ru_maxrss counts bytes on macOS and KiB elsewhere.
+    unit = 1024.0 * 1024.0 if sys.platform == "darwin" else 1024.0
+    return {
+        "self": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / unit,
+        "children": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / unit,
+    }
 
 
 def config_fingerprint(config: Mapping[str, object]) -> str:

@@ -38,9 +38,6 @@ the fastpath engine's ``_prepare`` is the bit-equal vector form.
 from __future__ import annotations
 
 import math
-import mmap
-import multiprocessing
-import os
 from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -49,6 +46,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from ..errors import RoutingError, TopologyError
+from ..workers import run_forked, shared_array, worker_count
 from .graph import ASTopology
 
 #: Sources per ``dijkstra(indices=...)`` call of :meth:`Router.pair_paths`.
@@ -60,15 +58,6 @@ _ROW_CHUNK = 1 << 14
 
 #: Unit roundoff of float64.
 _UNIT_ROUNDOFF = 2.0 ** -53
-
-
-def usable_cpus() -> int:
-    """CPUs this process may run on: its affinity set where the platform
-    reports one, else the machine's CPU count."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
 
 
 def certified(values: np.ndarray, w_min: float, n: int) -> np.ndarray:
@@ -184,11 +173,11 @@ class Router:
         derived only when at most one of its neighbours would be a new
         exact row, so ``len(exact) <= len(set(sources))`` always holds.
         """
-        wanted = np.unique(np.asarray(sources, dtype=np.int64))
+        is_source = np.zeros(self.n, dtype=bool)
+        is_source[np.asarray(sources, dtype=np.int64)] = True
+        wanted = np.flatnonzero(is_source)
         indptr, indices = self._matrix.indptr, self._matrix.indices
         degree = np.diff(indptr)
-        is_source = np.zeros(self.n, dtype=bool)
-        is_source[wanted] = True
         derived = np.zeros(self.n, dtype=bool)
         exact_nbr = np.zeros(self.n, dtype=bool)
         for s in wanted[np.argsort(degree[wanted], kind="stable")].tolist():
@@ -199,8 +188,8 @@ class Router:
                 continue
             derived[s] = True
             exact_nbr[nbrs] = True
-        exact = np.union1d(wanted[~derived[wanted]], np.flatnonzero(exact_nbr))
-        return exact, np.flatnonzero(derived)
+        exact_nbr[wanted[~derived[wanted]]] = True
+        return np.flatnonzero(exact_nbr), np.flatnonzero(derived)
 
     def pair_paths(
         self,
@@ -253,7 +242,7 @@ class Router:
         # One key ``s * n + x`` per cell; the distinct keys are the pairs,
         # sorted by source, so source s owns pairs[bounds[s]:bounds[s + 1]].
         grid = dst.reshape(len(src), -1)
-        pairs = np.unique(src[:, None] * self.n + grid)
+        pairs = _distinct((src[:, None] * self.n + grid).ravel())
         ps, px = np.divmod(pairs, self.n)
         bounds = np.searchsorted(ps, np.arange(self.n + 1))
         itself = ps == px
@@ -268,7 +257,7 @@ class Router:
             self._stream(matrix, exact, bounds, px, dist, is_derived, n_jobs)
             w_min = float(matrix.data.min()) if matrix.nnz else 0.0
             unsure = via[~certified(dist[via], w_min, self.n)]
-            fallback = np.unique(ps[unsure])
+            fallback = _distinct(ps[unsure])
             # A fallback row replaces its source's derived values, which the
             # merge's minimum would otherwise keep where they round lower.
             dist[_ranges(bounds[fallback], bounds[fallback + 1])[1]] = np.inf
@@ -277,11 +266,16 @@ class Router:
             self.derived_rows += len(derived)
             self.fallback_rows += len(fallback)
             paths = dist.astype(np.float32)
-            out = np.empty(grid.shape, dtype=np.float32)
+            out = np.empty(grid.size, dtype=np.float32)
+            width = grid.shape[1]
             for first in range(0, len(src), _ROW_CHUNK):
                 rows = slice(first, first + _ROW_CHUNK)
-                keys = src[rows, None] * self.n + grid[rows]
-                out[rows] = paths[np.searchsorted(pairs, keys)]
+                keys = (src[rows, None] * self.n + grid[rows]).ravel()
+                # Searched in ascending order, the keys walk ``pairs``
+                # once instead of jumping around it.
+                order = np.argsort(keys)
+                chunk = out[first * width : first * width + len(keys)]
+                chunk[order] = paths[np.searchsorted(pairs, keys[order])]
             cells.append(out.reshape(dst.shape))
         return cells
 
@@ -297,46 +291,30 @@ class Router:
     ) -> None:
         """Compute the Dijkstra rows of ``nodes`` into ``dist`` (see
         :func:`_fill`), dealing their :data:`ROW_BLOCK` blocks round-robin
-        to ``n_jobs`` workers.
+        to ``n_jobs`` workers (:func:`repro.workers.run_forked`).
 
-        The caller is worker 0; the others are forked.  Each worker fills
-        its own lane of one shared ``(workers, len(dist))`` array, every
-        lane starting as a copy of ``dist``, and the lanes are merged by
-        ``np.minimum``.  A source's own pairs are written by exactly one
-        worker and stay ``inf`` in the other lanes, and a running minimum
-        over a split feed is the minimum of the parts, so the merge is
-        the serial stream's bits whatever the worker count.  One block,
-        or no ``fork``, streams in-process.
+        Each worker fills its own lane of one shared ``(workers,
+        len(dist))`` array, every lane starting as a copy of ``dist``, and
+        the lanes are merged by ``np.minimum``.  A source's own pairs are
+        written by exactly one worker and stay ``inf`` in the other lanes,
+        and a running minimum over a split feed is the minimum of the
+        parts, so the merge is the serial stream's bits whatever the
+        worker count.  One block, or no ``fork``, streams in-process.
         """
         blocks = [nodes[i : i + ROW_BLOCK] for i in range(0, len(nodes), ROW_BLOCK)]
         self.dijkstra_runs += len(nodes)
-        workers = min(n_jobs, len(blocks))
-        if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        workers = worker_count(n_jobs, len(blocks))
+        if workers < 2:
             _fill(matrix, blocks, bounds, px, dist, feed)
             return
-        ctx = multiprocessing.get_context("fork")
-        lanes = np.frombuffer(
-            mmap.mmap(-1, workers * dist.nbytes), dtype=np.float64
-        ).reshape(workers, len(dist))
+        lanes = shared_array((workers, len(dist)), np.float64)
         lanes[:] = dist
-        started: List[multiprocessing.process.BaseProcess] = []
-        try:
-            for w in range(1, workers):
-                proc = ctx.Process(
-                    target=_fill,
-                    args=(matrix, blocks[w::workers], bounds, px, lanes[w], feed),
-                )
-                proc.start()
-                started.append(proc)
-            _fill(matrix, blocks[::workers], bounds, px, lanes[0], feed)
-        finally:
-            for proc in started:
-                proc.join()
-        failed = [proc.exitcode for proc in started if proc.exitcode != 0]
-        if failed:
-            raise RoutingError(
-                f"{len(failed)} Dijkstra worker(s) failed (exit codes {failed})"
-            )
+        run_forked(
+            lambda w: _fill(matrix, blocks[w::workers], bounds, px, lanes[w], feed),
+            workers,
+            "Dijkstra",
+            RoutingError,
+        )
         np.minimum.reduce(lanes, axis=0, out=dist)
 
     def latency_row(self, src_asn: int) -> np.ndarray:
@@ -520,6 +498,18 @@ def _fill(
         np.minimum.at(
             dist, cells, matrix.data[links[link]] + rows[at[link], px[cells]]
         )
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct ``values`` in ascending order, sorting ``values`` in
+    place.  Bare ``np.unique`` takes a hash pass over an integer array
+    since numpy 2.3, which costs an order of magnitude more than this
+    sort."""
+    values.sort()
+    first = np.empty(len(values), dtype=bool)
+    first[:1] = True
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return values[first]
 
 
 def _ranges(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

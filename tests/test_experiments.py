@@ -29,6 +29,7 @@ from repro.experiments.rehash_probe import run_rehash_probe
 from repro.experiments.storage_overhead import run_storage_overhead
 from repro.experiments.table1_stats import PAPER_TABLE1, run_table1
 from repro.errors import ConfigurationError
+from repro.fastpath import placement
 from repro.hashing.asnum_placer import ASNumberPlacer, WeightedASPlacer
 from repro.topology.routing import Router
 from repro.workload.generator import WorkloadConfig, WorkloadGenerator
@@ -147,7 +148,7 @@ class TestFig4FastpathSweep:
     K_VALUES = (1, 3, 5)
     WORKLOAD = WorkloadConfig(n_guids=80, n_lookups=400, seed=5)
 
-    def _run(self, env, engine, trace_path=None):
+    def _run(self, env, engine, trace_path=None, n_jobs=0):
         small = copy.copy(env)
         small.router = Router(env.topology, cache_size=8)
         result = run_fig4(
@@ -155,6 +156,7 @@ class TestFig4FastpathSweep:
             workload_override=self.WORKLOAD,
             k_values=self.K_VALUES,
             engine=engine,
+            n_jobs=n_jobs,
             trace_path=trace_path,
         )
         return result, small.router
@@ -216,6 +218,21 @@ class TestFig4FastpathSweep:
             "loaded": env.substrate_loaded,
             "setup_s": env.setup_s,
         }
+
+    def test_manifest_records_workers_and_peak_memory(
+        self, env, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(placement, "WORKER_ROWS", 16)
+        trace = tmp_path / "fastpath.jsonl"
+        self._run(env, "fastpath", trace_path=str(trace), n_jobs=3)
+        manifest = json.loads((tmp_path / "fastpath.jsonl.manifest.json").read_text())
+        extra = manifest["extra"]
+        assert extra["routing"]["workers"] == 3
+        assert extra["placement"] == {
+            "workers": placement.placement_workers(self.WORKLOAD.n_guids, 3)
+        }
+        assert set(extra["peak_rss_mb"]) == {"self", "children"}
+        assert extra["peak_rss_mb"]["self"] > 0
 
 
 class TestTable1:

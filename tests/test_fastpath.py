@@ -10,6 +10,8 @@ the rejection tests.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -21,11 +23,12 @@ from repro.core.resolver import (
     DMapResolver,
     FailureModel,
 )
-from repro.errors import ConfigurationError, LookupFailedError
+from repro.errors import ConfigurationError, LookupFailedError, WorkerError
 from repro.fastpath import (
     FastpathEngine,
     FastpathUnsupportedError,
     batch_hosting_asns,
+    placement,
 )
 from repro.fastpath.engine import WALK_ROWS
 from repro.fastpath.placement import batch_resolutions
@@ -372,6 +375,80 @@ class TestBatchPlacement:
         placer = GuidPlacer(_PlainHasher(5, address_bits=base_table.bits), base_table)
         with pytest.raises(ConfigurationError, match="no batch kernel"):
             batch_hosting_asns(placer, [1, 2])
+
+
+class TestPlacementWorkers:
+    """``index_guids(n_jobs=j)`` places slices of the GUIDs on forked
+    workers and must give the serial batch and the scalar chains."""
+
+    N = 61  # three uneven slices at WORKER_ROWS = 8
+
+    @pytest.fixture(autouse=True)
+    def small_slices(self, monkeypatch):
+        # A few rows per worker, so that every worker count really forks.
+        monkeypatch.setattr(placement, "WORKER_ROWS", 8)
+
+    @pytest.mark.parametrize("scheme", ["deputies", "roster"])
+    def test_every_worker_count_matches_the_chains(
+        self, base_table, router, asns, scheme
+    ):
+        if scheme == "deputies":
+            # About half the space is announced, so two hashes per chain
+            # leave about a quarter of the chains to the deputy fallback.
+            placer = GuidPlacer(
+                Sha256Hasher(5, address_bits=base_table.bits), base_table,
+                max_rehashes=2,
+            )
+        else:
+            placer = ASNumberPlacer(asns, k=5)
+        rng = np.random.default_rng(61)
+        values = [int(v) for v in rng.integers(0, 2**64, size=self.N, dtype=np.uint64)]
+        serial = batch_resolutions(placer, values)
+        if scheme == "deputies":
+            assert serial[2].any() and not serial[2].all()
+        engine = FastpathEngine(base_table, router, placer=placer)
+        for n_jobs in (1, 2, 3):
+            assert placement.placement_workers(self.N, n_jobs) == n_jobs
+            batch = engine.index_guids([GUID(v) for v in values], n_jobs=n_jobs)
+            planes = (batch.placements, batch.hash_attempts, batch.via_deputy)
+            for plane, want in zip(planes, serial):
+                assert plane.dtype == want.dtype
+                assert np.array_equal(plane, want), f"n_jobs={n_jobs}"
+            for row, value in enumerate(values):
+                chains = placer.resolve_all(value)
+                assert batch.placements[row].tolist() == [c.asn for c in chains]
+                assert batch.hash_attempts[row].tolist() == [c.attempts for c in chains]
+                assert batch.via_deputy[row].tolist() == [c.via_deputy for c in chains]
+
+    def test_a_failed_placement_worker_raises(self, base_table, router, monkeypatch):
+        parent = os.getpid()
+        real = placement.resolve_batch
+
+        def dies_in_workers(*args, **kwargs):
+            if os.getpid() != parent:
+                raise MemoryError("worker lost")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(placement, "resolve_batch", dies_in_workers)
+        engine = FastpathEngine(base_table, router)
+        with pytest.raises(WorkerError, match="placement worker"):
+            engine.index_guids([GUID(v) for v in range(self.N)], n_jobs=2)
+
+    def test_places_against_the_table_as_it_stands(self, table, router):
+        # An engine reused after the BGP table changes must not place
+        # GUIDs against the view it saw first.
+        placer = GuidPlacer(Sha256Hasher(5, address_bits=table.bits), table)
+        engine = FastpathEngine(table, router, placer=placer)
+        guids = [GUID.from_name(f"moved-{i}") for i in range(300)]
+        before = engine.index_guids(guids)
+        hosts, counts = np.unique(before.placements, return_counts=True)
+        gone = int(hosts[np.argmax(counts)])
+        for prefix in table.prefixes_of(gone):
+            table.withdraw(prefix)
+        after = engine.index_guids(guids)
+        assert gone not in after.placements
+        for row, guid in enumerate(guids):
+            assert after.placements[row].tolist() == placer.hosting_asns(guid)
 
 
 # ----------------------------------------------------------------------

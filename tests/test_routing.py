@@ -316,6 +316,42 @@ class TestPairPathWorkers:
             for s in range(4):
                 assert np.array_equal(got[s], reference.latency_row(s + 1))
 
+    @staticmethod
+    def _deal_unevenly(topology, monkeypatch, src):
+        """Set ``ROW_BLOCK`` so that the request's planned rows fill a
+        block count that is odd and not a multiple of 3."""
+        exact, _ = Router(topology).plan_rows(src)
+        for block in range(2, len(exact)):
+            blocks = -(-len(exact) // block)
+            if blocks > 3 and blocks % 2 and blocks % 3:
+                monkeypatch.setattr(routing, "ROW_BLOCK", block)
+                return
+        raise AssertionError("no block size deals unevenly")
+
+    @pytest.mark.parametrize("n_jobs", [1, 2, 3])
+    def test_requests_match_the_rows(self, topology, monkeypatch, n_jobs):
+        rng = np.random.default_rng(17)
+        n = len(topology)
+        src = rng.integers(0, n, size=120)
+        dst = rng.integers(0, n, size=(120, 4))
+        src[60:90], dst[60:90] = src[:30], dst[:30]  # repeated rows
+        dst[:, 3] = dst[:, 1]  # a cell repeated within its row
+        dst[::5, 2] = src[::5]  # self pairs
+        lone = np.full(25, src[7])
+        requests = [(src, dst), (lone, rng.integers(0, n, size=(25, 3)))]
+        self._deal_unevenly(topology, monkeypatch, src)
+        reference = Router(topology)
+        for s, d in requests:
+            router = Router(topology)
+            latency = router.pair_paths(s, d, n_jobs=n_jobs)
+            both = router.pair_paths_and_hops(s, d, n_jobs=n_jobs)
+            assert np.array_equal(both[0], latency)
+            for i, sx in enumerate(s.tolist()):
+                asn = topology.asn_at(sx)
+                assert np.array_equal(latency[i], reference.latency_row(asn)[d[i]])
+                assert np.array_equal(both[1][i], reference.hop_row(asn)[d[i]])
+                assert not latency[i][d[i] == sx].any()
+
     def test_a_failed_worker_raises(self, topology, monkeypatch):
         parent = os.getpid()
         real = routing.dijkstra
