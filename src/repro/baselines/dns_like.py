@@ -115,7 +115,7 @@ class DNSLike(BaselineResolver):
             live = self._store_at(auth).get(guid) if auth is not None else None
             if live is not None and live.version > slot.entry.version:
                 self.stale_answers += 1
-            rtt = 2.0 * self.router.topology.intra_latency(source_asn)
+            rtt = 2.0 * self.router.intra_ms(source_asn)
             return BaselineLookup(slot.entry.locators, rtt, overlay_hops=0)
 
         self.cache_misses += 1

@@ -113,7 +113,7 @@ class CachingResolver:
         guid = guid_like(guid)
         cache = self._cache_of(source_asn)
         slot = cache.get(guid)
-        intra_rtt = 2.0 * self.resolver.router.topology.intra_latency(source_asn)
+        intra_rtt = 2.0 * self.resolver.router.intra_ms(source_asn)
 
         if slot is not None and slot.expires_at_ms > self.now_ms:
             fresh = self._authoritative_version(guid)

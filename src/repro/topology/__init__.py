@@ -1,11 +1,6 @@
 """AS-level topology substrate: graph, generator, routing, Jellyfish."""
 
-from .datasets import (
-    line_fixture,
-    load_topology,
-    save_topology,
-    star_fixture,
-)
+from .datasets import load_topology, save_topology
 from .generator import (
     PAPER_N_AS,
     PAPER_N_LINKS,
@@ -19,10 +14,8 @@ from .latency import GeographyModel, LatencyModel, PAPER_MEDIAN_INTRA_MS
 from .routing import Router
 
 __all__ = [
-    "line_fixture",
     "load_topology",
     "save_topology",
-    "star_fixture",
     "PAPER_N_AS",
     "PAPER_N_LINKS",
     "TopologyConfig",

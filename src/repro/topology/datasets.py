@@ -1,11 +1,10 @@
-"""Topology persistence and small built-in fixtures.
+"""Topology persistence.
 
 A topology on disk is the arrays of :func:`topology_arrays`: a format
 version plus :meth:`ASTopology.adjacency_arrays`.  :func:`save_topology`
 writes them alone to an ``.npz`` archive; the substrate store of
 :mod:`repro.experiments.common` writes them beside the prefix table, and
-decodes them with :func:`load_topology` too.  Tests use the tiny
-hand-built fixtures, whose shortest paths are known by inspection.
+decodes them with :func:`load_topology` too.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from typing import Dict, Mapping, Union
 import numpy as np
 
 from ..errors import TopologyError
-from .graph import ASInfo, ASTier, ASTopology
+from .graph import ASTopology
 
 #: Layout of :func:`topology_arrays`.
 FORMAT_VERSION = 2
@@ -49,34 +48,3 @@ def load_topology(source: Union[str, Mapping[str, np.ndarray]]) -> ASTopology:
     if version is None or int(version) != FORMAT_VERSION:
         raise TopologyError(f"unsupported topology format version {version}")
     return ASTopology.from_adjacency_arrays(source)
-
-
-def line_fixture(n: int = 4, link_ms: float = 10.0, intra_ms: float = 1.0) -> ASTopology:
-    """A path graph 1-2-...-n with uniform latencies.
-
-    Shortest-path latency between AS i and AS j is ``|i - j| * link_ms``,
-    which makes routing assertions trivial.
-    """
-    if n < 2:
-        raise TopologyError("line fixture needs at least 2 ASs")
-    topo = ASTopology()
-    for asn in range(1, n + 1):
-        topo.add_as(ASInfo(asn, ASTier.STUB, intra_ms, endnodes=10))
-    for asn in range(1, n):
-        topo.add_link(asn, asn + 1, link_ms)
-    return topo
-
-
-def star_fixture(
-    n_leaves: int = 5, link_ms: float = 5.0, intra_ms: float = 1.0
-) -> ASTopology:
-    """Hub AS 1 with ``n_leaves`` leaf ASs 2..n+1 — a minimal Jellyfish
-    (core = the hub edge clique, every leaf in Hang-0)."""
-    if n_leaves < 1:
-        raise TopologyError("star fixture needs at least 1 leaf")
-    topo = ASTopology()
-    topo.add_as(ASInfo(1, ASTier.TIER1, intra_ms, endnodes=10))
-    for asn in range(2, n_leaves + 2):
-        topo.add_as(ASInfo(asn, ASTier.STUB, intra_ms, endnodes=10))
-        topo.add_link(1, asn, link_ms)
-    return topo

@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..draws import integer_sampler, weighted_choice, weighted_sample
 from ..errors import ConfigurationError
-from .graph import ASInfo, ASTier, ASTopology
+from .graph import ASTier, ASTopology, adjacency_layout
 from .latency import GeographyModel, LatencyModel
 
 #: DIMES graph scale used in the paper (§IV-B.1).
@@ -120,19 +120,26 @@ def generate_internet_topology(
     n_t2 = min(config.n_transit(), n - n_t1 - 1)
     n_t3 = n - n_t1 - n_t2
 
-    topo = ASTopology()
+    # The graph under construction, indexed by ASN - 1: each AS's site
+    # and its neighbour -> link latency dict in insertion order.  It
+    # becomes an ASTopology once complete.
     positions: List[Tuple[float, float]] = []
+    adjacency: List[Dict[int, float]] = [{} for _ in range(n)]
     integers = integer_sampler(rng)
+
+    def connect(a: int, b: int) -> None:
+        latency = lat.link_latency_ms(positions[a - 1], positions[b - 1])
+        adjacency[a - 1][b] = latency
+        adjacency[b - 1][a] = latency
 
     # --- Tier 1: well-separated backbone sites, full-mesh peering. -----
     t1_asns = list(range(1, n_t1 + 1))
     for asn in t1_asns:
         pos = geo.random_site(rng)
         positions.append(pos)
-        topo.add_as(ASInfo(asn, ASTier.TIER1, 0.0, 0, pos))
     for i, a in enumerate(t1_asns):
         for b in t1_asns[i + 1 :]:
-            topo.add_link(a, b, lat.link_latency_ms(positions[a - 1], positions[b - 1]))
+            connect(a, b)
 
     # --- Tier 2: transit providers near core sites. --------------------
     t2_asns = list(range(n_t1 + 1, n_t1 + n_t2 + 1))
@@ -140,20 +147,18 @@ def generate_internet_topology(
     for asn in t2_asns:
         pos = geo.near(positions[integers(n_t1)], geo.transit_spread_km, rng)
         positions.append(pos)
-        topo.add_as(ASInfo(asn, ASTier.TRANSIT, 0.0, 0, pos))
         # 1-3 upstream tier-1 providers, nearest-biased.
         n_up = 1 + int(rng.random() < 0.7) + int(rng.random() < 0.25)
         dx, dy = t1_x - pos[0], t1_y - pos[1]
         weights = 1.0 / (dx * dx + dy * dy + 1e4)
         weights /= weights.sum()
         for up in weighted_sample(rng, weights, min(n_up, n_t1)):
-            provider = t1_asns[up]
-            topo.add_link(asn, provider, lat.link_latency_ms(pos, positions[provider - 1]))
+            connect(asn, t1_asns[up])
 
     # Transit-transit peering: each transit peers with ~1 other, degree- and
     # proximity-biased.  ``deg`` tracks the transit degrees link by link.
     t2_x, t2_y = np.array(positions[n_t1:]).T
-    deg = np.array([topo.degree(asn) for asn in t2_asns], dtype=float)
+    deg = np.array([len(adjacency[asn - 1]) for asn in t2_asns], dtype=float)
     for i, asn in enumerate(t2_asns):
         if rng.random() < 0.6 and n_t2 > 1:
             dx, dy = t2_x - t2_x[i], t2_y - t2_y[i]
@@ -161,10 +166,8 @@ def generate_internet_topology(
             weights[i] = 0.0
             j = weighted_choice(rng, weights / weights.sum())
             peer = t2_asns[j]
-            if peer not in topo.neighbors(asn):
-                topo.add_link(
-                    asn, peer, lat.link_latency_ms(positions[asn - 1], positions[peer - 1])
-                )
+            if peer not in adjacency[asn - 1]:
+                connect(asn, peer)
                 deg[i] += 1.0
                 deg[j] += 1.0
 
@@ -173,7 +176,6 @@ def generate_internet_topology(
         # Anchor near a random provider region (population clusters).
         pos = geo.near(positions[n_t1 + integers(n_t2)], geo.stub_spread_km, rng)
         positions.append(pos)
-        topo.add_as(ASInfo(asn, ASTier.STUB, 0.0, 0, pos))
         n_prov = 1
         if rng.random() < config.stub_extra_provider_prob:
             n_prov += 1
@@ -183,14 +185,12 @@ def generate_internet_topology(
         weights = (deg + 1.0) / (dx * dx + dy * dy + 1e5)
         weights /= weights.sum()
         for c in weighted_sample(rng, weights, min(n_prov, n_t2)):
-            provider = t2_asns[c]
-            topo.add_link(asn, provider, lat.link_latency_ms(pos, positions[provider - 1]))
+            connect(asn, t2_asns[c])
             deg[c] += 1.0
 
     # --- Extra peering links up to the target count. --------------------
     target = config.resolved_target_links()
-    neighbours = [set(topo.neighbors(asn)) for asn in range(1, n + 1)]
-    links = topo.n_links()
+    links = sum(len(nbrs) for nbrs in adjacency) // 2
     attempts = 0
     max_attempts = 20 * max(target - links, 0) + 100
     while links < target and attempts < max_attempts:
@@ -203,11 +203,9 @@ def generate_internet_topology(
         # Peering is overwhelmingly local (IXP-style).
         if rng.random() > math.exp(-math.hypot(ax - bx, ay - by) / 2000.0):
             continue
-        if b in neighbours[a - 1]:
+        if b in adjacency[a - 1]:
             continue
-        neighbours[a - 1].add(b)
-        neighbours[b - 1].add(a)
-        topo.add_link(a, b, lat.link_latency_ms(positions[a - 1], positions[b - 1]))
+        connect(a, b)
         links += 1
 
     # --- Attributes: intra-AS latency and end-node populations. --------
@@ -234,10 +232,22 @@ def generate_internet_topology(
         n, stub_mask, config.population_exponent, config.total_endnodes, rng
     )
 
-    for asn, intra_ms, endnodes in zip(topo.asns(), intra.tolist(), populations.tolist()):
-        info = topo.info(asn)
-        topo.add_as(ASInfo(asn, info.tier, intra_ms, endnodes, info.position))
-
+    x, y = zip(*positions)
+    topo = ASTopology.from_adjacency_arrays(
+        adjacency_layout(
+            {
+                "asn": np.arange(1, n + 1),
+                "tier": np.repeat(
+                    [ASTier.TIER1, ASTier.TRANSIT, ASTier.STUB], [n_t1, n_t2, n_t3]
+                ),
+                "intra_ms": intra,
+                "endnodes": populations,
+                "pos_x": x,
+                "pos_y": y,
+            },
+            adjacency,
+        )
+    )
     topo.validate()
     return topo
 

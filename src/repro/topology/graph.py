@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Mapping, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from ..errors import TopologyError
 
@@ -65,7 +67,7 @@ class Link:
     def __post_init__(self) -> None:
         if self.a == self.b:
             raise TopologyError(f"self-loop on AS {self.a}")
-        if self.latency_ms <= 0:
+        if not self.latency_ms > 0:
             raise TopologyError(
                 f"link {self.a}-{self.b} must have positive latency"
             )
@@ -79,235 +81,374 @@ class Link:
         raise TopologyError(f"AS {asn} is not an endpoint of {self}")
 
 
-class ASTopology:
-    """Mutable AS graph with latency and population attributes.
+#: The arrays of :meth:`ASTopology.adjacency_arrays` and their dtypes.
+LAYOUT = {
+    "asn": np.int64,
+    "tier": np.int64,
+    "intra_ms": np.float64,
+    "endnodes": np.int64,
+    "pos_x": np.float64,
+    "pos_y": np.float64,
+    "adj_start": np.int64,
+    "adj_asn": np.int64,
+    "adj_latency_ms": np.float64,
+}
 
-    ASs are keyed by ASN.  Internally the class also maintains a dense
-    index (``asn -> [0, n)``) so routing can hand the graph to scipy as a
-    CSR matrix without re-walking dictionaries.
+_PER_AS = ("asn", "tier", "intra_ms", "endnodes", "pos_x", "pos_y")
+
+
+class _Frozen:
+    """A checked :data:`LAYOUT` and the dense index derived from it.
+
+    Dense indices number the ASs in ascending ASN order: ``dense`` lists
+    the ASNs that way, ``rank`` is the dense index of each stored AS and
+    ``cols`` that of each stored neighbour.  Every array is read-only.
+    """
+
+    def __init__(self, arrays: Mapping[str, np.ndarray]) -> None:
+        layout: Dict[str, np.ndarray] = {}
+        for name, dtype in LAYOUT.items():
+            if name not in arrays:
+                raise TopologyError(f"topology arrays lack {name!r}")
+            view = np.asarray(arrays[name], dtype=dtype).view()
+            view.flags.writeable = False
+            if view.ndim != 1:
+                raise TopologyError(f"topology array {name!r} is not flat")
+            layout[name] = view
+        self.arrays = layout
+        self.asn = asn = layout["asn"]
+        self.tier = layout["tier"]
+        self.intra = intra = layout["intra_ms"]
+        self.endnodes = layout["endnodes"]
+        self.pos_x, self.pos_y = layout["pos_x"], layout["pos_y"]
+        self.start = start = layout["adj_start"]
+        self.adj_asn = adj_asn = layout["adj_asn"]
+        self.adj_ms = adj_ms = layout["adj_latency_ms"]
+        self._slots: Optional[Dict[int, int]] = None
+
+        n = len(asn)
+        if any(len(layout[name]) != n for name in _PER_AS) or len(start) != n + 1:
+            raise TopologyError("topology arrays disagree on the number of ASs")
+        degree = np.diff(start)
+        if start[0] != 0 or (degree < 0).any() or not (
+            start[-1] == len(adj_asn) == len(adj_ms)
+        ):
+            raise TopologyError("adj_start does not delimit the adjacency arrays")
+        dense = np.sort(asn)
+        twice = np.flatnonzero(dense[1:] == dense[:-1])
+        if twice.size:
+            raise TopologyError(f"AS {dense[twice[0]]} is listed twice")
+        if not (intra >= 0).all():
+            raise TopologyError("intra-AS latencies must be >= 0")
+        if (self.endnodes < 0).any():
+            raise TopologyError("end-node counts must be >= 0")
+        if not np.isin(self.tier, [int(t) for t in ASTier]).all():
+            raise TopologyError("unknown AS tier")
+        rank = np.searchsorted(dense, asn)
+        cols = np.searchsorted(dense, adj_asn)
+        stray = np.flatnonzero(dense[np.minimum(cols, n - 1)] != adj_asn)
+        if stray.size:
+            raise TopologyError(f"neighbour AS {adj_asn[stray[0]]} is not listed")
+        rows = np.repeat(rank, degree)
+
+        def bad_arc(arc: int, why: str) -> TopologyError:
+            a, b = dense[rows[arc]], dense[cols[arc]]
+            return TopologyError(f"link {a}-{b} {why}")
+
+        loop = np.flatnonzero(rows == cols)
+        if loop.size:
+            raise bad_arc(loop[0], "is a self-loop")
+        bad = np.flatnonzero(~(adj_ms > 0))
+        if bad.size:
+            raise bad_arc(bad[0], "must have positive latency")
+        # Sorted by (owner, neighbour), the arcs must repeat nowhere and
+        # match, one to one, the arcs sorted by (neighbour, owner): the
+        # arc at each position is the reverse of its partner, so their
+        # latencies must agree too.
+        key = rows * n + cols
+        fwd = np.argsort(key)
+        sorted_key = key[fwd]
+        twice = np.flatnonzero(sorted_key[1:] == sorted_key[:-1])
+        if twice.size:
+            raise bad_arc(fwd[twice[0]], "is listed twice at one end")
+        reverse_key = cols * n + rows
+        rev = np.argsort(reverse_key)
+        if not np.array_equal(sorted_key, reverse_key[rev]):
+            one_ended = np.flatnonzero(~np.isin(reverse_key, key))
+            raise bad_arc(one_ended[0], "is listed at one end only")
+        differ = np.flatnonzero(adj_ms[fwd] != adj_ms[rev])
+        if differ.size:
+            raise bad_arc(fwd[differ[0]], "has different latencies at its ends")
+        self.dense, self.rank, self.cols = dense, rank, cols
+        for derived in (dense, rank, cols):
+            derived.flags.writeable = False
+
+    def slots(self) -> Dict[int, int]:
+        """``asn -> stored position``, built on the first call."""
+        if self._slots is None:
+            self._slots = dict(zip(self.asn.tolist(), range(len(self.asn))))
+        return self._slots
+
+    def slot(self, asn: int) -> int:
+        """Stored position of ``asn``; :class:`TopologyError` if absent."""
+        try:
+            return self.slots()[asn]
+        except KeyError as exc:
+            raise TopologyError(f"unknown AS {asn}") from exc
+
+    def dense_order(self, values: np.ndarray) -> np.ndarray:
+        """Per-AS ``values`` (stored order) as float64 in dense order."""
+        out = np.empty(len(values), dtype=np.float64)
+        out[self.rank] = values
+        return out
+
+    def info_at(self, p: int) -> ASInfo:
+        """The attributes of the AS stored at position ``p``."""
+        return ASInfo(
+            int(self.asn[p]),
+            ASTier(int(self.tier[p])),
+            float(self.intra[p]),
+            int(self.endnodes[p]),
+            (float(self.pos_x[p]), float(self.pos_y[p])),
+        )
+
+    def thaw(self) -> Tuple[Dict[int, ASInfo], Dict[int, Dict[int, float]]]:
+        """The dict form of this graph, in stored order."""
+        bounds = self.start.tolist()
+        nbrs, latencies = self.adj_asn.tolist(), self.adj_ms.tolist()
+        infos: Dict[int, ASInfo] = {}
+        adjacency: Dict[int, Dict[int, float]] = {}
+        for p, asn in enumerate(self.asn.tolist()):
+            infos[asn] = self.info_at(p)
+            lo, hi = bounds[p], bounds[p + 1]
+            adjacency[asn] = dict(zip(nbrs[lo:hi], latencies[lo:hi]))
+        return infos, adjacency
+
+
+def adjacency_layout(
+    attributes: Mapping[str, Sequence], adjacency: Sequence[Mapping[int, float]]
+) -> Dict[str, np.ndarray]:
+    """The :data:`LAYOUT` of a graph given per AS, in one order: its
+    ``attributes`` (``asn``, ``tier``, ``intra_ms``, ``endnodes``,
+    ``pos_x``, ``pos_y``) and its ``neighbour -> latency`` dict."""
+    arrays = {name: np.asarray(attributes[name], dtype=LAYOUT[name]) for name in _PER_AS}
+    degrees = [len(nbrs) for nbrs in adjacency]
+    arrays["adj_start"] = np.concatenate(([0], np.cumsum(degrees, dtype=np.int64)))
+    arrays["adj_asn"] = np.asarray(
+        [b for nbrs in adjacency for b in nbrs], dtype=np.int64
+    )
+    arrays["adj_latency_ms"] = np.asarray(
+        [lat for nbrs in adjacency for lat in nbrs.values()], dtype=np.float64
+    )
+    return arrays
+
+
+def _freeze(
+    infos: Dict[int, ASInfo], adjacency: Dict[int, Dict[int, float]]
+) -> Dict[str, np.ndarray]:
+    """The :data:`LAYOUT` of the dict form, in insertion order."""
+    values = list(infos.values())
+    attributes = {
+        "asn": [i.asn for i in values],
+        "tier": [int(i.tier) for i in values],
+        "intra_ms": [i.intra_latency_ms for i in values],
+        "endnodes": [i.endnodes for i in values],
+        "pos_x": [i.position[0] for i in values],
+        "pos_y": [i.position[1] for i in values],
+    }
+    return adjacency_layout(attributes, [adjacency[i.asn] for i in values])
+
+
+class ASTopology:
+    """AS graph with latency and population attributes.
+
+    ASs are keyed by ASN; dense indices ``[0, n)`` number them in
+    ascending ASN order, so routing can hand the graph to scipy as a CSR
+    matrix.  Every read is served by one representation: the flat arrays
+    of :meth:`adjacency_arrays`, the layout the substrate store keeps on
+    disk.  :meth:`from_adjacency_arrays` keeps the arrays it is given and
+    builds no per-AS object.  :meth:`add_as`, :meth:`add_link` and
+    :meth:`remove_link` edit per-AS dicts, scratch space for a graph that
+    is being built or changed: the first read after a mutation freezes
+    them into the arrays, once, and a mutation of a frozen graph thaws the
+    arrays back into dicts first.
     """
 
     def __init__(self) -> None:
-        self._info: Dict[int, ASInfo] = {}
-        self._adjacency: Dict[int, Dict[int, float]] = {}
-        # Undirected link count, kept in step with ``_adjacency`` so that
-        # ``n_links`` is O(1) (the generator polls it once per peering try).
-        self._n_links = 0
-        self._dirty = True
-        self._index: Dict[int, int] = {}
-        self._asns: List[int] = []
+        # Exactly one form is set: the dicts while the graph is edited,
+        # the frozen arrays while it is read.
+        self._info: Optional[Dict[int, ASInfo]] = {}
+        self._adjacency: Optional[Dict[int, Dict[int, float]]] = {}
+        self._frozen: Optional[_Frozen] = None
+
+    def _scratch(self) -> Tuple[Dict[int, ASInfo], Dict[int, Dict[int, float]]]:
+        """The dict form, for a mutation; drops the frozen arrays."""
+        if self._frozen is not None:
+            self._info, self._adjacency = self._frozen.thaw()
+            self._frozen = None
+        return self._info, self._adjacency  # type: ignore[return-value]
+
+    def _read(self) -> _Frozen:
+        """The frozen arrays, for a read; frozen from the dicts if edited."""
+        frozen = self._frozen
+        if frozen is None:
+            frozen = _Frozen(_freeze(self._info, self._adjacency))  # type: ignore[arg-type]
+            self._frozen, self._info, self._adjacency = frozen, None, None
+        return frozen
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
     def add_as(self, info: ASInfo) -> None:
         """Register an AS; re-adding an ASN replaces its attributes."""
-        if info.intra_latency_ms < 0:
+        if not info.intra_latency_ms >= 0:
             raise TopologyError(f"AS {info.asn}: negative intra-AS latency")
         if info.endnodes < 0:
             raise TopologyError(f"AS {info.asn}: negative end-node count")
-        if info.asn not in self._info:
-            self._adjacency[info.asn] = {}
-            self._dirty = True
-        self._info[info.asn] = info
+        infos, adjacency = self._scratch()
+        if info.asn not in infos:
+            adjacency[info.asn] = {}
+        infos[info.asn] = info
 
     @classmethod
     def from_adjacency_arrays(cls, arrays: Mapping[str, np.ndarray]) -> "ASTopology":
         """Bulk constructor, the inverse of :meth:`adjacency_arrays`.
 
-        The result equals the graph the arrays were taken from, down to
-        the order of :meth:`neighbors`, :meth:`links` and
-        :meth:`edge_arrays`: each AS's neighbour dict is rebuilt in its
-        insertion order rather than replayed link by link through
-        :meth:`add_link`, which would reorder it.  Raises
-        :class:`TopologyError` unless every link is listed at both ends
-        with one positive latency.
+        The graph keeps the arrays (as read-only views, not copies), so it
+        equals the one they were taken from down to the order of
+        :meth:`neighbors`, :meth:`links` and :meth:`edge_arrays`.  Raises
+        :class:`TopologyError` unless they describe a graph: each AS
+        listed once with valid attributes, and each link listed once at
+        both ends, between two listed ASs, with one positive latency.
         """
         topo = cls()
-        bounds = arrays["adj_start"].tolist()
-        nbr_asns = arrays["adj_asn"].tolist()
-        latencies = arrays["adj_latency_ms"].tolist()
-        for i, (asn, tier, intra, endnodes, x, y) in enumerate(zip(
-            arrays["asn"].tolist(),
-            arrays["tier"].tolist(),
-            arrays["intra_ms"].tolist(),
-            arrays["endnodes"].tolist(),
-            arrays["pos_x"].tolist(),
-            arrays["pos_y"].tolist(),
-        )):
-            topo.add_as(ASInfo(asn, ASTier(tier), intra, endnodes, (x, y)))
-            lo, hi = bounds[i], bounds[i + 1]
-            topo._adjacency[asn] = dict(zip(nbr_asns[lo:hi], latencies[lo:hi]))
-        adjacency = topo._adjacency
-        for a, nbrs in adjacency.items():
-            for b, latency in nbrs.items():
-                if a == b or not latency > 0 or adjacency.get(b, {}).get(a) != latency:
-                    raise TopologyError(f"link {a}-{b} is not one symmetric positive link")
-        topo._n_links = sum(len(nbrs) for nbrs in adjacency.values()) // 2
+        topo._frozen, topo._info, topo._adjacency = _Frozen(arrays), None, None
         return topo
 
     def add_link(self, a: int, b: int, latency_ms: float) -> None:
         """Add (or update) an undirected link between two registered ASs."""
         link = Link(a, b, latency_ms)  # validates
+        infos, adjacency = self._scratch()
         for asn in (a, b):
-            if asn not in self._info:
+            if asn not in infos:
                 raise TopologyError(f"AS {asn} not registered")
-        if b not in self._adjacency[a]:
-            self._n_links += 1
-        self._adjacency[a][b] = link.latency_ms
-        self._adjacency[b][a] = link.latency_ms
-        self._dirty = True
+        adjacency[a][b] = link.latency_ms
+        adjacency[b][a] = link.latency_ms
 
     def remove_link(self, a: int, b: int) -> None:
-        """Remove an undirected link (used by failure injection)."""
-        if self._adjacency.get(a, {}).pop(b, None) is None:
+        """Remove an undirected link."""
+        _, adjacency = self._scratch()
+        if adjacency.get(a, {}).pop(b, None) is None:
             raise TopologyError(f"no link {a}-{b}")
-        self._adjacency[b].pop(a, None)
-        self._n_links -= 1
-        self._dirty = True
+        adjacency[b].pop(a, None)
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._info)
+        return len(self._read().asn)
 
     def __contains__(self, asn: int) -> bool:
-        return asn in self._info
+        return asn in self._read().slots()
 
     def asns(self) -> List[int]:
         """All AS numbers, ascending."""
-        self._refresh_index()
-        return list(self._asns)
+        return self._read().dense.tolist()
 
     def info(self, asn: int) -> ASInfo:
         """Attributes of ``asn``; raises :class:`TopologyError` if absent."""
-        try:
-            return self._info[asn]
-        except KeyError as exc:
-            raise TopologyError(f"unknown AS {asn}") from exc
+        frozen = self._read()
+        return frozen.info_at(frozen.slot(asn))
 
     def neighbors(self, asn: int) -> List[int]:
-        """Adjacent AS numbers."""
-        if asn not in self._adjacency:
-            raise TopologyError(f"unknown AS {asn}")
-        return list(self._adjacency[asn])
+        """Adjacent AS numbers, in stored order."""
+        frozen = self._read()
+        p = frozen.slot(asn)
+        return frozen.adj_asn[frozen.start[p] : frozen.start[p + 1]].tolist()
 
     def degree(self, asn: int) -> int:
         """Number of inter-AS links at ``asn``."""
-        if asn not in self._adjacency:
-            raise TopologyError(f"unknown AS {asn}")
-        return len(self._adjacency[asn])
+        frozen = self._read()
+        p = frozen.slot(asn)
+        return int(frozen.start[p + 1] - frozen.start[p])
 
     def link_latency(self, a: int, b: int) -> float:
         """One-way latency of the direct link a-b."""
-        try:
-            return self._adjacency[a][b]
-        except KeyError as exc:
-            raise TopologyError(f"no link {a}-{b}") from exc
+        frozen = self._read()
+        p = frozen.slots().get(a)
+        if p is not None:
+            lo = frozen.start[p]
+            hit = np.flatnonzero(frozen.adj_asn[lo : frozen.start[p + 1]] == b)
+            if hit.size:
+                return float(frozen.adj_ms[lo + hit[0]])
+        raise TopologyError(f"no link {a}-{b}")
 
     def links(self) -> Iterator[Link]:
-        """All undirected links, each yielded once (a < b)."""
-        for a, nbrs in self._adjacency.items():
-            for b, latency in nbrs.items():
-                if a < b:
-                    yield Link(a, b, latency)
+        """All undirected links, each yielded once (a < b), in stored order."""
+        frozen = self._read()
+        owners = np.repeat(frozen.asn, np.diff(frozen.start))
+        once = owners < frozen.adj_asn
+        for a, b, latency in zip(
+            owners[once].tolist(),
+            frozen.adj_asn[once].tolist(),
+            frozen.adj_ms[once].tolist(),
+        ):
+            yield Link(a, b, latency)
 
     def n_links(self) -> int:
         """Number of undirected links."""
-        return self._n_links
+        return len(self._read().adj_asn) // 2
 
     def endnode_counts(self) -> Dict[int, int]:
         """End-node population per AS (query/insert origin weights)."""
-        return {asn: info.endnodes for asn, info in self._info.items()}
+        frozen = self._read()
+        return dict(zip(frozen.asn.tolist(), frozen.endnodes.tolist()))
 
     def intra_latency(self, asn: int) -> float:
         """One-way intra-AS latency of ``asn``."""
-        return self.info(asn).intra_latency_ms
+        frozen = self._read()
+        return float(frozen.intra[frozen.slot(asn)])
 
     # ------------------------------------------------------------------
     # Dense indexing / export
     # ------------------------------------------------------------------
-    def _refresh_index(self) -> None:
-        if not self._dirty:
-            return
-        self._asns = sorted(self._info)
-        self._index = {asn: i for i, asn in enumerate(self._asns)}
-        self._dirty = False
-
     def index_of(self, asn: int) -> int:
         """Dense index of ``asn`` in [0, n)."""
-        self._refresh_index()
-        try:
-            return self._index[asn]
-        except KeyError as exc:
-            raise TopologyError(f"unknown AS {asn}") from exc
+        frozen = self._read()
+        return int(frozen.rank[frozen.slot(asn)])
 
     def asn_at(self, index: int) -> int:
         """Inverse of :meth:`index_of`."""
-        self._refresh_index()
-        return self._asns[index]
+        return int(self._read().dense[index])
 
     def edge_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(rows, cols, weights)`` over dense indices, one entry per
-        directed edge — the CSR ingredients for scipy routing."""
-        self._refresh_index()
-        rows: List[int] = []
-        cols: List[int] = []
-        weights: List[float] = []
-        for a, nbrs in self._adjacency.items():
-            ia = self._index[a]
-            for b, latency in nbrs.items():
-                rows.append(ia)
-                cols.append(self._index[b])
-                weights.append(latency)
-        return (
-            np.asarray(rows, dtype=np.int64),
-            np.asarray(cols, dtype=np.int64),
-            np.asarray(weights, dtype=np.float64),
-        )
+        directed edge in stored order — the CSR ingredients for scipy
+        routing.  ``cols`` and ``weights`` are read-only."""
+        frozen = self._read()
+        rows = np.repeat(frozen.rank, np.diff(frozen.start))
+        return rows, frozen.cols, frozen.adj_ms
 
     def adjacency_arrays(self) -> Dict[str, np.ndarray]:
-        """The whole graph as flat arrays, ASs and each AS's neighbours in
-        insertion order (see :meth:`from_adjacency_arrays`).
+        """The whole graph as flat arrays (fresh copies), ASs and each AS's
+        neighbours in insertion order (see :meth:`from_adjacency_arrays`).
 
         Per AS ``i``: ``asn``, ``tier``, ``intra_ms``, ``endnodes``,
         ``pos_x``, ``pos_y``; its links are entries
         ``adj_start[i]:adj_start[i + 1]`` of ``adj_asn`` (the neighbour)
         and ``adj_latency_ms``.  Every link appears at both ends.
         """
-        infos = list(self._info.values())
-        degrees = [len(self._adjacency[info.asn]) for info in infos]
-        return {
-            "asn": np.asarray([i.asn for i in infos], dtype=np.int64),
-            "tier": np.asarray([int(i.tier) for i in infos], dtype=np.int64),
-            "intra_ms": np.asarray([i.intra_latency_ms for i in infos], dtype=np.float64),
-            "endnodes": np.asarray([i.endnodes for i in infos], dtype=np.int64),
-            "pos_x": np.asarray([i.position[0] for i in infos], dtype=np.float64),
-            "pos_y": np.asarray([i.position[1] for i in infos], dtype=np.float64),
-            "adj_start": np.concatenate(([0], np.cumsum(degrees, dtype=np.int64))),
-            "adj_asn": np.asarray(
-                [b for i in infos for b in self._adjacency[i.asn]], dtype=np.int64
-            ),
-            "adj_latency_ms": np.asarray(
-                [lat for i in infos for lat in self._adjacency[i.asn].values()],
-                dtype=np.float64,
-            ),
-        }
+        return {name: array.copy() for name, array in self._read().arrays.items()}
 
     def intra_latency_array(self) -> np.ndarray:
         """Intra-AS latencies in dense-index order."""
-        self._refresh_index()
-        return np.asarray(
-            [self._info[asn].intra_latency_ms for asn in self._asns], dtype=np.float64
-        )
+        frozen = self._read()
+        return frozen.dense_order(frozen.intra)
 
     def endnode_array(self) -> np.ndarray:
         """End-node counts in dense-index order."""
-        self._refresh_index()
-        return np.asarray(
-            [self._info[asn].endnodes for asn in self._asns], dtype=np.float64
-        )
+        frozen = self._read()
+        return frozen.dense_order(frozen.endnodes)
 
     def validate(self) -> None:
         """Check structural invariants; raises :class:`TopologyError`.
@@ -315,20 +456,13 @@ class ASTopology:
         The simulation requires a connected graph (every AS must be able
         to reach every mapping host) with positive latencies.
         """
-        if not self._info:
+        frozen = self._read()
+        n = len(frozen.asn)
+        if not n:
             raise TopologyError("topology is empty")
-        # Connectivity via BFS from an arbitrary AS.
-        start = next(iter(self._info))
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            nxt: List[int] = []
-            for asn in frontier:
-                for nbr in self._adjacency[asn]:
-                    if nbr not in seen:
-                        seen.add(nbr)
-                        nxt.append(nbr)
-            frontier = nxt
-        if len(seen) != len(self._info):
-            missing = len(self._info) - len(seen)
+        rows, cols, _ = self.edge_arrays()
+        graph = csr_matrix((np.ones(len(cols), dtype=np.int8), (rows, cols)), shape=(n, n))
+        _, labels = connected_components(graph, directed=False)
+        missing = int(np.count_nonzero(labels != labels[frozen.rank[0]]))
+        if missing:
             raise TopologyError(f"topology is disconnected ({missing} ASs unreachable)")

@@ -105,25 +105,35 @@ class Router:
         self.cache_size = cache_size
         self.n = len(topology)
         rows, cols, weights = topology.edge_arrays()
+        # Canonical CSR straight from the arcs: rows ascending, columns
+        # ascending within a row (the topology holds no duplicate arc).
+        order = np.argsort(rows * self.n + cols)
+        indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=self.n), out=indptr[1:])
         self._matrix = csr_matrix(
-            (weights, (rows, cols)), shape=(self.n, self.n)
+            (weights[order], cols[order], indptr), shape=(self.n, self.n)
         )
         # Hop counts are *unit* weights, independent of the latency dtype:
         # an explicit small-int matrix keeps every shortest-hop distance an
         # exact integer (scipy widens to float64 internally, where counts
-        # up to 2**53 are exact).
+        # up to 2**53 are exact).  Same indptr and indices as the latency CSR.
         self._hop_matrix = csr_matrix(
-            (np.ones(len(weights), dtype=np.int8), (rows, cols)),
+            (
+                np.ones(len(weights), dtype=np.int8),
+                self._matrix.indices,
+                self._matrix.indptr,
+            ),
             shape=(self.n, self.n),
         )
         self._intra = topology.intra_latency_array()
+        asn_list = topology.asns()
         # Plain Python copies for the scalar queries (cheaper per element).
-        self._index = {asn: i for i, asn in enumerate(topology.asns())}
+        self._index = {asn: i for i, asn in enumerate(asn_list)}
         self._intra_ms: List[float] = self._intra.tolist()
         # Dense asn -> index translation for vectorized queries: ASNs are
         # small positive integers, so a flat lookup vector replaces the
         # per-element ``index_of`` dict probes on the hot path.
-        asns = np.asarray(topology.asns(), dtype=np.int64)
+        asns = np.asarray(asn_list, dtype=np.int64)
         size = int(asns.max()) + 1 if asns.size else 1
         self._asn_table = np.full(size, -1, dtype=np.int64)
         if asns.size:

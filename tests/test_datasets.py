@@ -4,15 +4,11 @@ import numpy as np
 import pytest
 
 from repro.errors import TopologyError
-from repro.topology.datasets import (
-    line_fixture,
-    load_topology,
-    save_topology,
-    star_fixture,
-    topology_arrays,
-)
+from repro.topology.datasets import load_topology, save_topology, topology_arrays
 from repro.topology.generator import generate_internet_topology, small_scale_config
 from repro.topology.graph import ASTopology
+
+from .topology_fixtures import line_fixture, star_fixture
 
 
 class TestFixtures:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import TopologyError
-from repro.topology.datasets import line_fixture, star_fixture
+from .topology_fixtures import line_fixture, star_fixture
 from repro.topology.graph import ASInfo, ASTopology
 from repro.topology.jellyfish import decompose
 

@@ -9,7 +9,7 @@ from repro.sim.engine import Simulator
 from repro.sim.failures import FailureModel, RouterFailureModel
 from repro.sim.network import Message, MessageKind, Network
 from repro.sim.node import ASNode
-from repro.topology.datasets import line_fixture
+from .topology_fixtures import line_fixture
 from repro.topology.routing import Router
 
 

@@ -98,7 +98,7 @@ class TestSelectorProperties:
         # Uses the session substrate via pytest fixtures indirectly is not
         # possible under @given; build a tiny one here.
         from repro.core.replication import ReplicaSelector
-        from repro.topology.datasets import line_fixture
+        from .topology_fixtures import line_fixture
         from repro.topology.routing import Router
 
         router = Router(line_fixture(n=8))

@@ -10,7 +10,7 @@ from repro.core.replication import ReplicaSelector, ReplicaSet
 from repro.errors import ConfigurationError
 from repro.fastpath import FastpathEngine
 from repro.hashing.rehash import HashResolution
-from repro.topology.datasets import line_fixture
+from .topology_fixtures import line_fixture
 from repro.topology.graph import ASInfo, ASTopology
 from repro.topology.routing import Router
 

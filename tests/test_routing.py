@@ -7,7 +7,7 @@ import pytest
 from scipy.sparse.csgraph import dijkstra
 
 from repro.errors import RoutingError, TopologyError
-from repro.topology.datasets import line_fixture, star_fixture
+from .topology_fixtures import line_fixture, star_fixture
 from repro.topology import routing
 from repro.topology.graph import ASInfo, ASTopology
 from repro.topology.routing import Router, certified
