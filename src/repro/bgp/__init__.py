@@ -12,8 +12,6 @@ from .churn import (
     ChurnEvent,
     ChurnKind,
     ChurnScheduleGenerator,
-    churned_fraction,
-    perturb_view,
 )
 from .interval_index import HOLE, IntervalIndex
 from .prefix import Announcement, Prefix
@@ -29,8 +27,6 @@ __all__ = [
     "ChurnEvent",
     "ChurnKind",
     "ChurnScheduleGenerator",
-    "churned_fraction",
-    "perturb_view",
     "HOLE",
     "IntervalIndex",
     "Announcement",

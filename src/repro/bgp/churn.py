@@ -9,12 +9,12 @@
   a hole; the first query to the announcing AS triggers a one-time
   migration from the old deputy.
 
-This module provides (a) a Poisson churn-schedule generator (announcements
-dominating withdrawals, as the cited long-term churn study observed), and
-(b) perturbed *inconsistent views* of the prefix table, modelling BGP
-convergence lag at a query origin — the mechanism behind the Fig. 5
-experiment, where a query that consults a stale table can reach an AS that
-does not host the mapping and must retry the next replica.
+This module provides a Poisson churn-schedule generator (announcements
+dominating withdrawals, as the cited long-term churn study observed).
+The Fig. 5 experiment models BGP convergence lag at a query origin with a
+per-replica failure probability instead (``ChurnFailureModel``): a query
+that consults a stale table can reach an AS that does not host the
+mapping and must retry the next replica.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional
 
 import numpy as np
 
@@ -157,52 +157,3 @@ class ChurnScheduleGenerator:
             if ann.prefix not in self.table:
                 return ChurnEvent(time, ChurnKind.ANNOUNCE, ann)
         return None
-
-
-def perturb_view(
-    table: GlobalPrefixTable,
-    fraction: float,
-    seed: int = 0,
-) -> Tuple[GlobalPrefixTable, List[Announcement]]:
-    """Build an *inconsistent view* of ``table`` for a lagging query origin.
-
-    A random ``fraction`` of announcements is withdrawn from the copy —
-    from the origin's point of view those prefixes moved (were withdrawn
-    and possibly re-announced elsewhere) after its last BGP update, so any
-    hashed value landing in them resolves to the wrong AS.
-
-    Returns the perturbed copy and the list of announcements it is missing.
-    The copy is built from the table's rows minus the withdrawn ones in
-    one pass, so its ``generation`` is its length.
-    Used by integration tests; the Fig. 5 experiment models the same effect
-    with a per-replica failure probability, exactly as the paper's
-    "percentage of prefixes that are newly announced or withdrawn" knob.
-    """
-    if not 0.0 <= fraction <= 1.0:
-        raise ConfigurationError("fraction must lie in [0, 1]")
-    rng = np.random.default_rng(seed)
-    announcements = sorted(table)  # the table's row order
-    n_perturb = int(round(fraction * len(announcements)))
-    if n_perturb == 0:
-        return table.copy(), []
-    picked_idx = rng.choice(len(announcements), size=n_perturb, replace=False)
-    keep = np.ones(len(announcements), dtype=bool)
-    keep[picked_idx] = False
-    bases, lengths, asns = table.prefix_arrays()
-    view = GlobalPrefixTable.from_arrays(
-        bases[keep], lengths[keep], asns[keep], bits=table.bits
-    )
-    removed = [announcements[i] for i in np.flatnonzero(~keep).tolist()]
-    return view, removed
-
-
-def churned_fraction(
-    reference: GlobalPrefixTable, view: GlobalPrefixTable
-) -> float:
-    """Fraction of reference announcements absent from ``view`` — a
-    convergence-lag measure used in tests."""
-    reference_set = set(reference)
-    if not reference_set:
-        return 0.0
-    view_set = set(view)
-    return len(reference_set - view_set) / len(reference_set)

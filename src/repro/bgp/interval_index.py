@@ -145,13 +145,14 @@ def decompose(
     return _merge_runs(positions[last], labels[last])
 
 
+#: ``_HOST_MASKS[h]`` is the mask of ``h`` host bits, ``2**h - 1``.
+_HOST_MASKS = np.array([(1 << h) - 1 for h in range(65)], dtype=np.uint64)
+
+
 def host_masks(lengths: np.ndarray, bits: int) -> np.ndarray:
-    """The host-bit mask (``span - 1``) of each prefix length."""
-    host = (bits - lengths).astype(np.uint64)
-    masks = np.full(len(lengths), np.iinfo(np.uint64).max, dtype=np.uint64)
-    narrow = host < 64
-    masks[narrow] = (np.uint64(1) << host[narrow]) - np.uint64(1)
-    return masks
+    """The host-bit mask (``span - 1``) of each prefix length, for
+    lengths in ``[0, bits]`` and ``bits <= 64``."""
+    return _HOST_MASKS[bits - lengths]
 
 
 def owner_intervals(

@@ -143,7 +143,8 @@ class GlobalPrefixTable:
         with the checks :class:`Prefix` and :class:`Announcement` make
         (:class:`AddressError`), in a few array passes; the prefixes must
         be distinct (:class:`PrefixTableError`).  Rows out of
-        ``(base, length)`` order are sorted.
+        ``(base, length)`` order are sorted.  Read-only arrays of the
+        stored dtypes are kept, not copied.
         """
         table = cls(bits=bits)
         bases, lengths, asns = (np.asarray(a) for a in (bases, lengths, asns))
@@ -158,13 +159,15 @@ class GlobalPrefixTable:
             raise AddressError(f"prefix length out of range for {bits}-bit space")
         if np.any(bases < 0) or (bits < 64 and np.any(bases >> bits)):
             raise AddressError(f"prefix base out of range for {bits}-bit space")
-        bases = bases.astype(np.uint64)
-        lengths = lengths.astype(np.int64)
+        # A read-only array is kept as it is (the substrate store's views
+        # into its file); a writable one is the caller's, and is copied.
+        bases = bases.astype(np.uint64, copy=bases.flags.writeable)
+        lengths = lengths.astype(np.int64, copy=lengths.flags.writeable)
         if np.any(bases & host_masks(lengths, bits)):
             raise AddressError("prefix base has non-zero host bits")
         if np.any(asns < 0):
             raise AddressError("AS number must be non-negative")
-        asns = asns.astype(np.int64)
+        asns = asns.astype(np.int64, copy=asns.flags.writeable)
         if not _strictly_sorted(bases, lengths):
             order = np.lexsort((lengths, bases))
             bases, lengths, asns = bases[order], lengths[order], asns[order]

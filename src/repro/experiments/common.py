@@ -4,10 +4,11 @@ Every evaluation artifact in the paper runs over the same substrate — the
 DIMES-derived AS topology and the DIX-IE prefix table.  Experiments here
 share one :class:`Environment` per (scale, seed).  Its substrate is
 generated once and then loaded from a content-addressed store on disk:
-one ``substrate-<key>.npz`` per substrate under ``REPRO_CACHE_DIR``
-(default ``~/.cache/repro-dmap``), where the key hashes everything the
-substrate depends on, generator code included (:func:`substrate_key`),
-and a digest of the payload is checked on every load.
+one ``substrate-<key>.arrays`` per substrate under ``REPRO_CACHE_DIR``
+(default ``~/.cache/repro-dmap``), an array file of
+:mod:`repro.topology.datasets`.  The key hashes everything the substrate
+depends on, generator code included (:func:`substrate_key`), and the key
+and a digest of the payload are checked on every load.
 
 Three scales:
 
@@ -28,16 +29,15 @@ import hashlib
 import importlib
 import os
 import time
-import zipfile
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Mapping, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
 from ..bgp.allocation import AllocationConfig, generate_global_prefix_table
 from ..bgp.table import GlobalPrefixTable
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, TopologyError
 from ..topology import datasets
 from ..topology.generator import TopologyConfig, generate_internet_topology
 from ..topology.graph import ASTopology
@@ -46,8 +46,8 @@ from ..topology.routing import Router
 #: Where the substrate store lives (override with REPRO_CACHE_DIR).
 DEFAULT_CACHE_DIR = os.path.join(os.path.expanduser("~"), ".cache", "repro-dmap")
 
-#: Layout of a ``substrate-<key>.npz`` file; part of the key.
-STORE_FORMAT_VERSION = 1
+#: What a ``substrate-<key>.arrays`` file holds; part of the key.
+STORE_FORMAT_VERSION = 2
 
 #: Modules whose code generates a substrate.  Their bytes are part of the
 #: store key, so an edited generator never meets a stale substrate.
@@ -112,7 +112,7 @@ class Environment:
         self.seed = seed
         cache_dir = cache_dir or os.environ.get("REPRO_CACHE_DIR", DEFAULT_CACHE_DIR)
         self.substrate_key = substrate_key(scale, seed)
-        path = os.path.join(cache_dir, f"substrate-{self.substrate_key}.npz")
+        path = os.path.join(cache_dir, f"substrate-{self.substrate_key}.arrays")
         stored = _read_substrate(path, self.substrate_key)
         self.substrate_loaded = stored is not None
         self.topology: ASTopology
@@ -177,56 +177,29 @@ def substrate_key(scale: Scale, seed: int) -> str:
     return hashlib.sha256("\n".join(parts).encode()).hexdigest()
 
 
-def _payload_digest(arrays: Mapping[str, np.ndarray]) -> str:
-    """SHA-256 over every array's name, dtype, shape and bytes."""
-    digest = hashlib.sha256()
-    for name in sorted(arrays):
-        array = np.ascontiguousarray(arrays[name])
-        digest.update(f"{name}:{array.dtype.str}:{array.shape}\n".encode())
-        digest.update(array.tobytes())
-    return digest.hexdigest()
-
-
 def _read_substrate(path: str, key: str) -> Optional[Dict[str, np.ndarray]]:
     """The stored payload at ``path``, or ``None`` when the file is missing,
-    unreadable, or fails its digest or key check (then it is rebuilt)."""
+    unreadable, or fails its format, key or digest check (then it is
+    rebuilt)."""
     try:
-        with np.load(path, allow_pickle=False) as data:
-            arrays = {name: data[name] for name in data.files}
-    except (OSError, EOFError, ValueError, zipfile.BadZipFile):
+        return datasets.read_arrays(path, key)
+    except (OSError, TopologyError):
         return None
-    digest = arrays.pop("digest", None)
-    if (
-        digest is None
-        or str(digest) != _payload_digest(arrays)
-        or str(arrays.get("key")) != key
-    ):
-        return None
-    return arrays
 
 
 def _write_substrate(
     path: str, key: str, topology: ASTopology, table: GlobalPrefixTable
 ) -> None:
-    """Write the substrate to ``path`` atomically (temp file, then
-    :func:`os.replace`), with a digest of its payload."""
+    """Write the substrate to the array file ``path`` under ``key``
+    (atomically, see :func:`repro.topology.datasets.write_arrays`)."""
     bases, lengths, asns = table.prefix_arrays()
     payload = {
-        "key": np.array(key),
         **datasets.topology_arrays(topology),
         "prefix_base": bases,
         "prefix_length": lengths,
         "prefix_asn": asns,
     }
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            np.savez(fh, digest=np.array(_payload_digest(payload)), **payload)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+    datasets.write_arrays(path, payload, key)
 
 
 _ENVIRONMENTS: Dict[tuple, Environment] = {}

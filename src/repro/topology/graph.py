@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -96,13 +97,70 @@ LAYOUT = {
 
 _PER_AS = ("asn", "tier", "intra_ms", "endnodes", "pos_x", "pos_y")
 
+#: :class:`AsnIndex` keeps a flat ASN -> dense table while the largest ASN
+#: stays below ``_TABLE_PER_AS`` entries per AS plus ``_TABLE_SLACK``:
+#: every 2-byte numbering does, and the table stays a small multiple of
+#: the graph.  Sparser numberings (4-byte ASNs) are searched instead.
+_TABLE_PER_AS = 16
+_TABLE_SLACK = 1 << 16
+
+
+class AsnIndex:
+    """The ASN -> dense-index map of a graph, shared by the topology and
+    its router.
+
+    ``asns`` lists the ASNs ascending, so position ``i`` holds the ASN of
+    dense index ``i``.  :meth:`dense_of` maps an array of ASNs at once:
+    through a flat table indexed by ASN when the ASNs are dense enough
+    (see :data:`_TABLE_PER_AS`), else by binary search over ``asns``;
+    memory stays linear in the number of ASs either way.  :attr:`lookup`
+    is the same map as a dict, for scalar queries.
+    """
+
+    def __init__(self, asns: np.ndarray) -> None:
+        dense = np.sort(asns)
+        twice = np.flatnonzero(dense[1:] == dense[:-1])
+        if twice.size:
+            raise TopologyError(f"AS {dense[twice[0]]} is listed twice")
+        dense.flags.writeable = False
+        self.asns = dense
+        self._table: Optional[np.ndarray] = None
+        n = len(dense)
+        if n and dense[0] >= 0 and dense[-1] < _TABLE_PER_AS * n + _TABLE_SLACK:
+            # One entry per ASN up to the largest, then a -1 sentinel that
+            # every ASN outside [0, largest] is clipped onto.
+            table = np.full(int(dense[-1]) + 2, -1, dtype=np.int64)
+            table[dense] = np.arange(n, dtype=np.int64)
+            self._table = table
+
+    def dense_of(self, asns: np.ndarray) -> np.ndarray:
+        """Dense index of each of ``asns`` (an int64 array of any shape),
+        ``-1`` where the ASN is not listed."""
+        table = self._table
+        if table is not None:
+            if asns.size and (asns.min() < 0 or asns.max() >= len(table)):
+                asns = np.clip(asns, -1, len(table) - 1)
+            return table[asns]
+        n = len(self.asns)
+        if not n:
+            return np.full(np.shape(asns), -1, dtype=np.int64)
+        at = np.searchsorted(self.asns, asns)
+        return np.where(self.asns[np.minimum(at, n - 1)] == asns, at, -1)
+
+    @cached_property
+    def lookup(self) -> Dict[int, int]:
+        """``asn -> dense index``, built on the first read."""
+        return dict(zip(self.asns.tolist(), range(len(self.asns))))
+
 
 class _Frozen:
     """A checked :data:`LAYOUT` and the dense index derived from it.
 
-    Dense indices number the ASs in ascending ASN order: ``dense`` lists
-    the ASNs that way, ``rank`` is the dense index of each stored AS and
-    ``cols`` that of each stored neighbour.  Every array is read-only.
+    Dense indices number the ASs in ascending ASN order: ``index`` maps
+    ASNs to them, ``rank`` is the dense index of each stored AS and
+    ``cols`` that of each stored neighbour.  ``csr`` is ``(indptr,
+    indices, weights)``, the arcs in ``(row, col)`` order as a canonical
+    CSR matrix over dense indices.  Every array is read-only.
     """
 
     def __init__(self, arrays: Mapping[str, np.ndarray]) -> None:
@@ -134,19 +192,17 @@ class _Frozen:
             start[-1] == len(adj_asn) == len(adj_ms)
         ):
             raise TopologyError("adj_start does not delimit the adjacency arrays")
-        dense = np.sort(asn)
-        twice = np.flatnonzero(dense[1:] == dense[:-1])
-        if twice.size:
-            raise TopologyError(f"AS {dense[twice[0]]} is listed twice")
+        self.index = index = AsnIndex(asn)
+        dense = index.asns
         if not (intra >= 0).all():
             raise TopologyError("intra-AS latencies must be >= 0")
         if (self.endnodes < 0).any():
             raise TopologyError("end-node counts must be >= 0")
         if not np.isin(self.tier, [int(t) for t in ASTier]).all():
             raise TopologyError("unknown AS tier")
-        rank = np.searchsorted(dense, asn)
-        cols = np.searchsorted(dense, adj_asn)
-        stray = np.flatnonzero(dense[np.minimum(cols, n - 1)] != adj_asn)
+        rank = index.dense_of(asn)
+        cols = index.dense_of(adj_asn)
+        stray = np.flatnonzero(cols < 0)
         if stray.size:
             raise TopologyError(f"neighbour AS {adj_asn[stray[0]]} is not listed")
         rows = np.repeat(rank, degree)
@@ -161,26 +217,40 @@ class _Frozen:
         bad = np.flatnonzero(~(adj_ms > 0))
         if bad.size:
             raise bad_arc(bad[0], "must have positive latency")
-        # Sorted by (owner, neighbour), the arcs must repeat nowhere and
-        # match, one to one, the arcs sorted by (neighbour, owner): the
-        # arc at each position is the reverse of its partner, so their
-        # latencies must agree too.
+        # Sorted by (owner, neighbour), the arcs are the graph's canonical
+        # CSR matrix, and must repeat nowhere.  Its transpose (scipy's
+        # linear counting pass, carrying each arc's position along) lists
+        # them by (neighbour, owner): the graph is symmetric when both have
+        # one structure, and then the arc at each position is the reverse
+        # of its partner's, so their latencies must agree too.
         key = rows * n + cols
-        fwd = np.argsort(key)
-        sorted_key = key[fwd]
+        order = np.argsort(key)
+        sorted_key = key[order]
         twice = np.flatnonzero(sorted_key[1:] == sorted_key[:-1])
         if twice.size:
-            raise bad_arc(fwd[twice[0]], "is listed twice at one end")
-        reverse_key = cols * n + rows
-        rev = np.argsort(reverse_key)
-        if not np.array_equal(sorted_key, reverse_key[rev]):
-            one_ended = np.flatnonzero(~np.isin(reverse_key, key))
+            raise bad_arc(order[twice[0]], "is listed twice at one end")
+        row_degree = np.empty(n, dtype=np.int64)
+        row_degree[rank] = degree
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(row_degree, out=indptr[1:])
+        # scipy narrows the index arrays to the smallest dtype that holds
+        # them; the router's matrices then share these without a copy.
+        matrix = csr_matrix((np.arange(len(order)), cols[order], indptr), shape=(n, n))
+        indptr, indices = matrix.indptr, matrix.indices
+        transposed = matrix.tocsc()
+        if not (
+            np.array_equal(transposed.indptr, indptr)
+            and np.array_equal(transposed.indices, indices)
+        ):
+            one_ended = np.flatnonzero(~np.isin(cols * n + rows, key))
             raise bad_arc(one_ended[0], "is listed at one end only")
-        differ = np.flatnonzero(adj_ms[fwd] != adj_ms[rev])
+        weights = adj_ms[order]
+        differ = np.flatnonzero(weights != weights[transposed.data])
         if differ.size:
-            raise bad_arc(fwd[differ[0]], "has different latencies at its ends")
+            raise bad_arc(order[differ[0]], "has different latencies at its ends")
         self.dense, self.rank, self.cols = dense, rank, cols
-        for derived in (dense, rank, cols):
+        self.csr = (indptr, indices, weights)
+        for derived in (rank, cols, *self.csr):
             derived.flags.writeable = False
 
     def slots(self) -> Dict[int, int]:
@@ -349,7 +419,7 @@ class ASTopology:
         return len(self._read().asn)
 
     def __contains__(self, asn: int) -> bool:
-        return asn in self._read().slots()
+        return asn in self._read().index.lookup
 
     def asns(self) -> List[int]:
         """All AS numbers, ascending."""
@@ -414,12 +484,26 @@ class ASTopology:
     # ------------------------------------------------------------------
     def index_of(self, asn: int) -> int:
         """Dense index of ``asn`` in [0, n)."""
-        frozen = self._read()
-        return int(frozen.rank[frozen.slot(asn)])
+        try:
+            return self._read().index.lookup[asn]
+        except KeyError as exc:
+            raise TopologyError(f"unknown AS {asn}") from exc
 
     def asn_at(self, index: int) -> int:
         """Inverse of :meth:`index_of`."""
         return int(self._read().dense[index])
+
+    def asn_index(self) -> AsnIndex:
+        """The graph's ASN -> dense-index map (see :class:`AsnIndex`)."""
+        return self._read().index
+
+    def csr_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(indptr, indices, weights)``: the latency graph over dense
+        indices as a canonical CSR matrix (rows ascending, columns
+        ascending within a row), as the load's symmetry check sorted it.
+        The arrays are read-only; the index arrays have the dtype scipy
+        picks for them (int32 unless the graph needs int64)."""
+        return self._read().csr
 
     def edge_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(rows, cols, weights)`` over dense indices, one entry per
@@ -460,8 +544,8 @@ class ASTopology:
         n = len(frozen.asn)
         if not n:
             raise TopologyError("topology is empty")
-        rows, cols, _ = self.edge_arrays()
-        graph = csr_matrix((np.ones(len(cols), dtype=np.int8), (rows, cols)), shape=(n, n))
+        indptr, indices, _ = self.csr_arrays()
+        graph = csr_matrix((np.ones(len(indices), dtype=np.int8), indices, indptr), shape=(n, n))
         _, labels = connected_components(graph, directed=False)
         missing = int(np.count_nonzero(labels != labels[frozen.rank[0]]))
         if missing:

@@ -93,8 +93,8 @@ class Router:
         The AS graph.  The router snapshots its structure at construction;
         rebuild the router after mutating the topology.
     cache_size:
-        Number of per-source distance rows kept (LRU).  A row is
-        ``8 bytes × n`` — 26k ASs ≈ 0.2 MB — so thousands of rows fit
+        Number of per-source distance rows kept (LRU).  A row is float32,
+        ``4 bytes × n`` — 26k ASs ≈ 0.1 MB — so thousands of rows fit
         comfortably.
     """
 
@@ -104,15 +104,13 @@ class Router:
         self.topology = topology
         self.cache_size = cache_size
         self.n = len(topology)
-        rows, cols, weights = topology.edge_arrays()
-        # Canonical CSR straight from the arcs: rows ascending, columns
-        # ascending within a row (the topology holds no duplicate arc).
-        order = np.argsort(rows * self.n + cols)
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=self.n), out=indptr[1:])
-        self._matrix = csr_matrix(
-            (weights[order], cols[order], indptr), shape=(self.n, self.n)
-        )
+        # The canonical CSR the topology's load already sorted, and its
+        # ASN map: nothing is sorted or mapped again here.  The map's dict
+        # form is built on the first scalar query, so an engine that asks
+        # only vector queries (the fastpath) never builds it.
+        indptr, indices, weights = topology.csr_arrays()
+        self._asns = topology.asn_index()
+        self._matrix = csr_matrix((weights, indices, indptr), shape=(self.n, self.n))
         # Hop counts are *unit* weights, independent of the latency dtype:
         # an explicit small-int matrix keeps every shortest-hop distance an
         # exact integer (scipy widens to float64 internally, where counts
@@ -126,18 +124,8 @@ class Router:
             shape=(self.n, self.n),
         )
         self._intra = topology.intra_latency_array()
-        asn_list = topology.asns()
-        # Plain Python copies for the scalar queries (cheaper per element).
-        self._index = {asn: i for i, asn in enumerate(asn_list)}
+        # A plain Python copy for the scalar queries (cheaper per element).
         self._intra_ms: List[float] = self._intra.tolist()
-        # Dense asn -> index translation for vectorized queries: ASNs are
-        # small positive integers, so a flat lookup vector replaces the
-        # per-element ``index_of`` dict probes on the hot path.
-        asns = np.asarray(asn_list, dtype=np.int64)
-        size = int(asns.max()) + 1 if asns.size else 1
-        self._asn_table = np.full(size, -1, dtype=np.int64)
-        if asns.size:
-            self._asn_table[asns] = np.arange(self.n, dtype=np.int64)
         self._latency_rows: "OrderedDict[int, np.ndarray]" = OrderedDict()
         self._hop_rows: "OrderedDict[int, np.ndarray]" = OrderedDict()
         self.dijkstra_runs = 0
@@ -343,13 +331,16 @@ class Router:
         """Dense index of ``asn``; :class:`TopologyError` when the router
         does not know it."""
         try:
-            return self._index[asn]
+            return self._asns.lookup[asn]
         except KeyError as exc:
-            raise TopologyError(f"unknown AS {asn}") from exc
+            raise _unknown(exc) from exc
 
     def intra_ms(self, asn: int) -> float:
         """The one-way rule's same-AS cost: ``one_way(s, s) = intra(s)``."""
-        return self._intra_ms[self._dense(asn)]
+        try:
+            return self._intra_ms[self._asns.lookup[asn]]
+        except KeyError as exc:
+            raise _unknown(exc) from exc
 
     @staticmethod
     def reached(src_asn: int, dst_asn: int, cost: float) -> float:
@@ -382,28 +373,35 @@ class Router:
         destination is another AS, is widened to a Python float and
         summed left to right with the float64 intra terms.
         """
-        intra = self._intra_ms
-        s = self._dense(src_asn)
-        own = intra[s]
+        intra, index = self._intra_ms, self._asns.lookup
         row = None
         costs: List[float] = []
-        for asn in dst_asns:
-            d = self._dense(asn)
-            if d == s:
-                costs.append(own)
-                continue
-            if row is None:
-                row = self.latency_row(src_asn)
-            costs.append(own + row.item(d) + intra[d])
+        try:
+            s = index[src_asn]
+            own = intra[s]
+            for asn in dst_asns:
+                d = index[asn]
+                if d == s:
+                    costs.append(own)
+                    continue
+                if row is None:
+                    row = self.latency_row(src_asn)
+                costs.append(own + row.item(d) + intra[d])
+        except KeyError as exc:
+            raise _unknown(exc) from exc
         return costs
 
     def hop_costs(self, src_asn: int, dst_asns: Iterable[int]) -> List[float]:
         """AS-path hop counts from ``src_asn`` to each of ``dst_asns`` as
         floats (``0.0`` to itself, ``inf`` where unreachable), from one
         read of the source's cached hop row."""
+        index = self._asns.lookup
         s = self._dense(src_asn)
         row = self.hop_row(src_asn)
-        return [0.0 if d == s else row.item(d) for d in map(self._dense, dst_asns)]
+        try:
+            return [0.0 if d == s else row.item(d) for d in map(index.__getitem__, dst_asns)]
+        except KeyError as exc:
+            raise _unknown(exc) from exc
 
     def one_way_ms(self, src_asn: int, dst_asn: int) -> float:
         """:meth:`one_way_costs` for one destination; raises
@@ -445,11 +443,7 @@ class Router:
     def indices_of(self, asns: np.ndarray) -> np.ndarray:
         """Dense indices of an ASN array (vectorized ``index_of``)."""
         arr = np.asarray(asns, dtype=np.int64)
-        if arr.size and (
-            arr.min() < 0 or arr.max() >= len(self._asn_table)
-        ):
-            raise RoutingError("unknown AS in destination array")
-        idx = self._asn_table[arr]
+        idx = self._asns.dense_of(arr)
         if arr.size and int(idx.min()) < 0:
             missing = arr[idx < 0].ravel()
             raise RoutingError(f"unknown AS {int(missing[0])}")
@@ -472,6 +466,11 @@ class Router:
             "derived_rows": self.derived_rows,
             "fallback_rows": self.fallback_rows,
         }
+
+
+def _unknown(missing: KeyError) -> TopologyError:
+    """The error for an ASN a router's map does not hold."""
+    return TopologyError(f"unknown AS {missing.args[0]}")
 
 
 def _fill(

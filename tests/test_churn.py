@@ -1,4 +1,4 @@
-"""Tests for BGP churn schedules and inconsistent views."""
+"""Tests for BGP churn schedules."""
 
 import numpy as np
 import pytest
@@ -7,8 +7,6 @@ from repro.bgp.churn import (
     ChurnEvent,
     ChurnKind,
     ChurnScheduleGenerator,
-    churned_fraction,
-    perturb_view,
 )
 from repro.bgp.prefix import Announcement, Prefix
 from repro.bgp.table import GlobalPrefixTable
@@ -106,43 +104,3 @@ class TestScheduleGenerator:
             ChurnScheduleGenerator(churn_table, -1.0, 0.5)
         with pytest.raises(ConfigurationError):
             ChurnScheduleGenerator(churn_table, 0.0, 0.0)
-
-
-class TestPerturbView:
-    def test_fraction_zero_is_identity(self, churn_table):
-        view, removed = perturb_view(churn_table, 0.0)
-        assert removed == []
-        assert churned_fraction(churn_table, view) == 0.0
-
-    def test_fraction_removed(self, churn_table):
-        view, removed = perturb_view(churn_table, 0.25, seed=4)
-        assert len(removed) == 5
-        assert churned_fraction(churn_table, view) == pytest.approx(0.25)
-        for a in removed:
-            assert a.prefix not in view
-            assert a.prefix in churn_table
-
-    def test_original_untouched(self, churn_table):
-        before = len(churn_table)
-        perturb_view(churn_table, 0.5, seed=5)
-        assert len(churn_table) == before
-
-    def test_bad_fraction(self, churn_table):
-        with pytest.raises(ConfigurationError):
-            perturb_view(churn_table, 1.5)
-
-    def test_deterministic(self, churn_table):
-        _v1, r1 = perturb_view(churn_table, 0.3, seed=6)
-        _v2, r2 = perturb_view(churn_table, 0.3, seed=6)
-        assert r1 == r2
-
-
-class TestChurnedFraction:
-    def test_empty_reference(self):
-        empty = GlobalPrefixTable()
-        assert churned_fraction(empty, empty) == 0.0
-
-    def test_counts_missing_only(self, churn_table):
-        view = churn_table.copy()
-        view.announce(ann("200.0.0.0/8", 999))  # extra prefix: not churn
-        assert churned_fraction(churn_table, view) == 0.0

@@ -1,6 +1,8 @@
 """Tests for the shared experiment environment plumbing."""
 
+import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 import repro.experiments.common as common
 import repro.topology.datasets as datasets
 from repro.bgp.prefix import Announcement, Prefix
+from repro.errors import TopologyError
 from repro.experiments.common import (
     SCALES,
     Environment,
@@ -47,8 +50,8 @@ class TestEnvironment:
 
     def test_topology_cached_on_disk(self, tiny_scale, tmp_path):
         env = Environment(tiny_scale, seed=2, cache_dir=str(tmp_path))
-        cached = [f for f in os.listdir(tmp_path) if f.endswith(".npz")]
-        assert cached == [f"substrate-{env.substrate_key}.npz"]
+        cached = [f for f in os.listdir(tmp_path) if f.endswith(".arrays")]
+        assert cached == [f"substrate-{env.substrate_key}.arrays"]
         # Second construction loads the cache (mtime unchanged).
         path = tmp_path / cached[0]
         mtime = path.stat().st_mtime_ns
@@ -120,6 +123,57 @@ def store_files(directory):
     return sorted(os.listdir(directory))
 
 
+def store_path(directory, env):
+    return directory / f"substrate-{env.substrate_key}.arrays"
+
+
+def split_store_file(path):
+    """``(header, payload)`` of an array file, the payload writable."""
+    data = path.read_bytes()
+    start = len(datasets.MAGIC) + 8
+    (size,) = struct.unpack_from("<Q", data, len(datasets.MAGIC))
+    return json.loads(data[start : start + size]), bytearray(data[start + size :])
+
+
+def write_store_file(path, header, payload):
+    """An array file of ``header`` and ``payload``, the payload aligned."""
+    text = json.dumps(header).encode()
+    text += b" " * (-(len(datasets.MAGIC) + 8 + len(text)) % datasets.ALIGN)
+    path.write_bytes(datasets.MAGIC + struct.pack("<Q", len(text)) + text + bytes(payload))
+
+
+def edit_first_entry(**fields):
+    """A damage: these ``fields`` replace those of the header's first
+    array; an ``offset`` of ``None`` is the end of the payload."""
+
+    def damage(path):
+        header, payload = split_store_file(path)
+        entry = header["arrays"][0]
+        entry.update(fields)
+        if entry["offset"] is None:
+            entry["offset"] = len(payload)
+        write_store_file(path, header, payload)
+
+    return damage
+
+
+def pre_change_npz(path):
+    """The archive this store wrote before the array file: an ``.npz``."""
+    arrays = datasets.read_arrays(str(path))
+    with open(path, "wb") as fh:
+        np.savez(fh, key=np.array("k"), digest=np.array("d"), **arrays)
+
+
+#: Ways a store file goes bad, each of which must be rebuilt.
+DAMAGES = {
+    "truncated": lambda path: path.write_bytes(path.read_bytes()[:-100]),
+    "offsets-past-the-end": edit_first_entry(offset=None),
+    "object-dtype": edit_first_entry(dtype="|O"),
+    "unknown-dtype": edit_first_entry(dtype="<q77"),
+    "pre-change-npz": pre_change_npz,
+}
+
+
 @pytest.fixture
 def count_builds(monkeypatch):
     """Count calls of the two substrate generators."""
@@ -169,7 +223,7 @@ class TestSubstrateStore:
         first = Environment(tiny_scale, seed=2, cache_dir=str(cache))
         second = Environment(tiny_scale, seed=2, cache_dir=str(cache))
         assert count_builds == {"topology": 1, "table": 1}
-        assert store_files(cache) == [f"substrate-{first.substrate_key}.npz"]
+        assert store_files(cache) == [f"substrate-{first.substrate_key}.arrays"]
         assert second.topology.asns() == first.topology.asns()
 
     def test_edited_generator_forces_rebuild(
@@ -227,7 +281,7 @@ class TestSubstrateStore:
 
     def test_flipped_byte_rebuilds(self, tiny_scale, tmp_path, count_builds):
         first = Environment(tiny_scale, seed=3, cache_dir=str(tmp_path))
-        path = tmp_path / f"substrate-{first.substrate_key}.npz"
+        path = store_path(tmp_path, first)
         data = bytearray(path.read_bytes())
         data[len(data) // 2] ^= 0x01
         path.write_bytes(bytes(data))
@@ -241,24 +295,43 @@ class TestSubstrateStore:
         assert store_files(tmp_path) == [path.name]
 
     def test_digest_mismatch_rebuilds(self, tiny_scale, tmp_path, count_builds):
-        # A well-formed archive whose payload no longer matches its digest.
+        # A well-formed file whose payload no longer matches its digest.
         first = Environment(tiny_scale, seed=3, cache_dir=str(tmp_path))
-        path = tmp_path / f"substrate-{first.substrate_key}.npz"
-        with np.load(path) as data:
-            arrays = {name: data[name] for name in data.files}
-        arrays["prefix_asn"] = arrays["prefix_asn"][::-1].copy()
-        with open(path, "wb") as fh:
-            np.savez(fh, **arrays)
+        path = store_path(tmp_path, first)
+        header, payload = split_store_file(path)
+        (entry,) = [e for e in header["arrays"] if e["name"] == "prefix_asn"]
+        asns = np.frombuffer(payload, dtype=entry["dtype"], count=entry["shape"][0],
+                             offset=entry["offset"])
+        payload[entry["offset"] : entry["offset"] + asns.nbytes] = asns[::-1].tobytes()
+        write_store_file(path, header, payload)
+        with pytest.raises(TopologyError, match="digest"):
+            datasets.read_arrays(str(path))
         second = Environment(tiny_scale, seed=3, cache_dir=str(tmp_path))
         assert not second.substrate_loaded
         assert count_builds["table"] == 2
         assert_same_substrate(first, second)
 
+    @pytest.mark.parametrize("damage", sorted(DAMAGES))
+    def test_damaged_file_rebuilds(self, damage, tiny_scale, tmp_path, count_builds):
+        # Never served and never raised: regenerated and overwritten.
+        first = Environment(tiny_scale, seed=3, cache_dir=str(tmp_path))
+        path = store_path(tmp_path, first)
+        intact = path.read_bytes()
+        DAMAGES[damage](path)
+        assert path.read_bytes() != intact
+        second = Environment(tiny_scale, seed=3, cache_dir=str(tmp_path))
+        assert not second.substrate_loaded
+        assert count_builds == {"topology": 2, "table": 2}
+        assert_same_substrate(first, second)
+        assert path.read_bytes() == intact
+        assert Environment(tiny_scale, seed=3, cache_dir=str(tmp_path)).substrate_loaded
+        assert store_files(tmp_path) == [path.name]
+
     def test_topology_decoded_by_datasets(self, tiny_scale, tmp_path, monkeypatch):
         # One topology format: a substrate file is a topology archive, and
         # a loading construction decodes it through datasets.load_topology.
         first = Environment(tiny_scale, seed=4, cache_dir=str(tmp_path))
-        path = tmp_path / f"substrate-{first.substrate_key}.npz"
+        path = store_path(tmp_path, first)
         archived = datasets.load_topology(str(path))
         for asn in first.topology.asns():
             assert archived.neighbors(asn) == first.topology.neighbors(asn)

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from repro.errors import TopologyError
-from repro.topology.datasets import load_topology, save_topology, topology_arrays
+from repro.topology.datasets import (
+    load_topology,
+    read_arrays,
+    save_topology,
+    topology_arrays,
+)
 from repro.topology.generator import generate_internet_topology, small_scale_config
 from repro.topology.graph import ASTopology
 
@@ -36,7 +41,7 @@ class TestFixtures:
 class TestPersistence:
     def test_roundtrip(self, tmp_path):
         original = generate_internet_topology(small_scale_config(n_as=60), seed=3)
-        path = str(tmp_path / "topo.npz")
+        path = str(tmp_path / "topo.arrays")
         save_topology(original, path)
         loaded = load_topology(path)
         assert loaded.asns() == original.asns()
@@ -55,7 +60,7 @@ class TestPersistence:
         # Replaying a link list through add_link reorders neighbours; the
         # archive keeps each AS's adjacency in insertion order.
         original = generate_internet_topology(small_scale_config(n_as=80), seed=5)
-        path = str(tmp_path / "topo.npz")
+        path = str(tmp_path / "topo.arrays")
         save_topology(original, path)
         loaded = load_topology(path)
         for asn in original.asns():
@@ -80,6 +85,23 @@ class TestPersistence:
         with pytest.raises(TopologyError):
             load_topology(line_fixture(n=3).adjacency_arrays())
 
+    def test_archive_is_an_array_file(self, tmp_path):
+        original = line_fixture(n=4)
+        path = str(tmp_path / "topo.arrays")
+        save_topology(original, path)
+        arrays = read_arrays(path, key="")
+        assert set(arrays) == set(topology_arrays(original))
+        assert not any(a.flags.writeable for a in arrays.values())
+        with pytest.raises(TopologyError, match="another key"):
+            read_arrays(path, key="other")
+
+    def test_npz_archive_rejected(self, tmp_path):
+        # The archive format before the array file.
+        path = tmp_path / "topo.npz"
+        np.savez_compressed(path, **topology_arrays(line_fixture(n=3)))
+        with pytest.raises(TopologyError, match="not an array file"):
+            load_topology(str(path))
+
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(TopologyError):
-            load_topology(str(tmp_path / "nope.npz"))
+            load_topology(str(tmp_path / "nope.arrays"))

@@ -543,6 +543,7 @@ class TestScalarRule:
                 lambda: gap_router.one_way_ms(bogus, bogus),
                 lambda: gap_router.one_way_costs(10, [20, bogus]),
                 lambda: gap_router.hop_costs(10, [bogus]),
+                lambda: gap_router.intra_ms(bogus),
             ):
                 with pytest.raises(TopologyError, match=f"unknown AS {bogus}"):
                     query()

@@ -2,9 +2,9 @@
 
 The digests below were recorded before the generators were rewritten on
 arrays with exact-draw helpers (``repro.draws``), and every rewrite must
-reproduce them.  A digest is ``_payload_digest`` over the stored
-substrate payload without its key (the key hashes the generator sources,
-so it changes with every edit).  numpy documents no cross-version
+reproduce them.  A digest is ``datasets.payload_digest`` over the stored
+substrate payload (the array file keeps the key in its header: the key
+hashes the generator sources, so it changes with every edit).  numpy documents no cross-version
 guarantee for ``Generator.choice`` streams, so the pins hold only for
 the numpy major.minor they were recorded with; under another version the
 digest tests skip and say why.  The exact-draw property tests in
@@ -104,10 +104,10 @@ pinned = pytest.mark.skipif(numpy_mismatch() is not None, reason=str(numpy_misma
 
 
 def payload_digest(table, topology=None):
-    """``_payload_digest`` of the stored payload less its key, or of the
-    table's part of it when no topology is given."""
+    """``payload_digest`` of the stored payload, or of the table's part of
+    it when no topology is given."""
     bases, lengths, asns = table.prefix_arrays()
-    return common._payload_digest({
+    return datasets.payload_digest({
         **(datasets.topology_arrays(topology) if topology is not None else {}),
         "prefix_base": bases,
         "prefix_length": lengths,
@@ -133,7 +133,7 @@ def test_prefix_table_digest(name):
 def test_topology_digest(name):
     fields, digest = TOPOLOGIES[name]
     topology = generate_internet_topology(TopologyConfig(**fields), seed=3)
-    assert common._payload_digest(datasets.topology_arrays(topology)) == digest
+    assert datasets.payload_digest(datasets.topology_arrays(topology)) == digest
 
 
 @pinned

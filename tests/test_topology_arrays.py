@@ -8,12 +8,13 @@ warm experiment builds no per-AS object.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 
-from repro.errors import TopologyError
+from repro.errors import RoutingError, TopologyError
 from repro.experiments.common import SCALES, Environment
 from repro.experiments.fig4_response_time import run_fig4
 from repro.topology import graph
@@ -43,6 +44,9 @@ def layout(adjacency, asns=None):
 
 #: A well-formed path 1-2-3.
 PATH = {1: [(2, 10.0)], 2: [(1, 10.0), (3, 5.0)], 3: [(2, 5.0)]}
+
+#: A 4-byte ASN: a table indexed by ASN up to it would take 33 GB.
+SPARSE = 4_200_000_000
 
 
 class TestMalformedArrays:
@@ -76,6 +80,18 @@ class TestMalformedArrays:
         stray = {1: [(2, 10.0), (9, 1.0)], 2: [(1, 10.0)]}
         with pytest.raises(TopologyError, match="not listed"):
             ASTopology.from_adjacency_arrays(layout(stray))
+
+    @pytest.mark.parametrize("base", [1, SPARSE], ids=["dense-asns", "sparse-asns"])
+    @pytest.mark.parametrize("offset", [-1, 2, 9, 1 << 40], ids=["below", "gap", "above", "far"])
+    def test_neighbour_outside_the_listed_asns(self, base, offset):
+        # Below, between and above the listed ASNs, each through the flat
+        # table (small ASNs) and the search (4-byte ASNs).  -2 would wrap
+        # onto the table's entry for AS 4 if it were not clipped.
+        a, b, c = base, base + 1, base + 3
+        stray = -2 if offset == -1 else base + offset
+        adjacency = {a: [(b, 10.0), (stray, 1.0)], b: [(a, 10.0), (c, 2.0)], c: [(b, 2.0)]}
+        with pytest.raises(TopologyError, match=f"neighbour AS {stray} is not listed"):
+            ASTopology.from_adjacency_arrays(layout(adjacency))
 
     def test_neighbour_listed_twice_under_one_as(self):
         # Symmetric as a multiset, so only the duplicate check sees it.
@@ -231,6 +247,53 @@ class TestRouterOnLoadedArrays:
             assert np.array_equal(built.latency_row(asn), loaded.latency_row(asn))
             assert np.array_equal(built.hop_row(asn), loaded.hop_row(asn))
             assert built.intra_ms(asn) == loaded.intra_ms(asn)
+
+
+class TestSparseAsns:
+    """4-byte ASNs load and route without an allocation sized by the
+    largest ASN."""
+
+    ADJACENCY = {
+        SPARSE + 7: [(17, 4.0), (SPARSE, 1.0)],
+        17: [(SPARSE + 7, 4.0)],
+        SPARSE: [(SPARSE + 7, 1.0)],
+    }
+
+    def test_loads_and_routes_in_bounded_memory(self):
+        arrays = layout(self.ADJACENCY)
+        tracemalloc.start()
+        try:
+            topo = ASTopology.from_adjacency_arrays(arrays)
+            topo.validate()
+            router = Router(topo)
+            row = router.latency_row(17)
+            costs = router.one_way_costs(17, [SPARSE, SPARSE + 7])
+            idx = router.indices_of(np.array([SPARSE + 7, 17, SPARSE]))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+        assert topo.asns() == [17, SPARSE, SPARSE + 7]
+        assert topo.index_of(SPARSE) == 1
+        assert topo.neighbors(SPARSE + 7) == [17, SPARSE]
+        assert row.tolist() == [0.0, 5.0, 4.0]
+        assert costs == [1.0 + 5.0 + 1.0, 1.0 + 4.0 + 1.0]
+        assert idx.tolist() == [2, 0, 1]
+        for bogus in (SPARSE + 1, -1, 18):
+            with pytest.raises(RoutingError, match=f"unknown AS {bogus}"):
+                router.indices_of(np.array([17, bogus]))
+            with pytest.raises(TopologyError, match=f"unknown AS {bogus}"):
+                router.one_way_costs(17, [SPARSE, bogus])
+
+
+def test_router_shares_the_topology_map_and_arc_order():
+    topo = generate_internet_topology(small_scale_config(n_as=60), seed=1)
+    router = Router(topo)
+    assert router._asns is topo.asn_index()
+    indptr, indices, weights = topo.csr_arrays()
+    assert np.array_equal(router._matrix.indptr, indptr)
+    assert np.array_equal(router._matrix.indices, indices)
+    assert np.array_equal(router._matrix.data, weights)
 
 
 def test_warm_fig4_fastpath_builds_no_asinfo(tmp_path, monkeypatch):
