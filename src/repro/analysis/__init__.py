@@ -5,7 +5,6 @@ from .jellyfish_model import (
     PAPER_C0,
     PAPER_C1,
     expected_min_distance_bound,
-    fit_constants,
     p_jl,
     q_l,
     response_time_upper_bound_ms,
@@ -33,7 +32,6 @@ __all__ = [
     "PAPER_C0",
     "PAPER_C1",
     "expected_min_distance_bound",
-    "fit_constants",
     "p_jl",
     "q_l",
     "response_time_upper_bound_ms",

@@ -120,17 +120,3 @@ class AnalyticalModel:
     def sweep(self, k_values: Sequence[int]) -> np.ndarray:
         """Bounds over a range of K — one Fig. 7 curve."""
         return np.asarray([self.bound_ms(k) for k in k_values], dtype=float)
-
-
-def fit_constants(
-    distances: Sequence[float], rtts_ms: Sequence[float]
-) -> Tuple[float, float]:
-    """Least-squares fit of ``(c0, c1)`` from measured (distance, RTT)
-    pairs — how the paper obtained 10.6 and 8.3 from its simulation."""
-    d = np.asarray(list(distances), dtype=float)
-    t = np.asarray(list(rtts_ms), dtype=float)
-    if d.size != t.size or d.size < 2:
-        raise ConfigurationError("need >= 2 matching (distance, rtt) samples")
-    design = np.vstack([d, np.ones_like(d)]).T
-    (c0, c1), *_ = np.linalg.lstsq(design, t, rcond=None)
-    return float(c0), float(c1)

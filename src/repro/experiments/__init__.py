@@ -19,7 +19,7 @@ from .common import Environment, SCALES, Scale, get_environment, resolve_scale
 from .fig4_response_time import Fig4Result, run_fig4
 from .fig5_churn import Fig5Result, run_fig5
 from .fig6_load import Fig6Result, run_fig6
-from .fig7_analytical import Fig7Result, calibrate_constants, run_fig7
+from .fig7_analytical import Fig7Result, run_fig7
 from .rehash_probe import RehashResult, run_rehash_probe
 from .storage_overhead import OverheadResult, run_storage_overhead
 from .table1_stats import PAPER_TABLE1, Table1Result, run_table1
@@ -39,7 +39,6 @@ __all__ = [
     "Fig6Result",
     "run_fig6",
     "Fig7Result",
-    "calibrate_constants",
     "run_fig7",
     "RehashResult",
     "run_rehash_probe",

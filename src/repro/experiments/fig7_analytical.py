@@ -74,62 +74,6 @@ def run_fig7(
     return Fig7Result(tuple(k_values), bounds, c0, c1)
 
 
-def calibrate_constants(
-    environment,
-    n_samples: int = 2000,
-    k: int = 5,
-    seed: int = 0,
-) -> Tuple[float, float, float]:
-    """Fit (c0, c1) from our own simulation, as the paper did (§V-C).
-
-    The §V model assumes response time is affine in the hop distance to
-    the closest replica: ``tau = c0 * min_i d(s, t_i) + c1``.  We sample
-    (source, K-replica) pairs from the environment, measure both sides,
-    and least-squares fit the constants.  Returns ``(c0, c1, pearson_r)``
-    — the correlation quantifies how well the affine assumption holds on
-    the synthetic topology.
-
-    The fit uses the *inter-AS path* round trip (the component that is
-    structurally affine in hop count); the heavy-tailed intra-AS terms
-    are endpoint noise that the model folds into ``c1`` on average —
-    including them drops the correlation to ~0.1 without changing the
-    slope, which is worth knowing when comparing against the paper's
-    PoP-level fit.
-    """
-    import numpy as np
-
-    from ..analysis.jellyfish_model import fit_constants
-    from ..core.resolver import DMapResolver
-    from ..workload.sources import SourceSampler
-
-    resolver = DMapResolver(environment.table, environment.router, k=k,
-                            local_replica=False)
-    rng = np.random.default_rng(seed)
-    sampler = SourceSampler(environment.topology, rng)
-    topo = environment.topology
-
-    distances, rtts = [], []
-    for i in range(n_samples):
-        source = sampler.sample_one()
-        candidates = resolver.placer.hosting_asns(i)
-        hop_row = environment.router.hop_row(source)
-        src_idx = topo.index_of(source)
-        hops = min(
-            0.0 if topo.index_of(a) == src_idx else float(hop_row[topo.index_of(a)])
-            for a in set(candidates)
-        )
-        rtt = min(
-            2.0 * environment.router.path_latency_ms(source, a)
-            for a in set(candidates)
-        )
-        distances.append(hops)
-        rtts.append(rtt)
-
-    c0, c1 = fit_constants(distances, rtts)
-    r = float(np.corrcoef(distances, rtts)[0, 1])
-    return c0, c1, r
-
-
 def main(scale: Optional[str] = None) -> Fig7Result:
     """CLI entry point (scale is ignored: the model is topology-free)."""
     result = run_fig7()

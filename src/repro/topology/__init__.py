@@ -1,4 +1,4 @@
-"""AS-level topology substrate: graph, generator, routing, Jellyfish."""
+"""AS-level topology substrate: graph, generator, routing."""
 
 from .datasets import load_topology, save_topology
 from .generator import (
@@ -8,8 +8,7 @@ from .generator import (
     generate_internet_topology,
     small_scale_config,
 )
-from .graph import ASInfo, ASTier, ASTopology, Link
-from .jellyfish import JellyfishDecomposition, decompose
+from .graph import ASTier, ASTopology
 from .latency import GeographyModel, LatencyModel, PAPER_MEDIAN_INTRA_MS
 from .routing import Router
 
@@ -21,12 +20,8 @@ __all__ = [
     "TopologyConfig",
     "generate_internet_topology",
     "small_scale_config",
-    "ASInfo",
     "ASTier",
     "ASTopology",
-    "Link",
-    "JellyfishDecomposition",
-    "decompose",
     "GeographyModel",
     "LatencyModel",
     "PAPER_MEDIAN_INTRA_MS",

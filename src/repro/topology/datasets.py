@@ -17,7 +17,10 @@ it.  In order, it holds
 :func:`read_arrays` takes the file in with one ``read()`` and returns
 read-only :func:`numpy.frombuffer` views into that one buffer, once the
 format, the key and the digest over every array have checked out.  Only
-numeric dtypes are accepted, so nothing is ever unpickled.
+numeric dtypes are accepted, so nothing is ever unpickled.  The buffer's
+data start 16-byte aligned in memory, so the 16-byte file alignment puts
+every array on an address its dtype's alignment divides; a coarser file
+alignment would buy nothing, as the buffer itself is aligned no further.
 
 A topology is the arrays of :func:`topology_arrays`: a layout version
 plus :meth:`ASTopology.adjacency_arrays`.  :func:`load_topology` decodes
@@ -50,8 +53,10 @@ FORMAT_VERSION = 3
 #: inside the pinned payload digests of ``tests/test_substrate_digests.py``.
 LAYOUT_VERSION = 2
 
-#: Alignment, in bytes, of the payload and of each array in it.
-ALIGN = 64
+#: Alignment, in bytes, of the payload and of each array in it: that of
+#: the buffer :func:`read_arrays` reads the file into.  Offsets are read
+#: from the header, so files written with another alignment still load.
+ALIGN = 16
 
 #: dtype kinds an array file may hold: bool, signed, unsigned, float.
 _KINDS = "biuf"
@@ -201,4 +206,4 @@ def load_topology(source: Union[str, Mapping[str, np.ndarray]]) -> ASTopology:
     version = source.get("topology_version")
     if version is None or np.shape(version) != () or int(version) != LAYOUT_VERSION:
         raise TopologyError(f"unsupported topology layout version {version}")
-    return ASTopology.from_adjacency_arrays(source)
+    return ASTopology(source)

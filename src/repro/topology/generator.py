@@ -233,7 +233,7 @@ def generate_internet_topology(
     )
 
     x, y = zip(*positions)
-    topo = ASTopology.from_adjacency_arrays(
+    topo = ASTopology(
         adjacency_layout(
             {
                 "asn": np.arange(1, n + 1),

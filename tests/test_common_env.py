@@ -200,8 +200,11 @@ def assert_same_substrate(a, b):
     assert b.topology.asns() == asns
     for asn in asns:
         assert b.topology.neighbors(asn) == a.topology.neighbors(asn)
-        assert b.topology.info(asn) == a.topology.info(asn)
-    for got, want in zip(b.topology.edge_arrays(), a.topology.edge_arrays()):
+    got, want = b.topology.adjacency_arrays(), a.topology.adjacency_arrays()
+    for name in want:
+        assert got[name].dtype == want[name].dtype, name
+        assert np.array_equal(got[name], want[name]), name
+    for got, want in zip(b.topology.csr_arrays(), a.topology.csr_arrays()):
         assert got.dtype == want.dtype and np.array_equal(got, want)
     assert list(b.table) == list(a.table)
     assert b.table.asns() == a.table.asns()

@@ -15,6 +15,8 @@ from repro.topology.generator import (
 )
 from repro.topology.graph import ASTier
 
+from .topology_fixtures import coo_arrays
+
 
 class TestConfig:
     def test_default_targets_paper_scale(self):
@@ -51,13 +53,14 @@ class TestGeneratedTopology:
 
     def test_tier_structure(self, topo):
         tiers = {t: 0 for t in ASTier}
-        for asn in topo.asns():
-            tiers[topo.info(asn).tier] += 1
+        for tier in topo.adjacency_arrays()["tier"].tolist():
+            tiers[ASTier(tier)] += 1
         assert tiers[ASTier.TIER1] >= 4
         assert tiers[ASTier.STUB] > tiers[ASTier.TRANSIT] > tiers[ASTier.TIER1]
 
     def test_tier1_full_mesh(self, topo):
-        t1 = [a for a in topo.asns() if topo.info(a).tier is ASTier.TIER1]
+        arrays = topo.adjacency_arrays()
+        t1 = arrays["asn"][arrays["tier"] == ASTier.TIER1].tolist()
         for i, a in enumerate(t1):
             for b in t1[i + 1 :]:
                 assert b in topo.neighbors(a)
@@ -71,15 +74,12 @@ class TestGeneratedTopology:
         assert top_decile_share > 0.25
 
     def test_every_as_has_endnodes(self, topo):
-        assert all(topo.info(a).endnodes >= 1 for a in topo.asns())
+        assert (topo.endnode_array() >= 1).all()
 
     def test_populations_concentrated_in_stubs(self, topo):
-        stub_pop = sum(
-            topo.info(a).endnodes
-            for a in topo.asns()
-            if topo.info(a).tier is ASTier.STUB
-        )
-        total = sum(topo.info(a).endnodes for a in topo.asns())
+        arrays = topo.adjacency_arrays()
+        stub_pop = arrays["endnodes"][arrays["tier"] == ASTier.STUB].sum()
+        total = arrays["endnodes"].sum()
         assert stub_pop / total > 0.8
 
     def test_intra_latencies_positive_with_heavy_tail(self, topo):
@@ -91,16 +91,15 @@ class TestGeneratedTopology:
     def test_deterministic(self):
         a = generate_internet_topology(small_scale_config(n_as=100), seed=9)
         b = generate_internet_topology(small_scale_config(n_as=100), seed=9)
-        assert sorted(
-            (l.a, l.b, round(l.latency_ms, 9)) for l in a.links()
-        ) == sorted((l.a, l.b, round(l.latency_ms, 9)) for l in b.links())
+        for name, want in a.adjacency_arrays().items():
+            assert np.array_equal(b.adjacency_arrays()[name], want), name
 
     def test_seeds_differ(self):
         a = generate_internet_topology(small_scale_config(n_as=100), seed=1)
         b = generate_internet_topology(small_scale_config(n_as=100), seed=2)
-        assert sorted((l.a, l.b) for l in a.links()) != sorted(
-            (l.a, l.b) for l in b.links()
-        )
+        # The canonical CSR structure (indptr, indices) is the link set.
+        (ptr_a, idx_a, _), (ptr_b, idx_b, _) = a.csr_arrays(), b.csr_arrays()
+        assert not (np.array_equal(ptr_a, ptr_b) and np.array_equal(idx_a, idx_b))
 
     def test_link_set_pinned(self):
         # Digest of the seed-0, 400-AS topology's CSR ingredients: pins
@@ -108,7 +107,7 @@ class TestGeneratedTopology:
         # generator counts links while it adds peering edges.
         topo = generate_internet_topology(small_scale_config(n_as=400), seed=0)
         digest = hashlib.sha256()
-        for array in topo.edge_arrays():
+        for array in coo_arrays(topo):
             digest.update(np.ascontiguousarray(array).tobytes())
         assert digest.hexdigest() == (
             "145c356b0e64ed1c7b6c8e9b7c0c64caca2915f7934446a5f2125df8c175b95f"

@@ -4,132 +4,84 @@ import numpy as np
 import pytest
 
 from repro.errors import TopologyError
-from repro.topology.graph import ASInfo, ASTier, ASTopology, Link
+from repro.topology.graph import ASTier, ASTopology
+
+from .topology_fixtures import layout, linked
 
 
 def simple_topology():
-    topo = ASTopology()
-    topo.add_as(ASInfo(1, ASTier.TIER1, intra_latency_ms=1.0, endnodes=10))
-    topo.add_as(ASInfo(2, ASTier.TRANSIT, intra_latency_ms=2.0, endnodes=20))
-    topo.add_as(ASInfo(3, ASTier.STUB, intra_latency_ms=3.0, endnodes=30))
-    topo.add_link(1, 2, 5.0)
-    topo.add_link(2, 3, 7.0)
-    return topo
+    return linked(
+        [(1, 2, 5.0), (2, 3, 7.0)],
+        [1, 2, 3],
+        tier=[ASTier.TIER1, ASTier.TRANSIT, ASTier.STUB],
+        intra_ms=[1.0, 2.0, 3.0],
+        endnodes=[10, 20, 30],
+    )
 
 
 class TestLink:
     def test_self_loop_rejected(self):
-        with pytest.raises(TopologyError):
-            Link(1, 1, 5.0)
+        with pytest.raises(TopologyError, match="self-loop"):
+            linked([(1, 2, 5.0), (1, 1, 5.0)], [1, 2])
 
     def test_nonpositive_latency_rejected(self):
-        with pytest.raises(TopologyError):
-            Link(1, 2, 0.0)
-
-    def test_other(self):
-        link = Link(1, 2, 5.0)
-        assert link.other(1) == 2
-        assert link.other(2) == 1
-        with pytest.raises(TopologyError):
-            link.other(3)
+        with pytest.raises(TopologyError, match="positive latency"):
+            linked([(1, 2, 0.0)], [1, 2])
 
 
 class TestTopology:
-    def test_add_and_query(self):
+    def test_reads(self):
         topo = simple_topology()
         assert len(topo) == 3
-        assert 2 in topo
-        assert topo.info(2).tier is ASTier.TRANSIT
+        assert topo.asns() == [1, 2, 3]
         assert topo.degree(2) == 2
-        assert sorted(topo.neighbors(2)) == [1, 3]
-        assert topo.link_latency(1, 2) == 5.0
+        assert topo.neighbors(2) == [1, 3]
+        assert topo.intra_latency(2) == 2.0
         assert topo.n_links() == 2
+        assert topo.adjacency_arrays()["tier"].tolist() == [1, 2, 3]
 
     def test_unknown_as_raises(self):
         topo = simple_topology()
-        with pytest.raises(TopologyError):
-            topo.info(99)
-        with pytest.raises(TopologyError):
-            topo.neighbors(99)
-        with pytest.raises(TopologyError):
-            topo.link_latency(1, 3)
+        for read in (topo.neighbors, topo.degree, topo.intra_latency):
+            with pytest.raises(TopologyError, match="unknown AS 99"):
+                read(99)
 
     def test_link_requires_registered_ases(self):
-        topo = ASTopology()
-        topo.add_as(ASInfo(1))
-        with pytest.raises(TopologyError):
-            topo.add_link(1, 2, 5.0)
-
-    def test_remove_link(self):
-        topo = simple_topology()
-        topo.remove_link(1, 2)
-        assert topo.n_links() == 1
-        with pytest.raises(TopologyError):
-            topo.remove_link(1, 2)
+        with pytest.raises(TopologyError, match="neighbour AS 2 is not listed"):
+            ASTopology(layout({1: [(2, 5.0)]}))
 
     def test_link_counter_matches_adjacency(self):
         rng = np.random.default_rng(3)
-        topo = ASTopology()
-        for asn in range(1, 21):
-            topo.add_as(ASInfo(asn, ASTier.STUB, intra_latency_ms=1.0, endnodes=1))
-        for _ in range(400):
-            a, b = (int(x) for x in rng.choice(np.arange(1, 21), size=2, replace=False))
-            if rng.random() < 0.3 and b in topo.neighbors(a):
-                topo.remove_link(a, b)
-            else:
-                # Re-adding an existing link only updates its latency.
-                topo.add_link(a, b, float(rng.uniform(1.0, 9.0)))
+        for n_links in (0, 1, 40, 190):
+            pairs = [(a, b) for a in range(1, 21) for b in range(a + 1, 21)]
+            chosen = rng.choice(len(pairs), size=n_links, replace=False)
+            links = [(*pairs[i], float(rng.uniform(1.0, 9.0))) for i in chosen]
+            topo = linked(links, range(1, 21))
             adjacency_sum = sum(topo.degree(asn) for asn in topo.asns()) // 2
-            assert topo.n_links() == adjacency_sum == len(list(topo.links()))
-
-    def test_readd_as_replaces_attributes(self):
-        topo = simple_topology()
-        topo.add_as(ASInfo(3, ASTier.STUB, intra_latency_ms=9.0, endnodes=5))
-        assert topo.info(3).intra_latency_ms == 9.0
-        assert topo.degree(3) == 1, "links survive attribute updates"
-
-    def test_negative_attributes_rejected(self):
-        topo = ASTopology()
-        with pytest.raises(TopologyError):
-            topo.add_as(ASInfo(1, intra_latency_ms=-1.0))
-        with pytest.raises(TopologyError):
-            topo.add_as(ASInfo(1, endnodes=-1))
-
-    def test_links_iterated_once(self):
-        topo = simple_topology()
-        links = list(topo.links())
-        assert len(links) == 2
-        assert all(l.a < l.b for l in links)
+            assert topo.n_links() == adjacency_sum == n_links
 
 
 class TestDenseIndex:
     def test_index_roundtrip(self):
         topo = simple_topology()
-        for asn in topo.asns():
-            assert topo.asn_at(topo.index_of(asn)) == asn
+        asns = topo.asns()
+        for asn in asns:
+            assert asns[topo.index_of(asn)] == asn
 
     def test_index_unknown(self):
         with pytest.raises(TopologyError):
             simple_topology().index_of(99)
 
-    def test_edge_arrays(self):
-        topo = simple_topology()
-        rows, cols, weights = topo.edge_arrays()
-        assert len(rows) == 4  # 2 undirected links = 4 directed entries
-        assert set(zip(rows.tolist(), cols.tolist())) == {
-            (0, 1),
-            (1, 0),
-            (1, 2),
-            (2, 1),
-        }
+    def test_csr_arrays(self):
+        indptr, indices, weights = simple_topology().csr_arrays()
+        assert indptr.tolist() == [0, 1, 3, 4]
+        assert indices.tolist() == [1, 0, 2, 1]
+        assert weights.tolist() == [5.0, 5.0, 7.0, 7.0]
 
     def test_attribute_arrays(self):
         topo = simple_topology()
         assert topo.intra_latency_array().tolist() == [1.0, 2.0, 3.0]
         assert topo.endnode_array().tolist() == [10.0, 20.0, 30.0]
-
-    def test_endnode_counts(self):
-        assert simple_topology().endnode_counts() == {1: 10, 2: 20, 3: 30}
 
 
 class TestValidation:
@@ -137,11 +89,10 @@ class TestValidation:
         simple_topology().validate()
 
     def test_empty_fails(self):
-        with pytest.raises(TopologyError):
-            ASTopology().validate()
+        with pytest.raises(TopologyError, match="empty"):
+            ASTopology(layout({})).validate()
 
     def test_disconnected_fails(self):
-        topo = simple_topology()
-        topo.add_as(ASInfo(4))
+        topo = linked([(1, 2, 5.0), (2, 3, 7.0)], [1, 2, 3, 4])
         with pytest.raises(TopologyError, match="disconnected"):
             topo.validate()

@@ -1,6 +1,5 @@
 """Tests for the §V analytical response-time bound."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,7 +8,6 @@ from repro.analysis.jellyfish_model import (
     PAPER_C0,
     PAPER_C1,
     expected_min_distance_bound,
-    fit_constants,
     p_jl,
     q_l,
     response_time_upper_bound_ms,
@@ -119,26 +117,3 @@ class TestAnalyticalModel:
     def test_invalid_ratios_rejected(self):
         with pytest.raises(ConfigurationError):
             AnalyticalModel("bad", (0.5, 0.1))
-
-
-class TestFitConstants:
-    def test_recovers_exact_line(self):
-        distances = np.array([1.0, 2.0, 3.0, 4.0])
-        rtts = 10.6 * distances + 8.3
-        c0, c1 = fit_constants(distances, rtts)
-        assert c0 == pytest.approx(10.6)
-        assert c1 == pytest.approx(8.3)
-
-    def test_noisy_fit_close(self):
-        rng = np.random.default_rng(0)
-        distances = rng.uniform(1, 8, size=200)
-        rtts = 5.0 * distances + 2.0 + rng.normal(0, 0.1, size=200)
-        c0, c1 = fit_constants(distances, rtts)
-        assert c0 == pytest.approx(5.0, abs=0.1)
-        assert c1 == pytest.approx(2.0, abs=0.5)
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            fit_constants([1.0], [2.0])
-        with pytest.raises(ConfigurationError):
-            fit_constants([1.0, 2.0], [1.0])

@@ -10,8 +10,8 @@ from repro.core.replication import ReplicaSelector, ReplicaSet
 from repro.errors import ConfigurationError
 from repro.fastpath import FastpathEngine
 from repro.hashing.rehash import HashResolution
-from .topology_fixtures import line_fixture
-from repro.topology.graph import ASInfo, ASTopology
+from .topology_fixtures import line_fixture, linked
+from repro.topology.graph import ASTopology
 from repro.topology.routing import Router
 
 
@@ -98,12 +98,9 @@ class TestReplicaSelector:
 
 def two_components() -> ASTopology:
     """1 - 2 - 3 and 4 - 5 - 6: each half unreachable from the other."""
-    topo = ASTopology()
-    for asn in range(1, 7):
-        topo.add_as(ASInfo(asn, intra_latency_ms=0.25 * asn, endnodes=1))
-    for a, b, ms in ((1, 2, 3.0), (2, 3, 4.5), (4, 5, 3.0), (5, 6, 1.5)):
-        topo.add_link(a, b, ms)
-    return topo
+    links = [(1, 2, 3.0), (2, 3, 4.5), (4, 5, 3.0), (5, 6, 1.5)]
+    asns = range(1, 7)
+    return linked(links, asns, intra_ms=[0.25 * asn for asn in asns])
 
 
 @pytest.fixture(scope="module")

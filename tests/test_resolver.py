@@ -20,8 +20,9 @@ from repro.core.resolver import (
 from repro.bgp.allocation import AllocationConfig, generate_global_prefix_table
 from repro.errors import ConfigurationError, LookupFailedError, RoutingError
 from repro.obs.trace import AttemptTrace
-from repro.topology.graph import ASInfo, ASTopology
 from repro.topology.routing import Router
+
+from .topology_fixtures import linked
 
 
 def locator(table, asn):
@@ -291,11 +292,8 @@ class TestUnreachableWrite:
     @pytest.fixture
     def split_resolver(self):
         # 1 - 2 - 3 and 4 - 5 - 6: each half unreachable from the other.
-        topo = ASTopology()
-        for asn in range(1, 7):
-            topo.add_as(ASInfo(asn, intra_latency_ms=1.0, endnodes=1))
-        for a, b in ((1, 2), (2, 3), (4, 5), (5, 6)):
-            topo.add_link(a, b, 5.0)
+        links = [(a, b, 5.0) for a, b in ((1, 2), (2, 3), (4, 5), (5, 6))]
+        topo = linked(links, range(1, 7))
         table = generate_global_prefix_table(
             topo.asns(), AllocationConfig(prefixes_per_as=3), seed=0
         )

@@ -7,9 +7,8 @@ import pytest
 from scipy.sparse.csgraph import dijkstra
 
 from repro.errors import RoutingError, TopologyError
-from .topology_fixtures import line_fixture, star_fixture
+from .topology_fixtures import line_fixture, linked, star_fixture
 from repro.topology import routing
-from repro.topology.graph import ASInfo, ASTopology
 from repro.topology.routing import Router, certified
 
 
@@ -150,7 +149,7 @@ class TestPairPaths:
         assert got.shape == dst.shape
         reference = Router(topology)
         for i in range(len(src)):
-            row = reference.latency_row(topology.asn_at(int(src[i])))
+            row = reference.latency_row(topology.asns()[src[i]])
             assert np.array_equal(got[i], row[dst[i]])
 
     def test_plan_is_independent_and_never_exceeds_sources(self, topology):
@@ -185,12 +184,9 @@ class TestPairPaths:
         # to right; the derivation for AS 1 via AS 2 adds w1 to
         # (w2 + w3).  The two float64 results sit on either side of a
         # float32 midpoint, so only the fallback row gives Dijkstra's bits.
-        topo = ASTopology()
-        for asn in (1, 2, 3, 4):
-            topo.add_as(ASInfo(asn, intra_latency_ms=1.0, endnodes=1))
-        topo.add_link(1, 2, 1.0 + 2.0**-24)
-        topo.add_link(2, 3, 2.0**-53)
-        topo.add_link(3, 4, 2.0**-53)
+        topo = linked(
+            [(1, 2, 1.0 + 2.0**-24), (2, 3, 2.0**-53), (3, 4, 2.0**-53)], [1, 2, 3, 4]
+        )
         router = Router(topo)
         got = router.pair_paths(np.arange(4), np.tile(np.arange(4), (4, 1)))
         exact, derived = router.plan_rows(np.arange(4))
@@ -300,12 +296,7 @@ class TestPairPathWorkers:
         monkeypatch.setattr(routing, "ROW_BLOCK", 1)
         ulp = 2.0**-52
         m = 1.0 + 2.0**-24
-        topo = ASTopology()
-        for asn in (1, 2, 3, 4):
-            topo.add_as(ASInfo(asn, intra_latency_ms=1.0, endnodes=1))
-        topo.add_link(1, 2, m - ulp)
-        topo.add_link(2, 3, 0.6 * ulp)
-        topo.add_link(3, 4, 0.6 * ulp)
+        topo = linked([(1, 2, m - ulp), (2, 3, 0.6 * ulp), (3, 4, 0.6 * ulp)], [1, 2, 3, 4])
         derived_estimate = (m - ulp) + (0.6 * ulp + 0.6 * ulp)
         reference = Router(topo)
         assert np.float32(derived_estimate) < reference.latency_row(1)[3]
@@ -347,7 +338,7 @@ class TestPairPathWorkers:
             both = router.pair_paths_and_hops(s, d, n_jobs=n_jobs)
             assert np.array_equal(both[0], latency)
             for i, sx in enumerate(s.tolist()):
-                asn = topology.asn_at(sx)
+                asn = topology.asns()[sx]
                 assert np.array_equal(latency[i], reference.latency_row(asn)[d[i]])
                 assert np.array_equal(both[1][i], reference.hop_row(asn)[d[i]])
                 assert not latency[i][d[i] == sx].any()
@@ -369,12 +360,7 @@ class TestPairPathWorkers:
 class TestUnreachable:
     @pytest.fixture
     def split_router(self):
-        topo = ASTopology()
-        for asn in (1, 2, 3, 4):
-            topo.add_as(ASInfo(asn, intra_latency_ms=1.0, endnodes=1))
-        topo.add_link(1, 2, 5.0)
-        topo.add_link(3, 4, 5.0)
-        return Router(topo)
+        return Router(linked([(1, 2, 5.0), (3, 4, 5.0)], [1, 2, 3, 4]))
 
     def test_pair_paths_unreachable_is_inf(self, split_router):
         n = split_router.n
@@ -403,6 +389,13 @@ class TestConsistency:
         import heapq
 
         asns = topology.asns()
+        arrays = topology.adjacency_arrays()
+        bounds = arrays["adj_start"].tolist()
+        nbrs, latencies = arrays["adj_asn"].tolist(), arrays["adj_latency_ms"].tolist()
+        links = {
+            asn: dict(zip(nbrs[lo:hi], latencies[lo:hi]))
+            for asn, lo, hi in zip(arrays["asn"].tolist(), bounds, bounds[1:])
+        }
         src = int(rng.choice(asns))
         dist = {src: 0.0}
         heap = [(0.0, src)]
@@ -410,8 +403,8 @@ class TestConsistency:
             d, node = heapq.heappop(heap)
             if d > dist.get(node, float("inf")):
                 continue
-            for nbr in topology.neighbors(node):
-                nd = d + topology.link_latency(node, nbr)
+            for nbr, latency in links[node].items():
+                nd = d + latency
                 if nd < dist.get(nbr, float("inf")):
                     dist[nbr] = nd
                     heapq.heappush(heap, (nd, nbr))
@@ -439,12 +432,7 @@ class TestConsistency:
 @pytest.fixture(scope="module")
 def gap_router():
     # Non-contiguous ASNs so the dense lookup table has real holes.
-    topo = ASTopology()
-    for asn in (10, 20, 40):
-        topo.add_as(ASInfo(asn, intra_latency_ms=0.5, endnodes=1))
-    topo.add_link(10, 20, 4.0)
-    topo.add_link(20, 40, 6.0)
-    return Router(topo)
+    return Router(linked([(10, 20, 4.0), (20, 40, 6.0)], [10, 20, 40], intra_ms=0.5))
 
 
 class TestVectorizedQueries:
@@ -520,11 +508,7 @@ class TestScalarRule:
         assert gap_router.rtt_ms(20, 20) == 2.0 * 0.5
 
     def test_unreachable_is_inf_until_priced(self):
-        topo = ASTopology()
-        for asn in (1, 2, 3):
-            topo.add_as(ASInfo(asn, intra_latency_ms=1.0, endnodes=1))
-        topo.add_link(1, 2, 5.0)  # AS 3 is isolated
-        router = Router(topo)
+        router = Router(linked([(1, 2, 5.0)], [1, 2, 3]))  # AS 3 is isolated
         costs = router.one_way_costs(1, [2, 3])
         assert np.isfinite(costs[0])
         assert np.isinf(costs[1])

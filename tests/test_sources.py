@@ -4,18 +4,14 @@ import numpy as np
 import pytest
 
 from repro.errors import WorkloadError
-from repro.topology.graph import ASInfo, ASTopology
+from repro.topology.graph import ASTopology
 from repro.workload.sources import SourceSampler
+
+from .topology_fixtures import layout, linked
 
 
 def weighted_topology():
-    topo = ASTopology()
-    topo.add_as(ASInfo(1, endnodes=800))
-    topo.add_as(ASInfo(2, endnodes=150))
-    topo.add_as(ASInfo(3, endnodes=50))
-    topo.add_link(1, 2, 1.0)
-    topo.add_link(2, 3, 1.0)
-    return topo
+    return linked([(1, 2, 1.0), (2, 3, 1.0)], [1, 2, 3], endnodes=[800, 150, 50])
 
 
 class TestSampler:
@@ -48,8 +44,7 @@ class TestSampler:
             sampler.sample(-1)
 
     def test_zero_population_rejected(self):
-        topo = ASTopology()
-        topo.add_as(ASInfo(1, endnodes=0))
+        topo = ASTopology(layout({1: []}, endnodes=0))
         with pytest.raises(WorkloadError):
             SourceSampler(topo)
 
@@ -57,7 +52,7 @@ class TestSampler:
         # On the generated graph, populous ASs must dominate the samples.
         sampler = SourceSampler(topology, np.random.default_rng(2))
         draws = sampler.sample(20_000)
-        populations = topology.endnode_counts()
-        top_as = max(populations, key=populations.get)
-        expected = populations[top_as] / sum(populations.values())
+        populations = topology.endnode_array()
+        top_as = topology.asns()[int(np.argmax(populations))]
+        expected = populations.max() / populations.sum()
         assert (draws == top_as).mean() == pytest.approx(expected, abs=0.02)

@@ -1,10 +1,9 @@
 """The stored array layout is the topology: checks, reads and routing.
 
-A loaded topology keeps the arrays of ``ASTopology.adjacency_arrays`` and
-serves every read from them; a topology built link by link freezes its
-dicts into the same layout.  These tests pin that both forms answer every
-query alike, that the load rejects every malformed layout, and that a
-warm experiment builds no per-AS object.
+A topology keeps the arrays of ``ASTopology.adjacency_arrays`` it is
+built from and serves every read from them.  These tests pin that a
+loaded topology answers every query as the generated one does, and that
+the constructor rejects every malformed layout.
 """
 
 import math
@@ -15,31 +14,12 @@ import pytest
 from scipy.sparse import csr_matrix
 
 from repro.errors import RoutingError, TopologyError
-from repro.experiments.common import SCALES, Environment
-from repro.experiments.fig4_response_time import run_fig4
-from repro.topology import graph
 from repro.topology.datasets import load_topology, topology_arrays
 from repro.topology.generator import generate_internet_topology, small_scale_config
 from repro.topology.graph import ASTopology
 from repro.topology.routing import Router
 
-
-def layout(adjacency, asns=None):
-    """Arrays of a graph whose ASs list ``adjacency[asn]`` as their
-    ``(neighbour, latency)`` entries, verbatim and in order."""
-    asns = list(adjacency) if asns is None else asns
-    entries = [adjacency.get(asn, []) for asn in asns]
-    return {
-        "asn": np.asarray(asns, dtype=np.int64),
-        "tier": np.full(len(asns), 3, dtype=np.int64),
-        "intra_ms": np.ones(len(asns)),
-        "endnodes": np.ones(len(asns), dtype=np.int64),
-        "pos_x": np.zeros(len(asns)),
-        "pos_y": np.zeros(len(asns)),
-        "adj_start": np.concatenate(([0], np.cumsum([len(e) for e in entries]))),
-        "adj_asn": np.asarray([b for e in entries for b, _ in e], dtype=np.int64),
-        "adj_latency_ms": np.asarray([w for e in entries for _, w in e], dtype=float),
-    }
+from .topology_fixtures import coo_arrays, layout, linked
 
 
 #: A well-formed path 1-2-3.
@@ -51,35 +31,35 @@ SPARSE = 4_200_000_000
 
 class TestMalformedArrays:
     def test_well_formed_path_loads(self):
-        topo = ASTopology.from_adjacency_arrays(layout(PATH))
+        topo = ASTopology(layout(PATH))
         assert topo.n_links() == 2
         topo.validate()
 
     def test_link_listed_at_one_end_only(self):
         one_ended = {1: [(2, 10.0)], 2: [(3, 5.0)], 3: [(2, 5.0)]}
         with pytest.raises(TopologyError, match="one end only"):
-            ASTopology.from_adjacency_arrays(layout(one_ended))
+            ASTopology(layout(one_ended))
 
     def test_latencies_differ_at_the_two_ends(self):
         differ = {1: [(2, 10.0)], 2: [(1, 11.0), (3, 5.0)], 3: [(2, 5.0)]}
         with pytest.raises(TopologyError, match="different latencies"):
-            ASTopology.from_adjacency_arrays(layout(differ))
+            ASTopology(layout(differ))
 
     @pytest.mark.parametrize("latency", [0.0, -4.0, math.nan])
     def test_latency_not_positive(self, latency):
         bad = {1: [(2, latency)], 2: [(1, latency), (3, 5.0)], 3: [(2, 5.0)]}
         with pytest.raises(TopologyError, match="positive latency"):
-            ASTopology.from_adjacency_arrays(layout(bad))
+            ASTopology(layout(bad))
 
     def test_self_loop(self):
         looped = {1: [(2, 10.0), (1, 3.0)], 2: [(1, 10.0), (3, 5.0)], 3: [(2, 5.0)]}
         with pytest.raises(TopologyError, match="self-loop"):
-            ASTopology.from_adjacency_arrays(layout(looped))
+            ASTopology(layout(looped))
 
     def test_neighbour_not_listed(self):
         stray = {1: [(2, 10.0), (9, 1.0)], 2: [(1, 10.0)]}
         with pytest.raises(TopologyError, match="not listed"):
-            ASTopology.from_adjacency_arrays(layout(stray))
+            ASTopology(layout(stray))
 
     @pytest.mark.parametrize("base", [1, SPARSE], ids=["dense-asns", "sparse-asns"])
     @pytest.mark.parametrize("offset", [-1, 2, 9, 1 << 40], ids=["below", "gap", "above", "far"])
@@ -91,25 +71,39 @@ class TestMalformedArrays:
         stray = -2 if offset == -1 else base + offset
         adjacency = {a: [(b, 10.0), (stray, 1.0)], b: [(a, 10.0), (c, 2.0)], c: [(b, 2.0)]}
         with pytest.raises(TopologyError, match=f"neighbour AS {stray} is not listed"):
-            ASTopology.from_adjacency_arrays(layout(adjacency))
+            ASTopology(layout(adjacency))
 
     def test_neighbour_listed_twice_under_one_as(self):
         # Symmetric as a multiset, so only the duplicate check sees it.
-        doubled = {1: [(2, 10.0), (2, 10.0)], 2: [(1, 10.0), (1, 10.0)]}
+        arrays = layout({1: [(2, 10.0)], 2: [(1, 10.0)]})
+        arrays["adj_start"] = np.array([0, 2, 4])
+        arrays["adj_asn"] = np.array([2, 2, 1, 1])
+        arrays["adj_latency_ms"] = np.full(4, 10.0)
         with pytest.raises(TopologyError, match="twice"):
-            ASTopology.from_adjacency_arrays(layout(doubled))
+            ASTopology(arrays)
 
     def test_as_listed_twice(self):
         arrays = layout(PATH, asns=[1, 2, 3])
         arrays["asn"][2] = 1
         with pytest.raises(TopologyError):
-            ASTopology.from_adjacency_arrays(arrays)
+            ASTopology(arrays)
 
     def test_lengths_disagree(self):
         arrays = layout(PATH)
         arrays["adj_start"] = arrays["adj_start"][:-1]
         with pytest.raises(TopologyError):
-            ASTopology.from_adjacency_arrays(arrays)
+            ASTopology(arrays)
+
+    def test_negative_attributes_rejected(self):
+        with pytest.raises(TopologyError, match="intra-AS latencies"):
+            ASTopology(layout(PATH, intra_ms=[1.0, -1.0, 1.0]))
+        with pytest.raises(TopologyError, match="end-node counts"):
+            ASTopology(layout(PATH, endnodes=[1, 1, -1]))
+
+    @pytest.mark.parametrize("tier", [0, 4, -3])
+    def test_unknown_tier(self, tier):
+        with pytest.raises(TopologyError, match="unknown AS tier"):
+            ASTopology(layout(PATH, tier=[3, tier, 3]))
 
 
 def read_queries(topo):
@@ -118,22 +112,17 @@ def read_queries(topo):
     answers = {
         "len": len(topo),
         "asns": asns,
-        "contains": [asn in topo for asn in asns] + [max(asns) + 1 in topo],
         "index": [topo.index_of(asn) for asn in asns],
-        "asn_at": [topo.asn_at(i) for i in range(len(asns))],
         "neighbors": [topo.neighbors(asn) for asn in asns],
         "degree": [topo.degree(asn) for asn in asns],
         "intra": [topo.intra_latency(asn) for asn in asns],
-        "info": [topo.info(asn) for asn in asns],
-        "links": list(topo.links()),
         "n_links": topo.n_links(),
-        "link_latency": [topo.link_latency(l.a, l.b) for l in topo.links()],
-        "endnode_counts": list(topo.endnode_counts().items()),
     }
     arrays = {
         "intra_array": topo.intra_latency_array(),
         "endnode_array": topo.endnode_array(),
-        **{f"edge_{i}": a for i, a in enumerate(topo.edge_arrays())},
+        "asn_index": topo.asn_index().asns,
+        **{f"csr_{i}": a for i, a in enumerate(topo.csr_arrays())},
         **topo.adjacency_arrays(),
     }
     return answers, {name: (a.dtype, a.tolist()) for name, a in arrays.items()}
@@ -149,37 +138,14 @@ class TestLoadedEqualsGenerated:
         generated, loaded = pair
         answers, arrays = read_queries(loaded)
         assert (answers, arrays) == read_queries(generated)
-        assert arrays["edge_0"][0] == arrays["edge_1"][0] == np.int64
-        assert arrays["edge_2"][0] == np.float64
-
-    def test_after_the_same_mutations(self, pair):
-        generated, loaded = pair
-        far = generated.asns()[-1]
-        near = generated.neighbors(far)[0]
-        for topo in pair:
-            topo.add_link(1, far, 7.25)
-            topo.remove_link(far, near)
-            topo.add_link(2, 3, 1.5)  # re-adding updates the latency
-        assert read_queries(loaded) == read_queries(generated)
-        assert loaded.link_latency(3, 2) == 1.5
-        assert near not in loaded.neighbors(far)
-
-    def test_mutation_thaws_and_refreezes(self):
-        topo = ASTopology.from_adjacency_arrays(layout(PATH))
-        topo.remove_link(2, 3)
-        assert topo.neighbors(2) == [1]
-        with pytest.raises(TopologyError, match="disconnected"):
-            topo.validate()
-        topo.add_link(3, 1, 2.0)
-        assert topo.neighbors(1) == [2, 3]
-        topo.validate()
+        assert arrays["csr_2"][0] == arrays["intra_array"][0] == np.float64
 
     def test_reads_leave_the_stored_arrays_alone(self, pair):
         _, loaded = pair
         arrays = loaded.adjacency_arrays()
         arrays["adj_latency_ms"][:] = 1.0  # a copy
         with pytest.raises(ValueError):
-            loaded.edge_arrays()[2][0] = 1.0  # read-only
+            loaded.csr_arrays()[2][0] = 1.0  # read-only
         assert read_queries(loaded) == read_queries(pair[0])
 
 
@@ -189,12 +155,12 @@ class TestStoredOrder:
 
     @pytest.fixture()
     def topo(self):
-        topo = ASTopology()
-        for asn, intra, endnodes in ((30, 3.0, 3), (10, 1.0, 1), (20, 2.0, 2)):
-            topo.add_as(graph.ASInfo(asn, graph.ASTier.STUB, intra, endnodes))
-        topo.add_link(30, 20, 4.0)
-        topo.add_link(10, 30, 6.0)
-        return topo
+        return linked(
+            [(30, 20, 4.0), (10, 30, 6.0)],
+            [30, 10, 20],
+            intra_ms=[3.0, 1.0, 2.0],
+            endnodes=[3, 1, 2],
+        )
 
     def test_reads(self, topo):
         assert topo.asns() == [10, 20, 30]
@@ -202,15 +168,15 @@ class TestStoredOrder:
         assert topo.neighbors(30) == [20, 10]
         assert topo.intra_latency_array().tolist() == [1.0, 2.0, 3.0]
         assert topo.endnode_array().tolist() == [1.0, 2.0, 3.0]
-        assert list(topo.endnode_counts()) == [30, 10, 20]
-        rows, cols, weights = topo.edge_arrays()
+        assert topo.adjacency_arrays()["endnodes"].tolist() == [3, 1, 2]
+        rows, cols, weights = coo_arrays(topo)
         assert rows.tolist() == [2, 2, 0, 1]
         assert cols.tolist() == [1, 0, 2, 2]
         assert weights.tolist() == [4.0, 6.0, 6.0, 4.0]
         assert topo.adjacency_arrays()["asn"].tolist() == [30, 10, 20]
 
     def test_round_trip(self, topo):
-        loaded = ASTopology.from_adjacency_arrays(topo.adjacency_arrays())
+        loaded = ASTopology(topo.adjacency_arrays())
         assert read_queries(loaded) == read_queries(topo)
         router = Router(loaded)
         assert router.latency_row(10).tolist() == [0.0, 10.0, 6.0]
@@ -225,7 +191,7 @@ class TestRouterOnLoadedArrays:
 
     def test_same_canonical_csr(self, routers):
         generated, built, loaded = routers
-        rows, cols, weights = generated.edge_arrays()
+        rows, cols, weights = coo_arrays(generated)
         n = len(generated)
         # The COO -> CSR conversion the matrices were once built with.
         reference = {
@@ -263,7 +229,7 @@ class TestSparseAsns:
         arrays = layout(self.ADJACENCY)
         tracemalloc.start()
         try:
-            topo = ASTopology.from_adjacency_arrays(arrays)
+            topo = ASTopology(arrays)
             topo.validate()
             router = Router(topo)
             row = router.latency_row(17)
@@ -294,26 +260,3 @@ def test_router_shares_the_topology_map_and_arc_order():
     assert np.array_equal(router._matrix.indptr, indptr)
     assert np.array_equal(router._matrix.indices, indices)
     assert np.array_equal(router._matrix.data, weights)
-
-
-def test_warm_fig4_fastpath_builds_no_asinfo(tmp_path, monkeypatch):
-    """A warm set-up and a fastpath run read the arrays only: a per-AS
-    object built anywhere on the way would show here, not just as a
-    slower set-up."""
-    scale = SCALES["small"]
-    Environment(scale, seed=0, cache_dir=str(tmp_path))  # cold: generates
-    built = []
-    init = graph.ASInfo.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(args[:1])
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(graph.ASInfo, "__init__", counting_init)
-    env = Environment(scale, seed=0, cache_dir=str(tmp_path))
-    assert env.substrate_loaded
-    result = run_fig4(environment=env, engine="fastpath", n_jobs=1)
-    assert set(result.rtts_by_k) == {1, 3, 5}
-    assert built == []
-    env.topology.info(1)  # the counter sees an on-demand ASInfo
-    assert built == [(1,)]
