@@ -14,7 +14,10 @@ it.  In order, it holds
   so that the payload, and every array in it, starts at a multiple of
   :data:`ALIGN` bytes.
 
-:func:`read_arrays` takes the file in with one ``read()`` and returns
+:func:`write_arrays` and :func:`read_arrays` take a path or an open
+file (the substrate generator hands a prefix table from a forked child
+to its parent through an unnamed temporary file).  :func:`read_arrays`
+takes the file in with one ``read()`` and returns
 read-only :func:`numpy.frombuffer` views into that one buffer, once the
 format, the key and the digest over every array have checked out.  Only
 numeric dtypes are accepted, so nothing is ever unpickled.  The buffer's
@@ -35,7 +38,7 @@ import json
 import math
 import os
 import struct
-from typing import Dict, Mapping, Optional, Tuple, Union
+from typing import BinaryIO, Dict, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -76,9 +79,13 @@ def payload_digest(arrays: Mapping[str, np.ndarray]) -> str:
     return digest.hexdigest()
 
 
-def write_arrays(path: str, arrays: Mapping[str, np.ndarray], key: str = "") -> None:
-    """Write ``arrays`` (numeric dtypes only) as the array file ``path``
-    under ``key``, atomically: to a temp file, then :func:`os.replace`."""
+def write_arrays(
+    target: Union[str, BinaryIO], arrays: Mapping[str, np.ndarray], key: str = ""
+) -> None:
+    """Write ``arrays`` (numeric dtypes only) as an array file under
+    ``key``: to the path ``target`` atomically (to a temp file, then
+    :func:`os.replace`), or into the open binary file ``target`` at its
+    position, flushed."""
     entries, blobs, end = [], [], 0
     for name, value in arrays.items():
         array = np.asarray(value)
@@ -98,33 +105,48 @@ def write_arrays(path: str, arrays: Mapping[str, np.ndarray], key: str = "") -> 
         "arrays": entries,
     }).encode()
     header += b" " * (-(len(MAGIC) + _LENGTH.size + len(header)) % ALIGN)
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    tmp = f"{path}.{os.getpid()}.tmp"
+
+    def dump(fh: BinaryIO) -> None:
+        fh.write(MAGIC + _LENGTH.pack(len(header)) + header)
+        written = 0
+        for offset, blob in blobs:
+            fh.write(bytes(offset - written))
+            fh.write(blob)
+            written = offset + blob.nbytes
+        fh.flush()
+
+    if not isinstance(target, str):
+        dump(target)
+        return
+    os.makedirs(os.path.dirname(os.path.abspath(target)), exist_ok=True)
+    tmp = f"{target}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(MAGIC + _LENGTH.pack(len(header)) + header)
-            written = 0
-            for offset, blob in blobs:
-                fh.write(bytes(offset - written))
-                fh.write(blob)
-                written = offset + blob.nbytes
-        os.replace(tmp, path)
+            dump(fh)
+        os.replace(tmp, target)
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
 
 
-def read_arrays(path: str, key: Optional[str] = None) -> Dict[str, np.ndarray]:
-    """The arrays of the array file ``path``: read-only views into one
-    read of it.
+def read_arrays(
+    source: Union[str, BinaryIO], key: Optional[str] = None
+) -> Dict[str, np.ndarray]:
+    """The arrays of the array file ``source`` (a path, or a binary file
+    open for reading at the file's start): read-only views into one read
+    of it.
 
     Raises :class:`OSError` when the file cannot be read, and
     :class:`TopologyError` when it is not an array file of this format,
     was written under another key than ``key`` (when one is given), or
     its arrays do not match the digest in its header.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
+    if isinstance(source, str):
+        path = source
+        with open(path, "rb") as fh:
+            data = fh.read()
+    else:
+        path, data = f"array file {source.name!r}", source.read()
     start = len(MAGIC) + _LENGTH.size
     if not data.startswith(MAGIC) or len(data) < start:
         raise TopologyError(f"{path} is not an array file")

@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..draws import integer_sampler, weighted_choice, weighted_sample
+from ..draws import integer_sampler, pair_draws, weighted_choice, weighted_sample
 from ..errors import ConfigurationError
 from .graph import ASTier, ASTopology, adjacency_layout
 from .latency import GeographyModel, LatencyModel
@@ -101,13 +101,20 @@ def small_scale_config(n_as: int = 200, seed_endnodes: int = 100_000) -> Topolog
     return TopologyConfig(n_as=n_as, total_endnodes=max(seed_endnodes, n_as))
 
 
+def as_numbers(n_as: int) -> np.ndarray:
+    """The ASNs of a generated ``n_as``-AS topology, ascending: 1..n_as,
+    tier-1 ASs first.  They depend on nothing else, so the prefix table
+    can be generated for them before the topology exists."""
+    return np.arange(1, n_as + 1)
+
+
 def generate_internet_topology(
     config: Optional[TopologyConfig] = None, seed: int = 0
 ) -> ASTopology:
     """Generate a connected, DIMES-like AS topology.
 
-    ASNs are assigned 1..n with tier-1 ASs first.  The result always
-    passes :meth:`ASTopology.validate`.
+    ASNs are :func:`as_numbers`; an AS's index in the construction is its
+    ASN - 1.  The result always passes :meth:`ASTopology.validate`.
     """
     config = config or TopologyConfig()
     config.validate()
@@ -191,22 +198,8 @@ def generate_internet_topology(
     # --- Extra peering links up to the target count. --------------------
     target = config.resolved_target_links()
     links = sum(len(nbrs) for nbrs in adjacency) // 2
-    attempts = 0
     max_attempts = 20 * max(target - links, 0) + 100
-    while links < target and attempts < max_attempts:
-        attempts += 1
-        a = integers(n) + 1
-        b = integers(n) + 1
-        if a == b:
-            continue
-        (ax, ay), (bx, by) = positions[a - 1], positions[b - 1]
-        # Peering is overwhelmingly local (IXP-style).
-        if rng.random() > math.exp(-math.hypot(ax - bx, ay - by) / 2000.0):
-            continue
-        if b in adjacency[a - 1]:
-            continue
-        connect(a, b)
-        links += 1
+    add_peering_links(rng, positions, adjacency, connect, target, max_attempts)
 
     # --- Attributes: intra-AS latency and end-node populations. --------
     intra = lat.intra_latencies_ms(n, rng, allow_outliers=False)
@@ -236,7 +229,7 @@ def generate_internet_topology(
     topo = ASTopology(
         adjacency_layout(
             {
-                "asn": np.arange(1, n + 1),
+                "asn": as_numbers(n),
                 "tier": np.repeat(
                     [ASTier.TIER1, ASTier.TRANSIT, ASTier.STUB], [n_t1, n_t2, n_t3]
                 ),
@@ -250,6 +243,71 @@ def generate_internet_topology(
     )
     topo.validate()
     return topo
+
+
+#: Peering attempts decoded per pass of :func:`add_peering_links`.
+PEERING_CHUNK = 4096
+
+#: How near (in ulps of the threshold) a peering draw may lie to its
+#: acceptance threshold and still be decided in numpy.  ``np.hypot`` and
+#: ``np.exp`` may differ from ``math``'s by an ulp or two, so a draw
+#: nearer than this is decided with the ``math`` expression.
+PEERING_ULPS = 4096.0
+
+
+def add_peering_links(
+    rng: np.random.Generator,
+    positions: List[Tuple[float, float]],
+    adjacency: List[Dict[int, float]],
+    connect: Callable[[int, int], None],
+    target: int,
+    max_attempts: int,
+) -> int:
+    """Add proximity-biased peering links until the graph has ``target``
+    links or ``max_attempts`` attempts were made; returns the attempts.
+
+    The draws, and so every later draw of ``rng``, are those of the loop ::
+
+        while links < target and attempts < max_attempts:
+            attempts += 1
+            a = integers(n) + 1; b = integers(n) + 1
+            if a == b: continue
+            if rng.random() > math.exp(-math.hypot(ax - bx, ay - by) / 2000.0):
+                continue
+            if b in adjacency[a - 1]: continue
+            connect(a, b); links += 1
+
+    run :data:`PEERING_CHUNK` attempts at a time: :func:`pair_draws`
+    decodes them, numpy tests them against the threshold (a draw within
+    :data:`PEERING_ULPS` of it is tested as above), and only the accepted
+    ones are checked against the graph and connected in order.
+    """
+    n = len(positions)
+    xs, ys = np.array(positions).T
+    links = sum(len(nbrs) for nbrs in adjacency) // 2
+    attempts = 0
+    while links < target and attempts < max_attempts:
+        a, b, u, commit = pair_draws(rng, n, min(PEERING_CHUNK, max_attempts - attempts))
+        # Peering is overwhelmingly local (IXP-style).
+        threshold = np.exp(-np.hypot(xs[a] - xs[b], ys[a] - ys[b]) / 2000.0)
+        accept = u <= threshold  # nan (a == b) is never accepted
+        near = np.abs(u - threshold) <= PEERING_ULPS * np.spacing(threshold)
+        for i in np.flatnonzero(near).tolist():
+            (ax, ay), (bx, by) = positions[a[i]], positions[b[i]]
+            accept[i] = not u[i] > math.exp(-math.hypot(ax - bx, ay - by) / 2000.0)
+        used = len(u)
+        picked = np.flatnonzero(accept)
+        for i, p, q in zip(picked.tolist(), (a[picked] + 1).tolist(), (b[picked] + 1).tolist()):
+            if q in adjacency[p - 1]:
+                continue
+            connect(p, q)
+            links += 1
+            if links == target:
+                used = i + 1
+                break
+        commit(used)
+        attempts += used
+    return attempts
 
 
 def _zipf_populations(

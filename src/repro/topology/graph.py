@@ -270,13 +270,6 @@ class ASTopology:
     # ------------------------------------------------------------------
     # Dense indexing / export
     # ------------------------------------------------------------------
-    def index_of(self, asn: int) -> int:
-        """Dense index of ``asn`` in [0, n)."""
-        try:
-            return self._index.lookup[asn]
-        except KeyError as exc:
-            raise TopologyError(f"unknown AS {asn}") from exc
-
     def asn_index(self) -> AsnIndex:
         """The graph's ASN -> dense-index map (see :class:`AsnIndex`)."""
         return self._index

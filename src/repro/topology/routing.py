@@ -441,7 +441,7 @@ class Router:
     # Vectorized queries (the fastpath's path cells)
     # ------------------------------------------------------------------
     def indices_of(self, asns: np.ndarray) -> np.ndarray:
-        """Dense indices of an ASN array (vectorized ``index_of``)."""
+        """Dense indices of an ASN array (vectorized ``asn_index().lookup``)."""
         arr = np.asarray(asns, dtype=np.int64)
         idx = self._asns.dense_of(arr)
         if arr.size and int(idx.min()) < 0:

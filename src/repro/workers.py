@@ -1,13 +1,17 @@
 """Forked worker processes that fill disjoint parts of shared arrays.
 
-The fastpath spreads two GIL-bound stages over processes: the Dijkstra
-rows of :meth:`~repro.topology.routing.Router.pair_paths` and the GUID
-placement of :func:`~repro.fastpath.placement.batch_resolutions`.  Both
-use the same pattern: allocate the outputs with :func:`shared_array`,
-then :func:`run_forked` one task per worker.  The caller runs task 0
+Three GIL-bound stages run over processes: the Dijkstra rows of
+:meth:`~repro.topology.routing.Router.pair_paths` and the GUID placement
+of :func:`~repro.fastpath.placement.batch_resolutions` in the fastpath,
+and a cold substrate's prefix table, generated beside its topology
+(:class:`~repro.experiments.common.Environment`).  All use the same
+pattern: :func:`run_forked` one task per worker.  The caller runs task 0
 itself and forks the rest, so the children read the caller's inputs
-copy-on-write (nothing is pickled) and return their results only by
-writing the shared arrays.
+copy-on-write (nothing is pickled).  The fastpath's children return
+their results only by writing arrays allocated with :func:`shared_array`;
+the prefix-table child writes an array file
+(:func:`repro.topology.datasets.write_arrays`) that the parent reads back
+with its digest checked.
 """
 
 from __future__ import annotations

@@ -44,8 +44,3 @@ class SourceSampler:
     def sample_one(self) -> int:
         """Draw a single source ASN."""
         return int(self.sample(1)[0])
-
-    def probability_of(self, asn: int) -> float:
-        """Selection probability of ``asn``."""
-        idx = self.topology.index_of(asn)
-        return float(self._weights[idx])

@@ -1,16 +1,19 @@
 """Tests for the shared experiment environment plumbing."""
 
 import json
+import multiprocessing
 import os
 import struct
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
 
 import repro.experiments.common as common
 import repro.topology.datasets as datasets
+import repro.workers as workers
 from repro.bgp.prefix import Announcement, Prefix
-from repro.errors import TopologyError
+from repro.errors import TopologyError, WorkerError
 from repro.experiments.common import (
     SCALES,
     Environment,
@@ -174,19 +177,43 @@ DAMAGES = {
 }
 
 
+class SharedCounts(Mapping):
+    """Call counts in shared memory: the prefix table is generated in a
+    forked child, whose calls count too."""
+
+    NAMES = ("topology", "table")
+
+    def __init__(self):
+        self._counts = workers.shared_array((len(self.NAMES),), np.int64)
+
+    def bump(self, name):
+        self._counts[self.NAMES.index(name)] += 1
+
+    def __getitem__(self, name):
+        if name not in self.NAMES:
+            raise KeyError(name)
+        return int(self._counts[self.NAMES.index(name)])
+
+    def __iter__(self):
+        return iter(self.NAMES)
+
+    def __len__(self):
+        return len(self.NAMES)
+
+
 @pytest.fixture
 def count_builds(monkeypatch):
     """Count calls of the two substrate generators."""
-    calls = {"topology": 0, "table": 0}
+    calls = SharedCounts()
     generate_topology = common.generate_internet_topology
     generate_table = common.generate_global_prefix_table
 
     def topology(*args, **kwargs):
-        calls["topology"] += 1
+        calls.bump("topology")
         return generate_topology(*args, **kwargs)
 
     def table(*args, **kwargs):
-        calls["table"] += 1
+        calls.bump("table")
         return generate_table(*args, **kwargs)
 
     monkeypatch.setattr(common, "generate_internet_topology", topology)
@@ -356,6 +383,64 @@ class TestSubstrateStore:
         env = Environment(tiny_scale, seed=0, cache_dir=str(tmp_path))
         assert not env.substrate_loaded
         assert stale.read_bytes() == b"not an archive"
+
+    def test_one_cpu_builds_in_process_the_same_file(
+        self, tiny_scale, tmp_path, monkeypatch, count_builds
+    ):
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
+        forked = Environment(tiny_scale, seed=6, cache_dir=str(tmp_path / "forked"))
+        assert count_builds == {"topology": 1, "table": 1}
+
+        def no_fork():
+            raise AssertionError("forked with one usable CPU")
+
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 1)
+        monkeypatch.setattr(os, "fork", no_fork)
+        alone = Environment(tiny_scale, seed=6, cache_dir=str(tmp_path / "alone"))
+        assert count_builds == {"topology": 2, "table": 2}
+        assert not alone.substrate_loaded
+        assert store_path(tmp_path / "alone", alone).read_bytes() == (
+            store_path(tmp_path / "forked", forked).read_bytes()
+        )
+        assert_same_substrate(forked, alone)
+
+    @pytest.mark.parametrize("failure", ["raises", "builds-a-prefix"])
+    def test_failed_table_worker_leaves_nothing(
+        self, failure, tiny_scale, tmp_path, monkeypatch
+    ):
+        # The child inherits the parent's patches: a Prefix built there
+        # fails the build as one built here would.
+        def broken(*args, **kwargs):
+            if failure == "raises":
+                raise RuntimeError("table generator failed")
+            Prefix(0, 0, 8)
+            return generate_table(*args, **kwargs)
+
+        def no_objects(self):
+            raise AssertionError(f"built a {type(self).__name__}")
+
+        generate_table = common.generate_global_prefix_table
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(common, "generate_global_prefix_table", broken)
+        monkeypatch.setattr(Prefix, "__post_init__", no_objects)
+        with pytest.raises(WorkerError, match="prefix-table worker"):
+            Environment(tiny_scale, seed=6, cache_dir=str(tmp_path))
+        # No store file, no temporary file, no child left running.
+        assert store_files(tmp_path) == []
+        assert multiprocessing.active_children() == []
+        monkeypatch.undo()
+        assert not Environment(tiny_scale, seed=6, cache_dir=str(tmp_path)).substrate_loaded
+
+    def test_failed_topology_joins_the_table_worker(self, tiny_scale, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("topology generator failed")
+
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(common, "generate_internet_topology", broken)
+        with pytest.raises(RuntimeError, match="topology generator failed"):
+            Environment(tiny_scale, seed=6, cache_dir=str(tmp_path))
+        assert store_files(tmp_path) == []
+        assert multiprocessing.active_children() == []
 
     def test_setup_recorded(self, tiny_scale, tmp_path):
         env = Environment(tiny_scale, seed=0, cache_dir=str(tmp_path))

@@ -6,12 +6,21 @@ state: a helper that consumed one draw more or less would shift every
 later draw of the substrate generators.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bgp.allocation import DEFAULT_LENGTH_MIX
-from repro.draws import choice_cdf, integer_sampler, weighted_choice, weighted_sample
+from repro.draws import (
+    choice_cdf,
+    integer_sampler,
+    pair_draws,
+    weighted_choice,
+    weighted_sample,
+)
+from repro.topology import generator
 
 seeds = st.integers(min_value=0, max_value=2**63)
 
@@ -156,3 +165,182 @@ class TestBatchedLengths:
         got = lengths[choice_cdf(weights).searchsorted(fast.random(sum(counts)), side="right")]
         assert np.array_equal(got, np.concatenate(want))
         assert_same_state(ref, fast)
+
+
+def scalar_pairs(rng, n, count):
+    """The loop :func:`pair_draws` decodes, one draw at a time."""
+    draw = integer_sampler(rng)
+    out = []
+    for _ in range(count):
+        a, b = draw(n), draw(n)
+        out.append((a, b, rng.random() if a != b else None))
+    return out
+
+
+def decoded(a, b, u):
+    """``pair_draws``' arrays as the scalar loop's ``(a, b, u)`` list."""
+    return [
+        (x, y, None if math.isnan(z) else z)
+        for x, y, z in zip(a.tolist(), b.tolist(), u.tolist())
+    ]
+
+
+def primed(seed, buffered):
+    """A generator with (``buffered``) or without a half-word in its
+    32-bit buffer."""
+    rng = np.random.default_rng(seed)
+    if buffered:
+        rng.integers(0, 5)
+    assert rng.bit_generator.state["has_uint32"] == int(buffered)
+    return rng
+
+
+class TestPairDraws:
+    """``pair_draws`` decodes ``a, b = integers(n), integers(n)`` and a
+    uniform unless ``a == b``, and commits any prefix of the attempts."""
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 400, 3000])
+    @pytest.mark.parametrize("buffered", [False, True])
+    def test_equals_scalar_loop(self, n, buffered):
+        for seed in range(6):
+            for count in (1, 5, 300, 2000):
+                ref, fast = primed(seed, buffered), primed(seed, buffered)
+                a, b, u, commit = pair_draws(fast, n, count)
+                # Nothing is consumed until the commit.
+                assert_same_state(primed(seed, buffered), fast)
+                assert decoded(a, b, u) == scalar_pairs(ref, n, count)
+                commit(count)
+                assert_same_state(ref, fast)
+
+    @pytest.mark.parametrize("n", [3, 3000])
+    @pytest.mark.parametrize("buffered", [False, True])
+    def test_commit_any_prefix(self, n, buffered):
+        count = 500
+        for k in (0, 1, 2, 137, 499, 500):
+            ref, fast = primed(k, buffered), primed(k, buffered)
+            *_, commit = pair_draws(fast, n, count)
+            scalar_pairs(ref, n, k)
+            commit(k)
+            assert_same_state(ref, fast)
+            # The next draws carry on from there.
+            assert fast.random() == ref.random()
+            assert int(fast.integers(0, 9)) == int(ref.integers(0, 9))
+        with pytest.raises(ValueError):
+            commit(count + 1)
+
+    @pytest.mark.parametrize("buffered", [False, True])
+    def test_lemire_rejections(self, buffered):
+        # Near 3·2**30 about a quarter of the 32-bit draws are rejected
+        # and redrawn, which flips the half-word buffer's parity.
+        n = 3 << 30
+        for seed in range(4):
+            ref, fast = primed(seed, buffered), primed(seed, buffered)
+            a, b, u, commit = pair_draws(fast, n, 400)
+            assert decoded(a, b, u) == scalar_pairs(ref, n, 400)
+            commit(400)
+            assert_same_state(ref, fast)
+        plain = primed(seed, buffered)
+        plain.bit_generator.random_raw(400 * 3 // 2)
+        assert plain.bit_generator.state != fast.bit_generator.state
+
+    def test_bounds_outside_32_bits_raise(self):
+        for n in (1, 0, 1 << 32):
+            with pytest.raises(ValueError):
+                pair_draws(np.random.default_rng(0), n, 4)
+
+
+def scalar_peering(rng, positions, adjacency, connect, target, max_attempts):
+    """The extra-peering loop as it ran before it was decoded in bulk:
+    the oracle of :func:`generator.add_peering_links`."""
+    integers = integer_sampler(rng)
+    n = len(positions)
+    links = sum(len(nbrs) for nbrs in adjacency) // 2
+    attempts = 0
+    while links < target and attempts < max_attempts:
+        attempts += 1
+        a = integers(n) + 1
+        b = integers(n) + 1
+        if a == b:
+            continue
+        (ax, ay), (bx, by) = positions[a - 1], positions[b - 1]
+        if rng.random() > math.exp(-math.hypot(ax - bx, ay - by) / 2000.0):
+            continue
+        if b in adjacency[a - 1]:
+            continue
+        connect(a, b)
+        links += 1
+    return attempts
+
+
+def peering_run(peer, seed, n, extra, buffered):
+    """``(links made, attempts, final state)`` of ``peer`` asked for
+    ``extra`` links over a path through ``n`` sites spread over 3,000 km."""
+    sites = np.random.default_rng(seed + 100).uniform(0.0, 3000.0, size=(n, 2))
+    positions = [tuple(p) for p in sites.tolist()]
+    adjacency = [{} for _ in range(n)]
+    made = []
+
+    def connect(a, b):
+        adjacency[a - 1][b] = adjacency[b - 1][a] = 1.0
+        made.append((a, b))
+
+    for a in range(1, n):
+        connect(a, a + 1)
+    rng = primed(seed, buffered)
+    target = n - 1 + extra
+    attempts = peer(rng, positions, adjacency, connect, target, 20 * extra + 100)
+    return made, attempts, rng.bit_generator.state
+
+
+#: n -> extra links asked for: with 2 sites none can be added and with 3
+#: only one, so those runs stop at ``max_attempts``; the others reach
+#: their target.
+PEERING_CASES = {2: 1, 3: 2, 7: 8, 400: 300, 3000: 2500}
+
+
+class TestPeeringLinks:
+    """``add_peering_links`` makes the scalar loop's links, in its order,
+    from the same attempts, and leaves the generator where it does."""
+
+    @pytest.mark.parametrize("n", sorted(PEERING_CASES))
+    @pytest.mark.parametrize("buffered", [False, True])
+    def test_equals_scalar_loop(self, n, buffered):
+        extra = PEERING_CASES[n]
+        for seed in range(3):
+            want = peering_run(scalar_peering, seed, n, extra, buffered)
+            got = peering_run(generator.add_peering_links, seed, n, extra, buffered)
+            assert got == want
+            made, attempts, _ = got
+            if n <= 3:
+                assert attempts == 20 * extra + 100 and len(made) < n - 1 + extra
+            else:
+                assert len(made) == n - 1 + extra and attempts < 20 * extra + 100
+
+    def test_target_reached_inside_a_chunk(self, monkeypatch):
+        monkeypatch.setattr(generator, "PEERING_CHUNK", 64)
+        want = peering_run(scalar_peering, 1, 400, 300, False)
+        got = peering_run(generator.add_peering_links, 1, 400, 300, False)
+        assert got == want
+        assert got[1] % 64 != 0
+
+    def test_every_draw_decided_by_math(self, monkeypatch):
+        # With an infinite margin every attempt with a != b is tested
+        # with the scalar expression; the links must not change.
+        calls = []
+
+        class CountingMath:
+            def __getattr__(self, name):
+                return getattr(math, name)
+
+            def exp(self, x):
+                calls.append(x)
+                return math.exp(x)
+
+        want = peering_run(scalar_peering, 2, 400, 300, True)
+        monkeypatch.setattr(generator, "PEERING_ULPS", math.inf)
+        monkeypatch.setattr(generator, "math", CountingMath())
+        got = peering_run(generator.add_peering_links, 2, 400, 300, True)
+        assert got == want
+        # One exp per decoded attempt with a != b (nearly all of them),
+        # the ones decoded past the stop included.
+        assert len(calls) > got[1] - 10

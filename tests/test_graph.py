@@ -66,11 +66,7 @@ class TestDenseIndex:
         topo = simple_topology()
         asns = topo.asns()
         for asn in asns:
-            assert asns[topo.index_of(asn)] == asn
-
-    def test_index_unknown(self):
-        with pytest.raises(TopologyError):
-            simple_topology().index_of(99)
+            assert asns[topo.asn_index().lookup[asn]] == asn
 
     def test_csr_arrays(self):
         indptr, indices, weights = simple_topology().csr_arrays()

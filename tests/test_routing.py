@@ -440,7 +440,7 @@ class TestVectorizedQueries:
 
     def test_indices_of_matches_index_of(self, gap_router):
         out = gap_router.indices_of(np.array([40, 10, 20, 10]))
-        expected = [gap_router.topology.index_of(a) for a in (40, 10, 20, 10)]
+        expected = [gap_router.topology.asn_index().lookup[a] for a in (40, 10, 20, 10)]
         assert out.tolist() == expected
 
     def test_indices_of_preserves_shape(self, gap_router):
@@ -481,7 +481,7 @@ class TestScalarRule:
         # The vector form: the float32 path widened to float64, then the
         # same left-to-right sum; the querier's own AS is intra alone.
         intra = router.intra_array
-        src_idx = router.topology.index_of(src)
+        src_idx = router.topology.asn_index().lookup[src]
         dst_idx = router.indices_of(dst)
         path = router.latency_row(src)[dst_idx].astype(np.float64)
         one_way = intra[src_idx] + path + intra[dst_idx]

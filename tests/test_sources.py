@@ -16,10 +16,15 @@ def weighted_topology():
 
 class TestSampler:
     def test_probabilities_proportional_to_endnodes(self):
-        sampler = SourceSampler(weighted_topology())
-        assert sampler.probability_of(1) == pytest.approx(0.8)
-        assert sampler.probability_of(2) == pytest.approx(0.15)
-        assert sampler.probability_of(3) == pytest.approx(0.05)
+        # The draws are numpy's choice weighted by endnode_array().
+        topo = weighted_topology()
+        populations = topo.endnode_array()
+        assert populations.tolist() == [800, 150, 50]
+        want = np.random.default_rng(3).choice(
+            topo.asns(), size=500, p=populations / populations.sum()
+        )
+        got = SourceSampler(topo, np.random.default_rng(3)).sample(500)
+        assert got.tolist() == want.tolist()
 
     def test_empirical_frequencies(self):
         sampler = SourceSampler(weighted_topology(), np.random.default_rng(0))

@@ -112,7 +112,7 @@ def read_queries(topo):
     answers = {
         "len": len(topo),
         "asns": asns,
-        "index": [topo.index_of(asn) for asn in asns],
+        "index": [topo.asn_index().lookup[asn] for asn in asns],
         "neighbors": [topo.neighbors(asn) for asn in asns],
         "degree": [topo.degree(asn) for asn in asns],
         "intra": [topo.intra_latency(asn) for asn in asns],
@@ -164,7 +164,7 @@ class TestStoredOrder:
 
     def test_reads(self, topo):
         assert topo.asns() == [10, 20, 30]
-        assert [topo.index_of(a) for a in (10, 20, 30)] == [0, 1, 2]
+        assert [topo.asn_index().lookup[a] for a in (10, 20, 30)] == [0, 1, 2]
         assert topo.neighbors(30) == [20, 10]
         assert topo.intra_latency_array().tolist() == [1.0, 2.0, 3.0]
         assert topo.endnode_array().tolist() == [1.0, 2.0, 3.0]
@@ -240,7 +240,7 @@ class TestSparseAsns:
             tracemalloc.stop()
         assert peak < 1 << 20, peak
         assert topo.asns() == [17, SPARSE, SPARSE + 7]
-        assert topo.index_of(SPARSE) == 1
+        assert topo.asn_index().lookup[SPARSE] == 1
         assert topo.neighbors(SPARSE + 7) == [17, SPARSE]
         assert row.tolist() == [0.0, 5.0, 4.0]
         assert costs == [1.0 + 5.0 + 1.0, 1.0 + 4.0 + 1.0]
