@@ -33,7 +33,7 @@ def main() -> None:
         topology.asns(), AllocationConfig(prefixes_per_as=6), seed=8
     )
     router = Router(topology)
-    sim = DMapSimulation(topology, table, k=5, router=router, seed=8)
+    sim = DMapSimulation(topology, table, k=5, router=router)
     rng = np.random.default_rng(2)
     asns = topology.asns()
 

@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Sequence
 
-import numpy as np
-
 from ..core.guid import GUID, NetworkAddress
 from ..core.mapping import MappingEntry, MappingStore
 from ..errors import ConfigurationError, MappingNotFoundError
@@ -134,23 +132,3 @@ class DNSLike(BaselineResolver):
         )
         cache[guid] = _CacheSlot(entry, self.now_ms + self.ttl_ms)
         return BaselineLookup(entry.locators, rtt, overlay_hops=3)
-
-    # ------------------------------------------------------------------
-    def stale_answer_probability(
-        self, mean_update_interval_ms: float
-    ) -> float:
-        """Analytic stale-read probability under mobility.
-
-        With exponential update inter-arrivals (rate ``1/T_u``) and a
-        cache entry aged uniformly within its TTL, the chance a cached
-        answer predates the latest update is
-        ``1 - (T_u / TTL) * (1 - exp(-TTL / T_u))``.  Grows toward 1 as
-        hosts move faster than the TTL — the §II-B "low staleness"
-        requirement DNS fails.
-        """
-        if mean_update_interval_ms <= 0:
-            raise ConfigurationError("mean_update_interval_ms must be positive")
-        if self.ttl_ms == 0:
-            return 0.0
-        ratio = mean_update_interval_ms / self.ttl_ms
-        return 1.0 - ratio * (1.0 - float(np.exp(-1.0 / ratio)))

@@ -48,21 +48,6 @@ class Prefix:
                 f"prefix base {self.base:#x}/{self.length} has non-zero host bits"
             )
 
-    @classmethod
-    def from_cidr(cls, text: str, bits: int = ADDRESS_BITS) -> "Prefix":
-        """Parse ``"a.b.c.d/len"`` (or bare ``"a.b.c.d"`` as a host route)."""
-        if "/" in text:
-            addr_part, _, len_part = text.partition("/")
-            try:
-                length = int(len_part)
-            except ValueError as exc:
-                raise AddressError(f"bad prefix length in {text!r}") from exc
-        else:
-            addr_part, length = text, bits
-        address = NetworkAddress.from_dotted(addr_part)
-        span = 1 << (bits - length) if length < bits else 1
-        return cls(address.value & ~(span - 1) & ((1 << bits) - 1), length, bits)
-
     @property
     def span(self) -> int:
         """Number of addresses covered: ``2**(bits - length)``."""
@@ -86,20 +71,6 @@ class Prefix:
     def contains_prefix(self, other: "Prefix") -> bool:
         """Whether this block covers all of ``other`` (is a supernet)."""
         return self.first <= other.first and other.last <= self.last
-
-    def xor_distance_to(self, address: Union[int, NetworkAddress]) -> int:
-        """Minimum IP (XOR) distance from ``address`` to any covered address.
-
-        §III-B defines the distance between an address and a block as the
-        minimum pairwise distance.  Under the XOR metric the host bits can
-        always be matched exactly, so the minimum is the XOR of the prefix
-        bits alone, shifted back into position — an O(1) computation.
-        """
-        value = int(address)
-        if self.contains(value):
-            return 0
-        host_bits = self.bits - self.length
-        return ((value >> host_bits) ^ (self.base >> host_bits)) << host_bits
 
     def fraction_of_space(self) -> float:
         """Fraction of the full address space this block covers."""

@@ -296,8 +296,9 @@ class GlobalPrefixTable:
         line 10).
 
         Returns ``(announcement, distance)``; distance 0 means covered.
-        The distance to a block is the XOR of its network bits with the
-        address's (§III-B, :meth:`Prefix.xor_distance_to`).  Two blocks
+        The distance to a block (§III-B: the minimum distance to any
+        address it covers) is the XOR of its network bits with the
+        address's, the host bits matching exactly.  Two blocks
         at one distance are nested, and the shorter one wins, so a
         covered address gets its shortest covering prefix.  Raises
         :class:`EmptyPrefixTableError` on an empty table.

@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
-
-import numpy as np
+from typing import Optional, Union
 
 from ..errors import AddressError, GUIDError
 
@@ -73,15 +71,6 @@ class GUID:
         value = int.from_bytes(digest, "big") % (1 << bits)
         return cls(value, bits)
 
-    @classmethod
-    def random(cls, rng: np.random.Generator, bits: int = GUID_BITS) -> "GUID":
-        """Draw a uniformly random GUID from ``rng``."""
-        words = (bits + 63) // 64
-        value = 0
-        for _ in range(words):
-            value = (value << 64) | int(rng.integers(0, 1 << 63) << 1 | rng.integers(0, 2))
-        return cls(value % (1 << bits), bits)
-
     def to_bytes(self) -> bytes:
         """Big-endian byte representation, ``ceil(bits / 8)`` bytes long."""
         return self.value.to_bytes((self.bits + 7) // 8, "big")
@@ -112,23 +101,6 @@ class NetworkAddress:
                 f"address {self.value:#x} out of range for {self.bits} bits"
             )
 
-    @classmethod
-    def from_dotted(cls, text: str) -> "NetworkAddress":
-        """Parse dotted-quad IPv4 notation, e.g. ``"67.10.12.1"``."""
-        parts = text.strip().split(".")
-        if len(parts) != 4:
-            raise AddressError(f"not a dotted-quad IPv4 address: {text!r}")
-        value = 0
-        for part in parts:
-            try:
-                octet = int(part)
-            except ValueError as exc:
-                raise AddressError(f"bad octet {part!r} in {text!r}") from exc
-            if not 0 <= octet <= 255:
-                raise AddressError(f"octet {octet} out of range in {text!r}")
-            value = (value << 8) | octet
-        return cls(value)
-
     def to_dotted(self) -> str:
         """Dotted-quad rendering (only meaningful for 32-bit addresses)."""
         if self.bits != 32:
@@ -154,19 +126,6 @@ class NetworkAddress:
 
     def __int__(self) -> int:
         return self.value
-
-
-def iter_address_block(base: int, prefix_len: int, bits: int = ADDRESS_BITS) -> Iterator[int]:
-    """Yield every address value inside the block ``base/prefix_len``.
-
-    Intended for tests and small blocks only; a /8 has 2**24 members.
-    """
-    if not 0 <= prefix_len <= bits:
-        raise AddressError(f"prefix length {prefix_len} out of range")
-    span = 1 << (bits - prefix_len)
-    start = base & ~(span - 1) & ((1 << bits) - 1)
-    for offset in range(span):
-        yield start + offset
 
 
 def guid_like(value: Union[int, str, GUID], bits: Optional[int] = None) -> GUID:

@@ -11,15 +11,11 @@ respond fastest; the paper evaluates two selection criteria:
 * ``"hops"`` — least AS-path hop count, which is what BGP actually exposes
   today; the paper reports "similar results albeit with marginally
   increased latencies".
-
-``"random"`` is included as a null policy for ablation.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
-
-import numpy as np
 
 from ..errors import ConfigurationError
 from ..hashing.rehash import HashResolution
@@ -27,7 +23,7 @@ from ..topology.routing import Router
 from .guid import GUID
 
 #: Selection policies understood by :class:`ReplicaSelector`.
-SELECTION_POLICIES = ("latency", "hops", "random")
+SELECTION_POLICIES = ("latency", "hops")
 
 
 class ReplicaSet(NamedTuple):
@@ -81,23 +77,15 @@ class ReplicaSelector:
         Latency/hop oracle over the topology.
     policy:
         One of :data:`SELECTION_POLICIES`.
-    rng:
-        Only used by the ``"random"`` policy.
     """
 
-    def __init__(
-        self,
-        router: Router,
-        policy: str = "latency",
-        rng: Optional[np.random.Generator] = None,
-    ) -> None:
+    def __init__(self, router: Router, policy: str = "latency") -> None:
         if policy not in SELECTION_POLICIES:
             raise ConfigurationError(
                 f"unknown policy {policy!r}; expected one of {SELECTION_POLICIES}"
             )
         self.router = router
         self.policy = policy
-        self.rng = rng or np.random.default_rng(0)
 
     def ranked(
         self, source_asn: int, candidate_asns: Sequence[int]
@@ -115,15 +103,12 @@ class ReplicaSelector:
         if not unique:
             raise ConfigurationError("no candidate replicas to order")
         one_way = self.router.one_way_costs(source_asn, unique)
-        if self.policy == "random":
-            order = self.rng.permutation(len(unique)).tolist()
-        else:
-            keys = (
-                one_way
-                if self.policy == "latency"
-                else self.router.hop_costs(source_asn, unique)
-            )
-            order = sorted(range(len(unique)), key=keys.__getitem__)
+        keys = (
+            one_way
+            if self.policy == "latency"
+            else self.router.hop_costs(source_asn, unique)
+        )
+        order = sorted(range(len(unique)), key=keys.__getitem__)
         return [(unique[i], one_way[i]) for i in order]
 
     def order_candidates(

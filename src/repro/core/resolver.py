@@ -153,8 +153,8 @@ class DMapResolver:
         Replication factor of the default placer (ignored if ``placer``
         is given).
     selection_policy:
-        Replica-choice criterion: ``"latency"`` (paper default),
-        ``"hops"`` or ``"random"``.
+        Replica-choice criterion: ``"latency"`` (paper default) or
+        ``"hops"``.
     local_replica:
         Maintain the extra attachment-AS copy of §III-C.
     timeout_ms:
@@ -179,7 +179,6 @@ class DMapResolver:
         selection_policy: str = "latency",
         local_replica: bool = True,
         timeout_ms: float = DEFAULT_TIMEOUT_MS,
-        selection_rng: Optional[np.random.Generator] = None,
         placer: Optional[Placer] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
@@ -190,7 +189,7 @@ class DMapResolver:
         self.placer = placer or GuidPlacer(
             Sha256Hasher(k, address_bits=table.bits), table
         )
-        self.selector = ReplicaSelector(router, selection_policy, selection_rng)
+        self.selector = ReplicaSelector(router, selection_policy)
         self.local_replica = local_replica
         self.timeout_ms = timeout_ms
         # Explicit None check: an empty CollectingTracer is falsy (len 0).

@@ -158,7 +158,6 @@ def run_fig4(
                         router=env.router,
                         local_replica=local_replica,
                         selection_policy=selection_policy,
-                        seed=seed,
                         tracer=tracer,
                     )
                     workload.apply_to_simulation(sim, env.table)

@@ -23,13 +23,12 @@ in ``tests/test_fastpath.py`` and continuously by the
 ``repro.validation`` differential harness's fastpath lane.
 """
 
-from .engine import BatchLookupResult, FastpathEngine, FastpathUnsupportedError
+from .engine import BatchLookupResult, FastpathEngine
 from .placement import batch_hosting_asns, resolve_batch
 
 __all__ = [
     "BatchLookupResult",
     "FastpathEngine",
-    "FastpathUnsupportedError",
     "batch_hosting_asns",
     "resolve_batch",
 ]

@@ -36,9 +36,7 @@ Deliberate limits (the scalar resolver stays the oracle):
   churn replays belong to :class:`DMapResolver` / :mod:`repro.sim`;
 * the engine models the *converged* post-write state: every global
   replica of an inserted GUID holds the mapping (failure models can
-  still inject timeouts/stale misses per (AS, GUID) pair);
-* the ``"random"`` selection policy draws from a per-lookup RNG stream
-  whose consumption order is inherently sequential, and is rejected.
+  still inject timeouts/stale misses per (AS, GUID) pair).
 """
 
 from __future__ import annotations
@@ -59,7 +57,8 @@ from ..core.resolver import (
     adaptive_timeout_ms,
     local_branch_end_ms,
 )
-from ..errors import ConfigurationError, DMapError, RoutingError
+from ..core.replication import SELECTION_POLICIES
+from ..errors import ConfigurationError, RoutingError
 from ..hashing.hashers import Sha256Hasher
 from ..hashing.rehash import GuidPlacer, Placer
 from ..obs.trace import (
@@ -74,9 +73,6 @@ from ..obs.trace import (
 from ..topology.routing import Router
 from .placement import batch_resolutions
 
-#: Selection policies the batch engine reproduces exactly.
-SUPPORTED_POLICIES = ("latency", "hops")
-
 #: Integer outcome codes for the vectorized walk.
 _HIT, _MISSING, _TIMEOUT = 0, 1, 2
 _OUTCOME_CODES = {
@@ -90,10 +86,6 @@ _CODE_OUTCOMES = {code: name for name, code in _OUTCOME_CODES.items()}
 #: is walked in slices of this many rows, which bounds the walk's
 #: (rows × K) temporaries however many lookups one source issues.
 WALK_ROWS = 4096
-
-
-class FastpathUnsupportedError(DMapError):
-    """The requested configuration needs the scalar oracle."""
 
 
 @dataclass
@@ -186,10 +178,10 @@ class FastpathEngine:
     ) -> None:
         if timeout_ms <= 0:
             raise ConfigurationError("timeout_ms must be positive")
-        if selection_policy not in SUPPORTED_POLICIES:
-            raise FastpathUnsupportedError(
-                f"selection policy {selection_policy!r} is not batchable; "
-                f"use the scalar resolver (supported: {SUPPORTED_POLICIES})"
+        if selection_policy not in SELECTION_POLICIES:
+            raise ConfigurationError(
+                f"unknown policy {selection_policy!r}; "
+                f"expected one of {SELECTION_POLICIES}"
             )
         self.table = table
         self.router = router
@@ -201,19 +193,6 @@ class FastpathEngine:
         self.timeout_ms = timeout_ms
         # Explicit None check: an empty CollectingTracer is falsy (len 0).
         self.tracer = tracer if tracer is not None else NULL_TRACER
-
-    @classmethod
-    def from_resolver(cls, resolver) -> "FastpathEngine":
-        """Build an engine sharing a resolver's exact configuration."""
-        return cls(
-            resolver.table,
-            resolver.router,
-            selection_policy=resolver.selector.policy,
-            local_replica=resolver.local_replica,
-            timeout_ms=resolver.timeout_ms,
-            placer=resolver.placer,
-            tracer=resolver.tracer,
-        )
 
     @property
     def k(self) -> int:

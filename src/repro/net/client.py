@@ -162,13 +162,6 @@ class DMapClient:
                 future.cancel()
         self._pending.clear()
 
-    async def __aenter__(self) -> "DMapClient":
-        await self.start()
-        return self
-
-    async def __aexit__(self, *exc_info) -> None:
-        self.close()
-
     # ------------------------------------------------------------------
     # Wire plumbing
     # ------------------------------------------------------------------

@@ -197,7 +197,6 @@ class LocalCluster:
         cls,
         config: Optional[ClusterConfig] = None,
         environment=None,
-        registry: Optional[MetricsRegistry] = None,
     ) -> "LocalCluster":
         """Materialize substrate, workload, node selection, and stores.
 
@@ -272,7 +271,6 @@ class LocalCluster:
             workload=workload,
             node_asns=tuple(sorted(node_set)),
             servable=servable,
-            registry=registry if registry is not None else MetricsRegistry(),
         )
 
     # ------------------------------------------------------------------

@@ -5,7 +5,9 @@ table, resolver...).  :class:`DMapNetwork` wires them together for
 application-style use — the API a MobilityFirst-style GNRS client would
 see: register a named host, look names up, move hosts around.
 
-    >>> net = DMapNetwork.build(n_as=300, k=5, seed=42)
+    >>> from repro.experiments.common import get_environment
+    >>> env = get_environment("small")
+    >>> net = DMapNetwork(env.topology, env.table, k=5, seed=42)
     >>> phone = net.register_host("alice-phone")
     >>> hit = net.lookup("alice-phone", from_asn=net.random_asn())
     >>> net.move_host("alice-phone")            # handoff to a neighbour AS
@@ -19,13 +21,10 @@ from typing import Dict, Optional, Union
 
 import numpy as np
 
-from .bgp.allocation import AllocationConfig, generate_global_prefix_table
 from .bgp.table import GlobalPrefixTable
 from .core.guid import GUID, guid_like
 from .core.resolver import DMapResolver, LookupResult, WriteResult
 from .errors import ConfigurationError, DMapError
-from .obs.counters import MetricsRegistry
-from .topology.generator import generate_internet_topology, small_scale_config
 from .topology.graph import ASTopology
 from .topology.routing import Router
 from .workload.sources import SourceSampler
@@ -50,7 +49,6 @@ class DMapNetwork:
         table: GlobalPrefixTable,
         k: int = 5,
         seed: int = 0,
-        registry: Optional[MetricsRegistry] = None,
         **resolver_kwargs,
     ) -> None:
         self.topology = topology
@@ -62,30 +60,6 @@ class DMapNetwork:
         self.hosts: Dict[GUID, HostRecord] = {}
         self._names: Dict[str, GUID] = {}
         self.clock_ms = 0.0
-        # Shared with the wire servers when a live cluster is attached to
-        # the same deployment, so façade gauges and per-frame counters
-        # land in one report.
-        self.registry = registry if registry is not None else MetricsRegistry()
-
-    @classmethod
-    def build(
-        cls,
-        n_as: int = 300,
-        k: int = 5,
-        seed: int = 0,
-        prefixes_per_as: float = 6.0,
-        **resolver_kwargs,
-    ) -> "DMapNetwork":
-        """Generate a synthetic Internet and deploy DMap on it."""
-        topology = generate_internet_topology(
-            small_scale_config(n_as=n_as), seed=seed
-        )
-        table = generate_global_prefix_table(
-            topology.asns(),
-            AllocationConfig(prefixes_per_as=prefixes_per_as),
-            seed=seed + 1,
-        )
-        return cls(topology, table, k=k, seed=seed, **resolver_kwargs)
 
     # ------------------------------------------------------------------
     # Host management
@@ -189,40 +163,3 @@ class DMapNetwork:
         if delta_ms < 0:
             raise ConfigurationError("time cannot go backwards")
         self.clock_ms += delta_ms
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    #: ``stats()`` gauge names and their help strings — each field is a
-    #: registered :mod:`repro.obs.counters` instrument, not an ad-hoc key.
-    STAT_GAUGES = {
-        "n_as": "ASs in the deployed topology",
-        "n_prefixes": "prefixes announced in the global table",
-        "announcement_ratio": "fraction of the address space announced",
-        "n_hosts": "currently registered hosts",
-        "replica_copies": "mapping copies stored across all ASs",
-        "hosting_ases": "ASs currently storing at least one mapping",
-        "max_load": "mappings at the most loaded AS",
-    }
-
-    def stats(self) -> Dict[str, float]:
-        """Deployment-level summary, published through the registry.
-
-        Every field is a named :class:`~repro.obs.counters.Gauge` in
-        :attr:`registry` (refreshed on each call), so a metrics report
-        that includes wire-server counters carries these too; the
-        returned dict is a plain snapshot of the same gauges.
-        """
-        load = self.resolver.storage_load()
-        values = {
-            "n_as": float(len(self.topology)),
-            "n_prefixes": float(len(self.table)),
-            "announcement_ratio": self.table.announcement_ratio(),
-            "n_hosts": float(len(self.hosts)),
-            "replica_copies": float(self.resolver.total_entries()),
-            "hosting_ases": float(len(load)),
-            "max_load": float(max(load.values())) if load else 0.0,
-        }
-        for name, value in values.items():
-            self.registry.gauge(f"service.{name}", self.STAT_GAUGES[name]).set(value)
-        return values

@@ -1,12 +1,7 @@
 """Discrete-event simulation of DMap over the AS-level Internet."""
 
 from .engine import EventHandle, Simulator
-from .failures import (
-    ChurnFailureModel,
-    CompositeFailureModel,
-    FailureModel,
-    RouterFailureModel,
-)
+from .failures import ChurnFailureModel, FailureModel
 from .metrics import (
     LatencySummary,
     MetricsCollector,
@@ -24,9 +19,7 @@ __all__ = [
     "EventHandle",
     "Simulator",
     "ChurnFailureModel",
-    "CompositeFailureModel",
     "FailureModel",
-    "RouterFailureModel",
     "LatencySummary",
     "MetricsCollector",
     "QueryRecord",

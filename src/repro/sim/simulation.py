@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from ..bgp.table import GlobalPrefixTable
 from ..core.guid import GUID, NetworkAddress, guid_like
 from ..core.mapping import MappingEntry
@@ -198,11 +196,13 @@ class _PendingLookup:
 
     def on_response(self, message: Message) -> None:
         # The local branch is only launched when the source AS is not a
-        # global candidate, so a response from the source AS while it is
-        # pending is unambiguously the local one.
+        # global candidate, so a response from the source AS is the local
+        # one, also when it lands at the very instant the local guard
+        # fired (the guard ties with the intra-AS round trip whenever that
+        # exceeds the timeout floor).
         if self.done:
             return
-        is_local = self.local_pending and message.src_asn == self.source_asn
+        is_local = self.local_launched and message.src_asn == self.source_asn
         hit = message.kind is MessageKind.LOOKUP_HIT
         if self.tracing:
             now = self.simulation.simulator.now
@@ -328,7 +328,7 @@ class DMapSimulation:
 
     Typical use::
 
-        sim = DMapSimulation(topology, table, k=5, seed=1)
+        sim = DMapSimulation(topology, table, k=5)
         sim.schedule_insert(guid, [locator], source_asn, at=0.0)
         sim.schedule_lookup(guid, querier_asn, at=1000.0)
         sim.run()
@@ -345,7 +345,6 @@ class DMapSimulation:
         timeout_ms: float = DEFAULT_TIMEOUT_MS,
         failure_model: Optional[FailureModel] = None,
         router: Optional[Router] = None,
-        seed: int = 0,
         placer: Optional[Placer] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
@@ -357,9 +356,7 @@ class DMapSimulation:
         self.placer = placer or GuidPlacer(
             Sha256Hasher(k, address_bits=table.bits), table
         )
-        self.selector = ReplicaSelector(
-            self.router, selection_policy, np.random.default_rng(seed)
-        )
+        self.selector = ReplicaSelector(self.router, selection_policy)
         self.local_replica = local_replica
         self.timeout_ms = timeout_ms
         self.failure_model = failure_model or FailureModel()

@@ -16,20 +16,18 @@ ruff/mypy are unavailable.
 """
 
 from .diagnostics import Diagnostic, LintReport, Severity
-from .engine import iter_python_files, lint_file, lint_paths, lint_source
-from .registry import LintRule, all_rules, get_rule, register, resolve_rules
+from .engine import iter_python_files, lint_paths, lint_source
+from .registry import LintRule, all_rules, register, resolve_rules
 
 __all__ = [
     "Diagnostic",
     "LintReport",
     "Severity",
     "iter_python_files",
-    "lint_file",
     "lint_paths",
     "lint_source",
     "LintRule",
     "all_rules",
-    "get_rule",
     "register",
     "resolve_rules",
 ]

@@ -120,15 +120,6 @@ def lint_source(
     return sorted(kept, key=Diagnostic.sort_key)
 
 
-def lint_file(
-    path: Path, rules: Optional[Sequence[LintRule]] = None
-) -> List[Diagnostic]:
-    """Lint a single file on disk."""
-    return lint_source(
-        path.read_text(encoding="utf-8"), path=str(path), rules=rules
-    )
-
-
 def lint_paths(
     paths: Sequence[str], rules: Optional[Sequence[LintRule]] = None
 ) -> LintReport:

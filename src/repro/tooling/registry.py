@@ -82,12 +82,6 @@ def all_rules() -> List[LintRule]:
     return [_REGISTRY[rule_id]() for rule_id in sorted(_REGISTRY)]
 
 
-def get_rule(rule_id: str) -> LintRule:
-    """Instantiate a single rule by id (raises ``KeyError`` if unknown)."""
-    _load_builtin_rules()
-    return _REGISTRY[rule_id]()
-
-
 def resolve_rules(
     select: Optional[Iterable[str]] = None,
     ignore: Optional[Iterable[str]] = None,

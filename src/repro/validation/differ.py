@@ -4,18 +4,14 @@ The analytic path drives a :class:`~repro.core.resolver.DMapResolver`
 (churn via :mod:`repro.core.consistency`); the event path drives a
 :class:`~repro.sim.simulation.DMapSimulation`.  Both receive independent
 copies of the scenario's prefix table, the *shared* read-only router, the
-same availability oracle, and replica selectors seeded identically — so
+same availability oracle and the same deterministic selection policy — so
 every remaining difference in behaviour is a protocol divergence, not an
 environment artifact.
 
 Per-lookup outcomes are matched by issue time (unique per operation) and
 compared field by field; RTTs are compared with a tolerance because the
 DES accumulates the same latency terms in a different association order.
-The final storage state, the two prefix tables, and an LPM sweep complete
-the diff.  The sweep checks the production table (its scalar LPM and its
-interval index share one decomposition) against two independent
-references: a :class:`~repro.bgp.trie.PrefixTrie` built from the same
-announcements, and a flat scan.
+The final storage state and the two prefix tables complete the diff.
 """
 
 from __future__ import annotations
@@ -26,10 +22,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..bgp.interval_index import HOLE
-from ..bgp.prefix import Announcement
 from ..bgp.table import GlobalPrefixTable
-from ..bgp.trie import PrefixTrie
 from ..core.consistency import handle_new_announcement, prepare_withdrawal
 from ..core.guid import GUID
 from ..core.resolver import DMapResolver
@@ -50,7 +43,6 @@ from .report import (
     KIND_LOOKUP_SERVED_BY,
     KIND_LOOKUP_SUCCESS,
     KIND_LOOKUP_USED_LOCAL,
-    KIND_LPM,
     KIND_STORAGE,
     KIND_TABLE,
     KIND_WRITE_RTT,
@@ -70,9 +62,6 @@ from .scenarios import (
 #: accumulation noise is a real divergence.
 _REL_TOL = 1e-9
 _ABS_TOL = 1e-6
-
-#: Domain separation for the LPM probe-address stream.
-_LPM_STREAM = 0x1B4D
 
 #: Mismatch kinds of the DES lane and the fastpath lane: one per compared
 #: lookup field, plus a lookup the lane never recorded and a write RTT.
@@ -115,7 +104,6 @@ class PathResult:
     write_rtts: Dict[float, float]
     storage: Dict[int, frozenset]
     table: GlobalPrefixTable
-    replica_addresses: Tuple[int, ...]
     #: Per-lookup traces keyed by issue time; attached to divergence
     #: reports so a mismatch arrives with both sides' full provenance.
     traces: Dict[float, QueryTrace] = field(default_factory=dict)
@@ -129,7 +117,6 @@ class ScenarioDiff:
     config_line: str
     lookups: int
     writes: int
-    lpm_checks: int
     mismatches: Tuple[Mismatch, ...]
     fastpath_lookups: int = 0
 
@@ -168,7 +155,6 @@ def run_analytic(scenario: Scenario) -> PathResult:
         selection_policy=config.selection_policy,
         local_replica=config.local_replica,
         timeout_ms=config.timeout_ms,
-        selection_rng=np.random.default_rng(scenario.selector_seed),
         placer=scenario.make_placer(table),
         tracer=tracer,
     )
@@ -212,17 +198,11 @@ def run_analytic(scenario: Scenario) -> PathResult:
                     attempts=failure.attempts,
                     rtt_ms=failure.elapsed_ms,
                 )
-    replica_addresses: List[int] = []
-    if config.placement == "address":
-        for guid in sorted(resolver.replica_sets, key=lambda g: g.value):
-            for res in resolver.replica_sets[guid].global_replicas:
-                replica_addresses.append(int(res.address))
     return PathResult(
         lookups=lookups,
         write_rtts=write_rtts,
         storage=_storage_snapshot(resolver.stores),
         table=table,
-        replica_addresses=tuple(replica_addresses),
         traces={trace.issued_at: trace for trace in tracer.traces},
     )
 
@@ -240,7 +220,6 @@ def run_simulation(scenario: Scenario) -> PathResult:
         timeout_ms=config.timeout_ms,
         failure_model=scenario.availability,
         router=scenario.router,
-        seed=scenario.selector_seed,
         placer=scenario.make_placer(table),
         tracer=tracer,
     )
@@ -275,7 +254,6 @@ def run_simulation(scenario: Scenario) -> PathResult:
         write_rtts=write_rtts,
         storage=_storage_snapshot(stores),
         table=table,
-        replica_addresses=(),
         traces={trace.issued_at: trace for trace in tracer.traces},
     )
 
@@ -286,91 +264,6 @@ def _table_signature(table: GlobalPrefixTable) -> Tuple[Tuple[int, int, int], ..
             (ann.prefix.base, ann.prefix.length, ann.asn) for ann in iter(table)
         )
     )
-
-
-def _flat_scan_lpm(
-    bases: np.ndarray,
-    lengths: np.ndarray,
-    owners: np.ndarray,
-    bits: int,
-    address: int,
-) -> int:
-    """Third, independent LPM: flat scan for the longest containing prefix."""
-    shifts = (bits - lengths).astype(np.uint64)
-    match = ((bases ^ np.uint64(address)) >> shifts) == 0
-    if not bool(match.any()):
-        return HOLE
-    matched_lengths = np.where(match, lengths, -1)
-    return int(owners[int(matched_lengths.argmax())])
-
-
-def _lpm_probes(scenario: Scenario, analytic: PathResult) -> List[int]:
-    """Probe addresses: every replica address, the boundaries of every
-    churned prefix, plus a seeded uniform sample."""
-    bits = analytic.table.bits
-    space = 1 << bits
-    probes = set(analytic.replica_addresses)
-    for op in scenario.trace:
-        prefix = None
-        if op.kind == OP_WITHDRAW:
-            prefix = op.prefix
-        elif op.kind == OP_ANNOUNCE:
-            prefix = op.announcement.prefix
-        if prefix is not None:
-            for address in (
-                prefix.base - 1,
-                prefix.base,
-                prefix.last,
-                prefix.last + 1,
-            ):
-                if 0 <= address < space:
-                    probes.add(address)
-    rng = np.random.default_rng(
-        np.random.SeedSequence((_LPM_STREAM, scenario.config.seed))
-    )
-    probes.update(int(v) for v in rng.integers(0, space, size=128))
-    return sorted(probes)
-
-
-def _diff_lpm(scenario: Scenario, analytic: PathResult) -> Tuple[List[Mismatch], int]:
-    """LPM agreement on the final analytic table: the table's scalar LPM
-    and its interval index against a trie and a flat scan."""
-    table = analytic.table
-    announcements = list(table)
-    if not announcements:
-        return [], 0
-    seed = scenario.config.seed
-    index = table.build_interval_index()
-    trie = PrefixTrie(table.bits)
-    for ann in announcements:
-        trie.insert(ann)
-    bases = np.array([ann.prefix.base for ann in announcements], dtype=np.uint64)
-    lengths = np.array([ann.prefix.length for ann in announcements], dtype=np.int64)
-    owners = np.array([ann.asn for ann in announcements], dtype=np.int64)
-    mismatches: List[Mismatch] = []
-    probes = _lpm_probes(scenario, analytic)
-    for address in probes:
-        via_trie = _asn_or_hole(trie.longest_prefix_match(address))
-        via_table = _asn_or_hole(table.resolve(address))
-        via_index = index.lookup_one(address)
-        via_scan = _flat_scan_lpm(bases, lengths, owners, table.bits, address)
-        if not (via_trie == via_table == via_index == via_scan):
-            mismatches.append(
-                Mismatch(
-                    seed,
-                    KIND_LPM,
-                    subject=f"address={address:#x}",
-                    analytic=f"trie={via_trie}",
-                    simulated=f"table={via_table} interval={via_index} scan={via_scan}",
-                )
-            )
-            if len(mismatches) >= 8:
-                break
-    return mismatches, len(probes)
-
-
-def _asn_or_hole(ann: Optional[Announcement]) -> int:
-    return HOLE if ann is None else ann.asn
 
 
 def _entry_repr(item: Tuple[int, tuple]) -> str:
@@ -488,12 +381,10 @@ def fastpath_supported(scenario: Scenario) -> bool:
     """Whether the batched engine can replay this scenario exactly.
 
     The fastpath lane models the *converged, table-frozen* regime: BGP
-    churn mutates the prefix table mid-trace, and the ``"random"``
-    selection policy consumes a sequential per-lookup RNG stream —
-    both need the scalar oracle.
+    churn mutates the prefix table mid-trace, which needs the scalar
+    oracle.
     """
-    config = scenario.config
-    return not config.with_churn and config.selection_policy in ("latency", "hops")
+    return not scenario.config.with_churn
 
 
 def run_fastpath(
@@ -632,9 +523,9 @@ def _diff_lane(
 def diff_scenario(scenario: Scenario, fastpath: bool = True) -> ScenarioDiff:
     """Run both paths on ``scenario`` and return the structured diff.
 
-    ``fastpath`` additionally replays supported scenarios (no churn,
-    deterministic selection policy) through the batched engine and diffs
-    it against the analytic resolver — three-way validation.
+    ``fastpath`` additionally replays supported scenarios (no churn)
+    through the batched engine and diffs it against the analytic
+    resolver — three-way validation.
     """
     seed = scenario.config.seed
     analytic = run_analytic(scenario)
@@ -662,8 +553,6 @@ def diff_scenario(scenario: Scenario, fastpath: bool = True) -> ScenarioDiff:
         )
 
     mismatches.extend(_diff_storage(seed, analytic, simulated))
-    lpm_mismatches, lpm_checks = _diff_lpm(scenario, analytic)
-    mismatches.extend(lpm_mismatches)
 
     fastpath_lookups = 0
     if fastpath and fastpath_supported(scenario):
@@ -681,7 +570,6 @@ def diff_scenario(scenario: Scenario, fastpath: bool = True) -> ScenarioDiff:
         config_line=scenario.config.describe(),
         lookups=scenario.n_lookup_ops,
         writes=scenario.n_write_ops,
-        lpm_checks=lpm_checks,
         mismatches=tuple(mismatches),
         fastpath_lookups=fastpath_lookups,
     )

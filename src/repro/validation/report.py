@@ -22,7 +22,6 @@ KIND_LOOKUP_RTT = "lookup.rtt"
 KIND_WRITE_RTT = "write.rtt"
 KIND_STORAGE = "storage"
 KIND_TABLE = "table"
-KIND_LPM = "lpm"
 #: Fastpath-lane kinds: the batched engine diffed against the analytic
 #: resolver (its oracle) on the same scenario.
 KIND_FASTPATH_SUCCESS = "fastpath.success"
@@ -77,7 +76,6 @@ class ValidationReport:
     scenarios: int = 0
     lookups: int = 0
     writes: int = 0
-    lpm_checks: int = 0
     fastpath_lookups: int = 0
     mismatches: List[Mismatch] = field(default_factory=list)
     configs: List[str] = field(default_factory=list)
@@ -87,7 +85,6 @@ class ValidationReport:
         config_line: str,
         lookups: int,
         writes: int,
-        lpm_checks: int,
         mismatches: Tuple[Mismatch, ...],
         fastpath_lookups: int = 0,
     ) -> None:
@@ -95,7 +92,6 @@ class ValidationReport:
         self.scenarios += 1
         self.lookups += lookups
         self.writes += writes
-        self.lpm_checks += lpm_checks
         self.fastpath_lookups += fastpath_lookups
         self.mismatches.extend(mismatches)
         if mismatches:
@@ -123,7 +119,6 @@ class ValidationReport:
         lines = [
             f"repro.validation: {self.scenarios} scenarios, "
             f"{self.lookups} lookups, {self.writes} writes, "
-            f"{self.lpm_checks} LPM probes, "
             f"{self.fastpath_lookups} fastpath lookups — "
             + (
                 "all paths agree"
@@ -158,7 +153,6 @@ class ValidationReport:
             "scenarios": self.scenarios,
             "lookups": self.lookups,
             "writes": self.writes,
-            "lpm_checks": self.lpm_checks,
             "fastpath_lookups": self.fastpath_lookups,
             "clean": self.clean,
             "reproducer_seeds": self.reproducer_seeds(),

@@ -175,7 +175,6 @@ class Scenario:
     availability: ScenarioAvailability
     trace: Tuple[TraceOp, ...]
     guids: Tuple[GUID, ...]
-    selector_seed: int
 
     def fresh_table(self) -> GlobalPrefixTable:
         """An independent table copy for one engine to mutate."""
@@ -224,9 +223,7 @@ def _draw_config(seed: int, rng: np.random.Generator) -> ScenarioConfig:
         target_ratio=float(rng.choice(np.array([0.35, 0.52]))),
         k=int(rng.choice(np.array([1, 3, 5]))),
         placement="asnum" if rng.random() < 0.25 else "address",
-        selection_policy=str(
-            rng.choice(np.array(["latency", "latency", "hops", "random"]))
-        ),
+        selection_policy=str(rng.choice(np.array(["latency", "hops"]))),
         local_replica=bool(rng.random() < 0.7),
         timeout_ms=float(rng.choice(np.array([400.0, 1000.0, 2500.0]))),
         stale_rate=float(rng.choice(np.array([0.0, 0.05, 0.2]))),
@@ -435,5 +432,4 @@ def generate_scenario(seed: int) -> Scenario:
         availability=availability,
         trace=tuple(trace),
         guids=guids,
-        selector_seed=int(rng.integers(0, 1 << 31)),
     )

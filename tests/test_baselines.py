@@ -190,12 +190,6 @@ class TestDNSLike:
         assert dns.stale_answers == 1
         assert out.locators == (base_table.representative_address(asns[0]),)
 
-    def test_stale_probability_monotone_in_mobility(self, router):
-        dns = DNSLike(router, ttl_ms=60_000.0)
-        slow = dns.stale_answer_probability(mean_update_interval_ms=600_000.0)
-        fast = dns.stale_answer_probability(mean_update_interval_ms=6_000.0)
-        assert 0.0 <= slow < fast <= 1.0
-
     def test_roots_are_high_degree(self, router, topology):
         dns = DNSLike(router, n_roots=5)
         degrees = sorted((topology.degree(a) for a in topology.asns()), reverse=True)
@@ -213,5 +207,3 @@ class TestDNSLike:
             DNSLike(router, ttl_ms=-1)
         with pytest.raises(ConfigurationError):
             DNSLike(router).advance_time(-5.0)
-        with pytest.raises(ConfigurationError):
-            DNSLike(router).stale_answer_probability(0.0)

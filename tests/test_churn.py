@@ -8,13 +8,15 @@ from repro.bgp.churn import (
     ChurnKind,
     ChurnScheduleGenerator,
 )
-from repro.bgp.prefix import Announcement, Prefix
+from repro.bgp.prefix import Announcement
 from repro.bgp.table import GlobalPrefixTable
 from repro.errors import ConfigurationError
 
+from .addressing import from_cidr
+
 
 def ann(cidr: str, asn: int) -> Announcement:
-    return Announcement(Prefix.from_cidr(cidr), asn)
+    return Announcement(from_cidr(cidr), asn)
 
 
 @pytest.fixture

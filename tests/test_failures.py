@@ -11,13 +11,10 @@ from repro.core.resolver import (
     DMapResolver,
 )
 from repro.errors import ConfigurationError, LookupFailedError
-from repro.fastpath import FastpathEngine
-from repro.sim.failures import (
-    ChurnFailureModel,
-    CompositeFailureModel,
-    FailureModel,
-    RouterFailureModel,
-)
+from repro.sim.failures import ChurnFailureModel, FailureModel
+
+from .failure_models import CompositeFailureModel, RouterFailureModel
+from .test_fastpath import from_resolver
 
 
 class TestBaseModel:
@@ -112,7 +109,7 @@ class TestTracedFailureRuns:
     of a down querier, and the exhausted-walk failure cause.
     """
 
-    def _traced_sim(self, topology, base_table, router, model, seed=13):
+    def _traced_sim(self, topology, base_table, router, model):
         from repro.obs import CollectingTracer
         from repro.sim.simulation import DMapSimulation
 
@@ -122,7 +119,6 @@ class TestTracedFailureRuns:
             base_table,
             k=5,
             router=router,
-            seed=seed,
             failure_model=model,
             tracer=tracer,
         )
@@ -176,7 +172,7 @@ class TestTracedFailureRuns:
     ):
         down_src = int(asns[3])
         model = RouterFailureModel([down_src])
-        sim, tracer = self._traced_sim(topology, base_table, router, model, seed=7)
+        sim, tracer = self._traced_sim(topology, base_table, router, model)
         up = [int(a) for a in asns if int(a) != down_src]
         hosts = [
             (GUID.from_name(f"dead-src-{i}"), int(rng.choice(up)), down_src)
@@ -205,7 +201,7 @@ class TestTracedFailureRuns:
         self, topology, base_table, router, asns, rng
     ):
         model = RouterFailureModel([int(a) for a in asns])
-        sim, tracer = self._traced_sim(topology, base_table, router, model, seed=11)
+        sim, tracer = self._traced_sim(topology, base_table, router, model)
         hosts = [
             (
                 GUID.from_name(f"outage-{i}"),
@@ -242,7 +238,7 @@ class TestTracedFailureRuns:
         from repro.obs import aggregate_traces
 
         model = ChurnFailureModel(0.4, seed=5)
-        sim, tracer = self._traced_sim(topology, base_table, router, model, seed=9)
+        sim, tracer = self._traced_sim(topology, base_table, router, model)
         hosts = [
             (
                 GUID.from_name(f"churn-{i}"),
@@ -313,7 +309,7 @@ class TestOneModelAcrossEngines:
             except LookupFailedError as exc:
                 scalar.append((None, exc.attempts, False))
         sim.run()
-        engine = FastpathEngine.from_resolver(resolver)
+        engine = from_resolver(resolver)
         fast = engine.lookup_batch(
             engine.index_guids(guids, homes),
             np.array([g for g, _ in lookups]),

@@ -26,7 +26,6 @@ from repro.core.resolver import (
 from repro.errors import ConfigurationError, LookupFailedError, WorkerError
 from repro.fastpath import (
     FastpathEngine,
-    FastpathUnsupportedError,
     batch_hosting_asns,
     placement,
 )
@@ -37,10 +36,12 @@ from repro.hashing.hashers import FastHasher, HashFamily, Sha256Hasher
 from repro.hashing.rehash import GuidPlacer
 from repro.obs.export import dumps_traces
 from repro.obs.trace import CollectingTracer
-from repro.sim.failures import ChurnFailureModel, RouterFailureModel
+from repro.sim.failures import ChurnFailureModel
 from repro.topology import routing
 from repro.topology.routing import Router
 from repro.workload.generator import WorkloadConfig, WorkloadGenerator
+
+from .failure_models import RouterFailureModel
 
 N_GUIDS = 40
 N_LOOKUPS = 150
@@ -49,6 +50,19 @@ N_LOOKUPS = 150
 # ----------------------------------------------------------------------
 # Deployment helpers
 # ----------------------------------------------------------------------
+def from_resolver(resolver) -> FastpathEngine:
+    """An engine sharing a resolver's exact configuration."""
+    return FastpathEngine(
+        resolver.table,
+        resolver.router,
+        selection_policy=resolver.selector.policy,
+        local_replica=resolver.local_replica,
+        timeout_ms=resolver.timeout_ms,
+        placer=resolver.placer,
+        tracer=resolver.tracer,
+    )
+
+
 def _deploy(base_table, router, asns, *, k=5, policy="latency", local=True,
             placer=None, seed=101):
     """A converged deployment plus an aligned query stream.
@@ -79,7 +93,7 @@ def _deploy(base_table, router, asns, *, k=5, policy="latency", local=True,
         resolver.update(guids[i], [NetworkAddress(int(rng.integers(0, 2**32)))], src)
         local_asn[guids[i]] = src
 
-    engine = FastpathEngine.from_resolver(resolver)
+    engine = from_resolver(resolver)
     batch = engine.index_guids(guids, [local_asn[g] for g in guids])
     guid_idx = rng.integers(0, N_GUIDS, size=N_LOOKUPS)
     sources = rng.choice(asns, size=N_LOOKUPS)
@@ -157,7 +171,7 @@ class TestFailureFreeEquivalence:
 
     def test_write_rtts_match_resolver(self, base_table, router, asns, rng):
         resolver = DMapResolver(base_table, router, k=5)
-        engine = FastpathEngine.from_resolver(resolver)
+        engine = from_resolver(resolver)
         values = rng.integers(0, np.iinfo(np.uint64).max, size=30, dtype=np.uint64)
         guids = [GUID(int(v)) for v in values]
         sources = rng.choice(asns, size=30)
@@ -326,7 +340,7 @@ class TestShardedRunner:
 # ----------------------------------------------------------------------
 class TestRejections:
     def test_random_policy_rejected(self, base_table, router):
-        with pytest.raises(FastpathUnsupportedError):
+        with pytest.raises(ConfigurationError):
             FastpathEngine(base_table, router, selection_policy="random")
 
     def test_nonpositive_timeout_rejected(self, base_table, router):
@@ -635,7 +649,7 @@ class TestWorkloadEngine:
             DMapResolver(base_table, router, k=5), base_table
         )
         arrays = workload.lookup_arrays()
-        engine = FastpathEngine.from_resolver(DMapResolver(base_table, router, k=5))
+        engine = from_resolver(DMapResolver(base_table, router, k=5))
         batch = engine.index_guids(arrays.guids, arrays.local_asns)
         fast = engine.lookup_batch(
             batch, arrays.guid_idx, arrays.sources, issued_at=arrays.issued_at

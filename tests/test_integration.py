@@ -118,7 +118,7 @@ class TestChurnLifecycle:
 
 class TestFullSimulationWithMobility:
     def test_moving_hosts_in_des(self, topology, base_table, router, asns, rng):
-        sim = DMapSimulation(topology, base_table, k=5, router=router, seed=2)
+        sim = DMapSimulation(topology, base_table, k=5, router=router)
         mobility = MobilityModel(topology, updates_per_day=500, seed=5)
 
         hosts = {}
@@ -172,7 +172,7 @@ class TestWorkloadThroughBothEngines:
         resolver = DMapResolver(base_table, router, k=5)
         instant = np.sort(workload.run_through_resolver(resolver, base_table))
 
-        sim = DMapSimulation(topology, base_table, k=5, router=router, seed=6)
+        sim = DMapSimulation(topology, base_table, k=5, router=router)
         workload.apply_to_simulation(sim, base_table)
         sim.run()
         simulated = np.sort(sim.metrics.rtts())

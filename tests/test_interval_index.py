@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 from repro.bgp.interval_index import HOLE, IntervalIndex, decompose, owner_intervals
 from repro.bgp.prefix import Announcement, Prefix
 from repro.bgp.table import GlobalPrefixTable
-from repro.bgp.trie import PrefixTrie
 from repro.errors import EmptyPrefixTableError
 
+from .addressing import from_cidr
+from .prefix_trie import PrefixTrie
 from .test_trie import announcement_sets, churn_traces, naive_lpm, replay, small_ann
 
 
@@ -69,7 +70,7 @@ class TestDecomposeEdges:
 
     def test_slash_32_host_routes(self):
         def p(cidr):
-            prefix = Prefix.from_cidr(cidr)
+            prefix = from_cidr(cidr)
             return prefix.base, prefix.length
 
         check_decompose(

@@ -15,7 +15,6 @@ from repro.net.protocol import (
     decode,
     encode,
 )
-from repro.obs.counters import MetricsRegistry
 from repro.obs.trace import OUTCOME_HIT, OUTCOME_MISSING
 from repro.validation.live import run_live_check
 
@@ -283,26 +282,6 @@ async def _raw_lookup(cluster, lookup, target_asn):
 
 
 class TestSharedRegistry:
-    def test_facade_and_wire_metrics_share_one_registry(self, topology, base_table):
-        """The satellite fix: DMapNetwork.stats() publishes through the
-        same registry family the wire servers count into."""
-        from repro.service import DMapNetwork
-
-        shared = MetricsRegistry()
-        net = DMapNetwork(topology, base_table.copy(), k=3, seed=1, registry=shared)
-        net.register_host("alice")
-        stats = net.stats()
-        assert stats["n_hosts"] == 1.0
-        assert shared.gauge("service.n_hosts").value() == 1.0
-
-        cluster = LocalCluster.build(CLUSTER_CONFIG, registry=shared)
-        comparison = run_live_check(queries=5, cluster=cluster)
-        assert comparison.successes == 5
-        report = shared.report()
-        assert "service.n_hosts" in report
-        assert "net.node.lookups_served" in report
-        assert "net.client.rtt_ms" in report
-
     def test_cluster_counters_populated(self, cluster):
         # Earlier tests drove traffic through the module cluster.
         report = cluster.registry.report()

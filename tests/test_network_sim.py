@@ -6,9 +6,10 @@ from repro.core.guid import GUID, NetworkAddress
 from repro.core.mapping import MappingEntry
 from repro.errors import SimulationError
 from repro.sim.engine import Simulator
-from repro.sim.failures import FailureModel, RouterFailureModel
+from repro.sim.failures import FailureModel
 from repro.sim.network import Message, MessageKind, Network
 from repro.sim.node import ASNode
+from .failure_models import RouterFailureModel
 from .topology_fixtures import line_fixture
 from repro.topology.routing import Router
 

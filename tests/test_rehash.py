@@ -6,18 +6,19 @@ from hypothesis import given, settings, strategies as st
 
 from repro.bgp.prefix import Announcement, Prefix
 from repro.bgp.table import GlobalPrefixTable
-from repro.bgp.trie import PrefixTrie
 from repro.core.guid import GUID
 from repro.errors import ConfigurationError
 from repro.fastpath.placement import resolve_batch
 from repro.hashing.hashers import FastHasher, Sha256Hasher
 from repro.hashing.rehash import GuidPlacer, HashResolution, hole_probability
 
+from .addressing import from_cidr
+from .prefix_trie import PrefixTrie
 from .test_trie import churn_traces, small_ann
 
 
 def ann(cidr: str, asn: int) -> Announcement:
-    return Announcement(Prefix.from_cidr(cidr), asn)
+    return Announcement(from_cidr(cidr), asn)
 
 
 class TestGuidPlacer:

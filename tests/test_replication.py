@@ -54,16 +54,6 @@ class TestReplicaSelector:
         selector = ReplicaSelector(line_router, "latency")
         assert selector.order_candidates(1, [4, 4, 2, 2]) == [2, 4]
 
-    def test_random_policy_is_permutation(self, line_router):
-        selector = ReplicaSelector(line_router, "random", np.random.default_rng(3))
-        ordered = selector.order_candidates(1, [2, 3, 4, 5])
-        assert sorted(ordered) == [2, 3, 4, 5]
-
-    def test_random_policy_varies(self, line_router):
-        selector = ReplicaSelector(line_router, "random", np.random.default_rng(3))
-        draws = {tuple(selector.order_candidates(1, [2, 3, 4, 5])) for _ in range(20)}
-        assert len(draws) > 1
-
     def test_unknown_policy_rejected(self, line_router):
         with pytest.raises(ConfigurationError):
             ReplicaSelector(line_router, "nearest")

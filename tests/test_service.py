@@ -4,15 +4,26 @@ import numpy as np
 import pytest
 
 from repro import DMapNetwork
+from repro.bgp.allocation import AllocationConfig, generate_global_prefix_table
 from repro.core.guid import GUID
 from repro.errors import ConfigurationError, DMapError, LookupFailedError
 from repro.experiments.common import Environment, Scale
+from repro.topology.generator import generate_internet_topology, small_scale_config
 from repro.topology.graph import ASTopology
+
+
+def build_network(n_as, seed, **resolver_kwargs):
+    """DMap (K = 5) deployed on a generated ``n_as``-AS Internet."""
+    topology = generate_internet_topology(small_scale_config(n_as=n_as), seed=seed)
+    table = generate_global_prefix_table(
+        topology.asns(), AllocationConfig(prefixes_per_as=6.0), seed=seed + 1
+    )
+    return DMapNetwork(topology, table, k=5, seed=seed, **resolver_kwargs)
 
 
 @pytest.fixture(scope="module")
 def network():
-    return DMapNetwork.build(n_as=120, k=5, seed=3)
+    return build_network(n_as=120, seed=3)
 
 
 class TestRegistration:
@@ -124,14 +135,6 @@ class TestDeregistration:
 
 
 class TestStats:
-    def test_stats_shape(self, network):
-        network.register_host("stat-host")
-        stats = network.stats()
-        assert stats["n_as"] == 120
-        assert stats["n_hosts"] >= 1
-        assert stats["replica_copies"] >= stats["n_hosts"]
-        assert 0 < stats["announcement_ratio"] < 1
-
     def test_random_asn_is_valid(self, network):
         for _ in range(20):
             assert network.random_asn() in network.topology.asns()
@@ -142,7 +145,7 @@ class TestTracing:
         from repro.obs import CollectingTracer
 
         tracer = CollectingTracer()
-        net = DMapNetwork.build(n_as=80, k=5, seed=17, tracer=tracer)
+        net = build_network(n_as=80, seed=17, tracer=tracer)
         guid = net.register_host("roamer")
         before = len(tracer.traces)
 

@@ -13,7 +13,7 @@ from repro.sim.simulation import DMapSimulation
 @pytest.fixture
 def sim_world(topology, table, router, asns, rng):
     """A populated simulation over a private (mutable) table copy."""
-    sim = DMapSimulation(topology, table, k=5, router=router, seed=4)
+    sim = DMapSimulation(topology, table, k=5, router=router)
     hosts = {}
     for i in range(40):
         guid = GUID.from_name(f"churn-sim-{i}")

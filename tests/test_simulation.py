@@ -10,12 +10,14 @@ import pytest
 
 from repro.core.guid import GUID
 from repro.core.resolver import DMapResolver
-from repro.sim.failures import ChurnFailureModel, RouterFailureModel
+from repro.sim.failures import ChurnFailureModel
 from repro.sim.simulation import DMapSimulation
+
+from .failure_models import RouterFailureModel
 
 
 def build_sim(topology, table, router, **kwargs):
-    defaults = dict(k=5, router=router, seed=3)
+    defaults = dict(k=5, router=router)
     defaults.update(kwargs)
     return DMapSimulation(topology, table, **defaults)
 
@@ -197,7 +199,7 @@ class TestDeterminism:
     def test_identical_runs(self, topology, base_table, router, hosts):
         results = []
         for _ in range(2):
-            sim = build_sim(topology, base_table, router, seed=9)
+            sim = build_sim(topology, base_table, router)
             schedule_workload(sim, base_table, hosts)
             sim.run()
             results.append([r.rtt_ms for r in sim.metrics.records])

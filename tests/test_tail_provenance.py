@@ -25,12 +25,13 @@ from repro.hashing.hashers import Sha256Hasher
 from repro.hashing.rehash import GuidPlacer
 from repro.obs import CollectingTracer
 from repro.obs.export import classify_provenance, tail_provenance_table
-from repro.sim.failures import RouterFailureModel
 from repro.topology.generator import TopologyConfig, generate_internet_topology
 from repro.topology.latency import LatencyModel
 from repro.topology.routing import Router
 from repro.workload.generator import WorkloadConfig, WorkloadGenerator
 from repro.sim.simulation import DMapSimulation
+
+from .failure_models import RouterFailureModel
 
 #: One-way latency above which an AS counts as pathological (ms).
 OUTLIER_THRESHOLD_MS = 150.0
@@ -49,9 +50,7 @@ def outlier_world():
     )
     router = Router(topology)
     tracer = CollectingTracer()
-    sim = DMapSimulation(
-        topology, table, k=5, router=router, seed=21, tracer=tracer
-    )
+    sim = DMapSimulation(topology, table, k=5, router=router, tracer=tracer)
     workload = WorkloadGenerator(
         topology, WorkloadConfig(n_guids=300, n_lookups=4000, seed=21)
     ).generate()

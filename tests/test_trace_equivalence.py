@@ -25,11 +25,12 @@ from repro.core.resolver import (
     FailureModel,
 )
 from repro.errors import LookupFailedError
-from repro.fastpath import FastpathEngine
 from repro.hashing.asnum_placer import ASNumberPlacer, WeightedASPlacer
 from repro.obs import CollectingTracer
 from repro.obs.export import dumps_traces, read_traces, write_traces
 from repro.topology import routing
+
+from .test_fastpath import from_resolver
 
 N_GUIDS = 40
 N_LOOKUPS = 150
@@ -74,7 +75,7 @@ def _run_both(base_table, router, asns, *, k=5, local=True, placer=None,
         resolver.insert(g, [NetworkAddress(int(rng.integers(0, 2**32)))], int(src))
         local_asn[g] = int(src)
 
-    engine = FastpathEngine.from_resolver(resolver)
+    engine = from_resolver(resolver)
     fast_tracer = CollectingTracer()
     engine.tracer = fast_tracer
     batch = engine.index_guids(guids, [local_asn[g] for g in guids])

@@ -10,12 +10,14 @@ from hypothesis import given, settings, strategies as st
 from repro.bgp.allocation import AllocationConfig, generate_global_prefix_table
 from repro.bgp.prefix import Announcement, Prefix
 from repro.bgp.table import GlobalPrefixTable
-from repro.bgp.trie import PrefixTrie
 from repro.errors import AddressError, EmptyPrefixTableError, PrefixTableError
+
+from .addressing import from_cidr, xor_distance_to
+from .prefix_trie import PrefixTrie
 
 
 def ann(cidr: str, asn: int) -> Announcement:
-    return Announcement(Prefix.from_cidr(cidr), asn)
+    return Announcement(from_cidr(cidr), asn)
 
 
 def small_ann(base: int, length: int, asn: int, bits: int = 8) -> Announcement:
@@ -60,22 +62,22 @@ class TestInsertWithdraw:
         replaced = trie.insert(ann("10.0.0.0/8", 2))
         assert replaced.asn == 1
         assert len(trie) == 1
-        assert trie.exact_match(Prefix.from_cidr("10.0.0.0/8")).asn == 2
+        assert trie.exact_match(from_cidr("10.0.0.0/8")).asn == 2
 
     def test_withdraw(self):
         trie = PrefixTrie()
         trie.insert(ann("10.0.0.0/8", 1))
-        removed = trie.withdraw(Prefix.from_cidr("10.0.0.0/8"))
+        removed = trie.withdraw(from_cidr("10.0.0.0/8"))
         assert removed.asn == 1
         assert len(trie) == 0
-        assert trie.withdraw(Prefix.from_cidr("10.0.0.0/8")) is None
+        assert trie.withdraw(from_cidr("10.0.0.0/8")) is None
 
     def test_withdraw_keeps_more_specifics(self):
         trie = PrefixTrie()
         trie.insert(ann("10.0.0.0/8", 1))
         trie.insert(ann("10.5.0.0/16", 2))
-        trie.withdraw(Prefix.from_cidr("10.0.0.0/8"))
-        addr = Prefix.from_cidr("10.5.1.0/24").base
+        trie.withdraw(from_cidr("10.0.0.0/8"))
+        addr = from_cidr("10.5.1.0/24").base
         assert trie.longest_prefix_match(addr).asn == 2
 
     def test_width_mismatch_rejected(self):
@@ -95,8 +97,8 @@ class TestLongestPrefixMatch:
         trie = PrefixTrie()
         trie.insert(ann("10.0.0.0/8", 1))
         trie.insert(ann("10.5.0.0/16", 2))
-        assert trie.longest_prefix_match(Prefix.from_cidr("10.5.7.0/24").base).asn == 2
-        assert trie.longest_prefix_match(Prefix.from_cidr("10.6.0.0/16").base).asn == 1
+        assert trie.longest_prefix_match(from_cidr("10.5.7.0/24").base).asn == 2
+        assert trie.longest_prefix_match(from_cidr("10.6.0.0/16").base).asn == 1
 
     def test_hole_returns_none(self):
         trie = PrefixTrie()
@@ -133,7 +135,7 @@ class TestNearestPrefix:
     def test_covered_address_distance_zero(self):
         trie = PrefixTrie()
         trie.insert(ann("10.0.0.0/8", 1))
-        found, dist = trie.nearest_prefix(Prefix.from_cidr("10.1.0.0/16").base)
+        found, dist = trie.nearest_prefix(from_cidr("10.1.0.0/16").base)
         assert found.asn == 1 and dist == 0
 
     @given(announcement_sets(), st.integers(min_value=0, max_value=255))
@@ -143,7 +145,7 @@ class TestNearestPrefix:
         for a in announcements:
             trie.insert(a)
         _found, dist = trie.nearest_prefix(address)
-        brute = min(a.prefix.xor_distance_to(address) for a in announcements)
+        brute = min(xor_distance_to(a.prefix, address) for a in announcements)
         assert dist == brute
 
 
@@ -220,7 +222,7 @@ def assert_table_matches_trie(table, trie, bits=8):
             found, dist = table.nearest(address)
             assert (found, dist) == trie.nearest_prefix(address)
             assert (dist, found.prefix.length) == min(
-                (a.prefix.xor_distance_to(address), a.prefix.length) for a in current
+                (xor_distance_to(a.prefix, address), a.prefix.length) for a in current
             )
     assert table.announced_span() == trie.announced_span()
 

@@ -233,7 +233,7 @@ class TestExecution:
     def test_apply_to_simulation(self, small_workload, topology, base_table, router):
         from repro.sim.simulation import DMapSimulation
 
-        sim = DMapSimulation(topology, base_table, k=3, router=router, seed=1)
+        sim = DMapSimulation(topology, base_table, k=3, router=router)
         small_workload.apply_to_simulation(sim, base_table)
         sim.run()
         assert len(sim.metrics.records) == 300
