@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.guid import ADDRESS_BITS
-from ..draws import choice_cdf, integer_sampler
+from ..draws import WordStream, choice_cdf
 from ..errors import ConfigurationError
 from .table import GlobalPrefixTable
 
@@ -118,35 +118,58 @@ class BuddyAllocator:
 
     def __init__(self, bits: int, rng: np.random.Generator) -> None:
         self.bits = bits
-        self._integers = integer_sampler(rng)
+        self._rng = rng
         # _free[L] = list of base addresses of free /L blocks.
         self._free: List[List[int]] = [[] for _ in range(bits + 1)]
         self._free[0].append(0)
 
     def allocate(self, length: int) -> Optional[int]:
         """Allocate a /``length`` block; returns its base, or ``None`` when
-        no free block that large remains."""
-        if not 0 <= length <= self.bits:
-            raise ConfigurationError(f"block length {length} out of range")
-        source = length
-        while source >= 0 and not self._free[source]:
-            source -= 1
-        if source < 0:
-            return None
-        pool = self._free[source]
-        pick = self._integers(len(pool))
-        pool[pick], pool[-1] = pool[-1], pool[pick]
-        base = pool.pop()
-        # Split down to the requested size, keeping a random half each time.
-        while source < length:
-            source += 1
-            half_span = 1 << (self.bits - source)
-            if self._integers(2):
-                self._free[source].append(base)
-                base += half_span
-            else:
-                self._free[source].append(base + half_span)
-        return base
+        no free block that large remains.  Each call reads a chunk of raw
+        words: place many blocks with :meth:`allocate_all`."""
+        return self.allocate_all([length])[0]
+
+    def allocate_all(self, lengths: Sequence[int]) -> List[Optional[int]]:
+        """:meth:`allocate` each length in turn; returns the bases.
+
+        The picks and coins are ``rng.integers(0, len(pool))`` (none for a
+        pool of one) and ``rng.integers(0, 2)``, read in bulk from the bit
+        generator's raw words; ``rng`` ends where those draws made one at
+        a time leave it, also when a bad length raises.
+        """
+        free, bits = self._free, self.bits
+        stream = WordStream(self._rng)
+        bounded, uint32 = stream.bounded, stream.uint32
+        bases: List[Optional[int]] = []
+        try:
+            for length in lengths:
+                if not 0 <= length <= bits:
+                    raise ConfigurationError(f"block length {length} out of range")
+                source = length
+                while source >= 0 and not free[source]:
+                    source -= 1
+                if source < 0:
+                    bases.append(None)
+                    continue
+                pool = free[source]
+                if len(pool) > 1:
+                    pick = bounded(len(pool))
+                    pool[pick], pool[-1] = pool[-1], pool[pick]
+                base = pool.pop()
+                # Split down to the requested size, keeping a random half
+                # each time (the coin ``integers(0, 2)`` is the top bit).
+                while source < length:
+                    source += 1
+                    half_span = 1 << (bits - source)
+                    if uint32() >> 31:
+                        free[source].append(base)
+                        base += half_span
+                    else:
+                        free[source].append(base + half_span)
+                bases.append(base)
+        finally:
+            stream.commit()
+        return bases
 
     def free_span(self) -> int:
         """Total unallocated address count."""
@@ -270,19 +293,18 @@ def generate_global_prefix_table(
     order = np.argsort(lengths, kind="stable")
     lengths, owners = lengths[order].tolist(), owners[order].tolist()
     allocator = BuddyAllocator(config.bits, rng)
-    bases = [allocator.allocate(length) for length in lengths]
+    bases = allocator.allocate_all(lengths)
 
     # Guarantee every AS announces something (the paper's NLR is undefined
-    # for ASs with zero announced space).
+    # for ASs with zero announced space), up to the first /24 that does
+    # not fit: no later one fits either, and a miss draws nothing.
     covered = set(owners)
-    for asn in asns:
-        if asn not in covered:
-            base = allocator.allocate(24)
-            if base is None:
-                break
-            bases.append(base)
-            lengths.append(24)
-            owners.append(asn)
+    missing = [asn for asn in asns if asn not in covered]
+    fixups = allocator.allocate_all([24] * len(missing))
+    kept = fixups.index(None) if None in fixups else len(fixups)
+    bases += fixups[:kept]
+    lengths += [24] * kept
+    owners += missing[:kept]
 
     return GlobalPrefixTable.from_arrays(
         np.array(bases, np.uint64), np.array(lengths), np.array(owners), bits=config.bits

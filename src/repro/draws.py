@@ -3,14 +3,17 @@
 Each helper consumes the generator's bits in the same order as the numpy
 call it names and returns the same value, so the substrate generators keep
 their streams while skipping numpy's argument parsing and ``p`` checks.
-:func:`pair_draws` goes further: it decodes a whole run of a draw loop
-from the bit generator's raw words at once.  ``tests/test_draws.py`` pins
-each one against numpy, generator state too.
+:class:`WordStream` goes further: it replays PCG64's 32-bit draws from raw
+words read in bulk and then commits the generator's state, so a scalar
+loop such as the buddy allocator's draws without a ctypes call per draw,
+and :func:`pair_draws` decodes a whole run of the peering loop from its
+words at once.  ``tests/test_draws.py`` pins each one against numpy,
+generator state too.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -74,30 +77,62 @@ def weighted_sample(rng: np.random.Generator, p: np.ndarray, k: int) -> List[int
     return picks
 
 
-class _WordStream:
+#: Raw words a :class:`WordStream` reads from its bit generator at a time.
+WORD_CHUNK = 4096
+
+
+class WordStream:
     """``next_uint32`` and ``next_double`` of a 64-bit bit generator (such
     as PCG64) replayed from its raw words: a 32-bit draw takes the buffered
     high half of the last split word if there is one, else splits a new
     word (low half out, high half buffered); a double takes the top 53
-    bits of a whole word and leaves the buffer alone."""
+    bits of a whole word and leaves the buffer alone.
 
-    def __init__(self, bits: np.random.BitGenerator, words: np.ndarray,
-                 has: bool, last: int) -> None:
-        self.bits, self.words = bits, words
-        self.pos, self.has, self.last = 0, has, last
+    The words are read :data:`WORD_CHUNK` or more at a time with
+    ``random_raw`` (``words``, and as Python ints ``ints``; ``pos`` is the
+    next unread one), and the words before ``pos`` are dropped at the next
+    read.  The generator runs ahead of the stream until :meth:`commit`
+    leaves it where the same draws made one at a time leave it.
+    """
 
-    def word(self) -> int:
-        if self.pos == len(self.words):
-            self.reserve(64)
-        self.pos += 1
-        return int(self.words[self.pos - 1])
+    def __init__(self, rng: np.random.Generator) -> None:
+        self.bits = rng.bit_generator
+        self.start = self.bits.state
+        if "has_uint32" not in self.start:
+            raise ValueError(f"{self.start['bit_generator']} has no 32-bit half-word buffer")
+        self.words, self.ints = np.zeros(0, np.uint64), []
+        self.dropped = self.pos = 0
+        self.has, self.last = bool(self.start["has_uint32"]), int(self.start["uinteger"])
+
+    def mark(self) -> Tuple[int, bool, int]:
+        """Where the stream stands: the words consumed and the buffer."""
+        return self.dropped + self.pos, self.has, self.last
+
+    def commit(self, mark: Optional[Tuple[int, bool, int]] = None) -> None:
+        """Leave the generator where the draws up to ``mark`` (default:
+        the stream's position) leave it: the words consumed up to there
+        and the half-word buffer as it stood."""
+        read, has, last = self.mark() if mark is None else mark
+        state = dict(self.start)
+        state["has_uint32"], state["uinteger"] = int(has), int(last)
+        self.bits.state = state
+        self.bits.random_raw(read, output=False)
 
     def reserve(self, count: int) -> None:
         """Hold at least ``count`` unread words."""
-        short = count - (len(self.words) - self.pos)
+        short = count - (len(self.ints) - self.pos)
         if short > 0:
-            # The generator stands right after the words already read out.
-            self.words = np.concatenate((self.words, self.bits.random_raw(short)))
+            fresh = self.bits.random_raw(max(short, WORD_CHUNK))
+            self.words = np.concatenate((self.words[self.pos :], fresh))
+            self.ints = self.words.tolist()
+            self.dropped += self.pos
+            self.pos = 0
+
+    def word(self) -> int:
+        if self.pos == len(self.ints):
+            self.reserve(1)
+        self.pos += 1
+        return self.ints[self.pos - 1]
 
     def uint32(self) -> int:
         if self.has:
@@ -107,11 +142,14 @@ class _WordStream:
         self.has, self.last = True, w >> 32
         return w & _LOW32
 
-    def bounded(self, n: int, threshold: int) -> int:
-        """``integers(0, n)``: Lemire's method, as :func:`integer_sampler`."""
+    def bounded(self, n: int) -> int:
+        """``integers(0, n)`` for ``1 < n < 2**32``: Lemire's method, as
+        :func:`integer_sampler`."""
         m = self.uint32() * n
-        while m & _LOW32 < threshold:
-            m = self.uint32() * n
+        if m & _LOW32 < n:
+            threshold = (0x100000000 - n) % n
+            while m & _LOW32 < threshold:
+                m = self.uint32() * n
         return m >> 32
 
     def double(self) -> float:
@@ -145,15 +183,10 @@ def pair_draws(
     """
     if not 1 < n <= _LOW32:
         raise ValueError(f"pair_draws needs 1 < n < 2**32, got {n}")
-    bits = rng.bit_generator
-    start = bits.state
-    if "has_uint32" not in start:
-        raise ValueError(f"{start['bit_generator']} has no 32-bit half-word buffer")
+    stream = WordStream(rng)
+    begin = stream.mark()
     threshold = (0x100000000 - n) % n
     big_n = np.uint64(n)
-    stream = _WordStream(
-        bits, bits.random_raw(2 * count), bool(start["has_uint32"]), int(start["uinteger"])
-    )
     a_parts, b_parts, u_parts = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0)]
     # Per attempt: the words read, the buffer flag and the buffered half
     # after it (what ``commit`` restores).
@@ -179,34 +212,30 @@ def pair_draws(
             a_parts.append(a[:k].astype(np.int64))
             b_parts.append(b[:k].astype(np.int64))
             u_parts.append((doubles >> np.uint64(11)).astype(np.float64) * _DOUBLE_UNIT)
-            end_pos.append(stream.pos + 2 + 2 * np.arange(k))
+            end_pos.append(stream.mark()[0] + 2 + 2 * np.arange(k))
             end_has.append(np.full(k, stream.has))
             end_last.append(high[:k])
             stream.pos += 2 * k
             stream.last = int(high[k - 1])
             done += k
         if done < count:
-            x = stream.bounded(n, threshold)
-            y = stream.bounded(n, threshold)
+            x = stream.bounded(n)
+            y = stream.bounded(n)
             u = stream.double() if x != y else np.nan
             a_parts.append(np.array([x], np.int64))
             b_parts.append(np.array([y], np.int64))
             u_parts.append(np.array([u]))
-            end_pos.append(np.array([stream.pos]))
-            end_has.append(np.array([stream.has]))
-            end_last.append(np.array([stream.last], np.uint64))
+            read, has, last = stream.mark()
+            end_pos.append(np.array([read]))
+            end_has.append(np.array([has]))
+            end_last.append(np.array([last], np.uint64))
             done += 1
     pos, has, last = (np.concatenate(p) for p in (end_pos, end_has, end_last))
-    bits.state = start
+    stream.commit(begin)
 
     def commit(k: int) -> None:
         if not 0 <= k <= count:
             raise ValueError(f"commit({k}) outside the {count} decoded attempts")
-        state = dict(start)
-        if k:
-            state["has_uint32"], state["uinteger"] = int(has[k - 1]), int(last[k - 1])
-        bits.state = state
-        if k:
-            bits.random_raw(int(pos[k - 1]))
+        stream.commit((int(pos[k - 1]), bool(has[k - 1]), int(last[k - 1])) if k else begin)
 
     return np.concatenate(a_parts), np.concatenate(b_parts), np.concatenate(u_parts), commit

@@ -65,14 +65,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         action="store_true",
         help="disable the fastpath-vs-resolver differential lane",
     )
-    parser.add_argument(
-        "--live",
-        type=int,
-        default=0,
-        metavar="QUERIES",
-        help="also run the live wire-vs-analytic lane over this many "
-        "lookups on a booted loopback cluster (0 = skip)",
-    )
     args = parser.parse_args(argv)
     if args.scenarios <= 0:
         parser.error("--scenarios must be positive")
@@ -82,22 +74,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         verbose=args.verbose,
         fastpath=not args.skip_fastpath,
     )
-    live_comparison = None
-    if args.live > 0:
-        from .live import run_live_check
-
-        live_comparison = run_live_check(seed=args.seed, queries=args.live)
     if args.json:
-        payload = report.as_dict()
-        if live_comparison is not None:
-            payload["live"] = live_comparison.as_dict()
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
     else:
         print(report.render())
-        if live_comparison is not None:
-            print(live_comparison.render())
-    clean = report.clean and (live_comparison is None or live_comparison.ok)
-    return 0 if clean else 1
+    return 0 if report.clean else 1
 
 
 if __name__ == "__main__":

@@ -7,12 +7,7 @@ from .generator import (
     WorkloadEvent,
     WorkloadGenerator,
 )
-from .mobility import (
-    MobilityModel,
-    MoveEvent,
-    PAPER_UPDATES_PER_DAY,
-    update_traffic_gbps,
-)
+from .mobility import MobilityModel, MoveEvent, PAPER_UPDATES_PER_DAY
 from .popularity import MandelbrotZipf, PAPER_ALPHA, PAPER_Q
 from .sources import SourceSampler
 
@@ -25,7 +20,6 @@ __all__ = [
     "MobilityModel",
     "MoveEvent",
     "PAPER_UPDATES_PER_DAY",
-    "update_traffic_gbps",
     "MandelbrotZipf",
     "PAPER_ALPHA",
     "PAPER_Q",

@@ -121,19 +121,3 @@ class MobilityModel:
         moves.sort(key=lambda m: m.time_ms)
         return moves
 
-
-def update_traffic_gbps(
-    n_hosts: float,
-    updates_per_day: float = PAPER_UPDATES_PER_DAY,
-    bits_per_update: float = 352.0 * 5,
-) -> float:
-    """Global update-traffic estimate, reproducing the §IV-A arithmetic.
-
-    5 billion mobile hosts × 100 updates/day, each update fanned out to
-    K = 5 replicas carrying a 352-bit entry, lands at ~10 Gb/s worldwide —
-    "a minute fraction of the overall Internet traffic".
-    """
-    if n_hosts < 0 or updates_per_day < 0 or bits_per_update <= 0:
-        raise WorkloadError("traffic parameters must be non-negative")
-    updates_per_second = n_hosts * updates_per_day / 86_400.0
-    return updates_per_second * bits_per_update / 1e9

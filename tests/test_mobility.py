@@ -5,11 +5,7 @@ import pytest
 
 from repro.core.guid import GUID
 from repro.errors import WorkloadError
-from repro.workload.mobility import (
-    MobilityModel,
-    PAPER_UPDATES_PER_DAY,
-    update_traffic_gbps,
-)
+from repro.workload.mobility import MobilityModel
 
 DAY_MS = 86_400_000.0
 
@@ -74,21 +70,3 @@ class TestMoveSchedules:
         model = MobilityModel(topology)
         with pytest.raises(WorkloadError):
             model.moves_for_host(GUID(1), topology.asns()[0], -1.0)
-
-
-class TestTrafficFormula:
-    def test_paper_headline_number(self):
-        # §IV-A: 5B hosts × 100 updates/day × K=5 × 352 bits ≈ 10 Gb/s.
-        gbps = update_traffic_gbps(5e9, PAPER_UPDATES_PER_DAY, 352.0 * 5)
-        assert gbps == pytest.approx(10.2, abs=0.1)
-
-    def test_scales_linearly(self):
-        assert update_traffic_gbps(2e9) == pytest.approx(
-            2 * update_traffic_gbps(1e9)
-        )
-
-    def test_validation(self):
-        with pytest.raises(WorkloadError):
-            update_traffic_gbps(-1)
-        with pytest.raises(WorkloadError):
-            update_traffic_gbps(1e9, bits_per_update=0)
