@@ -10,8 +10,8 @@ lookups with one :func:`numpy.searchsorted` call.
 The decomposition (:func:`decompose`) is exact under arbitrary prefix
 overlap (a covering /16 with more-specific /24s inside it).  It is shared
 with :class:`repro.bgp.table.GlobalPrefixTable`, so both are
-property-tested against the independent reference
-:class:`repro.bgp.trie.PrefixTrie`.
+property-tested against the tests' independent reference trie
+(``tests/prefix_trie.py``).
 """
 
 from __future__ import annotations

@@ -117,8 +117,3 @@ class ReplicaSelector:
         """Candidates sorted best-first under the policy (see
         :meth:`ranked`)."""
         return [asn for asn, _ in self.ranked(source_asn, candidate_asns)]
-
-    def best_rtt_ms(self, source_asn: int, candidate_asns: Sequence[int]) -> float:
-        """Round-trip time to the best candidate under the policy."""
-        best = self.order_candidates(source_asn, candidate_asns)[0]
-        return self.router.rtt_ms(source_asn, best)

@@ -7,6 +7,9 @@ parameter or a ``default_rng(seed)`` built from an explicit seed — and
 ban the ambient entropy sources that silently break replays: the
 process-global ``random`` module, legacy ``np.random.*`` globals,
 wall-clock reads, and set-order iteration feeding event schedules.
+
+Each rule is a function from a parsed module to ``(node, message)``
+findings; :data:`repro.tooling.rules.RULES` lists them with their scope.
 """
 
 from __future__ import annotations
@@ -14,9 +17,6 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Tuple
 
-from ..diagnostics import Diagnostic
-from ..registry import LintRule, register
-from ..engine import FileContext
 from ._helpers import collect_import_aliases, iter_calls
 
 #: Packages whose event ordering feeds the discrete-event simulation.
@@ -72,191 +72,144 @@ _SET_METHODS = frozenset(
 )
 
 
-@register
-class StdlibRandomRule(LintRule):
+def stdlib_random(tree: ast.Module) -> Iterator[Tuple[ast.AST, str]]:
     """DET001: the stdlib ``random`` module is banned outright.
 
     Its state is process-global and shared across every caller, so any
     new call site reorders every later draw — even ``random.seed`` at
     import time cannot make concurrent users reproducible.
     """
-
-    rule_id = "DET001"
-    summary = "stdlib `random` module is process-global; forbidden"
-
-    def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name == "random" or alias.name.startswith(
-                        "random."
-                    ):
-                        yield self.diagnostic(
-                            ctx,
-                            node,
-                            "import of stdlib `random`: its global state "
-                            "breaks seeded replays; thread a "
-                            "`numpy.random.Generator` parameter instead",
-                        )
-            elif isinstance(node, ast.ImportFrom):
-                if node.level == 0 and node.module == "random":
-                    yield self.diagnostic(
-                        ctx,
-                        node,
-                        "import from stdlib `random`: its global state "
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == "random" or alias.name.startswith("random."):
+                    yield node, (
+                        "import of stdlib `random`: its global state "
                         "breaks seeded replays; thread a "
-                        "`numpy.random.Generator` parameter instead",
+                        "`numpy.random.Generator` parameter instead"
                     )
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0 and node.module == "random":
+                yield node, (
+                    "import from stdlib `random`: its global state "
+                    "breaks seeded replays; thread a "
+                    "`numpy.random.Generator` parameter instead"
+                )
 
 
-@register
-class LegacyNumpyRandomRule(LintRule):
+def legacy_numpy_random(tree: ast.Module) -> Iterator[Tuple[ast.AST, str]]:
     """DET002: legacy ``np.random.*`` global-state API is banned.
 
     ``np.random.seed`` / ``np.random.rand`` and friends mutate one
     hidden global ``RandomState``; the repo convention is the explicit
     ``default_rng(seed)`` / ``Generator`` API.
     """
-
-    rule_id = "DET002"
-    summary = "legacy np.random global-state API; use default_rng/Generator"
-
-    def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
-        aliases = collect_import_aliases(ctx.tree)
-        for call, target in iter_calls(ctx.tree, aliases):
-            if (
-                target
-                and target.startswith("numpy.random.")
-                and target.rsplit(".", 1)[1] not in _NP_RANDOM_ALLOWED
-            ):
-                yield self.diagnostic(
-                    ctx,
-                    call,
-                    f"legacy global-state call `{target}`: use a seeded "
-                    "`numpy.random.default_rng(seed)` Generator instead",
-                )
-        for node in ast.walk(ctx.tree):
-            if (
-                isinstance(node, ast.ImportFrom)
-                and node.level == 0
-                and node.module
-                and (
-                    node.module == "numpy.random"
-                    or node.module.startswith("numpy.random.")
-                )
-            ):
-                for alias in node.names:
-                    if alias.name not in _NP_RANDOM_ALLOWED:
-                        yield self.diagnostic(
-                            ctx,
-                            node,
-                            f"import of legacy `numpy.random.{alias.name}`: "
-                            "only the Generator API "
-                            "(default_rng/Generator/SeedSequence) is allowed",
-                        )
+    aliases = collect_import_aliases(tree)
+    for call, target in iter_calls(tree, aliases):
+        if (
+            target
+            and target.startswith("numpy.random.")
+            and target.rsplit(".", 1)[1] not in _NP_RANDOM_ALLOWED
+        ):
+            yield call, (
+                f"legacy global-state call `{target}`: use a seeded "
+                "`numpy.random.default_rng(seed)` Generator instead"
+            )
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.ImportFrom)
+            and node.level == 0
+            and node.module
+            and (
+                node.module == "numpy.random"
+                or node.module.startswith("numpy.random.")
+            )
+        ):
+            for alias in node.names:
+                if alias.name not in _NP_RANDOM_ALLOWED:
+                    yield node, (
+                        f"import of legacy `numpy.random.{alias.name}`: "
+                        "only the Generator API "
+                        "(default_rng/Generator/SeedSequence) is allowed"
+                    )
 
 
-@register
-class WallClockRule(LintRule):
+def wall_clock(tree: ast.Module) -> Iterator[Tuple[ast.AST, str]]:
     """DET003: wall-clock reads are banned in simulation code.
 
     Virtual time comes from the event engine (``Simulator.now``); any
     ``time.time()`` / ``datetime.now()`` sneaking into logic makes runs
     depend on the host clock and unreproducible.
     """
-
-    rule_id = "DET003"
-    summary = "wall-clock read; use the simulator's virtual time"
-
-    def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
-        aliases = collect_import_aliases(ctx.tree)
-        for call, target in iter_calls(ctx.tree, aliases):
-            if target in _WALL_CLOCK:
-                yield self.diagnostic(
-                    ctx,
-                    call,
-                    f"wall-clock call `{target}`: simulation logic must use "
-                    "virtual time (Simulator.now), not the host clock",
-                )
+    aliases = collect_import_aliases(tree)
+    for call, target in iter_calls(tree, aliases):
+        if target in _WALL_CLOCK:
+            yield call, (
+                f"wall-clock call `{target}`: simulation logic must use "
+                "virtual time (Simulator.now), not the host clock"
+            )
 
 
-@register
-class UnsortedSetIterationRule(LintRule):
+def _is_set_expr(node: ast.expr) -> bool:
+    if isinstance(node, (ast.Set, ast.SetComp)):
+        return True
+    if isinstance(node, ast.Call):
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in ("set", "frozenset"):
+            return True
+        if isinstance(func, ast.Attribute) and func.attr in _SET_METHODS:
+            return True
+    return False
+
+
+def _iter_targets(tree: ast.Module) -> Iterator[ast.expr]:
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.For, ast.AsyncFor)):
+            yield node.iter
+        elif isinstance(
+            node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+        ):
+            for generator in node.generators:
+                yield generator.iter
+
+
+def unsorted_set_iteration(tree: ast.Module) -> Iterator[Tuple[ast.AST, str]]:
     """DET004: iterating a set feeds hash order into event schedules.
 
     Set iteration order depends on insertion history and (for strings,
     pre-PYTHONHASHSEED pinning) on the process hash seed.  In packages
-    that schedule events or place replicas, wrap the set in
-    ``sorted(...)`` before iterating.
+    that schedule events or place replicas (:data:`SIM_CRITICAL_PACKAGES`),
+    wrap the set in ``sorted(...)`` before iterating.
     """
-
-    rule_id = "DET004"
-    summary = "set iteration order is hash-dependent; wrap in sorted(...)"
-    packages = SIM_CRITICAL_PACKAGES
-
-    def _is_set_expr(self, node: ast.expr) -> bool:
-        if isinstance(node, (ast.Set, ast.SetComp)):
-            return True
-        if isinstance(node, ast.Call):
-            func = node.func
-            if isinstance(func, ast.Name) and func.id in ("set", "frozenset"):
-                return True
-            if isinstance(func, ast.Attribute) and func.attr in _SET_METHODS:
-                return True
-        return False
-
-    def _iter_targets(self, ctx: FileContext) -> Iterator[ast.expr]:
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, (ast.For, ast.AsyncFor)):
-                yield node.iter
-            elif isinstance(
-                node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
-            ):
-                for generator in node.generators:
-                    yield generator.iter
-
-    def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
-        for iter_expr in self._iter_targets(ctx):
-            if self._is_set_expr(iter_expr):
-                yield self.diagnostic(
-                    ctx,
-                    iter_expr,
-                    "iteration over a set: order is hash/insertion dependent "
-                    "and can reorder scheduled events; iterate "
-                    "`sorted(<set>)` instead",
-                )
+    for iter_expr in _iter_targets(tree):
+        if _is_set_expr(iter_expr):
+            yield iter_expr, (
+                "iteration over a set: order is hash/insertion dependent "
+                "and can reorder scheduled events; iterate "
+                "`sorted(<set>)` instead"
+            )
 
 
-@register
-class UnseededDefaultRngRule(LintRule):
+def unseeded_default_rng(tree: ast.Module) -> Iterator[Tuple[ast.AST, str]]:
     """DET005: ``default_rng()`` without a seed pulls OS entropy.
 
     An argument-less ``default_rng()`` (or an explicit ``None`` seed)
     seeds from the OS and differs on every run; seeds must be explicit
     so experiment configs fully determine results.
     """
-
-    rule_id = "DET005"
-    summary = "default_rng() without an explicit seed"
-
-    def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
-        aliases = collect_import_aliases(ctx.tree)
-        for call, target in iter_calls(ctx.tree, aliases):
-            if target != "numpy.random.default_rng":
-                continue
-            if not call.args and not call.keywords:
-                yield self.diagnostic(
-                    ctx,
-                    call,
-                    "`default_rng()` with no seed draws OS entropy; pass an "
-                    "explicit seed (or accept a Generator parameter)",
-                )
-            elif call.args and isinstance(call.args[0], ast.Constant) and (
-                call.args[0].value is None
-            ):
-                yield self.diagnostic(
-                    ctx,
-                    call,
-                    "`default_rng(None)` draws OS entropy; pass an explicit "
-                    "seed (or accept a Generator parameter)",
-                )
+    aliases = collect_import_aliases(tree)
+    for call, target in iter_calls(tree, aliases):
+        if target != "numpy.random.default_rng":
+            continue
+        if not call.args and not call.keywords:
+            yield call, (
+                "`default_rng()` with no seed draws OS entropy; pass an "
+                "explicit seed (or accept a Generator parameter)"
+            )
+        elif call.args and isinstance(call.args[0], ast.Constant) and (
+            call.args[0].value is None
+        ):
+            yield call, (
+                "`default_rng(None)` draws OS entropy; pass an explicit "
+                "seed (or accept a Generator parameter)"
+            )

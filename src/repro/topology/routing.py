@@ -414,28 +414,21 @@ class Router:
         return 2.0 * self.one_way_ms(src_asn, dst_asn)
 
     def closest_of(
-        self, src_asn: int, dst_asns: Sequence[int], by: str = "latency"
+        self, src_asn: int, dst_asns: Sequence[int]
     ) -> Tuple[int, float]:
-        """Replica selection: the destination minimizing latency or hops
-        (the first one on a tie).
-
-        ``by="latency"`` models a querying node with response-time
-        estimates; ``by="hops"`` models the least-hop-count fallback the
-        paper notes is available from BGP today and "leads to similar
-        results albeit with marginally increased latencies" (§IV-B.2a).
+        """The destination with the least one-way latency (the first one
+        on a tie): a querying node with response-time estimates picks a
+        donor or a root this way.  Hop-count choice is the
+        :class:`~repro.core.replication.ReplicaSelector` policy's job.
 
         Returns ``(chosen_asn, one_way_latency_ms_to_it)``.
         """
         dst = list(dst_asns)
         if not dst:
             raise RoutingError("closest_of needs at least one destination")
-        if by not in ("latency", "hops"):
-            raise RoutingError(f"unknown selection criterion {by!r}")
-        latency = by == "latency"
-        costs = (self.one_way_costs if latency else self.hop_costs)(src_asn, dst)
+        costs = self.one_way_costs(src_asn, dst)
         pick = min(range(len(dst)), key=costs.__getitem__)
-        chosen = int(dst[pick])
-        return chosen, costs[pick] if latency else self.one_way_ms(src_asn, chosen)
+        return int(dst[pick]), costs[pick]
 
     # ------------------------------------------------------------------
     # Vectorized queries (the fastpath's path cells)

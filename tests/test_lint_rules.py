@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.tooling import lint_source
+from repro.tooling.lint import lint_source
 
 FIXTURES = Path(__file__).parent / "lint_fixtures"
 
@@ -46,7 +46,7 @@ def test_bad_fixture_is_flagged(rule_id):
     module, expected_count = RULE_CASES[rule_id]
     diagnostics = lint_source(_fixture(rule_id, "bad"), module=module)
     flagged = [d for d in diagnostics if d.rule_id == rule_id]
-    assert len(flagged) == expected_count, [d.format_human() for d in diagnostics]
+    assert len(flagged) == expected_count, [str(d) for d in diagnostics]
     # Other rules must not be tripping over the same fixture.
     assert flagged == diagnostics
 
@@ -55,7 +55,7 @@ def test_bad_fixture_is_flagged(rule_id):
 def test_good_fixture_is_clean(rule_id):
     module, _ = RULE_CASES[rule_id]
     diagnostics = lint_source(_fixture(rule_id, "good"), module=module)
-    assert diagnostics == [], [d.format_human() for d in diagnostics]
+    assert diagnostics == [], [str(d) for d in diagnostics]
 
 
 @pytest.mark.parametrize("rule_id", sorted(SCOPED_RULES))

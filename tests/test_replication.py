@@ -66,7 +66,10 @@ class TestReplicaSelector:
     def test_best_rtt(self, line_router):
         selector = ReplicaSelector(line_router, "latency")
         # 1 -> 2: intra 1 + link 10 + intra 1 = 12 one way, 24 RTT.
-        assert selector.best_rtt_ms(1, [6, 2]) == pytest.approx(24.0)
+        best, one_way = selector.ranked(1, [6, 2])[0]
+        assert best == 2
+        assert 2.0 * one_way == pytest.approx(24.0)
+        assert line_router.rtt_ms(1, best) == pytest.approx(24.0)
 
     def test_latency_vs_hops_can_disagree(self, topology, router, rng):
         # On the generated graph with heterogeneous link latencies the two

@@ -45,10 +45,6 @@ class TestLineFixture:
         assert asn == 1
         assert latency == pytest.approx(12.0)
 
-    def test_closest_of_by_hops(self, line_router):
-        asn, _latency = line_router.closest_of(2, np.array([5, 1, 4]), by="hops")
-        assert asn == 1
-
     def test_closest_of_self_wins(self, line_router):
         asn, latency = line_router.closest_of(3, np.array([1, 3, 5]))
         assert asn == 3
@@ -57,8 +53,6 @@ class TestLineFixture:
     def test_closest_of_validation(self, line_router):
         with pytest.raises(RoutingError):
             line_router.closest_of(1, np.array([], dtype=np.int64))
-        with pytest.raises(RoutingError):
-            line_router.closest_of(1, np.array([2]), by="magic")
 
 
 class TestCaching:
